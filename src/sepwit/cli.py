@@ -26,17 +26,17 @@ CSV column order (fixed):
   witness  expectation, G, margin, verdict, bound_source
 
 Floats in tables are printed with 12 significant digits; identical
-flags and seed give byte-identical output regardless of thread count.
+flags and seed give byte-identical output.
 Fields containing commas (partitions) are double-quoted in CSV.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,23 +55,6 @@ from .witness import Witness, WitnessForm, detect, expectation
 _EXIT_OK = 0
 _EXIT_INPUT = 2
 _EXIT_NUMERICAL = 3
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Reproducibility envelope of one CLI invocation: the seed fully
-    determines every stochastic quantity in the output."""
-
-    seed: int
-    starts: int
-    tol: float
-    output_format: str
-    output_path: str | None
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        return cls(seed=args.seed, starts=args.starts, tol=args.tol,
-                   output_format=args.format, output_path=args.out)
 
 
 def _fmt(value) -> str:
@@ -125,6 +108,32 @@ def _emit(payload: dict, columns: list[str], rows: list[dict], args) -> None:
 # ---------------------------------------------------------------------------
 # file loading
 
+def _finite_complex(re, im, where: str) -> complex:
+    value = complex(float(re), float(im))
+    if not cmath.isfinite(value):
+        raise InputFormatError(f"{where}: non-finite value {value}")
+    return value
+
+
+def _entries_matrix(entries, dim: int) -> np.ndarray:
+    """Dense matrix from [row, col, re, im] triplets.  Rejects an index
+    that is not an integer in 0..dim-1, a repeated (row, col) and a
+    non-finite value."""
+    matrix = np.zeros((dim, dim), dtype=np.complex128)
+    seen = set()
+    for entry in entries:
+        row, col, re, im = entry
+        where = f"entry {entry}"
+        if not all(type(i) is int and 0 <= i < dim for i in (row, col)):
+            raise InputFormatError(
+                f"{where}: index not an integer in 0..{dim - 1}")
+        if (row, col) in seen:
+            raise InputFormatError(f"{where}: repeats ({row}, {col})")
+        seen.add((row, col))
+        matrix[row, col] = _finite_complex(re, im, where)
+    return matrix
+
+
 def load_observable_file(path: str) -> tuple[SpaceConfig, Statistics | None, np.ndarray]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -135,11 +144,8 @@ def load_observable_file(path: str) -> tuple[SpaceConfig, Statistics | None, np.
         space = SpaceConfig(int(blob["d"]), int(blob["N"]))
         stats = Statistics.parse(blob["statistics"]) \
             if "statistics" in blob else None
-        dim = space.total_dim
-        matrix = np.zeros((dim, dim), dtype=np.complex128)
-        for row, col, re, im in blob["entries"]:
-            matrix[int(row), int(col)] = float(re) + 1j * float(im)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        matrix = _entries_matrix(blob["entries"], space.total_dim)
+    except (InputFormatError, KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed observable file {path}: {exc}")
     defect = hermiticity_defect(matrix)
     scale = max(1.0, float(np.abs(matrix).max(initial=0.0)))
@@ -159,17 +165,14 @@ def load_state_file(path: str) -> tuple[SpaceConfig, DensityOperator]:
     try:
         space = SpaceConfig(int(blob["d"]), int(blob["N"]))
         if "amplitudes" in blob:
-            amps = np.array([complex(re, im) for re, im in blob["amplitudes"]])
+            amps = np.array([_finite_complex(re, im, f"amplitude {idx}")
+                             for idx, (re, im)
+                             in enumerate(blob["amplitudes"])])
             state = StateVector(space, amps)
             return space, DensityOperator.from_pure(state)
-        dim = space.total_dim
-        matrix = np.zeros((dim, dim), dtype=np.complex128)
-        for row, col, re, im in blob["entries"]:
-            matrix[int(row), int(col)] = float(re) + 1j * float(im)
+        matrix = _entries_matrix(blob["entries"], space.total_dim)
         return space, DensityOperator.from_matrix(space, matrix)
-    except InputFormatError:
-        raise
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (InputFormatError, KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed state file {path}: {exc}")
 
 
@@ -355,7 +358,6 @@ def _cmd_fig2(args) -> int:
 # sevalue: bound of an observable file
 
 def _cmd_sevalue(args) -> int:
-    run = RunConfig.from_args(args)
     space, file_stats, matrix = load_observable_file(args.observable)
     stats = Statistics.parse(args.stats) if args.stats else file_stats
     if stats is None:
@@ -369,14 +371,14 @@ def _cmd_sevalue(args) -> int:
     for part in partitions:
         problem = SevalueProblem(matrix, stats, part, space)
         try:
-            result = solve_sup_g(problem, starts=run.starts, seed=run.seed,
-                                 tol=run.tol)
+            result = solve_sup_g(problem, starts=args.starts, seed=args.seed,
+                                 tol=args.tol)
         except ConvergenceError as exc:
             per_partition.append({"partition": str(part), "error": str(exc)})
             continue
         any_converged = True
         oracle = brute_force_bound(problem, samples=args.oracle_samples,
-                                   seed=run.seed)
+                                   seed=args.seed)
         groups = {}
         for sol in result.solutions:
             if not sol.converged:
@@ -409,7 +411,7 @@ def _cmd_sevalue(args) -> int:
             for entry in per_partition]
     payload = {"command": "sevalue", "observable": args.observable,
                "statistics": stats.value, "K": k, "G": best,
-               "seed": run.seed, "starts": run.starts, "tol": run.tol,
+               "seed": args.seed, "starts": args.starts, "tol": args.tol,
                "oracle_samples": args.oracle_samples,
                "bound_source": "numeric",
                "partitions": per_partition}
@@ -423,7 +425,6 @@ def _cmd_sevalue(args) -> int:
 # witness: verdict for a state against an observable
 
 def _cmd_witness(args) -> int:
-    run = RunConfig.from_args(args)
     state_space, rho = load_state_file(args.state)
     obs_space, file_stats, matrix = load_observable_file(args.observable)
     if state_space != obs_space:
@@ -436,13 +437,13 @@ def _cmd_witness(args) -> int:
     try:
         if partition is not None:
             problem = SevalueProblem(matrix, stats, partition, state_space)
-            result = solve_sup_g(problem, starts=run.starts, seed=run.seed,
-                                 tol=run.tol)
+            result = solve_sup_g(problem, starts=args.starts, seed=args.seed,
+                                 tol=args.tol)
             bound = result.value
         else:
             bound, _ = sup_over_partitions(matrix, stats, state_space, k,
-                                           starts=run.starts, seed=run.seed,
-                                           tol=run.tol)
+                                           starts=args.starts, seed=args.seed,
+                                           tol=args.tol)
     except ConvergenceError as exc:
         sys.stderr.write(f"witness: {exc}\n")
         return _EXIT_NUMERICAL
@@ -456,7 +457,7 @@ def _cmd_witness(args) -> int:
     payload = {"command": "witness", "state": args.state,
                "observable": args.observable, "statistics": stats.value,
                "K": k, "partition": str(partition) if partition else None,
-               "seed": run.seed, "starts": run.starts,
+               "seed": args.seed, "starts": args.starts,
                "bound_source": "numeric"}
     rows = [{"expectation": verdict.expectation, "G": verdict.bound,
              "margin": verdict.margin, "verdict": verdict.verdict,
@@ -475,23 +476,28 @@ def _build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed; fully determines stochastic output")
-        p.add_argument("--starts", type=int, default=64,
-                       help="multistart count for the sweep solver")
-        p.add_argument("--tol", type=float, default=1e-9,
-                       help="residual tolerance of the sweep solver")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--out", default=None, help="write output to PATH")
-        p.add_argument("--verify", action="store_true",
-                       help="run the independent cross-checks")
+    shared = {
+        "--seed": dict(type=int, default=0,
+                       help="seed; fully determines stochastic output"),
+        "--starts": dict(type=int, default=64,
+                         help="multistart count for the sweep solver"),
+        "--tol": dict(type=float, default=1e-9,
+                      help="residual tolerance of the sweep solver"),
+        "--verify": dict(action="store_true",
+                         help="run the independent cross-checks"),
+        "--format": dict(choices=("json", "csv"), default="json"),
+        "--out": dict(default=None, help="write output to PATH"),
+    }
+
+    def common(p, *flags):
+        for flag in flags + ("--format", "--out"):
+            p.add_argument(flag, **shared[flag])
 
     p1 = sub.add_parser("fig1", help="noise thresholds of the balanced "
                                      "two-particle family")
     p1.add_argument("--d-min", type=int, default=2)
     p1.add_argument("--d-max", type=int, default=8)
-    common(p1)
+    common(p1, "--seed", "--starts", "--verify")
     p1.set_defaults(func=_cmd_fig1)
 
     p2 = sub.add_parser("fig2", help="dephasing sweep of the GHZ-type "
@@ -501,7 +507,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="amplitude of the geometric family")
     p2.add_argument("--k-max", type=int, default=None)
     p2.add_argument("--delta-steps", type=int, default=25)
-    common(p2)
+    common(p2, "--verify")
     p2.set_defaults(func=_cmd_fig2)
 
     p3 = sub.add_parser("sevalue", help="separable bound of an observable "
@@ -514,7 +520,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p3.add_argument("--partition", default=None,
                     help="specific partition, e.g. 2,1")
     p3.add_argument("--oracle-samples", type=int, default=10_000)
-    common(p3)
+    common(p3, "--seed", "--starts", "--tol")
     p3.set_defaults(func=_cmd_sevalue)
 
     p4 = sub.add_parser("witness", help="entanglement verdict for a state "
@@ -524,7 +530,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p4.add_argument("--stats", default=None)
     p4.add_argument("--k", type=int, default=None)
     p4.add_argument("--partition", default=None)
-    common(p4)
+    common(p4, "--seed", "--starts", "--tol")
     p4.set_defaults(func=_cmd_witness)
     return parser
 

@@ -19,8 +19,6 @@ ascent plus an independent random-sampling oracle brackets the bound.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import reduce
 
@@ -235,9 +233,19 @@ class _Solver:
             return out
         return project_amplitudes(self.stats, self.dense @ in_sector, self.space)
 
-    def chi_vector(self, blocks, value: float) -> np.ndarray:
+    def chi_vector(self, projected: np.ndarray, value: float) -> np.ndarray:
+        """P L P|b> - g P|b> from the projected product P|b>."""
+        return self.sandwich_matvec(projected) - value * projected
+
+    def solution(self, blocks, value: float, residual: float,
+                 converged: bool, sweeps: int) -> SevalueSolution:
         p = self.projected_product(blocks)
-        return self.sandwich_matvec(p) - value * p
+        return SevalueSolution(
+            value=float(value), party_vectors=tuple(blocks),
+            projected_vector=StateVector(self.space, p), residual=residual,
+            chi_norm=float(np.linalg.norm(self.chi_vector(p, value))),
+            converged=converged, sweeps=sweeps,
+            partition=self.partition, statistics=self.stats)
 
     # -- party-wise operators ----------------------------------------------
 
@@ -273,26 +281,30 @@ class _Solver:
         return np.einsum("l,lmr,r->m", left.conj(), t, right.conj(),
                          optimize=True)
 
+    def party_defect(self, blocks, j: int, value: float) -> tuple[float, float]:
+        """(||A_j b_j - g B_j b_j||, ||B_j b_j||) for party j.
+
+        A single party has A = P L P and B = P, so the pair is (||chi||,
+        ||P b||), computed without building either matrix.
+        """
+        if self.partition.k == 1:
+            p = self.projected_product(blocks)
+            return (float(np.linalg.norm(self.chi_vector(p, value))),
+                    float(np.linalg.norm(p)))
+        numer, overlap = self.party_matrices(blocks, j)
+        bv = overlap @ blocks[j]
+        return (float(np.linalg.norm(numer @ blocks[j] - value * bv)),
+                float(np.linalg.norm(bv)))
+
     def residual(self, blocks, value: float) -> float:
+        """Worst per-party stationarity defect, relative to ||B_j b_j||."""
         worst = 0.0
         for j in range(self.partition.k):
-            numer, overlap = self.party_matrices(blocks, j)
-            bv = overlap @ blocks[j]
-            defect = numer @ blocks[j] - value * bv
-            scale = np.linalg.norm(bv)
+            defect, scale = self.party_defect(blocks, j, value)
             if scale <= 0.0:
                 raise ZeroProjectionError("overlap annihilates a party vector")
-            worst = max(worst, float(np.linalg.norm(defect) / scale))
+            worst = max(worst, defect / scale)
         return worst
-
-    def overlap_defects(self, blocks, value: float) -> list[float]:
-        """Per-party norms of the unnormalized stationarity defect."""
-        out = []
-        for j in range(self.partition.k):
-            numer, overlap = self.party_matrices(blocks, j)
-            out.append(float(np.linalg.norm(
-                numer @ blocks[j] - value * (overlap @ blocks[j]))))
-        return out
 
     # -- single full-space party (K = 1) ------------------------------------
 
@@ -315,13 +327,8 @@ class _Solver:
         value = float(vals[idx])
         vector = basis @ vecs_small[:, idx]
         vector /= np.linalg.norm(vector)
-        p = StateVector(self.space, vector)
-        chi = self.sandwich_matvec(vector) - value * vector
-        res = float(np.linalg.norm(chi))
-        return SevalueSolution(
-            value=value, party_vectors=(vector,), projected_vector=p,
-            residual=res, chi_norm=res, converged=True, sweeps=1,
-            partition=self.partition, statistics=self.stats)
+        return self.solution([vector], value, self.residual([vector], value),
+                             converged=True, sweeps=1)
 
 
 def _generalized_step(numer: np.ndarray, overlap: np.ndarray,
@@ -392,24 +399,11 @@ def sweep_solve(problem: SevalueProblem, init,
         if sweep > 1 and abs(value - previous) <= value_tol:
             res = ws.residual(blocks, value)
             if res <= tol:
-                return SevalueSolution(
-                    value=value, party_vectors=tuple(blocks),
-                    projected_vector=StateVector(
-                        problem.space, ws.projected_product(blocks)),
-                    residual=res,
-                    chi_norm=float(np.linalg.norm(ws.chi_vector(blocks, value))),
-                    converged=True, sweeps=sweep,
-                    partition=problem.partition, statistics=problem.stats)
+                return ws.solution(blocks, value, res, converged=True,
+                                   sweeps=sweep)
         previous = value
-    res = ws.residual(blocks, value)
-    return SevalueSolution(
-        value=value, party_vectors=tuple(blocks),
-        projected_vector=StateVector(problem.space,
-                                     ws.projected_product(blocks)),
-        residual=res,
-        chi_norm=float(np.linalg.norm(ws.chi_vector(blocks, value))),
-        converged=False, sweeps=max_sweeps,
-        partition=problem.partition, statistics=problem.stats)
+    return ws.solution(blocks, value, ws.residual(blocks, value),
+                       converged=False, sweeps=max_sweeps)
 
 
 def _run_start(problem: SevalueProblem, seed: int, start: int, mode: str,
@@ -430,45 +424,28 @@ def _run_start(problem: SevalueProblem, seed: int, start: int, mode: str,
 def solve_sup_g(problem: SevalueProblem, starts: int = DEFAULT_STARTS,
                 seed: int = 0, *, mode: str = "max",
                 max_sweeps: int = MAX_SWEEPS, tol: float = RESIDUAL_TOL,
-                value_tol: float = VALUE_TOL,
-                threads: int | None = None) -> SupremumResult:
+                value_tol: float = VALUE_TOL) -> SupremumResult:
     """Multistart search for the extremal separability eigenvalue.
 
-    Deterministic for a fixed (seed, starts) pair: every start derives
-    its own generator from the pair, so the thread count does not
-    change the result.  Raises ConvergenceError when no start converges
-    (distinct from a converged bound that simply fails to detect).
+    Deterministic for a fixed (seed, starts) pair: starts run in index
+    order, each with its own generator derived from (seed, start).  A
+    single full-space party is solved once, from start 0.  Raises
+    ConvergenceError when no start converges (distinct from a converged
+    bound that simply fails to detect).
     """
     if starts < 1:
         raise ValueError("starts must be >= 1")
     if problem.partition.k == 1:
-        if isinstance(problem.operator, LowRankObservable) \
-                and problem.space.total_dim > PARTY_DENSE_CAP:
-            sol = _Solver(problem).solve_single_lowrank(mode)
-        else:
-            rng = np.random.default_rng([seed, 0])
-            sol = sweep_solve(problem,
-                              [_crandn(rng, problem.space.total_dim)],
-                              max_sweeps=max_sweeps, tol=tol, mode=mode,
-                              value_tol=value_tol)
+        rng = np.random.default_rng([seed, 0])
+        sol = sweep_solve(problem, [_crandn(rng, problem.space.total_dim)],
+                          max_sweeps=max_sweeps, tol=tol, mode=mode,
+                          value_tol=value_tol)
         return SupremumResult(value=sol.value, best=sol, solutions=(sol,),
                               fraction_at_value=1.0, n_converged=1,
                               n_failed=0, starts=starts, seed=seed)
 
-    if threads is None:
-        threads = int(os.environ.get("SEVALUE_THREADS", "1"))
-    indices = list(range(starts))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda i: _run_start(problem, seed, i, mode, max_sweeps,
-                                     tol, value_tol),
-                indices))
-    else:
-        results = [_run_start(problem, seed, i, mode, max_sweeps, tol,
-                              value_tol)
-                   for i in indices]
-
+    results = [_run_start(problem, seed, i, mode, max_sweeps, tol, value_tol)
+               for i in range(starts)]
     solutions = tuple(r for r in results if r is not None)
     n_failed = starts - len(solutions)
     converged = [s for s in solutions if s.converged]
@@ -543,16 +520,11 @@ def _rank_one_diagnostics(problem: SevalueProblem, value: float,
     ws = _Solver(problem)
     blocks = [np.asarray(b, dtype=np.complex128) for b in blocks]
     blocks = [b / np.linalg.norm(b) for b in blocks]
-    p = ws.projected_product(blocks)
-    if np.linalg.norm(p) < 1e-12:
+    sol = ws.solution(blocks, value, ws.residual(blocks, value),
+                      converged=True, sweeps=0)
+    if sol.projected_vector.norm() < 1e-12:
         raise ZeroProjectionError("analytic party vectors project to zero")
-    return SevalueSolution(
-        value=float(value), party_vectors=tuple(blocks),
-        projected_vector=StateVector(problem.space, p),
-        residual=ws.residual(blocks, value),
-        chi_norm=float(np.linalg.norm(ws.chi_vector(blocks, value))),
-        converged=True, sweeps=0,
-        partition=problem.partition, statistics=problem.stats)
+    return sol
 
 
 def analytic_rank_one(psi: StateVector, stats: Statistics) -> list[SevalueSolution]:
@@ -654,12 +626,7 @@ def analytic_interference(space: SpaceConfig, stats: Statistics,
         high = basis_product_vector(sub, [space.n + s
                                           for s in partition.slots(party)])
         blocks.append((low.amplitudes + high.amplitudes) / math.sqrt(2.0))
-    if k == 1 and isinstance(problem.operator, LowRankObservable) \
-            and space.total_dim > PARTY_DENSE_CAP:
-        ws = _Solver(problem)
-        rep = ws.solve_single_lowrank("max")
-    else:
-        rep = _rank_one_diagnostics(problem, bound, blocks)
+    rep = _rank_one_diagnostics(problem, bound, blocks)
     return InterferenceAnalysis(bound=bound, solutions=(rep,),
                                 trivial_value=0.0)
 
@@ -859,9 +826,7 @@ def verify_second_form(sol: SevalueSolution,
     """
     ws = _Solver(problem)
     blocks = [np.asarray(b, dtype=np.complex128) for b in sol.party_vectors]
-    chi = ws.chi_vector(blocks, sol.value)
-    if problem.partition.k == 1:
-        max_overlap = float(np.linalg.norm(chi))
-    else:
-        max_overlap = max(ws.overlap_defects(blocks, sol.value))
+    chi = ws.chi_vector(ws.projected_product(blocks), sol.value)
+    max_overlap = max(ws.party_defect(blocks, j, sol.value)[0]
+                      for j in range(problem.partition.k))
     return StateVector(problem.space, chi), max_overlap

@@ -9,6 +9,7 @@ from sepwit import (SpaceConfig, Statistics, appendix_b_states,
                     rank_one_observable)
 from sepwit.cli import (load_observable_file, load_state_file, main,
                         save_observable_json, save_state_json)
+from sepwit.errors import InputFormatError
 
 INTERFERENCE_N3 = str(files("sepwit").joinpath("data/interference_N3.json"))
 BELL_BOSON_D3 = str(files("sepwit").joinpath("data/bell_boson_d3.json"))
@@ -137,6 +138,55 @@ def test_sevalue_requires_partition_choice(capsys):
     assert code == 2
 
 
+def _bad_input(tmp_path, capsys, entries, amplitudes=None):
+    """Exit code and stderr of sevalue on a d=2, N=2 observable with the
+    given entries, and the error of loading a state file with the same
+    entries (or with the given amplitudes)."""
+    obs = tmp_path / "obs.json"
+    obs.write_text(json.dumps({"d": 2, "N": 2, "statistics": "boson",
+                               "entries": entries}))
+    code = main(["sevalue", str(obs), "--k", "2", "--starts", "2"])
+    err = capsys.readouterr().err
+    state = tmp_path / "state.json"
+    blob = {"d": 2, "N": 2}
+    if amplitudes is None:
+        blob["entries"] = entries
+    else:
+        blob["amplitudes"] = amplitudes
+    state.write_text(json.dumps(blob))
+    with pytest.raises(InputFormatError) as exc:
+        load_state_file(str(state))
+    return code, err, str(exc.value)
+
+
+@pytest.mark.parametrize("bad", [[-1, -1, 1.0, 0.0], [4, 0, 1.0, 0.0],
+                                 [0.9, 0, 1.0, 0.0], [True, 1, 1.0, 0.0]])
+def test_loaders_reject_bad_index(tmp_path, capsys, bad):
+    code, err, state_err = _bad_input(tmp_path, capsys,
+                                      [[0, 0, 1.0, 0.0], bad])
+    assert code == 2
+    for message in (err, state_err):
+        assert f"entry {bad}: index not an integer in 0..3" in message
+
+
+def test_loaders_reject_repeated_entry(tmp_path, capsys):
+    code, err, state_err = _bad_input(
+        tmp_path, capsys, [[0, 0, 1.0, 0.0], [0, 0, 2.0, 0.0]])
+    assert code == 2
+    for message in (err, state_err):
+        assert "entry [0, 0, 2.0, 0.0]: repeats (0, 0)" in message
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_loaders_reject_non_finite_value(tmp_path, capsys, value):
+    code, err, state_err = _bad_input(
+        tmp_path, capsys, [[0, 0, 1.0, 0.0], [3, 3, value, 0.0]],
+        amplitudes=[[1.0, 0.0], [0.0, 0.0], [0.0, value], [0.0, 0.0]])
+    assert code == 2
+    assert "entry [3, 3," in err and "non-finite" in err
+    assert "amplitude 2: non-finite" in state_err
+
+
 # ---------------------------------------------------------------------------
 # witness
 
@@ -209,13 +259,27 @@ def test_witness_dimension_mismatch(capsys, appendix_files, tmp_path):
 # ---------------------------------------------------------------------------
 # formats and determinism
 
-def test_output_identical_across_runs_and_threads(capsys, monkeypatch):
+def test_output_identical_across_runs(capsys):
     argv = ["sevalue", BELL_BOSON_D3, "--k", "2", "--starts", "8",
             "--seed", "9"]
     _, first = _run(capsys, argv)
-    monkeypatch.setenv("SEVALUE_THREADS", "2")
     _, second = _run(capsys, argv)
     assert first == second
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig1", "--tol", "1e-9"],
+    ["fig2", "--seed", "1"],
+    ["fig2", "--starts", "4"],
+    ["fig2", "--tol", "1e-9"],
+    ["sevalue", INTERFERENCE_N3, "--k", "2", "--verify"],
+    ["witness", BELL_BOSON_D3, BELL_BOSON_D3, "--k", "2", "--verify"],
+])
+def test_parser_rejects_unread_flags(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_csv_output(tmp_path, capsys):

@@ -13,6 +13,7 @@ from sepwit import (Partition, SevalueProblem, SpaceConfig, StateVector,
                     transform_solution, transformed_observable,
                     verify_second_form)
 from sepwit.errors import ZeroProjectionError
+from sepwit.solver import _Solver
 
 from conftest import crandn, random_hermitian, random_unitary
 
@@ -222,7 +223,8 @@ def test_monotone_bound_in_k(rng):
 
 
 def test_analytic_interference_values_and_independence():
-    for n, d in ((2, 4), (3, 6)):
+    # N=4, d=8 puts the single party of partition (4,) above the dense cap
+    for n, d in ((2, 4), (3, 6), (4, 8)):
         space = SpaceConfig(d, n)
         for stats in Statistics:
             for partition in all_partitions(n):
@@ -232,6 +234,34 @@ def test_analytic_interference_values_and_independence():
                 rep = analysis.solutions[0]
                 assert abs(rep.value - analysis.bound) < 1e-10
                 assert rep.residual < 1e-9
+
+
+@pytest.mark.parametrize("stats", list(Statistics))
+def test_single_party_residual_matches_projector_reference(rng, stats):
+    # below the dense cap the matrix-free K=1 residual must agree with
+    # ||PLPb - gPb|| / ||Pb|| built from the projector matrix
+    space = SpaceConfig(3, 2)
+    psi = _random_sector_state(rng, 3, stats)
+    observables = (random_hermitian(rng, 9),
+                   rank_one_observable(psi, stats))
+    proj = projector_matrix(stats, space)
+    for observable in observables:
+        problem = SevalueProblem(observable, stats, Partition((2,)), space)
+        dense = observable if isinstance(observable, np.ndarray) \
+            else observable.to_matrix()
+        sandwich = proj @ dense @ proj
+        solved = sweep_solve(problem, [crandn(rng, 9)])
+        for _ in range(3):
+            b = crandn(rng, 9)
+            g = float(rng.standard_normal())
+            pb = proj @ b
+            defect = np.linalg.norm(sandwich @ b - g * pb)
+            expected = defect / np.linalg.norm(pb)
+            assert abs(_Solver(problem).residual([b], g) - expected) \
+                <= 1e-12 * max(1.0, expected)
+            moved = dataclasses.replace(solved, party_vectors=(b,), value=g)
+            _, overlap = verify_second_form(moved, problem)
+            assert abs(overlap - defect) <= 1e-12 * max(1.0, defect)
 
 
 def test_analytic_interference_requires_enough_modes():
