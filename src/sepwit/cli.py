@@ -240,7 +240,7 @@ def _fig1_rows(d_min: int, d_max: int, verify: bool, starts: int, seed: int,
                    "undetectable": p_star >= 1.0 - 1e-12}
             if verify:
                 psi = fig1_state_family(d, stats)
-                scan = _fig1_grid_scan(psi, stats, level, bound, grid_step)
+                scan = _fig1_grid_scan(psi, stats, bound, grid_step)
                 row["p_star_scan"] = scan
                 ok = abs(scan - p_star) <= grid_step + 1e-12
                 if level is None or level == 1:
@@ -257,21 +257,40 @@ def _fig1_rows(d_min: int, d_max: int, verify: bool, starts: int, seed: int,
     return rows
 
 
-def _fig1_grid_scan(psi: StateVector, stats: Statistics, level: int | None,
-                    bound: float, step: float) -> float:
-    """Smallest grid p whose noisy state is detected; 1.0 if none is."""
+def _fig1_grid_scan(psi: StateVector, stats: Statistics, bound: float,
+                    step: float) -> float:
+    """Smallest grid p whose noisy state is detected; 1.0 if none is.
+
+    The noisy state is affine in p and the verdict compares the linear
+    functional tr(rho L) with G, so the detected grid points form one
+    interval that touches p = 0 or p = 1.  If p = 0 is detected it is the
+    answer; otherwise the interval, if not empty, ends at p = 1, and the
+    first detected index is found by bisection.  Every probe builds the
+    noisy state and runs the full ``detect``.
+    """
     observable = rank_one_observable(psi, stats)
     witness = Witness(observable=observable, stats=stats, space=psi.space,
                       k=2, bound=bound, partition=Partition((1, 1)),
                       form=WitnessForm.UPPER,
                       bound_source="analytic")
     count = int(round(1.0 / step))
-    for idx in range(count + 1):
-        p = idx * step
-        verdict = detect(noisy_state(psi, stats, min(p, 1.0)), witness)
-        if verdict.entangled:
-            return p
-    return 1.0
+
+    def detected(idx: int) -> bool:
+        rho = noisy_state(psi, stats, min(idx * step, 1.0))
+        return detect(rho, witness).entangled
+
+    if detected(0):
+        return 0.0
+    if not detected(count):
+        return 1.0
+    lo, hi = 0, count
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if detected(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi * step
 
 
 def _cmd_fig1(args) -> int:

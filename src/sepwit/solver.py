@@ -261,9 +261,8 @@ class _Solver:
         eye = np.eye(dj, dtype=np.complex128)
         q = np.einsum("l,xy,r->lxry", left, eye, right).reshape(-1, dj)
         p = project_amplitudes(self.stats, q, self.space)
-        p4 = p.reshape(left.size, dj, right.size, dj)
-        overlap = np.einsum("l,lxry,r->xy", left.conj(), p4, right.conj(),
-                            optimize=True)
+        fixed_left = left.conj() @ p.reshape(left.size, -1)
+        overlap = right.conj() @ fixed_left.reshape(dj, right.size, dj)
         if self.terms is not None:
             numer = np.zeros((dj, dj), dtype=np.complex128)
             for c, kvec, bvec in self.terms:
@@ -277,9 +276,8 @@ class _Solver:
         return numer, overlap
 
     def _contract_fixed(self, full_vec, left, right, dj) -> np.ndarray:
-        t = full_vec.reshape(left.size, dj, right.size)
-        return np.einsum("l,lmr,r->m", left.conj(), t, right.conj(),
-                         optimize=True)
+        fixed_left = left.conj() @ full_vec.reshape(left.size, -1)
+        return fixed_left.reshape(dj, right.size) @ right.conj()
 
     def party_defect(self, blocks, j: int, value: float) -> tuple[float, float]:
         """(||A_j b_j - g B_j b_j||, ||B_j b_j||) for party j.

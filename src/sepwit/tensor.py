@@ -169,6 +169,8 @@ class StateVector:
             raise ValueError(
                 f"amplitude length {amps.shape} does not match "
                 f"total_dim {self.space.total_dim}")
+        if not np.isfinite(amps).all():
+            raise ValueError("amplitudes must be finite")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 

@@ -5,8 +5,10 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
-from sepwit import (SpaceConfig, Statistics, appendix_b_states,
-                    rank_one_observable)
+from sepwit import (Partition, SpaceConfig, Statistics, Witness,
+                    WitnessForm, appendix_b_states, detect, fig1_bound,
+                    fig1_state_family, noisy_state, rank_one_observable)
+from sepwit import cli
 from sepwit.cli import (load_observable_file, load_state_file, main,
                         save_observable_json, save_state_json)
 from sepwit.errors import InputFormatError
@@ -47,6 +49,41 @@ def test_fig1_verify_cross_checks(capsys):
     assert code == 0
     for row in payload["rows"]:
         assert row["verified"] is True, row
+
+
+def _fig1_scan_cases(d_values):
+    for d in d_values:
+        for _panel, stats, level in cli._FIG1_PANELS:
+            bound, _ = fig1_bound(d, level if level is not None else stats)
+            yield fig1_state_family(d, stats), stats, bound
+
+
+def test_fig1_scan_matches_exhaustive_grid():
+    step = 1e-3
+    for psi, stats, bound in _fig1_scan_cases(range(2, 5)):
+        witness = Witness(observable=rank_one_observable(psi, stats),
+                          stats=stats, space=psi.space, k=2, bound=bound,
+                          partition=Partition((1, 1)),
+                          form=WitnessForm.UPPER, bound_source="analytic")
+        first = next((idx * step for idx in range(1001)
+                      if detect(noisy_state(psi, stats, min(idx * step, 1.0)),
+                                witness).entangled), 1.0)
+        assert cli._fig1_grid_scan(psi, stats, bound, step) == first
+
+
+def test_fig1_scan_probe_count(monkeypatch):
+    calls = []
+
+    def counting_detect(rho, witness):
+        calls.append(1)
+        return detect(rho, witness)
+
+    monkeypatch.setattr(cli, "detect", counting_detect)
+    limit = 2 + math.ceil(math.log2(1001))
+    for psi, stats, bound in _fig1_scan_cases(range(2, 9)):
+        calls.clear()
+        cli._fig1_grid_scan(psi, stats, bound, 1e-3)
+        assert 1 <= len(calls) <= limit
 
 
 def test_fig1_rejects_bad_range(capsys):

@@ -3,14 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from sepwit import (Partition, SevalueProblem, SpaceConfig, StateVector,
-                    Statistics, all_partitions, analytic_interference,
-                    analytic_rank_one, basis_product_vector,
-                    brute_force_bound, contracted_operator,
-                    interference_observable, partitions_into, product_vector,
-                    project, projector_matrix, rank_one_observable,
-                    solve_sup_g, sup_over_partitions, sweep_solve,
-                    transform_solution, transformed_observable,
+from sepwit import (LowRankObservable, Partition, SevalueProblem, SpaceConfig,
+                    StateVector, Statistics, all_partitions,
+                    analytic_interference, analytic_rank_one,
+                    basis_product_vector, brute_force_bound,
+                    contracted_operator, interference_observable,
+                    partitions_into, product_vector, project, projector_matrix,
+                    rank_one_observable, solve_sup_g, sup_over_partitions,
+                    sweep_solve, transform_solution, transformed_observable,
                     verify_second_form)
 from sepwit.errors import ZeroProjectionError
 from sepwit.solver import _Solver
@@ -92,6 +92,34 @@ def test_contracted_operator_hermitian_multiblock(rng):
     assert np.abs(out - out.conj().T).max() < 1e-12
     with pytest.raises(IndexError):
         contracted_operator(x, blocks, 2, Partition((2, 1)), space)
+
+
+@pytest.mark.parametrize("stats", list(Statistics))
+@pytest.mark.parametrize("parts", [(1, 1), (2, 1), (1, 2), (1, 1, 1)])
+def test_party_matrices_match_contracted_operator(rng, stats, parts):
+    # the solver's contraction of P L P and of P must agree with the
+    # dense einsum route of contracted_operator
+    d = 3
+    partition = Partition(parts)
+    space = SpaceConfig(d, partition.n)
+    dim = space.total_dim
+    k1, k2, b2 = (crandn(rng, dim) for _ in range(3))
+    c2 = complex(crandn(rng))
+    low_rank = LowRankObservable(space, ((0.7, k1, k1), (c2, k2, b2),
+                                         (c2.conjugate(), b2, k2)))
+    proj = projector_matrix(stats, space)
+    for observable in (random_hermitian(rng, dim), low_rank):
+        dense = observable if isinstance(observable, np.ndarray) \
+            else observable.to_matrix()
+        sandwich = proj @ dense @ proj
+        solver = _Solver(SevalueProblem(observable, stats, partition, space))
+        blocks = [crandn(rng, d ** nk) for nk in parts]
+        for j in range(partition.k):
+            numer, overlap = solver.party_matrices(blocks, j)
+            for got, full in ((numer, sandwich), (overlap, proj)):
+                want = contracted_operator(full, blocks, j, partition, space)
+                scale = max(1.0, float(np.abs(want).max()))
+                assert np.abs(got - want).max() <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------

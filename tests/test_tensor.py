@@ -247,6 +247,12 @@ def test_state_vector_validation():
         StateVector(SpaceConfig(2, 2), np.zeros(3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_state_vector_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        StateVector(SpaceConfig(2, 2), [bad, 0, 0, 1])
+
+
 def test_density_operator_validation(rng):
     space = SpaceConfig(2, 2)
     with pytest.raises(HermiticityError):
