@@ -4,16 +4,16 @@ distinguishable subsystems via separability-eigenvalue optimization."""
 from .tensor import (MATRIX_CAP, PERM_CAP, VECTOR_CAP, DensityOperator,
                      Permutation, SpaceConfig, StateVector, Statistics,
                      apply_permutation, basis_product_vector, flatten_index,
-                     partial_trace_first, product_vector, project,
-                     project_operator, projector_matrix, subspace_dimension,
-                     symmetrize_operator, unflatten_index)
+                     hermiticity_defect, partial_trace_first, product_vector,
+                     project, project_operator, projector_matrix,
+                     subspace_dimension, symmetrize_operator, unflatten_index)
 from .decompositions import (BosonProductDecomposition, BosonSlater,
                              FermionSlater, SchmidtDecomposition,
                              boson_product_decompose, numerical_rank, schmidt,
                              slater_boson, slater_fermion, takagi_skew,
                              takagi_symmetric)
-from .operators import (LowRankObservable, hermiticity_defect,
-                        interference_observable, rank_one_observable)
+from .operators import (LowRankObservable, interference_observable,
+                        rank_one_observable)
 from .solver import (InterferenceAnalysis, Partition, SevalueProblem,
                      SevalueSolution, SupremumResult, all_partitions,
                      analytic_interference, analytic_rank_one,

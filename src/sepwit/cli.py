@@ -40,16 +40,16 @@ import sys
 
 import numpy as np
 
-from .errors import (ConvergenceError, InputFormatError, SectorError,
-                     SepwitError)
-from .operators import (hermiticity_defect, interference_observable,
-                        rank_one_observable)
+from .errors import (ConvergenceError, HermiticityError, InputFormatError,
+                     SectorError, SepwitError)
+from .operators import interference_observable, rank_one_observable
 from .solver import (Partition, SevalueProblem, brute_force_bound,
                      partitions_into, solve_sup_g, sup_over_partitions)
 from .states import (detection_threshold, dephased_ghz, fig1_bound,
                      fig1_state_family, ghz_expectation, noisy_state,
                      GhzFamily)
-from .tensor import (DensityOperator, SpaceConfig, StateVector, Statistics)
+from .tensor import (DensityOperator, SpaceConfig, StateVector, Statistics,
+                     require_hermitian)
 from .witness import Witness, WitnessForm, detect, expectation
 
 _EXIT_OK = 0
@@ -144,15 +144,11 @@ def load_observable_file(path: str) -> tuple[SpaceConfig, Statistics | None, np.
         space = SpaceConfig(int(blob["d"]), int(blob["N"]))
         stats = Statistics.parse(blob["statistics"]) \
             if "statistics" in blob else None
-        matrix = _entries_matrix(blob["entries"], space.total_dim)
-    except (InputFormatError, KeyError, TypeError, ValueError) as exc:
+        matrix = require_hermitian(
+            _entries_matrix(blob["entries"], space.total_dim), "observable")
+    except (HermiticityError, InputFormatError, KeyError, TypeError,
+            ValueError) as exc:
         raise InputFormatError(f"malformed observable file {path}: {exc}")
-    defect = hermiticity_defect(matrix)
-    scale = max(1.0, float(np.abs(matrix).max(initial=0.0)))
-    if defect > 1e-10 * scale:
-        raise InputFormatError(
-            f"observable in {path} is not Hermitian "
-            f"(max asymmetry {defect:.3e})")
     return space, stats, matrix
 
 

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import HermiticityError
 from .tensor import (DensityOperator, SpaceConfig, StateVector, Statistics,
-                     project)
+                     project, require_hermitian)
 
 SYMMETRY_TOL = 1e-10
 RANK_CUTOFF = 1e-13
@@ -254,9 +253,7 @@ def numerical_rank(rho: DensityOperator | np.ndarray,
     The input must be Hermitian and positive semidefinite up to noise.
     """
     mat = rho.to_matrix() if isinstance(rho, DensityOperator) else np.asarray(rho)
-    scale = max(1.0, float(np.abs(mat).max(initial=0.0)))
-    if np.abs(mat - mat.conj().T).max(initial=0.0) > 1e-10 * scale:
-        raise HermiticityError("numerical_rank needs a Hermitian matrix")
+    require_hermitian(mat, "numerical_rank input")
     eigvals = np.linalg.eigvalsh(mat)
     top = eigvals[-1] if eigvals.size else 0.0
     if top <= 0.0:

@@ -13,11 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionCapError, HermiticityError
+from .errors import DimensionCapError
 from .tensor import (MATRIX_CAP, SpaceConfig, StateVector, Statistics,
-                     basis_product_vector, project)
-
-_HERM_TOL = 1e-10
+                     basis_product_vector, project, require_hermitian)
 
 
 @dataclass(frozen=True)
@@ -56,11 +54,7 @@ class LowRankObservable:
         for c, k, b in self.terms:
             compressed += c * np.outer(basis.conj().T @ k,
                                        (basis.conj().T @ b).conj())
-        scale = max(1.0, float(np.abs(compressed).max(initial=0.0)))
-        defect = np.abs(compressed - compressed.conj().T).max(initial=0.0)
-        if defect > _HERM_TOL * scale:
-            raise HermiticityError(
-                f"low-rank term list is not Hermitian (defect {defect:.2e})")
+        require_hermitian(compressed, "low-rank term list")
 
     @property
     def dim(self) -> int:
@@ -94,22 +88,6 @@ class LowRankObservable:
         for c, k, b in self.terms:
             out += c * np.outer(k, b.conj())
         return out
-
-
-def hermiticity_defect(matrix: np.ndarray) -> float:
-    """Largest entrywise deviation from Hermitian symmetry."""
-    m = np.asarray(matrix)
-    return float(np.abs(m - m.conj().T).max(initial=0.0))
-
-
-def require_hermitian(matrix: np.ndarray, label: str = "operator") -> np.ndarray:
-    m = np.asarray(matrix, dtype=np.complex128)
-    scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-    defect = hermiticity_defect(m)
-    if defect > _HERM_TOL * scale:
-        raise HermiticityError(f"{label} is not Hermitian "
-                               f"(max asymmetry {defect:.3e})")
-    return m
 
 
 def rank_one_observable(psi: StateVector, stats: Statistics) -> LowRankObservable:

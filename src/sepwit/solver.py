@@ -26,10 +26,11 @@ import numpy as np
 
 from .decompositions import schmidt, slater_boson, slater_fermion
 from .errors import (ConvergenceError, DimensionCapError, ZeroProjectionError)
-from .operators import LowRankObservable, require_hermitian
+from .operators import LowRankObservable
 from .sectors import sector_isometry
 from .tensor import (SpaceConfig, StateVector, Statistics,
-                     basis_product_vector, project, project_amplitudes)
+                     basis_product_vector, project, project_amplitudes,
+                     require_hermitian)
 
 DEFAULT_STARTS = 64
 MAX_SWEEPS = 500
@@ -202,21 +203,19 @@ def _kron_chain(blocks) -> np.ndarray:
 
 
 class _Solver:
-    """Per-problem workspace: projected low-rank factors and the
-    party-wise operator builders."""
+    """Per-problem workspace: the projected observable and the
+    party-wise contractions."""
 
     def __init__(self, problem: SevalueProblem):
-        self.problem = problem
         self.space = problem.space
         self.stats = problem.stats
         self.partition = problem.partition
         self.block_dims = problem.partition.block_dims(problem.space.d)
         if isinstance(problem.operator, LowRankObservable):
-            proj = problem.operator.projected(problem.stats)
-            self.terms = proj.terms
+            self.lowrank = problem.operator.projected(problem.stats)
             self.dense = None
         else:
-            self.terms = None
+            self.lowrank = None
             self.dense = problem.operator
 
     # -- full-space helpers ------------------------------------------------
@@ -224,26 +223,43 @@ class _Solver:
     def projected_product(self, blocks) -> np.ndarray:
         return project_amplitudes(self.stats, _kron_chain(blocks), self.space)
 
-    def sandwich_matvec(self, in_sector: np.ndarray) -> np.ndarray:
-        """(P L P) v for an already projected vector v."""
-        if self.terms is not None:
-            out = np.zeros(self.space.total_dim, dtype=np.complex128)
-            for c, k, b in self.terms:
-                out += (c * (b.conj() @ in_sector)) * k
-            return out
-        return project_amplitudes(self.stats, self.dense @ in_sector, self.space)
+    def stationarity(self, blocks, value: float) -> tuple[
+            np.ndarray, np.ndarray, list[tuple[float, float]]]:
+        """P|b>, chi = P L P|b> - g P|b>, and per party j the pair
+        (||A_j b_j - g B_j b_j||, ||B_j b_j||).
 
-    def chi_vector(self, projected: np.ndarray, value: float) -> np.ndarray:
-        """P L P|b> - g P|b> from the projected product P|b>."""
-        return self.sandwich_matvec(projected) - value * projected
+        A_j b_j and B_j b_j are P L P|b> and P|b> with every other party
+        contracted out, so each pair comes from chi and P|b> without
+        building a party matrix; a single party contracts nothing.
+        """
+        projected = self.projected_product(blocks)
+        if self.lowrank is not None:
+            sandwich = self.lowrank.matvec(projected)
+        else:
+            sandwich = project_amplitudes(self.stats, self.dense @ projected,
+                                          self.space)
+        chi = sandwich - value * projected
+        defects = []
+        for j, dj in enumerate(self.block_dims):
+            left = _kron_chain(blocks[:j])
+            right = _kron_chain(blocks[j + 1:])
+            defects.append(tuple(
+                float(np.linalg.norm(self._contract_fixed(v, left, right, dj)))
+                for v in (chi, projected)))
+        return projected, chi, defects
 
-    def solution(self, blocks, value: float, residual: float,
-                 converged: bool, sweeps: int) -> SevalueSolution:
-        p = self.projected_product(blocks)
+    def solution(self, blocks, value: float, converged: bool,
+                 sweeps: int) -> SevalueSolution:
+        """The solution record at the given party vectors; its residual
+        is the worst per-party defect relative to ||B_j b_j||."""
+        projected, chi, defects = self.stationarity(blocks, value)
+        if min(scale for _, scale in defects) <= 0.0:
+            raise ZeroProjectionError("overlap annihilates a party vector")
         return SevalueSolution(
             value=float(value), party_vectors=tuple(blocks),
-            projected_vector=StateVector(self.space, p), residual=residual,
-            chi_norm=float(np.linalg.norm(self.chi_vector(p, value))),
+            projected_vector=StateVector(self.space, projected),
+            residual=max(defect / scale for defect, scale in defects),
+            chi_norm=float(np.linalg.norm(chi)),
             converged=converged, sweeps=sweeps,
             partition=self.partition, statistics=self.stats)
 
@@ -263,9 +279,9 @@ class _Solver:
         p = project_amplitudes(self.stats, q, self.space)
         fixed_left = left.conj() @ p.reshape(left.size, -1)
         overlap = right.conj() @ fixed_left.reshape(dj, right.size, dj)
-        if self.terms is not None:
+        if self.lowrank is not None:
             numer = np.zeros((dj, dj), dtype=np.complex128)
-            for c, kvec, bvec in self.terms:
+            for c, kvec, bvec in self.lowrank.terms:
                 ka = self._contract_fixed(kvec, left, right, dj)
                 ba = self._contract_fixed(bvec, left, right, dj)
                 numer += c * np.outer(ka, ba.conj())
@@ -279,45 +295,21 @@ class _Solver:
         fixed_left = left.conj() @ full_vec.reshape(left.size, -1)
         return fixed_left.reshape(dj, right.size) @ right.conj()
 
-    def party_defect(self, blocks, j: int, value: float) -> tuple[float, float]:
-        """(||A_j b_j - g B_j b_j||, ||B_j b_j||) for party j.
-
-        A single party has A = P L P and B = P, so the pair is (||chi||,
-        ||P b||), computed without building either matrix.
-        """
-        if self.partition.k == 1:
-            p = self.projected_product(blocks)
-            return (float(np.linalg.norm(self.chi_vector(p, value))),
-                    float(np.linalg.norm(p)))
-        numer, overlap = self.party_matrices(blocks, j)
-        bv = overlap @ blocks[j]
-        return (float(np.linalg.norm(numer @ blocks[j] - value * bv)),
-                float(np.linalg.norm(bv)))
-
-    def residual(self, blocks, value: float) -> float:
-        """Worst per-party stationarity defect, relative to ||B_j b_j||."""
-        worst = 0.0
-        for j in range(self.partition.k):
-            defect, scale = self.party_defect(blocks, j, value)
-            if scale <= 0.0:
-                raise ZeroProjectionError("overlap annihilates a party vector")
-            worst = max(worst, defect / scale)
-        return worst
-
     # -- single full-space party (K = 1) ------------------------------------
 
     def solve_single_lowrank(self, mode: str) -> SevalueSolution:
         """K = 1 with a low-rank observable: the nonzero part of the
         spectrum lives in the span of the projected term vectors."""
+        terms = self.lowrank.terms
         vecs = []
-        for _c, k, b in self.terms:
+        for _c, k, b in terms:
             vecs.extend([k, b])
         stacked = np.column_stack(vecs)
         u, s, _ = np.linalg.svd(stacked, full_matrices=False)
         keep = s > max(s[0], 1e-300) * 1e-12
         basis = u[:, keep]
         small = np.zeros((basis.shape[1],) * 2, dtype=np.complex128)
-        for c, k, b in self.terms:
+        for c, k, b in terms:
             small += c * np.outer(basis.conj().T @ k, (basis.conj().T @ b).conj())
         small = (small + small.conj().T) / 2.0
         vals, vecs_small = np.linalg.eigh(small)
@@ -325,8 +317,7 @@ class _Solver:
         value = float(vals[idx])
         vector = basis @ vecs_small[:, idx]
         vector /= np.linalg.norm(vector)
-        return self.solution([vector], value, self.residual([vector], value),
-                             converged=True, sweeps=1)
+        return self.solution([vector], value, converged=True, sweeps=1)
 
 
 def _generalized_step(numer: np.ndarray, overlap: np.ndarray,
@@ -373,7 +364,7 @@ def sweep_solve(problem: SevalueProblem, init,
     k = problem.partition.k
     if len(init) != k:
         raise ValueError(f"need {k} party vectors, got {len(init)}")
-    if k == 1 and ws.terms is not None \
+    if k == 1 and ws.lowrank is not None \
             and problem.space.total_dim > PARTY_DENSE_CAP:
         return ws.solve_single_lowrank(mode)
     blocks = []
@@ -395,13 +386,11 @@ def sweep_solve(problem: SevalueProblem, init,
             numer, overlap = ws.party_matrices(blocks, j)
             value, blocks[j] = _generalized_step(numer, overlap, blocks[j], mode)
         if sweep > 1 and abs(value - previous) <= value_tol:
-            res = ws.residual(blocks, value)
-            if res <= tol:
-                return ws.solution(blocks, value, res, converged=True,
-                                   sweeps=sweep)
+            sol = ws.solution(blocks, value, converged=True, sweeps=sweep)
+            if sol.residual <= tol:
+                return sol
         previous = value
-    return ws.solution(blocks, value, ws.residual(blocks, value),
-                       converged=False, sweeps=max_sweeps)
+    return ws.solution(blocks, value, converged=False, sweeps=max_sweeps)
 
 
 def _run_start(problem: SevalueProblem, seed: int, start: int, mode: str,
@@ -518,8 +507,7 @@ def _rank_one_diagnostics(problem: SevalueProblem, value: float,
     ws = _Solver(problem)
     blocks = [np.asarray(b, dtype=np.complex128) for b in blocks]
     blocks = [b / np.linalg.norm(b) for b in blocks]
-    sol = ws.solution(blocks, value, ws.residual(blocks, value),
-                      converged=True, sweeps=0)
+    sol = ws.solution(blocks, value, converged=True, sweeps=0)
     if sol.projected_vector.norm() < 1e-12:
         raise ZeroProjectionError("analytic party vectors project to zero")
     return sol
@@ -610,8 +598,6 @@ def analytic_interference(space: SpaceConfig, stats: Statistics,
     solver finds those solutions; use it rather than this value when
     that pattern applies.
     """
-    if space.d < 2 * space.n:
-        raise ValueError(f"need d >= 2n = {2 * space.n}, got d={space.d}")
     from .operators import interference_observable
     observable = interference_observable(space, stats)
     problem = SevalueProblem(observable, stats, partition, space)
@@ -820,11 +806,9 @@ def verify_second_form(sol: SevalueSolution,
 
     Returns the in-sector perturbation chi = P L P|b> - g P|b> together
     with the largest overlap of chi against single-party variations of
-    the product vector; both vanish at an exact stationary point.
+    the product vector.  The overlap vanishes at an exact stationary
+    point; chi in general does not.
     """
-    ws = _Solver(problem)
     blocks = [np.asarray(b, dtype=np.complex128) for b in sol.party_vectors]
-    chi = ws.chi_vector(ws.projected_product(blocks), sol.value)
-    max_overlap = max(ws.party_defect(blocks, j, sol.value)[0]
-                      for j in range(problem.partition.k))
-    return StateVector(problem.space, chi), max_overlap
+    _, chi, defects = _Solver(problem).stationarity(blocks, sol.value)
+    return StateVector(problem.space, chi), max(defect for defect, _ in defects)

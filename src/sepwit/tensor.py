@@ -31,8 +31,26 @@ PERM_CAP = 720            # largest allowed N!
 VECTOR_CAP = 2_000_000    # largest allowed d**N for amplitude vectors
 MATRIX_CAP = 4096         # largest side for explicitly built operator matrices
 
-TOL_HERM = 1e-10
+TOL_HERM = 1e-10          # relative to max(1, largest entry)
 TOL_TRACE = 1e-10
+
+
+def hermiticity_defect(matrix: np.ndarray) -> float:
+    """Largest entrywise deviation from Hermitian symmetry."""
+    m = np.asarray(matrix)
+    return float(np.abs(m - m.conj().T).max(initial=0.0))
+
+
+def require_hermitian(matrix: np.ndarray, label: str = "operator") -> np.ndarray:
+    """The matrix as complex128; HermiticityError if its defect exceeds
+    TOL_HERM times max(1, largest entry)."""
+    m = np.asarray(matrix, dtype=np.complex128)
+    scale = max(1.0, float(np.abs(m).max(initial=0.0)))
+    defect = hermiticity_defect(m)
+    if defect > TOL_HERM * scale:
+        raise HermiticityError(f"{label} is not Hermitian "
+                               f"(max asymmetry {defect:.3e})")
+    return m
 
 
 class Statistics(Enum):
@@ -210,9 +228,7 @@ class DensityOperator:
             dim = self.space.total_dim
             if m.shape != (dim, dim):
                 raise ValueError(f"matrix shape {m.shape}, expected {(dim, dim)}")
-            scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-            if np.abs(m - m.conj().T).max(initial=0.0) > TOL_HERM * scale:
-                raise HermiticityError("density matrix is not Hermitian")
+            require_hermitian(m, "density matrix")
             if self.normalized and abs(np.trace(m).real - 1.0) > TOL_TRACE:
                 raise ValueError(f"trace {np.trace(m):.3e} is not 1")
             m.setflags(write=False)
@@ -397,8 +413,6 @@ def project(stats: Statistics, v: StateVector) -> StateVector:
     A fermionic input with a repeated factor projects to the zero
     vector; callers that need a nonzero physical state must check.
     """
-    if math.factorial(v.space.n) > PERM_CAP:
-        raise DimensionCapError("permutation count exceeds cap")
     if not stats.is_projected:
         return v
     return StateVector(v.space, project_amplitudes(stats, v.amplitudes, v.space))
@@ -438,9 +452,7 @@ def symmetrize_operator(factors: Sequence[np.ndarray]) -> np.ndarray:
     for m in mats:
         if m.shape != (d, d):
             raise ValueError("factors must be square and of equal size")
-        scale = max(1.0, float(np.abs(m).max()))
-        if np.abs(m - m.conj().T).max() > TOL_HERM * scale:
-            raise HermiticityError("factors must be Hermitian")
+        require_hermitian(m, "factor")
     if math.factorial(n) > PERM_CAP:
         raise DimensionCapError("permutation count exceeds cap")
     if d ** n > MATRIX_CAP:

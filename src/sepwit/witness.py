@@ -18,8 +18,8 @@ import numpy as np
 from .errors import DimensionCapError, SectorError
 from .operators import LowRankObservable
 from .solver import (Partition, SevalueProblem, analytic_interference,
-                     analytic_rank_one, brute_force_bound, solve_sup_g,
-                     sup_over_partitions)
+                     analytic_rank_one, brute_force_bound, partitions_into,
+                     solve_sup_g)
 from .tensor import (MATRIX_CAP, DensityOperator, SpaceConfig, StateVector,
                      Statistics, project, project_operator, projector_matrix)
 from .decompositions import schmidt
@@ -143,23 +143,11 @@ def build_k_witness(operator, stats: Statistics, space: SpaceConfig, k: int,
                     **solver_kwargs) -> Witness:
     """Witness against K-separability: the bound is maximized over every
     multiset-distinct partition into k parts."""
-    from .solver import partitions_into
-    if bound_source == "analytic":
-        bounds = [
-            _analytic_bound(SevalueProblem(operator, stats, p, space), "max")
-            for p in partitions_into(space.n, k)]
-        bound = max(bounds)
-    elif bound_source == "numeric":
-        bound, _ = sup_over_partitions(operator, stats, space, k,
-                                       starts=starts, seed=seed,
-                                       **solver_kwargs)
-    elif bound_source == "oracle":
-        bound = max(
-            brute_force_bound(SevalueProblem(operator, stats, p, space),
-                              samples=samples, seed=seed)
-            for p in partitions_into(space.n, k))
-    else:
-        raise ValueError(f"unknown bound source {bound_source!r}")
+    bound = max(
+        build_witness(SevalueProblem(operator, stats, p, space), bound_source,
+                      starts=starts, seed=seed, samples=samples,
+                      **solver_kwargs).bound
+        for p in partitions_into(space.n, k))
     return Witness(observable=operator, stats=stats, space=space, k=k,
                    partition=None, bound=bound, form=WitnessForm.UPPER,
                    bound_source=bound_source)

@@ -114,12 +114,22 @@ def test_party_matrices_match_contracted_operator(rng, stats, parts):
         sandwich = proj @ dense @ proj
         solver = _Solver(SevalueProblem(observable, stats, partition, space))
         blocks = [crandn(rng, d ** nk) for nk in parts]
+        g = float(rng.standard_normal())
+        _, _, defects = solver.stationarity(blocks, g)
         for j in range(partition.k):
             numer, overlap = solver.party_matrices(blocks, j)
             for got, full in ((numer, sandwich), (overlap, proj)):
                 want = contracted_operator(full, blocks, j, partition, space)
                 scale = max(1.0, float(np.abs(want).max()))
                 assert np.abs(got - want).max() <= 1e-12 * scale
+            # the matrix-free defects are the party equation's residual
+            # and overlap norm, built from these matrices
+            bv = overlap @ blocks[j]
+            want_defect = np.linalg.norm(numer @ blocks[j] - g * bv)
+            want_scale = np.linalg.norm(bv)
+            defect, scale = defects[j]
+            assert abs(defect - want_defect) <= 1e-12 * want_defect
+            assert abs(scale - want_scale) <= 1e-12 * want_scale
 
 
 # ---------------------------------------------------------------------------
@@ -285,11 +295,21 @@ def test_single_party_residual_matches_projector_reference(rng, stats):
             pb = proj @ b
             defect = np.linalg.norm(sandwich @ b - g * pb)
             expected = defect / np.linalg.norm(pb)
-            assert abs(_Solver(problem).residual([b], g) - expected) \
-                <= 1e-12 * max(1.0, expected)
+            got = _Solver(problem).solution([b], g, converged=False,
+                                            sweeps=0).residual
+            assert abs(got - expected) <= 1e-12 * max(1.0, expected)
             moved = dataclasses.replace(solved, party_vectors=(b,), value=g)
             _, overlap = verify_second_form(moved, problem)
             assert abs(overlap - defect) <= 1e-12 * max(1.0, defect)
+
+
+def test_analytic_interference_diagnostics_above_dense_cap():
+    # the (4,) block has 10,000 dimensions, far above PARTY_DENSE_CAP;
+    # the representative's residual needs no party matrix
+    analysis = analytic_interference(SpaceConfig(10, 5), Statistics.BOSON,
+                                     Partition((4, 1)))
+    assert analysis.bound == 0.5
+    assert analysis.solutions[0].residual < 1e-9
 
 
 def test_analytic_interference_requires_enough_modes():

@@ -188,6 +188,13 @@ def test_build_k_witness_over_partitions():
     assert abs(witness.bound - 0.5) < 1e-12
     assert witness.partition is None
     assert witness.k == 2
+    numeric = build_k_witness(observable, Statistics.BOSON, space, 2,
+                              bound_source="numeric", starts=8, seed=3)
+    oracle = build_k_witness(observable, Statistics.BOSON, space, 2,
+                             bound_source="oracle", samples=2000, seed=3)
+    assert abs(numeric.bound - 0.5) < 1e-9
+    assert oracle.bound <= numeric.bound + 1e-9
+    assert (numeric.bound_source, oracle.bound_source) == ("numeric", "oracle")
 
 
 def test_schmidt_number_bound_values(rng):
