@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .operators import LowRankObservable
 from .sectors import sector_isometry
 from .tensor import (SpaceConfig, StateVector, Statistics,
                      basis_product_vector, project, project_amplitudes,
-                     require_hermitian)
+                     require_hermitian, subspace_dimension)
 
 DEFAULT_STARTS = 64
 MAX_SWEEPS = 500
@@ -38,7 +38,7 @@ VALUE_TOL = 1e-11          # change of the quotient between sweeps
 RESIDUAL_TOL = 1e-9
 B_RANGE_CUTOFF = 1e-12     # relative cutoff on the overlap operator
 INIT_PROJECTION_TOL = 1e-8
-PARTY_DENSE_CAP = 512      # largest party dimension solved densely
+PARTY_DENSE_CAP = 512      # largest block-sector dimension solved densely
 _ORACLE_CHUNK = 256
 
 
@@ -202,15 +202,35 @@ def _kron_chain(blocks) -> np.ndarray:
     return reduce(np.kron, vecs)
 
 
+@lru_cache(maxsize=8)
+def _block_isometry(stats: Statistics, d: int, n: int) -> np.ndarray:
+    """Dense isometry S onto the exchange sector of an n-slot block (the
+    identity for distinguishable blocks), built once and shared by every
+    start and every problem with a block of that shape."""
+    iso = sector_isometry(stats, SpaceConfig(d, n)).toarray()
+    iso.setflags(write=False)
+    return iso
+
+
 class _Solver:
     """Per-problem workspace: the projected observable and the
-    party-wise contractions."""
+    party-wise contractions.
+
+    With the same statistics on every block, P (P_1 x ... x P_K) = P, so
+    party j's equation only sees the part of b_j in its block's exchange
+    sector: the sweep solves it in the sector coordinates of the
+    isometry S_j, of dimension ``sector_dims[j]``, while party vectors
+    and every diagnostic stay in full-space coordinates.
+    """
 
     def __init__(self, problem: SevalueProblem):
         self.space = problem.space
         self.stats = problem.stats
         self.partition = problem.partition
         self.block_dims = problem.partition.block_dims(problem.space.d)
+        self.sector_dims = tuple(
+            subspace_dimension(problem.stats, SpaceConfig(problem.space.d, nj))
+            for nj in problem.partition.parts)
         if isinstance(problem.operator, LowRankObservable):
             self.lowrank = problem.operator.projected(problem.stats)
             self.dense = None
@@ -265,25 +285,35 @@ class _Solver:
 
     # -- party-wise operators ----------------------------------------------
 
-    def party_matrices(self, blocks, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Contracted (numerator, overlap) pair for party j with the
-        other blocks held fixed."""
-        dj = self.block_dims[j]
-        if dj > PARTY_DENSE_CAP:
+    def isometry(self, j: int) -> np.ndarray:
+        """Party j's block-sector isometry S_j, of shape
+        (block dimension, sector dimension)."""
+        mj = self.sector_dims[j]
+        if mj > PARTY_DENSE_CAP:
             raise DimensionCapError(
-                f"party dimension {dj} exceeds the dense cap {PARTY_DENSE_CAP}")
+                f"party sector dimension {mj} exceeds the dense cap "
+                f"{PARTY_DENSE_CAP}")
+        return _block_isometry(self.stats, self.space.d,
+                               self.partition.parts[j])
+
+    def party_matrices(self, blocks, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Contracted (numerator, overlap) pair S_j^H A_j S_j,
+        S_j^H B_j S_j for party j with the other blocks held fixed."""
+        iso = self.isometry(j)
+        dj, mj = iso.shape
+        adjoint = iso.conj().T
         left = _kron_chain(blocks[:j])
         right = _kron_chain(blocks[j + 1:])
-        eye = np.eye(dj, dtype=np.complex128)
-        q = np.einsum("l,xy,r->lxry", left, eye, right).reshape(-1, dj)
+        q = np.einsum("l,xy,r->lxry", left, iso, right).reshape(-1, mj)
         p = project_amplitudes(self.stats, q, self.space)
         fixed_left = left.conj() @ p.reshape(left.size, -1)
-        overlap = right.conj() @ fixed_left.reshape(dj, right.size, dj)
+        overlap = adjoint @ (right.conj()
+                             @ fixed_left.reshape(dj, right.size, mj))
         if self.lowrank is not None:
-            numer = np.zeros((dj, dj), dtype=np.complex128)
+            numer = np.zeros((mj, mj), dtype=np.complex128)
             for c, kvec, bvec in self.lowrank.terms:
-                ka = self._contract_fixed(kvec, left, right, dj)
-                ba = self._contract_fixed(bvec, left, right, dj)
+                ka = adjoint @ self._contract_fixed(kvec, left, right, dj)
+                ba = adjoint @ self._contract_fixed(bvec, left, right, dj)
                 numer += c * np.outer(ka, ba.conj())
         else:
             numer = p.conj().T @ (self.dense @ p)
@@ -354,7 +384,9 @@ def sweep_solve(problem: SevalueProblem, init,
                 value_tol: float = VALUE_TOL) -> SevalueSolution:
     """Cyclic per-party ascent (or descent) from a given initialization.
 
-    ``init`` is one vector per party.  Raises ZeroProjectionError when
+    ``init`` is one vector per party.  Each party step is solved in the
+    coordinates of its block's exchange sector, so the returned party
+    vectors lie in their block sectors.  Raises ZeroProjectionError when
     the initialization (or an intermediate step) has numerically zero
     projection; an unconverged run is returned flagged, not raised.
     """
@@ -365,7 +397,7 @@ def sweep_solve(problem: SevalueProblem, init,
     if len(init) != k:
         raise ValueError(f"need {k} party vectors, got {len(init)}")
     if k == 1 and ws.lowrank is not None \
-            and problem.space.total_dim > PARTY_DENSE_CAP:
+            and ws.sector_dims[0] > PARTY_DENSE_CAP:
         return ws.solve_single_lowrank(mode)
     blocks = []
     for b, dim in zip(init, problem.partition.block_dims(problem.space.d)):
@@ -383,8 +415,11 @@ def sweep_solve(problem: SevalueProblem, init,
     previous = math.nan
     for sweep in range(1, max_sweeps + 1):
         for j in range(k):
+            iso = ws.isometry(j)
             numer, overlap = ws.party_matrices(blocks, j)
-            value, blocks[j] = _generalized_step(numer, overlap, blocks[j], mode)
+            value, coords = _generalized_step(
+                numer, overlap, iso.conj().T @ blocks[j], mode)
+            blocks[j] = iso @ coords
         if sweep > 1 and abs(value - previous) <= value_tol:
             sol = ws.solution(blocks, value, converged=True, sweeps=sweep)
             if sol.residual <= tol:
@@ -465,38 +500,6 @@ def sup_over_partitions(operator, stats: Statistics, space: SpaceConfig,
                                                seed=seed, **kwargs)
     value = max(r.value for r in per_partition.values())
     return value, per_partition
-
-
-# ---------------------------------------------------------------------------
-# contracted operator (public, dense route)
-
-def contracted_operator(operator: np.ndarray, party_vectors, j: int,
-                        partition: Partition, space: SpaceConfig) -> np.ndarray:
-    """Operator on party j obtained by fixing all other parties:
-    <x| X_j |y> = <b_1,...,x,...,b_K| X |b_1,...,y,...,b_K>.
-
-    Party indices are 0-based.  Hermitian whenever X is.
-    """
-    if not 0 <= j < partition.k:
-        raise IndexError(f"party index {j} out of range for {partition}")
-    n, d = space.n, space.d
-    x = np.asarray(operator, dtype=np.complex128)
-    if x.shape != (space.total_dim,) * 2:
-        raise ValueError("operator shape mismatch")
-    tens = x.reshape(space.dims * 2)
-    operands = [tens, list(range(2 * n))]
-    for party, block in enumerate(party_vectors):
-        if party == j:
-            continue
-        nk = partition.parts[party]
-        bt = np.asarray(block, dtype=np.complex128).reshape((d,) * nk)
-        slots = list(partition.slots(party))
-        operands.extend([bt.conj(), slots])
-        operands.extend([bt, [n + s for s in slots]])
-    out_axes = list(partition.slots(j)) + [n + s for s in partition.slots(j)]
-    result = np.einsum(*operands, out_axes, optimize=True)
-    dj = d ** partition.parts[j]
-    return result.reshape(dj, dj)
 
 
 # ---------------------------------------------------------------------------
@@ -636,6 +639,12 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
     permutation-sum projector and never through per-party eigensolves.
     Samples with numerically zero projection are skipped.  Deterministic
     for a fixed seed.
+
+    At small budgets the bound can sit far below the supremum: for the
+    boson interference observable at N=3, d=6, partition (2, 1), 2000
+    samples (seed 3) reach 0.205 against the proven 0.5.  A check that
+    the oracle stays at or below a solver value therefore cannot catch
+    a solver value that is too low; nothing here bounds G from above.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")

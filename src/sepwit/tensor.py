@@ -381,31 +381,6 @@ def project_amplitudes(stats: Statistics, amplitudes: np.ndarray,
     return tens.reshape(arr.shape)
 
 
-def _project_full_sum(stats: Statistics, amplitudes: np.ndarray,
-                      space: SpaceConfig) -> np.ndarray:
-    """Reference projector: the explicit signed sum over all n!
-    permutations.  Kept as an independent cross-check of the coset
-    recursion used by :func:`project_amplitudes`."""
-    arr = np.asarray(amplitudes, dtype=np.complex128)
-    if not stats.is_projected:
-        return arr.copy()
-    batched = arr.ndim == 2
-    shape = space.dims + ((arr.shape[1],) if batched else ())
-    tens = arr.reshape(shape)
-    n = space.n
-    extra = (n,) if batched else ()
-    acc = np.zeros_like(tens)
-    sign = stats.exchange_sign
-    for axes, parity in _signed_permutations(n):
-        term = tens.transpose(axes + extra)
-        if sign < 0 and parity:
-            acc -= term
-        else:
-            acc += term
-    acc /= math.factorial(n)
-    return acc.reshape(arr.shape)
-
-
 def project(stats: Statistics, v: StateVector) -> StateVector:
     """Exchange projector: symmetrize (bosons), antisymmetrize (fermions),
     or return the vector unchanged (distinguishable).

@@ -1,21 +1,25 @@
 import dataclasses
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sepwit import (LowRankObservable, Partition, SevalueProblem, SpaceConfig,
                     StateVector, Statistics, all_partitions,
                     analytic_interference, analytic_rank_one,
                     basis_product_vector, brute_force_bound,
-                    contracted_operator, interference_observable,
-                    partitions_into, product_vector, project, projector_matrix,
-                    rank_one_observable, solve_sup_g, sup_over_partitions,
-                    sweep_solve, transform_solution, transformed_observable,
+                    interference_observable, partitions_into, product_vector,
+                    project, projector_matrix, rank_one_observable,
+                    solve_sup_g, sup_over_partitions, sweep_solve,
+                    transform_solution, transformed_observable,
                     verify_second_form)
-from sepwit.errors import ZeroProjectionError
+from sepwit.errors import DimensionCapError, ZeroProjectionError
+from sepwit.sectors import sector_basis_vectors
 from sepwit.solver import _Solver
 
-from conftest import crandn, random_hermitian, random_unitary
+from conftest import (contracted_operator, crandn, random_hermitian,
+                      random_unitary)
 
 
 def _random_sector_state(rng, d, stats):
@@ -97,8 +101,8 @@ def test_contracted_operator_hermitian_multiblock(rng):
 @pytest.mark.parametrize("stats", list(Statistics))
 @pytest.mark.parametrize("parts", [(1, 1), (2, 1), (1, 2), (1, 1, 1)])
 def test_party_matrices_match_contracted_operator(rng, stats, parts):
-    # the solver's contraction of P L P and of P must agree with the
-    # dense einsum route of contracted_operator
+    # the solver's contraction of P L P and of P, in party j's block
+    # sector, must agree with S_j^H X_j S_j from the dense einsum route
     d = 3
     partition = Partition(parts)
     space = SpaceConfig(d, partition.n)
@@ -108,6 +112,8 @@ def test_party_matrices_match_contracted_operator(rng, stats, parts):
     low_rank = LowRankObservable(space, ((0.7, k1, k1), (c2, k2, b2),
                                          (c2.conjugate(), b2, k2)))
     proj = projector_matrix(stats, space)
+    isometries = [sector_basis_vectors(stats, SpaceConfig(d, nk))
+                  for nk in parts]
     for observable in (random_hermitian(rng, dim), low_rank):
         dense = observable if isinstance(observable, np.ndarray) \
             else observable.to_matrix()
@@ -116,20 +122,51 @@ def test_party_matrices_match_contracted_operator(rng, stats, parts):
         blocks = [crandn(rng, d ** nk) for nk in parts]
         g = float(rng.standard_normal())
         _, _, defects = solver.stationarity(blocks, g)
-        for j in range(partition.k):
+        for j, iso in enumerate(isometries):
             numer, overlap = solver.party_matrices(blocks, j)
             for got, full in ((numer, sandwich), (overlap, proj)):
-                want = contracted_operator(full, blocks, j, partition, space)
+                want = iso.conj().T @ contracted_operator(
+                    full, blocks, j, partition, space) @ iso
                 scale = max(1.0, float(np.abs(want).max()))
                 assert np.abs(got - want).max() <= 1e-12 * scale
             # the matrix-free defects are the party equation's residual
-            # and overlap norm, built from these matrices
-            bv = overlap @ blocks[j]
-            want_defect = np.linalg.norm(numer @ blocks[j] - g * bv)
+            # and overlap norm: A_j and B_j act only on the block-sector
+            # part S_j^H b_j of b_j
+            coords = iso.conj().T @ blocks[j]
+            bv = overlap @ coords
+            want_defect = np.linalg.norm(numer @ coords - g * bv)
             want_scale = np.linalg.norm(bv)
             defect, scale = defects[j]
             assert abs(defect - want_defect) <= 1e-12 * want_defect
             assert abs(scale - want_scale) <= 1e-12 * want_scale
+    # the sweep returns party vectors inside their block sectors
+    problem = SevalueProblem(random_hermitian(rng, dim), stats, partition,
+                             space)
+    sol = sweep_solve(problem, [crandn(rng, d ** nk) for nk in parts])
+    for b, iso in zip(sol.party_vectors, isometries):
+        assert np.abs(iso @ (iso.conj().T @ b) - b).max() <= 1e-10
+
+
+_PROPERTY_PARTITIONS = [p.parts for n in range(1, 5) for p in all_partitions(n)]
+
+
+@pytest.mark.parametrize("stats", list(Statistics))
+@pytest.mark.parametrize("parts", _PROPERTY_PARTITIONS)
+@settings(max_examples=8, deadline=None)
+@given(d=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_projector_sees_only_block_sectors(stats, parts, d, seed):
+    # P (b_1 x ... x b_K) = P (S_1 S_1^H b_1 x ... x S_K S_K^H b_K): the
+    # identity behind solving each party in its block's sector
+    rng = np.random.default_rng(seed)
+    space = SpaceConfig(d, sum(parts))
+    blocks = [crandn(rng, d ** nk) for nk in parts]
+    in_sector = []
+    for b, nk in zip(blocks, parts):
+        iso = sector_basis_vectors(stats, SpaceConfig(d, nk))
+        in_sector.append(iso @ (iso.conj().T @ b))
+    want = project(stats, StateVector(space, reduce(np.kron, blocks)))
+    got = project(stats, StateVector(space, reduce(np.kron, in_sector)))
+    assert np.abs(got.amplitudes - want.amplitudes).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +347,35 @@ def test_analytic_interference_diagnostics_above_dense_cap():
                                      Partition((4, 1)))
     assert analysis.bound == 0.5
     assert analysis.solutions[0].residual < 1e-9
+
+
+def test_sweep_party_above_full_space_cap():
+    # the (3,) block has 1000 modes, above PARTY_DENSE_CAP, but its
+    # fermion sector has C(10, 3) = 120 dimensions
+    space = SpaceConfig(10, 4)
+    problem = SevalueProblem(interference_observable(space, Statistics.FERMION),
+                             Statistics.FERMION, Partition((3, 1)), space)
+    result = solve_sup_g(problem, starts=2, seed=0)
+    assert abs(result.value - 0.5) <= 1e-6
+    assert result.best.residual <= 1e-9
+
+
+def test_single_party_dense_cap_reads_sector_dimension(rng):
+    # K = 1, fermions at N=3, d=9: 729 modes but an 84-dim sector, so a
+    # dense observable is solved by the sweep; the supremum is the top
+    # eigenvalue of S^H L S
+    space = SpaceConfig(9, 3)
+    observable = random_hermitian(rng, space.total_dim)
+    problem = SevalueProblem(observable, Statistics.FERMION, Partition((3,)),
+                             space)
+    iso = sector_basis_vectors(Statistics.FERMION, space)
+    top = np.linalg.eigvalsh(iso.conj().T @ observable @ iso)[-1]
+    assert abs(solve_sup_g(problem, starts=1, seed=1).value - top) <= 1e-9
+    # distinguishable parties have no smaller sector: 729 > 512 raises
+    wide = SevalueProblem(observable, Statistics.DISTINGUISHABLE,
+                          Partition((3,)), space)
+    with pytest.raises(DimensionCapError):
+        solve_sup_g(wide, starts=1, seed=1)
 
 
 def test_analytic_interference_requires_enough_modes():

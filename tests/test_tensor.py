@@ -9,9 +9,9 @@ from sepwit import (DensityOperator, Permutation, SpaceConfig, StateVector,
                     project, projector_matrix, subspace_dimension,
                     symmetrize_operator, unflatten_index)
 from sepwit.errors import DimensionCapError, HermiticityError
-from sepwit.tensor import _project_full_sum, project_amplitudes
+from sepwit.tensor import project_amplitudes
 
-from conftest import crandn, random_hermitian
+from conftest import crandn, project_full_sum, random_hermitian
 
 
 def test_flatten_index_examples():
@@ -134,7 +134,7 @@ def test_coset_recursion_matches_full_sum(rng, d, n):
     arr = crandn(rng, space.total_dim, 2)
     for stats in (Statistics.BOSON, Statistics.FERMION):
         fast = project_amplitudes(stats, arr, space)
-        full = _project_full_sum(stats, arr, space)
+        full = project_full_sum(stats, arr, space)
         assert np.abs(fast - full).max() < 1e-13
 
 
