@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -202,19 +202,16 @@ def _kron_chain(blocks) -> np.ndarray:
     return reduce(np.kron, vecs)
 
 
-@lru_cache(maxsize=8)
-def _block_isometry(stats: Statistics, d: int, n: int) -> np.ndarray:
-    """Dense isometry S onto the exchange sector of an n-slot block (the
-    identity for distinguishable blocks), built once and shared by every
-    start and every problem with a block of that shape."""
-    iso = sector_isometry(stats, SpaceConfig(d, n)).toarray()
-    iso.setflags(write=False)
-    return iso
+def _to_sector(iso: np.ndarray | None, x: np.ndarray) -> np.ndarray:
+    """S^H x, with None standing for the identity."""
+    return x if iso is None else iso.conj().T @ x
 
 
 class _Solver:
-    """Per-problem workspace: the projected observable and the
-    party-wise contractions.
+    """Per-problem workspace: the projected observable, the party
+    isometries (built on first use) and the party-wise contractions.
+    One workspace serves every start of a solve and is released with
+    it.
 
     With the same statistics on every block, P (P_1 x ... x P_K) = P, so
     party j's equation only sees the part of b_j in its block's exchange
@@ -231,6 +228,7 @@ class _Solver:
         self.sector_dims = tuple(
             subspace_dimension(problem.stats, SpaceConfig(problem.space.d, nj))
             for nj in problem.partition.parts)
+        self._isometries: dict[int, np.ndarray | None] = {}
         if isinstance(problem.operator, LowRankObservable):
             self.lowrank = problem.operator.projected(problem.stats)
             self.dense = None
@@ -285,51 +283,106 @@ class _Solver:
 
     # -- party-wise operators ----------------------------------------------
 
-    def isometry(self, j: int) -> np.ndarray:
-        """Party j's block-sector isometry S_j, of shape
-        (block dimension, sector dimension)."""
+    def isometry(self, j: int) -> np.ndarray | None:
+        """Party j's block-sector isometry S_j, of shape (block
+        dimension, sector dimension), built on first use; None when the
+        sector is the whole block, where S_j is unitary and the block's
+        own coordinates serve."""
         mj = self.sector_dims[j]
         if mj > PARTY_DENSE_CAP:
             raise DimensionCapError(
                 f"party sector dimension {mj} exceeds the dense cap "
                 f"{PARTY_DENSE_CAP}")
-        return _block_isometry(self.stats, self.space.d,
-                               self.partition.parts[j])
+        if j not in self._isometries:
+            square = mj == self.block_dims[j]
+            self._isometries[j] = None if square else sector_isometry(
+                self.stats,
+                SpaceConfig(self.space.d, self.partition.parts[j])).toarray()
+        return self._isometries[j]
 
-    def party_matrices(self, blocks, j: int) -> tuple[np.ndarray, np.ndarray]:
+    def party_matrices(self, blocks, j: int) -> tuple[
+            np.ndarray, np.ndarray, np.ndarray | None]:
         """Contracted (numerator, overlap) pair S_j^H A_j S_j,
-        S_j^H B_j S_j for party j with the other blocks held fixed."""
+        S_j^H B_j S_j for party j with the other blocks held fixed,
+        together with S_j (None for the identity)."""
         iso = self.isometry(j)
-        dj, mj = iso.shape
-        adjoint = iso.conj().T
+        dj = self.block_dims[j]
+        embed = np.eye(dj, dtype=np.complex128) if iso is None else iso
+        mj = embed.shape[1]
         left = _kron_chain(blocks[:j])
         right = _kron_chain(blocks[j + 1:])
-        q = np.einsum("l,xy,r->lxry", left, iso, right).reshape(-1, mj)
+        q = np.einsum("l,xy,r->lxry", left, embed, right).reshape(-1, mj)
         p = project_amplitudes(self.stats, q, self.space)
         fixed_left = left.conj() @ p.reshape(left.size, -1)
-        overlap = adjoint @ (right.conj()
+        overlap = _to_sector(iso, right.conj()
                              @ fixed_left.reshape(dj, right.size, mj))
         if self.lowrank is not None:
             numer = np.zeros((mj, mj), dtype=np.complex128)
             for c, kvec, bvec in self.lowrank.terms:
-                ka = adjoint @ self._contract_fixed(kvec, left, right, dj)
-                ba = adjoint @ self._contract_fixed(bvec, left, right, dj)
+                ka, ba = (_to_sector(iso, self._contract_fixed(
+                    v, left, right, dj)) for v in (kvec, bvec))
                 numer += c * np.outer(ka, ba.conj())
         else:
             numer = p.conj().T @ (self.dense @ p)
         numer = (numer + numer.conj().T) / 2.0
         overlap = (overlap + overlap.conj().T) / 2.0
-        return numer, overlap
+        return numer, overlap, iso
 
     def _contract_fixed(self, full_vec, left, right, dj) -> np.ndarray:
         fixed_left = left.conj() @ full_vec.reshape(left.size, -1)
         return fixed_left.reshape(dj, right.size) @ right.conj()
 
+    # -- the sweep ------------------------------------------------------------
+
+    def sweep(self, init, max_sweeps: int, tol: float, mode: str,
+              value_tol: float) -> SevalueSolution:
+        """Cyclic per-party ascent (or descent) from ``init``; see
+        sweep_solve."""
+        if mode not in ("max", "min"):
+            raise ValueError("mode must be 'max' or 'min'")
+        k = self.partition.k
+        if len(init) != k:
+            raise ValueError(f"need {k} party vectors, got {len(init)}")
+        if k == 1 and self.lowrank is not None:
+            return self.solve_single_lowrank(mode)
+        blocks = []
+        for b, dim in zip(init, self.block_dims):
+            arr = np.asarray(b, dtype=np.complex128)
+            if arr.shape != (dim,):
+                raise ValueError("party vector dimension mismatch")
+            nrm = np.linalg.norm(arr)
+            if nrm == 0.0:
+                raise ZeroProjectionError(
+                    "zero party vector in initialization")
+            blocks.append(arr / nrm)
+        if np.linalg.norm(self.projected_product(blocks)) \
+                < INIT_PROJECTION_TOL:
+            raise ZeroProjectionError("initialization projects to zero")
+
+        value = math.nan
+        previous = math.nan
+        for sweep in range(1, max_sweeps + 1):
+            for j in range(k):
+                numer, overlap, iso = self.party_matrices(blocks, j)
+                value, coords = _generalized_step(
+                    numer, overlap, _to_sector(iso, blocks[j]), mode)
+                blocks[j] = coords if iso is None else iso @ coords
+            if sweep > 1 and abs(value - previous) <= value_tol:
+                sol = self.solution(blocks, value, converged=True,
+                                    sweeps=sweep)
+                if sol.residual <= tol:
+                    return sol
+            previous = value
+        return self.solution(blocks, value, converged=False,
+                             sweeps=max_sweeps)
+
     # -- single full-space party (K = 1) ------------------------------------
 
     def solve_single_lowrank(self, mode: str) -> SevalueSolution:
-        """K = 1 with a low-rank observable: the nonzero part of the
-        spectrum lives in the span of the projected term vectors."""
+        """K = 1 with a low-rank observable: P L P vanishes off the span
+        of the projected term vectors, so its extremal eigenvalue on the
+        sector is the span's, or 0 when that lies beyond it and the span
+        misses part of the sector."""
         terms = self.lowrank.terms
         vecs = []
         for _c, k, b in terms:
@@ -346,6 +399,15 @@ class _Solver:
         idx = -1 if mode == "max" else 0
         value = float(vals[idx])
         vector = basis @ vecs_small[:, idx]
+        beyond = value < 0.0 if mode == "max" else value > 0.0
+        if beyond and basis.shape[1] < self.sector_dims[0]:
+            # the sector basis vector least covered by the span, with
+            # its span part removed
+            iso = sector_isometry(self.stats, self.space)
+            overlaps = (iso.conj().T @ basis).conj().T
+            col = int(np.argmin(np.sum(np.abs(overlaps) ** 2, axis=0)))
+            value = 0.0
+            vector = iso[:, col].toarray().ravel() - basis @ overlaps[:, col]
         vector /= np.linalg.norm(vector)
         return self.solution([vector], value, converged=True, sweeps=1)
 
@@ -386,58 +448,23 @@ def sweep_solve(problem: SevalueProblem, init,
 
     ``init`` is one vector per party.  Each party step is solved in the
     coordinates of its block's exchange sector, so the returned party
-    vectors lie in their block sectors.  Raises ZeroProjectionError when
-    the initialization (or an intermediate step) has numerically zero
-    projection; an unconverged run is returned flagged, not raised.
+    vectors lie in their block sectors.  A single party with a low-rank
+    observable is solved exactly from the observable's terms, without
+    sweeping.  Raises ZeroProjectionError when the initialization (or
+    an intermediate step) has numerically zero projection; an
+    unconverged run is returned flagged, not raised.
     """
-    if mode not in ("max", "min"):
-        raise ValueError("mode must be 'max' or 'min'")
-    ws = _Solver(problem)
-    k = problem.partition.k
-    if len(init) != k:
-        raise ValueError(f"need {k} party vectors, got {len(init)}")
-    if k == 1 and ws.lowrank is not None \
-            and ws.sector_dims[0] > PARTY_DENSE_CAP:
-        return ws.solve_single_lowrank(mode)
-    blocks = []
-    for b, dim in zip(init, problem.partition.block_dims(problem.space.d)):
-        arr = np.asarray(b, dtype=np.complex128)
-        if arr.shape != (dim,):
-            raise ValueError("party vector dimension mismatch")
-        nrm = np.linalg.norm(arr)
-        if nrm == 0.0:
-            raise ZeroProjectionError("zero party vector in initialization")
-        blocks.append(arr / nrm)
-    if np.linalg.norm(ws.projected_product(blocks)) < INIT_PROJECTION_TOL:
-        raise ZeroProjectionError("initialization projects to zero")
-
-    value = math.nan
-    previous = math.nan
-    for sweep in range(1, max_sweeps + 1):
-        for j in range(k):
-            iso = ws.isometry(j)
-            numer, overlap = ws.party_matrices(blocks, j)
-            value, coords = _generalized_step(
-                numer, overlap, iso.conj().T @ blocks[j], mode)
-            blocks[j] = iso @ coords
-        if sweep > 1 and abs(value - previous) <= value_tol:
-            sol = ws.solution(blocks, value, converged=True, sweeps=sweep)
-            if sol.residual <= tol:
-                return sol
-        previous = value
-    return ws.solution(blocks, value, converged=False, sweeps=max_sweeps)
+    return _Solver(problem).sweep(init, max_sweeps, tol, mode, value_tol)
 
 
-def _run_start(problem: SevalueProblem, seed: int, start: int, mode: str,
+def _run_start(ws: _Solver, seed: int, start: int, mode: str,
                max_sweeps: int, tol: float,
                value_tol: float) -> SevalueSolution | None:
     rng = np.random.default_rng([seed, start])
-    dims = problem.partition.block_dims(problem.space.d)
     for _attempt in range(8):
-        init = [_crandn(rng, dim) for dim in dims]
+        init = [_crandn(rng, dim) for dim in ws.block_dims]
         try:
-            return sweep_solve(problem, init, max_sweeps=max_sweeps,
-                               tol=tol, mode=mode, value_tol=value_tol)
+            return ws.sweep(init, max_sweeps, tol, mode, value_tol)
         except ZeroProjectionError:
             continue
     return None
@@ -457,16 +484,18 @@ def solve_sup_g(problem: SevalueProblem, starts: int = DEFAULT_STARTS,
     """
     if starts < 1:
         raise ValueError("starts must be >= 1")
+    # one workspace for every start, so the party isometries are built
+    # once per solve
+    ws = _Solver(problem)
     if problem.partition.k == 1:
         rng = np.random.default_rng([seed, 0])
-        sol = sweep_solve(problem, [_crandn(rng, problem.space.total_dim)],
-                          max_sweeps=max_sweeps, tol=tol, mode=mode,
-                          value_tol=value_tol)
+        sol = ws.sweep([_crandn(rng, problem.space.total_dim)], max_sweeps,
+                       tol, mode, value_tol)
         return SupremumResult(value=sol.value, best=sol, solutions=(sol,),
                               fraction_at_value=1.0, n_converged=1,
                               n_failed=0, starts=starts, seed=seed)
 
-    results = [_run_start(problem, seed, i, mode, max_sweeps, tol, value_tol)
+    results = [_run_start(ws, seed, i, mode, max_sweeps, tol, value_tol)
                for i in range(starts)]
     solutions = tuple(r for r in results if r is not None)
     n_failed = starts - len(solutions)

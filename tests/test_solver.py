@@ -15,7 +15,7 @@ from sepwit import (LowRankObservable, Partition, SevalueProblem, SpaceConfig,
                     transform_solution, transformed_observable,
                     verify_second_form)
 from sepwit.errors import DimensionCapError, ZeroProjectionError
-from sepwit.sectors import sector_basis_vectors
+from sepwit.sectors import sector_basis_vectors, sector_isometry
 from sepwit.solver import _Solver
 
 from conftest import (contracted_operator, crandn, random_hermitian,
@@ -123,7 +123,7 @@ def test_party_matrices_match_contracted_operator(rng, stats, parts):
         g = float(rng.standard_normal())
         _, _, defects = solver.stationarity(blocks, g)
         for j, iso in enumerate(isometries):
-            numer, overlap = solver.party_matrices(blocks, j)
+            numer, overlap, _ = solver.party_matrices(blocks, j)
             for got, full in ((numer, sandwich), (overlap, proj)):
                 want = iso.conj().T @ contracted_operator(
                     full, blocks, j, partition, space) @ iso
@@ -376,6 +376,70 @@ def test_single_party_dense_cap_reads_sector_dimension(rng):
                           Partition((3,)), space)
     with pytest.raises(DimensionCapError):
         solve_sup_g(wide, starts=1, seed=1)
+
+
+def test_party_isometries_built_once_per_solve(monkeypatch):
+    # every start of a solve shares its S_j; a block whose sector is
+    # the whole block (one slot here) is solved without one
+    import sepwit.solver as solver_module
+    calls = []
+
+    def counting(stats, space):
+        calls.append(space.n)
+        return sector_isometry(stats, space)
+
+    monkeypatch.setattr(solver_module, "sector_isometry", counting)
+    space = SpaceConfig(8, 4)
+    problem = SevalueProblem(interference_observable(space, Statistics.FERMION),
+                             Statistics.FERMION, Partition((3, 1)), space)
+    assert abs(solve_sup_g(problem, starts=3, seed=0).value - 0.5) <= 1e-9
+    assert calls == [3]
+    ws = _Solver(problem)
+    assert ws.isometry(1) is None
+    assert calls == [3]
+    wide = SevalueProblem(problem.operator, Statistics.DISTINGUISHABLE,
+                          Partition((2, 2)), space)
+    assert all(_Solver(wide).isometry(j) is None for j in range(2))
+    assert calls == [3]
+
+
+@pytest.mark.parametrize("stats", list(Statistics))
+def test_single_party_lowrank_matches_sector_spectrum(rng, stats):
+    # K = 1 with a low-rank observable is solved from its terms; both
+    # extremes equal those of S^H L S, including the 0 that a rank-one
+    # observable attains off its span
+    space = SpaceConfig(3, 2)
+    psi = _random_sector_state(rng, 3, stats)
+    observable = rank_one_observable(psi, stats)
+    problem = SevalueProblem(observable, stats, Partition((2,)), space)
+    iso = sector_basis_vectors(stats, space)
+    spectrum = np.linalg.eigvalsh(iso.conj().T @ observable.to_matrix() @ iso)
+    for mode, want in (("max", spectrum[-1]), ("min", spectrum[0])):
+        sol = solve_sup_g(problem, starts=1, seed=2, mode=mode).best
+        assert abs(sol.value - want) <= 1e-12
+        assert sol.residual <= 1e-12
+
+
+def test_single_party_lowrank_shortcut_above_dense_cap(monkeypatch):
+    # N=4, d=8, partition (4,): 4096 modes with a 70-dim fermion sector;
+    # the exact low-rank route never builds a party matrix
+    def forbidden(*_args):
+        raise AssertionError("K = 1 low-rank solve built a party matrix")
+
+    monkeypatch.setattr(_Solver, "party_matrices", forbidden)
+    space = SpaceConfig(8, 4)
+    problem = SevalueProblem(interference_observable(space, Statistics.FERMION),
+                             Statistics.FERMION, Partition((4,)), space)
+    for mode, want in (("max", 1.0), ("min", -1.0)):
+        sol = solve_sup_g(problem, starts=1, seed=0, mode=mode).best
+        assert abs(sol.value - want) <= 1e-12
+        assert sol.residual <= 1e-9
+    psi = basis_product_vector(space, (0, 1, 2, 3))
+    positive = SevalueProblem(rank_one_observable(psi, Statistics.FERMION),
+                              Statistics.FERMION, Partition((4,)), space)
+    low = solve_sup_g(positive, starts=1, seed=0, mode="min").best
+    assert abs(low.value) <= 1e-12
+    assert low.residual <= 1e-12
 
 
 def test_analytic_interference_requires_enough_modes():
