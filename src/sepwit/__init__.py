@@ -18,8 +18,8 @@ from .solver import (InterferenceAnalysis, Partition, SevalueProblem,
                      SevalueSolution, SupremumResult, all_partitions,
                      analytic_interference, analytic_rank_one,
                      brute_force_bound, partitions_into, solve_sup_g,
-                     sup_over_partitions, sweep_solve, transform_solution,
-                     transformed_observable, verify_second_form)
+                     sweep_solve, transform_solution, transformed_observable,
+                     verify_second_form)
 from .witness import (Witness, WitnessForm, WitnessVerdict, build_k_witness,
                       build_witness, detect, expectation,
                       schmidt_number_bound, sector_deviation, witness_matrix)

@@ -44,13 +44,14 @@ from .errors import (ConvergenceError, HermiticityError, InputFormatError,
                      SectorError, SepwitError)
 from .operators import interference_observable, rank_one_observable
 from .solver import (Partition, SevalueProblem, brute_force_bound,
-                     partitions_into, solve_sup_g, sup_over_partitions)
+                     partitions_into, solve_sup_g)
 from .states import (detection_threshold, dephased_ghz, fig1_bound,
                      fig1_state_family, ghz_expectation, noisy_state,
                      GhzFamily)
 from .tensor import (DensityOperator, SpaceConfig, StateVector, Statistics,
                      require_hermitian)
-from .witness import Witness, WitnessForm, detect, expectation
+from .witness import (Witness, WitnessForm, build_k_witness, build_witness,
+                      detect, expectation)
 
 _EXIT_OK = 0
 _EXIT_INPUT = 2
@@ -451,20 +452,16 @@ def _cmd_witness(args) -> int:
     k, partition = _parse_partition(args, state_space.n)
     try:
         if partition is not None:
-            problem = SevalueProblem(matrix, stats, partition, state_space)
-            result = solve_sup_g(problem, starts=args.starts, seed=args.seed,
-                                 tol=args.tol)
-            bound = result.value
+            witness = build_witness(
+                SevalueProblem(matrix, stats, partition, state_space),
+                "numeric", starts=args.starts, seed=args.seed, tol=args.tol)
         else:
-            bound, _ = sup_over_partitions(matrix, stats, state_space, k,
-                                           starts=args.starts, seed=args.seed,
-                                           tol=args.tol)
+            witness = build_k_witness(matrix, stats, state_space, k,
+                                      "numeric", starts=args.starts,
+                                      seed=args.seed, tol=args.tol)
     except ConvergenceError as exc:
         sys.stderr.write(f"witness: {exc}\n")
         return _EXIT_NUMERICAL
-    witness = Witness(observable=matrix, stats=stats, space=state_space,
-                      k=k, partition=partition, bound=bound,
-                      form=WitnessForm.UPPER, bound_source="numeric")
     try:
         verdict = detect(rho, witness)
     except SectorError as exc:

@@ -207,17 +207,48 @@ def _to_sector(iso: np.ndarray | None, x: np.ndarray) -> np.ndarray:
     return x if iso is None else iso.conj().T @ x
 
 
+def _sector_basis(stats: Statistics, space: SpaceConfig):
+    """The exchange-sector isometry S of ``space`` in sparse (CSR) form,
+    with its adjoint; (None, None) where the sector is the whole space,
+    so that no identity products are done."""
+    if subspace_dimension(stats, space) == space.total_dim:
+        return None, None
+    iso = sector_isometry(stats, space)
+    return iso, iso.getH().tocsr()
+
+
+def _compress(observable, iso, adjoint):
+    """The observable in the sector coordinates of ``_sector_basis``:
+    S^H L S for a dense L, or the terms (c, S^H k, S^H b) of a projected
+    low-rank observable; the observable itself where S is None.  The
+    dense product runs through the dense columns of S, whose memory is
+    bounded by that of L."""
+    if isinstance(observable, LowRankObservable):
+        if iso is None:
+            return list(observable.terms)
+        return [(c, adjoint @ k, adjoint @ b) for c, k, b in observable.terms]
+    if iso is None:
+        return np.asarray(observable)
+    cols = iso.toarray()
+    return cols.conj().T @ observable @ cols
+
+
 class _Solver:
-    """Per-problem workspace: the projected observable, the party
-    isometries (built on first use) and the party-wise contractions.
-    One workspace serves every start of a solve and is released with
-    it.
+    """Per-problem workspace: the projected observable, the isometries
+    and the compressed dense observable (each built on first use) and
+    the party-wise contractions.  One workspace serves every start of a
+    solve and is released with it.
 
     With the same statistics on every block, P (P_1 x ... x P_K) = P, so
     party j's equation only sees the part of b_j in its block's exchange
     sector: the sweep solves it in the sector coordinates of the
     isometry S_j, of dimension ``sector_dims[j]``, while party vectors
-    and every diagnostic stay in full-space coordinates.
+    and every diagnostic stay in full-space coordinates.  The party
+    matrices are contracted in the coordinates of the whole space's
+    exchange sector, through its isometry S: P q = S (S^H q), and a
+    dense numerator is y^H (S^H L S) y with y = S^H q.  ``stationarity``
+    stays on the permutation-sum projector, so it checks the sector
+    route independently.
     """
 
     def __init__(self, problem: SevalueProblem):
@@ -229,6 +260,8 @@ class _Solver:
             subspace_dimension(problem.stats, SpaceConfig(problem.space.d, nj))
             for nj in problem.partition.parts)
         self._isometries: dict[int, np.ndarray | None] = {}
+        self._sector = None
+        self._dense_sector = None
         if isinstance(problem.operator, LowRankObservable):
             self.lowrank = problem.operator.projected(problem.stats)
             self.dense = None
@@ -294,11 +327,24 @@ class _Solver:
                 f"party sector dimension {mj} exceeds the dense cap "
                 f"{PARTY_DENSE_CAP}")
         if j not in self._isometries:
-            square = mj == self.block_dims[j]
-            self._isometries[j] = None if square else sector_isometry(
-                self.stats,
-                SpaceConfig(self.space.d, self.partition.parts[j])).toarray()
+            iso, _ = _sector_basis(
+                self.stats, SpaceConfig(self.space.d, self.partition.parts[j]))
+            self._isometries[j] = None if iso is None else iso.toarray()
         return self._isometries[j]
+
+    def sector(self):
+        """The whole space's sector isometry S and its adjoint, both
+        sparse, built on first use; (None, None) for the whole space."""
+        if self._sector is None:
+            self._sector = _sector_basis(self.stats, self.space)
+        return self._sector
+
+    def dense_sector(self) -> np.ndarray:
+        """The dense observable compressed to S^H L S, built on first
+        use."""
+        if self._dense_sector is None:
+            self._dense_sector = _compress(self.dense, *self.sector())
+        return self._dense_sector
 
     def party_matrices(self, blocks, j: int) -> tuple[
             np.ndarray, np.ndarray, np.ndarray | None]:
@@ -306,13 +352,19 @@ class _Solver:
         S_j^H B_j S_j for party j with the other blocks held fixed,
         together with S_j (None for the identity)."""
         iso = self.isometry(j)
+        sec, sec_adjoint = self.sector()
         dj = self.block_dims[j]
         embed = np.eye(dj, dtype=np.complex128) if iso is None else iso
         mj = embed.shape[1]
         left = _kron_chain(blocks[:j])
         right = _kron_chain(blocks[j + 1:])
         q = np.einsum("l,xy,r->lxry", left, embed, right).reshape(-1, mj)
-        p = project_amplitudes(self.stats, q, self.space)
+        # y = S^H q in the sector's coordinates, and P q = S y
+        if sec is None:
+            y = p = q
+        else:
+            y = sec_adjoint @ q
+            p = sec @ y
         fixed_left = left.conj() @ p.reshape(left.size, -1)
         overlap = _to_sector(iso, right.conj()
                              @ fixed_left.reshape(dj, right.size, mj))
@@ -323,7 +375,7 @@ class _Solver:
                     v, left, right, dj)) for v in (kvec, bvec))
                 numer += c * np.outer(ka, ba.conj())
         else:
-            numer = p.conj().T @ (self.dense @ p)
+            numer = y.conj().T @ (self.dense_sector() @ y)
         numer = (numer + numer.conj().T) / 2.0
         overlap = (overlap + overlap.conj().T) / 2.0
         return numer, overlap, iso
@@ -484,8 +536,8 @@ def solve_sup_g(problem: SevalueProblem, starts: int = DEFAULT_STARTS,
     """
     if starts < 1:
         raise ValueError("starts must be >= 1")
-    # one workspace for every start, so the party isometries are built
-    # once per solve
+    # one workspace for every start, so the isometries and the compressed
+    # observable are built once per solve
     ws = _Solver(problem)
     if problem.partition.k == 1:
         rng = np.random.default_rng([seed, 0])
@@ -512,23 +564,6 @@ def solve_sup_g(problem: SevalueProblem, starts: int = DEFAULT_STARTS,
         fraction_at_value=at_value / starts,
         n_converged=len(converged), n_failed=n_failed,
         starts=starts, seed=seed)
-
-
-def sup_over_partitions(operator, stats: Statistics, space: SpaceConfig,
-                        k: int, starts: int = DEFAULT_STARTS, seed: int = 0,
-                        **kwargs) -> tuple[float, dict]:
-    """Largest bound over every multiset-distinct partition into k parts.
-
-    A claim of "not K-separable" must clear all of them, so the witness
-    bound is the maximum.
-    """
-    per_partition = {}
-    for partition in partitions_into(space.n, k):
-        problem = SevalueProblem(operator, stats, partition, space)
-        per_partition[partition] = solve_sup_g(problem, starts=starts,
-                                               seed=seed, **kwargs)
-    value = max(r.value for r in per_partition.values())
-    return value, per_partition
 
 
 # ---------------------------------------------------------------------------
@@ -663,11 +698,14 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
     the bound comes close to the supremum instead of stalling at the
     bulk of the distribution.
 
-    Independent of the sweep solver on purpose: quotients are evaluated
-    through the combinatorial sector basis, never through the
-    permutation-sum projector and never through per-party eigensolves.
-    Samples with numerically zero projection are skipped.  Deterministic
-    for a fixed seed.
+    Quotients are evaluated through the combinatorial sector basis,
+    never through per-party eigensolves: S, its adjoint and the
+    compressed observable come from the same helpers as the sweep's
+    party matrices.  The sweep reads that basis too, so the check on it
+    lies elsewhere: the solver's stationarity diagnostics stay on the
+    permutation-sum projector, and the tests compare ``sector_isometry``
+    with that projector.  Samples with numerically zero projection are
+    skipped.  Deterministic for a fixed seed.
 
     At small budgets the bound can sit far below the supremum: for the
     boson interference observable at N=3, d=6, partition (2, 1), 2000
@@ -678,28 +716,17 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
     if samples < 1:
         raise ValueError("samples must be >= 1")
     space, stats = problem.space, problem.stats
-    isometry = sector_isometry(stats, space) if stats.is_projected else None
+    isometry, adjoint = _sector_basis(stats, space)
     if isinstance(problem.operator, LowRankObservable):
-        proj = problem.operator.projected(stats)
-        if isometry is not None:
-            compressed = [(c, (isometry.getH() @ k), (isometry.getH() @ b))
-                          for c, k, b in proj.terms]
-        else:
-            compressed = [(c, k, b) for c, k, b in proj.terms]
-        dense_sec = None
-    else:
-        if isometry is not None:
-            dense_cols = isometry.toarray()
-            dense_sec = dense_cols.conj().T @ problem.operator @ dense_cols
-        else:
-            dense_sec = np.asarray(problem.operator)
-        compressed = None
-    dims = problem.partition.block_dims(space.d)
-    adjoint = isometry.getH().tocsr() if isometry is not None else None
-    term_kets = None
-    if compressed is not None:
+        compressed = _compress(problem.operator.projected(stats), isometry,
+                               adjoint)
         term_kets = [(c, np.asarray(k).ravel().conj(),
                       np.asarray(b).ravel()) for c, k, b in compressed]
+        dense_sec = None
+    else:
+        dense_sec = _compress(problem.operator, isometry, adjoint)
+        term_kets = None
+    dims = problem.partition.block_dims(space.d)
 
     def evaluate(blocks):
         """Quotients of a batch of product vectors.

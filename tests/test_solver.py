@@ -11,9 +11,9 @@ from sepwit import (LowRankObservable, Partition, SevalueProblem, SpaceConfig,
                     basis_product_vector, brute_force_bound,
                     interference_observable, partitions_into, product_vector,
                     project, projector_matrix, rank_one_observable,
-                    solve_sup_g, sup_over_partitions, sweep_solve,
-                    transform_solution, transformed_observable,
-                    verify_second_form)
+                    solve_sup_g, sweep_solve, transform_solution,
+                    transformed_observable, verify_second_form)
+from sepwit.witness import build_k_witness
 from sepwit.errors import DimensionCapError, ZeroProjectionError
 from sepwit.sectors import sector_basis_vectors, sector_isometry
 from sepwit.solver import _Solver
@@ -169,6 +169,31 @@ def test_projector_sees_only_block_sectors(stats, parts, d, seed):
     assert np.abs(got.amplitudes - want.amplitudes).max() <= 1e-12
 
 
+@pytest.mark.parametrize("stats", list(Statistics))
+@pytest.mark.parametrize("parts", [(1, 1), (2, 1), (1, 2), (1, 1, 1)])
+@pytest.mark.parametrize("mode", ["max", "min"])
+@settings(max_examples=10, deadline=None)
+@given(d=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_sweep_is_monotone(stats, parts, mode, d, seed):
+    # each party step is extremal with the other parties fixed, so from
+    # one sweep to the next the quotient never falls in "max" mode and
+    # never rises in "min" mode
+    rng = np.random.default_rng(seed)
+    space = SpaceConfig(d, sum(parts))
+    problem = SevalueProblem(random_hermitian(rng, space.total_dim), stats,
+                             Partition(parts), space)
+    init = [crandn(rng, d ** nk) for nk in parts]
+    try:
+        values = [sweep_solve(problem, init, max_sweeps=sweeps, tol=0.0,
+                              mode=mode, value_tol=-1.0).value
+                  for sweeps in range(1, 7)]
+    except ZeroProjectionError:
+        return
+    sign = 1.0 if mode == "max" else -1.0
+    for before, after in zip(values, values[1:]):
+        assert sign * (after - before) >= -1e-12 * max(1.0, abs(before))
+
+
 # ---------------------------------------------------------------------------
 # sweep solver on closed-form cases
 
@@ -290,8 +315,8 @@ def test_monotone_bound_in_k(rng):
     observable = interference_observable(space, Statistics.BOSON)
     values = []
     for k in (1, 2, 3):
-        bound, _ = sup_over_partitions(observable, Statistics.BOSON, space,
-                                       k, starts=8, seed=2)
+        bound = build_k_witness(observable, Statistics.BOSON, space, k,
+                                "numeric", starts=8, seed=2).bound
         values.append(bound)
         assert abs(bound - 0.5 ** (k - 1)) < 1e-7
     assert values[0] > values[1] > values[2]
@@ -378,29 +403,58 @@ def test_single_party_dense_cap_reads_sector_dimension(rng):
         solve_sup_g(wide, starts=1, seed=1)
 
 
-def test_party_isometries_built_once_per_solve(monkeypatch):
-    # every start of a solve shares its S_j; a block whose sector is
-    # the whole block (one slot here) is solved without one
+def test_party_isometries_built_once_per_solve(monkeypatch, rng):
+    # every start of a solve shares its S_j and the whole space's S; a
+    # block whose sector is the whole block (one slot here) is solved
+    # without one
     import sepwit.solver as solver_module
     calls = []
+    compressions = []
 
     def counting(stats, space):
         calls.append(space.n)
         return sector_isometry(stats, space)
 
+    def counting_compress(*args):
+        compressions.append(args[0].shape)
+        return compress(*args)
+
+    compress = solver_module._compress
     monkeypatch.setattr(solver_module, "sector_isometry", counting)
+    monkeypatch.setattr(solver_module, "_compress", counting_compress)
     space = SpaceConfig(8, 4)
     problem = SevalueProblem(interference_observable(space, Statistics.FERMION),
                              Statistics.FERMION, Partition((3, 1)), space)
     assert abs(solve_sup_g(problem, starts=3, seed=0).value - 0.5) <= 1e-9
-    assert calls == [3]
+    assert calls == [3, 4]
+    assert compressions == []
     ws = _Solver(problem)
     assert ws.isometry(1) is None
-    assert calls == [3]
+    assert calls == [3, 4]
     wide = SevalueProblem(problem.operator, Statistics.DISTINGUISHABLE,
                           Partition((2, 2)), space)
     assert all(_Solver(wide).isometry(j) is None for j in range(2))
-    assert calls == [3]
+    assert calls == [3, 4]
+    # a dense observable is compressed to S^H L S once per solve
+    calls.clear()
+    small = SpaceConfig(3, 3)
+    dense = SevalueProblem(random_hermitian(rng, 27), Statistics.BOSON,
+                           Partition((2, 1)), small)
+    solve_sup_g(dense, starts=3, seed=0)
+    assert calls == [2, 3]
+    assert compressions == [(27, 27)]
+    # a distinguishable dense solve builds no isometry at all
+    calls.clear()
+    solve_sup_g(dataclasses.replace(dense, stats=Statistics.DISTINGUISHABLE),
+                starts=3, seed=0)
+    assert calls == []
+    # the exact K = 1 low-rank route builds neither S nor S^H L S
+    compressions.clear()
+    single = SevalueProblem(problem.operator, Statistics.FERMION,
+                            Partition((4,)), space)
+    assert abs(solve_sup_g(single, starts=1, seed=0).value - 1.0) <= 1e-12
+    assert calls == []
+    assert compressions == []
 
 
 @pytest.mark.parametrize("stats", list(Statistics))

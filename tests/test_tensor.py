@@ -9,6 +9,7 @@ from sepwit import (DensityOperator, Permutation, SpaceConfig, StateVector,
                     project, projector_matrix, subspace_dimension,
                     symmetrize_operator, unflatten_index)
 from sepwit.errors import DimensionCapError, HermiticityError
+from sepwit.sectors import sector_basis_vectors
 from sepwit.tensor import project_amplitudes
 
 from conftest import crandn, project_full_sum, random_hermitian
@@ -221,6 +222,20 @@ def test_subspace_dimension_matches_projector_trace(d, n):
         expected = subspace_dimension(stats, space)
         trace = np.trace(projector_matrix(stats, space)).real
         assert abs(trace - expected) < 1e-10
+
+
+@pytest.mark.parametrize("stats", list(Statistics))
+@pytest.mark.parametrize("d,n", [(1, 2), (2, 3), (3, 2), (3, 3), (2, 4)])
+def test_sector_isometry_matches_projector(stats, d, n):
+    # the combinatorial sector basis is an isometry onto the range of
+    # the permutation-sum projector: S^H S = 1 and S S^H = P
+    space = SpaceConfig(d, n)
+    iso = sector_basis_vectors(stats, space)
+    assert iso.shape == (space.total_dim, subspace_dimension(stats, space))
+    gram = iso.conj().T @ iso
+    assert np.abs(gram - np.eye(iso.shape[1])).max(initial=0.0) <= 1e-12
+    want = project_full_sum(stats, np.eye(space.total_dim), space)
+    assert np.abs(iso @ iso.conj().T - want).max() <= 1e-12
 
 
 def test_subspace_dimension_values():
