@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from sepwit import Permutation
+from sepwit import LowRankObservable, Permutation
+from sepwit.errors import ZeroProjectionError
+from sepwit.solver import _ORACLE_CHUNK, _compress, _sector_basis
 
 
 def crandn(rng, *shape):
@@ -64,6 +66,97 @@ def contracted_operator(operator, party_vectors, j, partition, space):
     out_axes = list(partition.slots(j)) + [n + s for s in partition.slots(j)]
     dj = d ** partition.parts[j]
     return np.einsum(*operands, out_axes, optimize=True).reshape(dj, dj)
+
+
+def reference_brute_force_bound(problem, samples, seed=0):
+    """Reference sampling oracle: the loop form that
+    ``solver.brute_force_bound`` replaced, with per-term numerators,
+    ``np.linalg.norm`` normalisation and out-of-place perturbations.
+    It draws the same stream, so both give the same bound up to the
+    rounding of the summation order."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    space, stats = problem.space, problem.stats
+    isometry, adjoint = _sector_basis(stats, space)
+    if isinstance(problem.operator, LowRankObservable):
+        compressed = _compress(problem.operator.projected(stats), isometry,
+                               adjoint)
+        term_kets = [(c, np.asarray(k).ravel().conj(),
+                      np.asarray(b).ravel()) for c, k, b in compressed]
+        dense_sec = None
+    else:
+        dense_sec = _compress(problem.operator, isometry, adjoint)
+        term_kets = None
+    dims = problem.partition.block_dims(space.d)
+
+    def evaluate(blocks):
+        count = blocks[0].shape[1]
+        vecs = blocks[0]
+        for block in blocks[1:]:
+            vecs = (vecs[:, None, :] * block[None, :, :]).reshape(-1, count)
+        coords = adjoint @ vecs if adjoint is not None else vecs
+        denom = np.einsum("dc,dc->c", coords.real, coords.real) \
+            + np.einsum("dc,dc->c", coords.imag, coords.imag)
+        quotients = np.full(count, -math.inf)
+        valid = denom > 1e-14
+        if not np.any(valid):
+            return quotients
+        if term_kets is not None:
+            numer = np.zeros(count, dtype=np.complex128)
+            for c, k_conj, b in term_kets:
+                numer += c * (k_conj @ coords).conj() * (b.conj() @ coords)
+            numer = numer.real
+        else:
+            numer = np.einsum("dc,de,ec->c", coords.conj(), dense_sec,
+                              coords, optimize=True).real
+        quotients[valid] = numer[valid] / denom[valid]
+        return quotients
+
+    rng = np.random.default_rng([seed, 11])
+    best = -math.inf
+    best_blocks = None
+    remaining = samples - samples // 2
+    while remaining > 0:
+        count = min(_ORACLE_CHUNK, remaining)
+        remaining -= count
+        blocks = []
+        for dim in dims:
+            block = crandn(rng, dim, count)
+            block /= np.linalg.norm(block, axis=0, keepdims=True)
+            blocks.append(block)
+        quotients = evaluate(blocks)
+        top = int(np.argmax(quotients))
+        if quotients[top] > best:
+            best = float(quotients[top])
+            best_blocks = [block[:, top].copy() for block in blocks]
+    if best_blocks is None:
+        raise ZeroProjectionError("every sample projected to zero")
+
+    steps = [0.5] * len(dims)
+    party = 0
+    remaining = samples // 2
+    while remaining > 0:
+        count = min(_ORACLE_CHUNK, remaining)
+        remaining -= count
+        blocks = []
+        for j, (center, dim) in enumerate(zip(best_blocks, dims)):
+            if j == party:
+                noise = crandn(rng, dim, count) * (steps[j] / math.sqrt(dim))
+                block = center[:, None] + noise
+                block /= np.linalg.norm(block, axis=0, keepdims=True)
+            else:
+                block = np.broadcast_to(center[:, None], (dim, count))
+            blocks.append(block)
+        quotients = evaluate(blocks)
+        top = int(np.argmax(quotients))
+        if quotients[top] > best:
+            best = float(quotients[top])
+            best_blocks = [np.array(block[:, top]) for block in blocks]
+            steps[party] = min(steps[party] * 1.5, 2.0)
+        else:
+            steps[party] = max(steps[party] * 0.8, 1e-4)
+        party = (party + 1) % len(dims)
+    return best
 
 
 @pytest.fixture

@@ -170,6 +170,17 @@ def test_sevalue_rejects_non_hermitian(tmp_path, capsys):
     assert code == 2
 
 
+def test_sevalue_rejects_oracle_samples_before_solving(monkeypatch, capsys):
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("solved before checking --oracle-samples")
+
+    monkeypatch.setattr(cli, "solve_sup_g", forbidden)
+    code = main(["sevalue", INTERFERENCE_N3, "--k", "2",
+                 "--oracle-samples", "0"])
+    assert code == 2
+    assert capsys.readouterr().err == "sepwit: samples must be >= 1\n"
+
+
 def test_sevalue_requires_partition_choice(capsys):
     code, _ = _run(capsys, ["sevalue", INTERFERENCE_N3])
     assert code == 2

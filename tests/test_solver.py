@@ -16,10 +16,10 @@ from sepwit import (LowRankObservable, Partition, SevalueProblem, SpaceConfig,
 from sepwit.witness import build_k_witness
 from sepwit.errors import DimensionCapError, ZeroProjectionError
 from sepwit.sectors import sector_basis_vectors, sector_isometry
-from sepwit.solver import _Solver
+from sepwit.solver import _crandn, _Solver
 
 from conftest import (contracted_operator, crandn, random_hermitian,
-                      random_unitary)
+                      random_unitary, reference_brute_force_bound)
 
 
 def _random_sector_state(rng, d, stats):
@@ -455,6 +455,20 @@ def test_party_isometries_built_once_per_solve(monkeypatch, rng):
     assert abs(solve_sup_g(single, starts=1, seed=0).value - 1.0) <= 1e-12
     assert calls == []
     assert compressions == []
+    # a single dense party is the whole space: its S_j is the sector's
+    # S, built once, and its party matrices are S^H L S and 1
+    space = SpaceConfig(9, 3)
+    observable = random_hermitian(rng, space.total_dim)
+    single = SevalueProblem(observable, Statistics.FERMION, Partition((3,)),
+                            space)
+    value = solve_sup_g(single, starts=1, seed=0).value
+    assert calls == [3]
+    iso = sector_basis_vectors(Statistics.FERMION, space)
+    top = np.linalg.eigvalsh(iso.conj().T @ observable @ iso)[-1]
+    assert abs(value - top) <= 1e-9
+    _, overlap, _ = _Solver(single).party_matrices(
+        [crandn(rng, space.total_dim)], 0)
+    assert np.array_equal(overlap, np.eye(iso.shape[1]))
 
 
 @pytest.mark.parametrize("stats", list(Statistics))
@@ -551,6 +565,54 @@ def test_brute_force_identity_is_exactly_one(rng):
                              space)
     value = brute_force_bound(problem, samples=500, seed=1)
     assert abs(value - 1.0) < 1e-12
+
+
+def test_crandn_is_the_two_draw_formula():
+    # one draw of 2 x size normals is the same stream as two draws of
+    # size, real parts first
+    for size in (7, (9, 100)):
+        got = _crandn(np.random.default_rng(4), size)
+        rng = np.random.default_rng(4)
+        re, im = rng.standard_normal(size), rng.standard_normal(size)
+        assert np.array_equal(got, (re + 1j * im) / np.sqrt(2.0))
+
+
+@pytest.mark.parametrize("stats", list(Statistics))
+@pytest.mark.parametrize("parts", [(2,), (1, 1), (2, 1), (1, 2), (1, 1, 1)])
+@pytest.mark.parametrize("kind", ["dense", "low-rank"])
+def test_brute_force_matches_reference(rng, stats, parts, kind):
+    # the in-place oracle draws the same stream as the loop form, so it
+    # finds the same bound; partial chunks (255, 257, 700) and odd
+    # halves (1, 3, 257) included
+    partition = Partition(parts)
+    space = SpaceConfig(3, partition.n)
+    dim = space.total_dim
+    if kind == "dense":
+        observable = random_hermitian(rng, dim)
+    else:
+        k1, k2, b2 = (crandn(rng, dim) for _ in range(3))
+        c2 = complex(crandn(rng))
+        observable = LowRankObservable(space, (
+            (0.7, k1, k1), (c2, k2, b2), (c2.conjugate(), b2, k2)))
+    problem = SevalueProblem(observable, stats, partition, space)
+    for samples in (1, 2, 3, 255, 257, 700):
+        for seed in (0, 1, 2):
+            want = reference_brute_force_bound(problem, samples, seed)
+            got = brute_force_bound(problem, samples, seed)
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("samples", [True, False, 1000.0, "10", None])
+def test_brute_force_rejects_non_integer_samples(samples):
+    space = SpaceConfig(2, 2)
+    problem = SevalueProblem(np.eye(4), Statistics.BOSON, Partition((1, 1)),
+                             space)
+    with pytest.raises(ValueError, match="samples"):
+        brute_force_bound(problem, samples=samples)
+    with pytest.raises(ValueError, match="samples"):
+        brute_force_bound(problem, samples=0)
+    assert brute_force_bound(problem, samples=np.int64(3), seed=2) \
+        == brute_force_bound(problem, samples=3, seed=2)
 
 
 def test_brute_force_interference_stays_below_bound():
