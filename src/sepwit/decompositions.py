@@ -19,13 +19,32 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .tensor import (DensityOperator, SpaceConfig, StateVector, Statistics,
                      project, require_hermitian)
 
 SYMMETRY_TOL = 1e-10
 RANK_CUTOFF = 1e-13
+
+
+def _svd_rank(s: np.ndarray, shape: tuple[int, int]) -> int:
+    """Number of singular values above eps * max(m, n) * s_max."""
+    cutoff = np.finfo(float).eps * max(shape) * s.max(initial=0.0)
+    return int(np.sum(s > cutoff))
+
+
+def orth(mat: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the range of ``mat``, from its SVD."""
+    mat = np.asarray(mat)
+    u, s, _vh = np.linalg.svd(mat, full_matrices=False)
+    return u[:, :_svd_rank(s, mat.shape)]
+
+
+def null_space(mat: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the kernel of ``mat``, from its SVD."""
+    mat = np.asarray(mat)
+    _u, s, vh = np.linalg.svd(mat, full_matrices=True)
+    return vh[_svd_rank(s, mat.shape):].conj().T
 
 
 def _check_two_particle(psi: StateVector) -> np.ndarray:
@@ -141,7 +160,7 @@ def takagi_symmetric(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if rank < d:
         if rank:
             found = np.column_stack(columns)
-            complement = scipy.linalg.null_space(found.conj().T)
+            complement = null_space(found.conj().T)
         else:
             complement = np.eye(d, dtype=np.complex128)
         columns.extend(complement[:, k] for k in range(d - rank))
@@ -194,7 +213,7 @@ def takagi_skew(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if rank2 < d:
         if rank2:
             found = np.column_stack(columns)
-            complement = scipy.linalg.null_space(found.conj().T)
+            complement = null_space(found.conj().T)
         else:
             complement = np.eye(d, dtype=np.complex128)
         columns.extend(complement[:, k] for k in range(d - rank2))

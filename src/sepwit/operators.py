@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from .decompositions import orth
 from .errors import DimensionCapError
 from .tensor import (MATRIX_CAP, SpaceConfig, StateVector, Statistics,
                      basis_product_vector, project, require_hermitian)
@@ -49,7 +49,7 @@ class LowRankObservable:
         vecs = []
         for _c, k, b in self.terms:
             vecs.extend([k, b])
-        basis = scipy.linalg.orth(np.column_stack(vecs))
+        basis = orth(np.column_stack(vecs))
         compressed = np.zeros((basis.shape[1],) * 2, dtype=np.complex128)
         for c, k, b in self.terms:
             compressed += c * np.outer(basis.conj().T @ k,

@@ -4,18 +4,22 @@ Built combinatorially from multisets (bosons) or subsets (fermions) of
 mode labels, not from the permutation-sum projector, so the two routes
 can cross-check each other.  The isometry S has the sector basis as its
 columns and satisfies S S^dagger = projector, S^dagger S = identity.
+
+Column c of S is the label's orbit under slot permutations: one entry
+per distinct arrangement of the label, each of modulus 1/sqrt(orbit
+size), signed by the permutation's parity for fermions.  No full-space
+index lies in two orbits, so S is stored as orbit tables, one per orbit
+size, and applied by gathers and scatters.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 
 import numpy as np
-import scipy.sparse as sp
 
-from .tensor import SpaceConfig, Statistics, flatten_index, _cycle_parity
+from .tensor import SpaceConfig, Statistics, _cycle_parity
 
 
 def sector_basis_labels(stats: Statistics, space: SpaceConfig) -> list[tuple[int, ...]]:
@@ -28,37 +32,84 @@ def sector_basis_labels(stats: Statistics, space: SpaceConfig) -> list[tuple[int
     return list(itertools.product(modes, repeat=space.n))
 
 
-def sector_isometry(stats: Statistics, space: SpaceConfig) -> sp.csr_matrix:
-    """Sparse isometry from sector coordinates into the full product space."""
-    dim = space.total_dim
+class SectorIsometry:
+    """The real isometry S of a sector, as orbit tables.
+
+    Each group of ``groups`` holds the columns whose orbits have one
+    size s: their positions ``cols``, an (s, len(cols)) array ``index``
+    of full-space indices, one sign per slot of the orbit and the
+    coefficient 1/sqrt(s) shared by the group's entries.
+    """
+
+    def __init__(self, shape: tuple[int, int], groups):
+        self.shape = shape
+        self.groups = tuple(groups)
+
+    def adjoint(self, x: np.ndarray) -> np.ndarray:
+        """S^H x for a full-space vector or a (dim, batch) array."""
+        x = np.asarray(x)
+        if x.ndim not in (1, 2) or x.shape[0] != self.shape[0]:
+            raise ValueError(f"S^H of shape {self.shape[::-1]} cannot "
+                             f"apply to shape {x.shape}")
+        out = np.empty((self.shape[1],) + x.shape[1:], dtype=np.complex128)
+        for cols, index, signs, coeff in self.groups:
+            acc = x[index[0]]
+            for slot, sign in zip(index[1:], signs[1:]):
+                if sign > 0:
+                    acc += x[slot]
+                else:
+                    acc -= x[slot]
+            acc *= coeff
+            out[cols] = acc
+        return out
+
+    def toarray(self) -> np.ndarray:
+        """The dense (dim, sector dimension) complex array of S."""
+        out = np.zeros(self.shape, dtype=np.complex128)
+        for cols, index, signs, coeff in self.groups:
+            out[index, cols] = (coeff * signs)[:, None]
+        return out
+
+    def column(self, col: int) -> np.ndarray:
+        """Column ``col`` of S as a dense full-space vector."""
+        out = np.zeros(self.shape[0], dtype=np.complex128)
+        for cols, index, signs, coeff in self.groups:
+            pos = np.searchsorted(cols, col)
+            if pos < cols.size and cols[pos] == col:
+                out[index[:, pos]] = coeff * signs
+                return out
+        raise IndexError(f"column {col} out of range for {self.shape}")
+
+
+def sector_isometry(stats: Statistics, space: SpaceConfig) -> SectorIsometry:
+    """Isometry from sector coordinates into the full product space."""
+    n, d, dim = space.n, space.d, space.total_dim
     if not stats.is_projected:
-        return sp.identity(dim, dtype=np.complex128, format="csr")
-    labels = sector_basis_labels(stats, space)
-    rows, cols, data = [], [], []
-    nfact = math.factorial(space.n)
-    for col, label in enumerate(labels):
-        if stats is Statistics.FERMION:
-            # labels strictly increasing; all n! arrangements distinct
-            coeff = 1.0 / math.sqrt(nfact)
-            for perm in itertools.permutations(range(space.n)):
-                arrangement = tuple(label[p] for p in perm)
-                sign = -1.0 if _cycle_parity(perm) else 1.0
-                rows.append(flatten_index(arrangement, space))
-                cols.append(col)
-                data.append(sign * coeff)
-        else:
-            multiplicity = 1
-            for count in Counter(label).values():
-                multiplicity *= math.factorial(count)
-            coeff = math.sqrt(multiplicity / nfact)
-            for arrangement in set(itertools.permutations(label)):
-                rows.append(flatten_index(arrangement, space))
-                cols.append(col)
-                data.append(coeff)
-    mat = sp.csr_matrix(
-        (np.asarray(data, dtype=np.complex128), (rows, cols)),
-        shape=(dim, len(labels)))
-    return mat
+        every = np.arange(dim)
+        return SectorIsometry((dim, dim), [(every, every[None], np.ones(1),
+                                            1.0)])
+    labels = np.array(sector_basis_labels(stats, space),
+                      dtype=np.intp).reshape(-1, n)
+    perms = list(itertools.permutations(range(n)))
+    # flat[c, p]: big-endian index of label c rearranged by perm p
+    flat = labels[:, perms] @ (d ** np.arange(n - 1, -1, -1, dtype=np.intp))
+    groups = []
+    if stats is Statistics.FERMION:
+        # labels strictly increasing: all n! arrangements are distinct,
+        # the first being the identity
+        signs = np.array([-1.0 if _cycle_parity(p) else 1.0 for p in perms])
+        groups.append((np.arange(labels.shape[0]), flat.T.copy(), signs,
+                       1.0 / math.sqrt(len(perms))))
+    else:
+        # a sorted row lists each distinct arrangement len(perms)/s times
+        flat.sort(axis=1)
+        sizes = 1 + np.count_nonzero(np.diff(flat, axis=1), axis=1)
+        for size in np.unique(sizes):
+            cols = np.nonzero(sizes == size)[0]
+            index = flat[cols, ::len(perms) // size].T.copy()
+            groups.append((cols, index, np.ones(size),
+                           1.0 / math.sqrt(size)))
+    return SectorIsometry((dim, labels.shape[0]), groups)
 
 
 def sector_basis_vectors(stats: Statistics, space: SpaceConfig) -> np.ndarray:

@@ -28,7 +28,7 @@ import numpy as np
 from .decompositions import schmidt, slater_boson, slater_fermion
 from .errors import (ConvergenceError, DimensionCapError, ZeroProjectionError)
 from .operators import LowRankObservable
-from .sectors import sector_isometry
+from .sectors import SectorIsometry, sector_isometry
 from .tensor import (SpaceConfig, StateVector, Statistics,
                      basis_product_vector, project, project_amplitudes,
                      require_hermitian, subspace_dimension)
@@ -228,34 +228,39 @@ def _kron_chain(blocks) -> np.ndarray:
     return reduce(np.kron, vecs)
 
 
-def _to_sector(iso: np.ndarray | None, x: np.ndarray) -> np.ndarray:
-    """S^H x, with None standing for the identity."""
-    return x if iso is None else iso.conj().T @ x
+def _to_sector(iso: np.ndarray | SectorIsometry | None,
+               x: np.ndarray) -> np.ndarray:
+    """S^H x for a dense S or the orbit tables of one, with None
+    standing for the identity."""
+    if iso is None:
+        return x
+    if isinstance(iso, SectorIsometry):
+        return iso.adjoint(x)
+    return iso.conj().T @ x
 
 
-def _sector_basis(stats: Statistics, space: SpaceConfig):
-    """The exchange-sector isometry S of ``space`` in sparse (CSR) form,
-    with its adjoint; (None, None) where the sector is the whole space,
-    so that no identity products are done."""
+def _sector_basis(stats: Statistics, space: SpaceConfig) \
+        -> SectorIsometry | None:
+    """The exchange-sector isometry S of ``space`` as orbit tables; None
+    where the sector is the whole space, so that no identity products
+    are done."""
     if subspace_dimension(stats, space) == space.total_dim:
-        return None, None
-    iso = sector_isometry(stats, space)
-    return iso, iso.getH().tocsr()
+        return None
+    return sector_isometry(stats, space)
 
 
-def _compress(observable, iso, adjoint):
-    """The observable in the sector coordinates of ``_sector_basis``:
-    S^H L S for a dense L, or the terms (c, S^H k, S^H b) of a projected
-    low-rank observable; the observable itself where S is None.  The
-    dense product runs through the dense columns of S, whose memory is
-    bounded by that of L."""
+def _compress(observable, iso):
+    """The observable in the sector coordinates of S = ``iso``: the terms
+    (c, S^H k, S^H b) of a projected low-rank observable, or S^H L S for
+    a dense L, taken through the dense columns of S (``iso`` itself when
+    the caller already holds them), whose memory is bounded by that of
+    L; the observable itself where S is None."""
     if isinstance(observable, LowRankObservable):
-        if iso is None:
-            return list(observable.terms)
-        return [(c, adjoint @ k, adjoint @ b) for c, k, b in observable.terms]
+        return [(c, _to_sector(iso, k), _to_sector(iso, b))
+                for c, k, b in observable.terms]
     if iso is None:
         return np.asarray(observable)
-    cols = iso.toarray()
+    cols = iso.toarray() if isinstance(iso, SectorIsometry) else iso
     return cols.conj().T @ observable @ cols
 
 
@@ -272,9 +277,9 @@ class _Solver:
     and every diagnostic stay in full-space coordinates.  The party
     matrices are contracted in the coordinates of the whole space's
     exchange sector, through its isometry S: P q = S (S^H q), and a
-    dense numerator is y^H (S^H L S) y with y = S^H q.  ``stationarity``
-    stays on the permutation-sum projector, so it checks the sector
-    route independently.
+    dense numerator is y^H (S^H L S) y and the overlap y^H y, with
+    y = S^H q.  ``stationarity`` stays on the permutation-sum projector,
+    so it checks the sector route independently.
     """
 
     def __init__(self, problem: SevalueProblem):
@@ -355,25 +360,27 @@ class _Solver:
         if j not in self._isometries:
             if self.partition.k == 1:
                 # the one block is the whole space, whose S is shared
-                iso = self.sector()[0]
+                iso = self.sector()
             else:
-                iso, _ = _sector_basis(self.stats, SpaceConfig(
+                iso = _sector_basis(self.stats, SpaceConfig(
                     self.space.d, self.partition.parts[j]))
             self._isometries[j] = None if iso is None else iso.toarray()
         return self._isometries[j]
 
-    def sector(self):
-        """The whole space's sector isometry S and its adjoint, both
-        sparse, built on first use; (None, None) for the whole space."""
+    def sector(self) -> SectorIsometry | None:
+        """The whole space's sector isometry S as orbit tables, built on
+        first use; None when the sector is the whole space."""
         if self._sector is None:
             self._sector = _sector_basis(self.stats, self.space)
         return self._sector
 
     def dense_sector(self) -> np.ndarray:
         """The dense observable compressed to S^H L S, built on first
-        use."""
+        use; a single party reuses its dense S_0 = S."""
         if self._dense_sector is None:
-            self._dense_sector = _compress(self.dense, *self.sector())
+            iso = self.isometry(0) if self.partition.k == 1 \
+                else self.sector()
+            self._dense_sector = _compress(self.dense, iso)
         return self._dense_sector
 
     def party_matrices(self, blocks, j: int) -> tuple[
@@ -388,22 +395,23 @@ class _Solver:
             numer = self.dense_sector()
             overlap = np.eye(numer.shape[0], dtype=np.complex128)
             return (numer + numer.conj().T) / 2.0, overlap, iso
-        sec, sec_adjoint = self.sector()
+        sec = self.sector()
         dj = self.block_dims[j]
         embed = np.eye(dj, dtype=np.complex128) if iso is None else iso
         mj = embed.shape[1]
         left = _kron_chain(blocks[:j])
         right = _kron_chain(blocks[j + 1:])
         q = np.einsum("l,xy,r->lxry", left, embed, right).reshape(-1, mj)
-        # y = S^H q in the sector's coordinates, and P q = S y
         if sec is None:
-            y = p = q
+            # P = 1 and S_j = 1: contract q^H q over the fixed parties
+            # rather than multiply at full length
+            y = q
+            fixed_left = left.conj() @ q.reshape(left.size, -1)
+            overlap = right.conj() @ fixed_left.reshape(dj, right.size, mj)
         else:
-            y = sec_adjoint @ q
-            p = sec @ y
-        fixed_left = left.conj() @ p.reshape(left.size, -1)
-        overlap = _to_sector(iso, right.conj()
-                             @ fixed_left.reshape(dj, right.size, mj))
+            # q^H P q = y^H y with y = S^H q in the sector's coordinates
+            y = sec.adjoint(q)
+            overlap = y.conj().T @ y
         if self.lowrank is not None:
             numer = np.zeros((mj, mj), dtype=np.complex128)
             for c, kvec, bvec in self.lowrank.terms:
@@ -491,11 +499,16 @@ class _Solver:
         if beyond and basis.shape[1] < self.sector_dims[0]:
             # the sector basis vector least covered by the span, with
             # its span part removed
-            iso = sector_isometry(self.stats, self.space)
-            overlaps = (iso.conj().T @ basis).conj().T
+            sec = self.sector()
+            overlaps = _to_sector(sec, basis).conj().T
             col = int(np.argmin(np.sum(np.abs(overlaps) ** 2, axis=0)))
+            if sec is None:
+                column = np.zeros(self.space.total_dim, dtype=np.complex128)
+                column[col] = 1.0
+            else:
+                column = sec.column(col)
             value = 0.0
-            vector = iso[:, col].toarray().ravel() - basis @ overlaps[:, col]
+            vector = column - basis @ overlaps[:, col]
         vector /= np.linalg.norm(vector)
         return self.solution([vector], value, converged=True, sweeps=1)
 
@@ -749,13 +762,14 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
     bulk of the distribution.
 
     Quotients are evaluated through the combinatorial sector basis,
-    never through per-party eigensolves: S, its adjoint and the
-    compressed observable come from the same helpers as the sweep's
-    party matrices.  The sweep reads that basis too, so the check on it
-    lies elsewhere: the solver's stationarity diagnostics stay on the
-    permutation-sum projector, and the tests compare ``sector_isometry``
-    with that projector.  Samples with numerically zero projection are
-    skipped.  Deterministic for a fixed seed.
+    never through per-party eigensolves: S, whose orbit tables apply
+    S^H by gathers, and the compressed observable come from the same
+    helpers as the sweep's party matrices.  The sweep reads that basis
+    too, so the check on it lies elsewhere: the solver's stationarity
+    diagnostics stay on the permutation-sum projector, and the tests
+    compare ``sector_isometry`` with that projector.  Samples with
+    numerically zero projection are skipped.  Deterministic for a fixed
+    seed.
 
     Each chunk of up to 256 samples builds one complex block per party
     from a single draw of normals, then scales, re-centres and
@@ -775,10 +789,9 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
     """
     samples = check_samples(samples)
     space, stats = problem.space, problem.stats
-    isometry, adjoint = _sector_basis(stats, space)
+    isometry = _sector_basis(stats, space)
     if isinstance(problem.operator, LowRankObservable):
-        compressed = _compress(problem.operator.projected(stats), isometry,
-                               adjoint)
+        compressed = _compress(problem.operator.projected(stats), isometry)
         coeffs = np.array([c for c, _k, _b in compressed])
         # rows <k_t| and <b_t|: kets @ x and bras @ x give every term's
         # overlaps with a batch of vectors x at once
@@ -786,20 +799,20 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
         bras = np.array([np.ravel(b).conj() for _c, _k, b in compressed])
         dense_sec = None
     else:
-        dense_sec = _compress(problem.operator, isometry, adjoint)
+        dense_sec = _compress(problem.operator, isometry)
     dims = problem.partition.block_dims(space.d)
 
     def evaluate(blocks):
         """Quotients of a batch of product vectors.
 
         Each per-party block has shape (party_dim, batch): keeping the
-        batch on the trailing, contiguous axis lets the sparse sector
-        compression run without copies."""
+        batch on the trailing, contiguous axis makes each gather of the
+        sector compression S^H copy whole rows."""
         count = blocks[0].shape[1]
         vecs = blocks[0]
         for block in blocks[1:]:
             vecs = (vecs[:, None, :] * block[None, :, :]).reshape(-1, count)
-        coords = adjoint @ vecs if adjoint is not None else vecs
+        coords = _to_sector(isometry, vecs)
         denom = _column_norms_sq(coords)
         quotients = np.full(count, -math.inf)
         valid = denom > 1e-14

@@ -77,15 +77,14 @@ def reference_brute_force_bound(problem, samples, seed=0):
     if samples < 1:
         raise ValueError("samples must be >= 1")
     space, stats = problem.space, problem.stats
-    isometry, adjoint = _sector_basis(stats, space)
+    isometry = _sector_basis(stats, space)
     if isinstance(problem.operator, LowRankObservable):
-        compressed = _compress(problem.operator.projected(stats), isometry,
-                               adjoint)
+        compressed = _compress(problem.operator.projected(stats), isometry)
         term_kets = [(c, np.asarray(k).ravel().conj(),
                       np.asarray(b).ravel()) for c, k, b in compressed]
         dense_sec = None
     else:
-        dense_sec = _compress(problem.operator, isometry, adjoint)
+        dense_sec = _compress(problem.operator, isometry)
         term_kets = None
     dims = problem.partition.block_dims(space.d)
 
@@ -94,7 +93,7 @@ def reference_brute_force_bound(problem, samples, seed=0):
         vecs = blocks[0]
         for block in blocks[1:]:
             vecs = (vecs[:, None, :] * block[None, :, :]).reshape(-1, count)
-        coords = adjoint @ vecs if adjoint is not None else vecs
+        coords = isometry.adjoint(vecs) if isometry is not None else vecs
         denom = np.einsum("dc,dc->c", coords.real, coords.real) \
             + np.einsum("dc,dc->c", coords.imag, coords.imag)
         quotients = np.full(count, -math.inf)

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,32 @@ def _run(capsys, argv):
 def _run_json(capsys, argv):
     code, out = _run(capsys, argv)
     return code, (json.loads(out) if out else None)
+
+
+# ---------------------------------------------------------------------------
+# cold start
+
+def test_cli_runs_without_scipy(tmp_path):
+    # a fresh interpreter in which importing scipy fails: sepwit and its
+    # CLI load no scipy module and a small verified fig1 run succeeds
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import sepwit, sepwit.cli\n"
+        "loaded = [name for name, mod in sys.modules.items()\n"
+        "          if name.split('.')[0] == 'scipy' and mod is not None]\n"
+        "assert not loaded, loaded\n"
+        "sys.exit(sepwit.cli.main(['fig1', '--verify', '--d-max', '2',\n"
+        "                          '--starts', '2']))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["command"] == "fig1"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sepwit import (DensityOperator, SpaceConfig, StateVector, Statistics,
                     appendix_b_states, basis_product_vector,
@@ -7,6 +8,7 @@ from sepwit import (DensityOperator, SpaceConfig, StateVector, Statistics,
                     partial_trace_first, product_vector, project, schmidt,
                     slater_boson, slater_fermion, takagi_skew,
                     takagi_symmetric)
+from sepwit.decompositions import null_space, orth
 from sepwit.errors import HermiticityError
 
 from conftest import crandn, random_unitary
@@ -294,3 +296,38 @@ def test_partial_separability_rank_gap(rng):
             projected = project(stats, product_vector(space, factors))
             rho = DensityOperator.from_pure(projected.normalized())
             assert numerical_rank(partial_trace_first(rho)) <= 3
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(1, 7), n=st.integers(1, 7), rank=st.integers(0, 7),
+       seed=st.integers(0, 2**32 - 1))
+def test_orth_and_null_space_split_the_columns(m, n, rank, seed):
+    # a product of complex Gaussian factors has rank min(rank, m, n);
+    # rank 0 is the zero matrix
+    rng = np.random.default_rng(seed)
+    rank = min(rank, m, n)
+    mat = crandn(rng, m, rank) @ crandn(rng, rank, n)
+    basis = orth(mat)
+    kernel = null_space(mat)
+    assert basis.shape == (m, rank)
+    assert kernel.shape == (n, n - rank)
+    assert basis.shape[1] + kernel.shape[1] == n
+    for q in (basis, kernel):
+        assert np.abs(q.conj().T @ q - np.eye(q.shape[1])).max(initial=0.0) \
+            <= 1e-12
+    scale = max(1.0, float(np.abs(mat).max(initial=0.0)))
+    # the same span: projecting onto range(basis) keeps every column
+    assert np.abs(basis @ (basis.conj().T @ mat) - mat).max(initial=0.0) \
+        <= 1e-12 * scale
+    # the kernel is annihilated
+    assert np.abs(mat @ kernel).max(initial=0.0) <= 1e-12 * scale
+
+
+def test_orth_and_null_space_cutoff_is_relative():
+    # singular values below eps * max(m, n) * s_max count as zero
+    mat = np.diag([1.0, 1e-17, 0.0])
+    assert orth(mat).shape == (3, 1)
+    assert null_space(mat).shape == (3, 2)
+    assert orth(np.zeros((2, 3))).shape == (2, 0)
+    assert np.allclose(null_space(np.zeros((2, 3))).conj().T
+                       @ null_space(np.zeros((2, 3))), np.eye(3))

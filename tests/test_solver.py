@@ -15,7 +15,8 @@ from sepwit import (LowRankObservable, Partition, SevalueProblem, SpaceConfig,
                     transformed_observable, verify_second_form)
 from sepwit.witness import build_k_witness
 from sepwit.errors import DimensionCapError, ZeroProjectionError
-from sepwit.sectors import sector_basis_vectors, sector_isometry
+from sepwit.sectors import (SectorIsometry, sector_basis_vectors,
+                            sector_isometry)
 from sepwit.solver import _crandn, _Solver
 
 from conftest import (contracted_operator, crandn, random_hermitian,
@@ -456,13 +457,23 @@ def test_party_isometries_built_once_per_solve(monkeypatch, rng):
     assert calls == []
     assert compressions == []
     # a single dense party is the whole space: its S_j is the sector's
-    # S, built once, and its party matrices are S^H L S and 1
+    # S, built and densified once, and its party matrices are S^H L S
+    # and 1
+    dense_builds = []
+
+    def counting_toarray(self):
+        dense_builds.append(self.shape)
+        return toarray(self)
+
+    toarray = SectorIsometry.toarray
+    monkeypatch.setattr(SectorIsometry, "toarray", counting_toarray)
     space = SpaceConfig(9, 3)
     observable = random_hermitian(rng, space.total_dim)
     single = SevalueProblem(observable, Statistics.FERMION, Partition((3,)),
                             space)
     value = solve_sup_g(single, starts=1, seed=0).value
     assert calls == [3]
+    assert dense_builds == [(729, 84)]
     iso = sector_basis_vectors(Statistics.FERMION, space)
     top = np.linalg.eigvalsh(iso.conj().T @ observable @ iso)[-1]
     assert abs(value - top) <= 1e-9
@@ -486,6 +497,35 @@ def test_single_party_lowrank_matches_sector_spectrum(rng, stats):
         sol = solve_sup_g(problem, starts=1, seed=2, mode=mode).best
         assert abs(sol.value - want) <= 1e-12
         assert sol.residual <= 1e-12
+
+
+@pytest.mark.parametrize("stats", [Statistics.DISTINGUISHABLE,
+                                   Statistics.FERMION])
+def test_single_party_lowrank_negative_term_reaches_zero(monkeypatch, rng,
+                                                         stats):
+    # -|psi><psi| has its maximum 0 off the span of psi: the solution is
+    # the sector basis column least covered by psi, with psi's part
+    # removed, taken from the solve's own S (none for distinguishable)
+    import sepwit.solver as solver_module
+    calls = []
+
+    def counting(stats, space):
+        calls.append(space.n)
+        return sector_isometry(stats, space)
+
+    monkeypatch.setattr(solver_module, "sector_isometry", counting)
+    space = SpaceConfig(4, 3)
+    psi = project(stats, StateVector(space, crandn(rng, space.total_dim)))
+    psi = psi.normalized().amplitudes
+    observable = LowRankObservable(space, ((-1.0, psi, psi),))
+    problem = SevalueProblem(observable, stats, Partition((3,)), space)
+    sol = solve_sup_g(problem, starts=1, seed=0).best
+    vector = sol.party_vectors[0]
+    assert sol.value == 0.0
+    assert abs(np.linalg.norm(vector) - 1.0) <= 1e-12
+    assert abs(psi.conj() @ vector) <= 1e-12
+    assert sol.residual <= 1e-12
+    assert len(calls) <= (1 if stats.is_projected else 0)
 
 
 def test_single_party_lowrank_shortcut_above_dense_cap(monkeypatch):

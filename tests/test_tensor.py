@@ -9,7 +9,8 @@ from sepwit import (DensityOperator, Permutation, SpaceConfig, StateVector,
                     project, projector_matrix, subspace_dimension,
                     symmetrize_operator, unflatten_index)
 from sepwit.errors import DimensionCapError, HermiticityError
-from sepwit.sectors import sector_basis_vectors
+from sepwit.sectors import (sector_basis_labels, sector_basis_vectors,
+                            sector_isometry)
 from sepwit.tensor import project_amplitudes
 
 from conftest import crandn, project_full_sum, random_hermitian
@@ -236,6 +237,43 @@ def test_sector_isometry_matches_projector(stats, d, n):
     assert np.abs(gram - np.eye(iso.shape[1])).max(initial=0.0) <= 1e-12
     want = project_full_sum(stats, np.eye(space.total_dim), space)
     assert np.abs(iso @ iso.conj().T - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("stats", list(Statistics))
+@pytest.mark.parametrize("d,n", [(3, 1), (2, 3), (3, 4), (4, 3), (8, 4)])
+def test_sector_isometry_kernels_match_dense(rng, stats, d, n):
+    # S^H x on one vector and on a (dim, batch) array, the dense S and a
+    # single column all agree with the normalised projections P|label>
+    # of the sector's basis labels; n > d leaves the fermion sector empty
+    space = SpaceConfig(d, n)
+    iso = sector_isometry(stats, space)
+    labels = sector_basis_labels(stats, space)
+    assert iso.shape == (space.total_dim, len(labels))
+    # a spread of columns, every one of them on the small spaces
+    cols = list(range(0, len(labels), max(1, len(labels) // 40)))
+    units = np.zeros((space.total_dim, len(cols)), dtype=np.complex128)
+    for at, col in enumerate(cols):
+        units[flatten_index(labels[col], space), at] = 1.0
+    want = project_full_sum(stats, units, space)
+    want /= np.linalg.norm(want, axis=0)
+    x = crandn(rng, space.total_dim, 5)
+    coords = iso.adjoint(x)
+    assert coords.shape == (len(labels), 5)
+    assert np.abs(coords[cols] - want.conj().T @ x).max(initial=0.0) <= 1e-12
+    assert np.abs(iso.adjoint(x[:, 0]) - coords[:, 0]).max(initial=0.0) \
+        <= 1e-12
+    for at, col in enumerate(cols):
+        assert np.abs(iso.column(col) - want[:, at]).max() <= 1e-12
+    with pytest.raises(IndexError):
+        iso.column(len(labels))
+    with pytest.raises(ValueError):
+        iso.adjoint(x[1:])
+    # the dense S of the 4096-dim distinguishable space would be 256 MiB
+    if space.total_dim * len(labels) <= 4096 * 512:
+        dense = sector_basis_vectors(stats, space)
+        assert dense.shape == iso.shape
+        assert np.abs(dense[:, cols] - want).max(initial=0.0) <= 1e-12
+        assert np.abs(dense.conj().T @ x - coords).max(initial=0.0) <= 1e-12
 
 
 def test_subspace_dimension_values():
