@@ -296,6 +296,12 @@ class _Solver:
         if isinstance(problem.operator, LowRankObservable):
             self.lowrank = problem.operator.projected(problem.stats)
             self.dense = None
+            terms = self.lowrank.terms
+            # coefficients c_t and the columns k_1..k_T, b_1..b_T of the
+            # projected terms, contracted onto a party all at once
+            self.coeffs = np.array([c for c, _k, _b in terms])
+            self.term_vectors = np.column_stack(
+                [k for _c, k, _b in terms] + [b for _c, _k, b in terms])
         else:
             self.lowrank = None
             self.dense = problem.operator
@@ -383,50 +389,61 @@ class _Solver:
             self._dense_sector = _compress(self.dense, iso)
         return self._dense_sector
 
-    def party_matrices(self, blocks, j: int) -> tuple[
-            np.ndarray, np.ndarray, np.ndarray | None]:
-        """Contracted (numerator, overlap) pair S_j^H A_j S_j,
-        S_j^H B_j S_j for party j with the other blocks held fixed,
-        together with S_j (None for the identity)."""
+    def party_matrices(self, blocks, j: int) -> tuple:
+        """Party j's equation A_j x = g B_j x with the other blocks held
+        fixed, in its block's sector coordinates, as (numerator, overlap,
+        S_j), with S_j None for the identity.
+
+        The numerator is S_j^H A_j S_j, or, for a low-rank observable,
+        its contracted terms (c, V), never an m x m matrix: A_j =
+        sum_t c_t a_t b_t^H, and V holds S_j^H a_1..a_T, then
+        S_j^H b_1..b_T, as columns.  The overlap is S_j^H B_j S_j, or a
+        scalar s standing for s times the identity where it is one:
+        ||left||^2 ||right||^2 where P = 1, and 1 for a single party,
+        whose sector coordinates are those of the whole sector.
+        """
         iso = self.isometry(j)
         if self.partition.k == 1:
             # a single dense party spans the whole space, so S_j = S,
             # y = S^H S = 1 and the pair is (S^H L S, 1)
             numer = self.dense_sector()
-            overlap = np.eye(numer.shape[0], dtype=np.complex128)
-            return (numer + numer.conj().T) / 2.0, overlap, iso
+            return (numer + numer.conj().T) / 2.0, 1.0, iso
         sec = self.sector()
         dj = self.block_dims[j]
-        embed = np.eye(dj, dtype=np.complex128) if iso is None else iso
-        mj = embed.shape[1]
         left = _kron_chain(blocks[:j])
         right = _kron_chain(blocks[j + 1:])
-        q = np.einsum("l,xy,r->lxry", left, embed, right).reshape(-1, mj)
+        if self.lowrank is not None:
+            numer = (self.coeffs, _to_sector(iso, self._contract_fixed(
+                self.term_vectors, left, right, dj)))
         if sec is None:
-            # P = 1 and S_j = 1: contract q^H q over the fixed parties
-            # rather than multiply at full length
+            # P = 1 and S_j = 1: q^H q is ||left||^2 ||right||^2 times
+            # the identity
+            overlap = float(np.vdot(left, left).real
+                            * np.vdot(right, right).real)
+            if self.lowrank is not None:
+                return numer, overlap, iso
+        embed = np.eye(dj, dtype=np.complex128) if iso is None else iso
+        q = np.einsum("l,xy,r->lxry", left, embed, right).reshape(
+            -1, embed.shape[1])
+        if sec is None:
             y = q
-            fixed_left = left.conj() @ q.reshape(left.size, -1)
-            overlap = right.conj() @ fixed_left.reshape(dj, right.size, mj)
         else:
             # q^H P q = y^H y with y = S^H q in the sector's coordinates
             y = sec.adjoint(q)
             overlap = y.conj().T @ y
-        if self.lowrank is not None:
-            numer = np.zeros((mj, mj), dtype=np.complex128)
-            for c, kvec, bvec in self.lowrank.terms:
-                ka, ba = (_to_sector(iso, self._contract_fixed(
-                    v, left, right, dj)) for v in (kvec, bvec))
-                numer += c * np.outer(ka, ba.conj())
-        else:
+            overlap = (overlap + overlap.conj().T) / 2.0
+        if self.lowrank is None:
             numer = y.conj().T @ (self.dense_sector() @ y)
-        numer = (numer + numer.conj().T) / 2.0
-        overlap = (overlap + overlap.conj().T) / 2.0
+            numer = (numer + numer.conj().T) / 2.0
         return numer, overlap, iso
 
     def _contract_fixed(self, full_vec, left, right, dj) -> np.ndarray:
+        """<left| x 1 x <right| applied to a full-space vector, or to each
+        column of a (dim, batch) array."""
         fixed_left = left.conj() @ full_vec.reshape(left.size, -1)
-        return fixed_left.reshape(dj, right.size) @ right.conj()
+        if full_vec.ndim == 1:
+            return fixed_left.reshape(dj, right.size) @ right.conj()
+        return right.conj() @ fixed_left.reshape(dj, right.size, -1)
 
     # -- the sweep ------------------------------------------------------------
 
@@ -478,67 +495,134 @@ class _Solver:
         """K = 1 with a low-rank observable: P L P vanishes off the span
         of the projected term vectors, so its extremal eigenvalue on the
         sector is the span's, or 0 when that lies beyond it and the span
-        misses part of the sector."""
-        terms = self.lowrank.terms
-        vecs = []
-        for _c, k, b in terms:
-            vecs.extend([k, b])
-        stacked = np.column_stack(vecs)
-        u, s, _ = np.linalg.svd(stacked, full_matrices=False)
-        keep = s > max(s[0], 1e-300) * 1e-12
-        basis = u[:, keep]
-        small = np.zeros((basis.shape[1],) * 2, dtype=np.complex128)
-        for c, k, b in terms:
-            small += c * np.outer(basis.conj().T @ k, (basis.conj().T @ b).conj())
-        small = (small + small.conj().T) / 2.0
-        vals, vecs_small = np.linalg.eigh(small)
-        idx = -1 if mode == "max" else 0
-        value = float(vals[idx])
-        vector = basis @ vecs_small[:, idx]
-        beyond = value < 0.0 if mode == "max" else value > 0.0
-        if beyond and basis.shape[1] < self.sector_dims[0]:
+        misses part of the sector (``_span_extremum``)."""
+        value, span, vecs = _span_extremum(self.coeffs, self.term_vectors,
+                                           mode, self.sector_dims[0])
+        if vecs is not None:
+            vector = span @ vecs[:, -1 if mode == "max" else 0]
+        else:
             # the sector basis vector least covered by the span, with
             # its span part removed
             sec = self.sector()
-            overlaps = _to_sector(sec, basis).conj().T
-            col = int(np.argmin(np.sum(np.abs(overlaps) ** 2, axis=0)))
+            cover = _to_sector(sec, span)
+            col = int(np.argmin(np.sum(np.abs(cover) ** 2, axis=1)))
             if sec is None:
                 column = np.zeros(self.space.total_dim, dtype=np.complex128)
                 column[col] = 1.0
             else:
                 column = sec.column(col)
-            value = 0.0
-            vector = column - basis @ overlaps[:, col]
+            vector = column - span @ cover[col].conj()
         vector /= np.linalg.norm(vector)
         return self.solution([vector], value, converged=True, sweeps=1)
 
 
-def _generalized_step(numer: np.ndarray, overlap: np.ndarray,
-                      previous: np.ndarray, mode: str) -> tuple[float, np.ndarray]:
-    """Extremal eigenpair of numer x = g overlap x on range(overlap)."""
-    w, e = np.linalg.eigh(overlap)
-    wmax = float(w[-1])
+def _span_extremum(coeffs: np.ndarray, vectors: np.ndarray, mode: str,
+                   dim: int) -> tuple[float, np.ndarray, np.ndarray | None]:
+    """Extremal eigenvalue of H = sum_t c_t k_t b_t^H, Hermitian as a
+    whole, on a space of dimension ``dim``; ``vectors`` holds k_1..k_T,
+    then b_1..b_T, as columns.
+
+    H vanishes off the span of its term vectors, so the value is the
+    extremum of H on an orthonormal basis of that span, one eigh of size
+    at most 2T, or 0 where that extremum lies beyond 0 and the span has
+    fewer than ``dim`` dimensions.  Returns the value, the span basis
+    and the extremal eigenvectors in the basis's coordinates (every one
+    within 1e-9 relative of the value, ascending), the last None where
+    the value is that 0.
+    """
+    u, s, vh = np.linalg.svd(vectors, full_matrices=False)
+    rank = int(np.count_nonzero(s > s[0] * 1e-12))
+    span = u[:, :rank]
+    if not rank:
+        # every term vector vanishes, and so does H
+        return 0.0, span, None
+    # the term vectors' coordinates on the span basis
+    coords = s[:rank, None] * vh[:rank]
+    t = coeffs.size
+    small = (coords[:, :t] * coeffs) @ coords[:, t:].conj().T
+    vals, vecs = np.linalg.eigh((small + small.conj().T) / 2.0)
+    target = float(vals[-1] if mode == "max" else vals[0])
+    if rank < dim and (target < 0.0 if mode == "max" else target > 0.0):
+        return 0.0, span, None
+    tol = max(1e-12, 1e-9 * abs(target))
+    return target, span, vecs[:, np.abs(vals - target) <= tol]
+
+
+def _generalized_step(numer, overlap, previous: np.ndarray,
+                      mode: str) -> tuple[float, np.ndarray]:
+    """Extremal eigenpair of numer x = g overlap x on range(overlap), for
+    the forms that ``_Solver.party_matrices`` returns.
+
+    A matrix overlap is whitened through its eigendecomposition, cut at
+    B_RANGE_CUTOFF; a scalar one is divided out.  A matrix numerator is
+    solved by eigh of its whitened form, a term list (c, V) in the span
+    of its whitened term vectors (``_span_extremum``).  Where the
+    extremum is the 0 that the terms take off that span, the vector is
+    the unit vector of the zero eigenspace closest to ``previous``, or,
+    where ``previous`` has no part in it, the range coordinate vector
+    least covered by the span, with its span part removed.  Among
+    numerically degenerate extremal eigenvectors the one closest to
+    ``previous`` is kept; the result is phase-aligned with ``previous``.
+    """
+    scalar = isinstance(overlap, float)
+    if scalar:
+        wmax = overlap
+    else:
+        w, e = np.linalg.eigh(overlap)
+        wmax = float(w[-1])
     if wmax <= 1e-14:
         raise ZeroProjectionError("projected overlap operator is numerically zero")
-    keep = w > wmax * B_RANGE_CUTOFF
-    basis = e[:, keep] / np.sqrt(w[keep])
-    reduced = basis.conj().T @ numer @ basis
-    reduced = (reduced + reduced.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(reduced)
-    target = vals[-1] if mode == "max" else vals[0]
-    tol = max(1e-12, 1e-9 * abs(target))
-    candidates = np.nonzero(np.abs(vals - target) <= tol)[0]
-    best_overlap, best_vec = -1.0, None
-    for idx in candidates:
-        cand = basis @ vecs[:, idx]
-        cand /= np.linalg.norm(cand)
-        score = abs(previous.conj() @ cand)
-        if score > best_overlap:
-            best_overlap, best_vec = score, cand
-    phase = previous.conj() @ best_vec
+    # x = basis z turns the pair into a standard problem in z on
+    # range(overlap); for a scalar overlap the basis is a scale
+    if scalar:
+        basis = 1.0 / math.sqrt(wmax)
+    else:
+        cut = int(np.count_nonzero(w <= wmax * B_RANGE_CUTOFF))
+        basis = e[:, cut:] / np.sqrt(w[cut:])
+    if isinstance(numer, np.ndarray):
+        if scalar:
+            reduced = numer / wmax
+        else:
+            reduced = basis.conj().T @ numer @ basis
+        vals, vecs = np.linalg.eigh((reduced + reduced.conj().T) / 2.0)
+        target = float(vals[-1] if mode == "max" else vals[0])
+        tol = max(1e-12, 1e-9 * abs(target))
+        vecs = vecs[:, np.abs(vals - target) <= tol]
+        cands = vecs * basis if scalar else basis @ vecs
+    else:
+        coeffs, vectors = numer
+        whitened = vectors * basis if scalar \
+            else basis.conj().T @ vectors
+        target, span, vecs = _span_extremum(coeffs, whitened, mode,
+                                            whitened.shape[0])
+        if vecs is not None:
+            vecs = span @ vecs
+            cands = vecs * basis if scalar else basis @ vecs
+        else:
+            # the zero eigenspace: in the range coordinates alpha of the
+            # overlap's eigenvectors e, with z = sqrt(w) alpha, it is the
+            # complement of sqrt(w) span (of span for a scalar overlap)
+            if scalar:
+                cover, start = span, previous
+            else:
+                cover, _ = np.linalg.qr(np.sqrt(w[cut:])[:, None] * span)
+                start = e[:, cut:].conj().T @ previous
+            alpha = start - cover @ (cover.conj().T @ start)
+            if np.linalg.norm(alpha) <= 1e-8 * np.linalg.norm(start):
+                col = int(np.argmin(np.sum(np.abs(cover) ** 2, axis=1)))
+                alpha = -(cover @ cover[col].conj())
+                alpha[col] += 1.0
+            cands = (alpha if scalar else e[:, cut:] @ alpha)[:, None]
+    best = cands[:, 0]
+    if cands.shape[1] > 1:
+        scores = np.abs(previous.conj() @ cands) \
+            / np.linalg.norm(cands, axis=0)
+        best = cands[:, int(np.argmax(scores))]
+    best = best / math.sqrt(np.vdot(best, best).real)
+    phase = np.vdot(previous, best)
     if abs(phase) > 1e-12:
-        best_vec = best_vec * (phase.conjugate() / abs(phase))
-    return float(target), best_vec
+        best = best * (phase.conjugate() / abs(phase))
+    return target, best
 
 
 def sweep_solve(problem: SevalueProblem, init,
@@ -823,8 +907,8 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
             numer = np.einsum("t,tc,tc->c", coeffs, (kets @ coords).conj(),
                               bras @ coords).real
         else:
-            numer = np.einsum("dc,de,ec->c", coords.conj(), dense_sec,
-                              coords, optimize=True).real
+            numer = np.einsum("dc,dc->c", coords.conj(),
+                              dense_sec @ coords).real
         quotients[valid] = numer[valid] / denom[valid]
         return quotients
 

@@ -6,7 +6,8 @@ import pytest
 
 from sepwit import LowRankObservable, Permutation
 from sepwit.errors import ZeroProjectionError
-from sepwit.solver import _ORACLE_CHUNK, _compress, _sector_basis
+from sepwit.solver import (B_RANGE_CUTOFF, _ORACLE_CHUNK, _compress,
+                           _sector_basis)
 
 
 def crandn(rng, *shape):
@@ -66,6 +67,50 @@ def contracted_operator(operator, party_vectors, j, partition, space):
     out_axes = list(partition.slots(j)) + [n + s for s in partition.slots(j)]
     dj = d ** partition.parts[j]
     return np.einsum(*operands, out_axes, optimize=True).reshape(dj, dj)
+
+
+def dense_party_matrices(numer, overlap):
+    """The m x m matrices behind ``_Solver.party_matrices``'s return
+    forms: a term list (c, V) becomes sum_t c_t V[:, t] V[:, T + t]^H
+    and a scalar overlap that multiple of the identity."""
+    if isinstance(numer, tuple):
+        coeffs, vectors = numer
+        t = coeffs.size
+        numer = (vectors[:, :t] * coeffs) @ vectors[:, t:].conj().T
+    if np.ndim(overlap) == 0:
+        overlap = overlap * np.eye(numer.shape[0], dtype=np.complex128)
+    return numer, overlap
+
+
+def reference_generalized_step(numer, overlap, previous, mode):
+    """Reference party step: the m x m form that ``_generalized_step``
+    replaced for scalar overlaps and term lists.  It whitens a dense
+    overlap with one eigh, solves the dense reduced numerator with a
+    second, and keeps the extremal eigenvector closest to ``previous``,
+    phase-aligned with it."""
+    w, e = np.linalg.eigh(overlap)
+    wmax = float(w[-1])
+    if wmax <= 1e-14:
+        raise ZeroProjectionError("projected overlap operator is numerically zero")
+    keep = w > wmax * B_RANGE_CUTOFF
+    basis = e[:, keep] / np.sqrt(w[keep])
+    reduced = basis.conj().T @ numer @ basis
+    reduced = (reduced + reduced.conj().T) / 2.0
+    vals, vecs = np.linalg.eigh(reduced)
+    target = vals[-1] if mode == "max" else vals[0]
+    tol = max(1e-12, 1e-9 * abs(target))
+    candidates = np.nonzero(np.abs(vals - target) <= tol)[0]
+    best_overlap, best_vec = -1.0, None
+    for idx in candidates:
+        cand = basis @ vecs[:, idx]
+        cand /= np.linalg.norm(cand)
+        score = abs(previous.conj() @ cand)
+        if score > best_overlap:
+            best_overlap, best_vec = score, cand
+    phase = previous.conj() @ best_vec
+    if abs(phase) > 1e-12:
+        best_vec = best_vec * (phase.conjugate() / abs(phase))
+    return float(target), best_vec
 
 
 def reference_brute_force_bound(problem, samples, seed=0):

@@ -17,10 +17,11 @@ from sepwit.witness import build_k_witness
 from sepwit.errors import DimensionCapError, ZeroProjectionError
 from sepwit.sectors import (SectorIsometry, sector_basis_vectors,
                             sector_isometry)
-from sepwit.solver import _crandn, _Solver
+from sepwit.solver import RESIDUAL_TOL, _crandn, _generalized_step, _Solver
 
-from conftest import (contracted_operator, crandn, random_hermitian,
-                      random_unitary, reference_brute_force_bound)
+from conftest import (contracted_operator, crandn, dense_party_matrices,
+                      random_hermitian, random_unitary,
+                      reference_brute_force_bound, reference_generalized_step)
 
 
 def _random_sector_state(rng, d, stats):
@@ -125,6 +126,11 @@ def test_party_matrices_match_contracted_operator(rng, stats, parts):
         _, _, defects = solver.stationarity(blocks, g)
         for j, iso in enumerate(isometries):
             numer, overlap, _ = solver.party_matrices(blocks, j)
+            # a low-rank numerator comes as its contracted terms, and the
+            # overlap as a scalar where P = 1
+            assert isinstance(numer, tuple) == (observable is low_rank)
+            assert (np.ndim(overlap) == 0) == (not stats.is_projected)
+            numer, overlap = dense_party_matrices(numer, overlap)
             for got, full in ((numer, sandwich), (overlap, proj)):
                 want = iso.conj().T @ contracted_operator(
                     full, blocks, j, partition, space) @ iso
@@ -146,6 +152,95 @@ def test_party_matrices_match_contracted_operator(rng, stats, parts):
     sol = sweep_solve(problem, [crandn(rng, d ** nk) for nk in parts])
     for b, iso in zip(sol.party_vectors, isometries):
         assert np.abs(iso @ (iso.conj().T @ b) - b).max() <= 1e-10
+
+
+def _random_observable(rng, kind, space):
+    dim = space.total_dim
+    if kind == "dense":
+        return random_hermitian(rng, dim)
+    k1, k2, b2 = (crandn(rng, dim) for _ in range(3))
+    c2 = complex(crandn(rng))
+    return LowRankObservable(space, ((0.7, k1, k1), (c2, k2, b2),
+                                     (c2.conjugate(), b2, k2)))
+
+
+@pytest.mark.parametrize("stats", list(Statistics))
+@pytest.mark.parametrize("parts", [(1, 1), (2, 1), (1, 2), (1, 1, 1)])
+@pytest.mark.parametrize("mode", ["max", "min"])
+@pytest.mark.parametrize("kind", ["dense", "low-rank"])
+def test_party_step_matches_dense_reference(rng, stats, parts, mode, kind):
+    # the step on scalar overlaps and term lists reaches the value of the
+    # m x m step on the densified matrices, and its vector attains it;
+    # three sweeps of steps, each from the vectors the last one left
+    partition = Partition(parts)
+    space = SpaceConfig(3, partition.n)
+    problem = SevalueProblem(_random_observable(rng, kind, space), stats,
+                             partition, space)
+    solver = _Solver(problem)
+    blocks = [crandn(rng, 3 ** nk) for nk in parts]
+    blocks = [b / np.linalg.norm(b) for b in blocks]
+    for _sweep in range(3):
+        for j in range(partition.k):
+            numer, overlap, iso = solver.party_matrices(blocks, j)
+            previous = blocks[j] if iso is None else iso.conj().T @ blocks[j]
+            value, vec = _generalized_step(numer, overlap, previous, mode)
+            numer, overlap = dense_party_matrices(numer, overlap)
+            want, _ = reference_generalized_step(numer, overlap, previous,
+                                                 mode)
+            scale = max(1.0, abs(want))
+            assert abs(value - want) <= 1e-12 * scale
+            assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
+            quotient = (vec.conj() @ numer @ vec) / (vec.conj() @ overlap @ vec)
+            assert abs(quotient - value) <= 1e-12 * scale
+            blocks[j] = vec if iso is None else iso @ vec
+
+
+@pytest.mark.parametrize("stats", list(Statistics))
+def test_party_step_zero_extremum(rng, stats):
+    # -|psi><psi| in "max" mode: each party's numerator is -|a><a|, whose
+    # span value is negative, so the extremum is the 0 taken off the span
+    space = SpaceConfig(3, 2)
+    psi = _random_sector_state(rng, 3, stats).amplitudes
+    observable = LowRankObservable(space, ((-1.0, psi, psi),))
+    problem = SevalueProblem(observable, stats, Partition((1, 1)), space)
+    solver = _Solver(problem)
+    blocks = [crandn(rng, 3) for _ in range(2)]
+    blocks = [b / np.linalg.norm(b) for b in blocks]
+    numer, overlap, _ = solver.party_matrices(blocks, 0)
+    kets = numer[1][:, :1]
+    # from a random vector, and from one inside the span, which has no
+    # part in the zero eigenspace
+    for previous in (blocks[0], kets[:, 0] / np.linalg.norm(kets[:, 0])):
+        value, vec = _generalized_step(numer, overlap, previous, "max")
+        assert value == 0.0
+        assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
+        assert abs(kets[:, 0].conj() @ vec) <= 1e-12 * np.linalg.norm(kets)
+    sol = sweep_solve(problem, blocks, mode="max")
+    assert sol.converged and sol.value == 0.0
+    assert sol.residual <= RESIDUAL_TOL
+    assert abs(psi.conj() @ sol.projected_vector.amplitudes) <= 1e-12
+
+
+def test_distinguishable_lowrank_sweep_solves_no_large_eigh(monkeypatch):
+    # N=4, d=8, partition (3, 1): a 512-mode party whose overlap is a
+    # scalar and whose numerator has 2T = 4 term vectors, so no eigh
+    # call is larger than 4
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    space = SpaceConfig(8, 4)
+    stats = Statistics.DISTINGUISHABLE
+    problem = SevalueProblem(interference_observable(space, stats), stats,
+                             Partition((3, 1)), space)
+    result = solve_sup_g(problem, starts=2, seed=0)
+    assert abs(result.value - 0.5) <= 1e-9
+    assert result.best.residual <= RESIDUAL_TOL
+    assert sizes and max(sizes) <= 4
 
 
 _PROPERTY_PARTITIONS = [p.parts for n in range(1, 5) for p in all_partitions(n)]
@@ -479,7 +574,7 @@ def test_party_isometries_built_once_per_solve(monkeypatch, rng):
     assert abs(value - top) <= 1e-9
     _, overlap, _ = _Solver(single).party_matrices(
         [crandn(rng, space.total_dim)], 0)
-    assert np.array_equal(overlap, np.eye(iso.shape[1]))
+    assert overlap == 1.0
 
 
 @pytest.mark.parametrize("stats", list(Statistics))
@@ -626,15 +721,8 @@ def test_brute_force_matches_reference(rng, stats, parts, kind):
     # halves (1, 3, 257) included
     partition = Partition(parts)
     space = SpaceConfig(3, partition.n)
-    dim = space.total_dim
-    if kind == "dense":
-        observable = random_hermitian(rng, dim)
-    else:
-        k1, k2, b2 = (crandn(rng, dim) for _ in range(3))
-        c2 = complex(crandn(rng))
-        observable = LowRankObservable(space, (
-            (0.7, k1, k1), (c2, k2, b2), (c2.conjugate(), b2, k2)))
-    problem = SevalueProblem(observable, stats, partition, space)
+    problem = SevalueProblem(_random_observable(rng, kind, space), stats,
+                             partition, space)
     for samples in (1, 2, 3, 255, 257, 700):
         for seed in (0, 1, 2):
             want = reference_brute_force_bound(problem, samples, seed)

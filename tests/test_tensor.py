@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sepwit import (DensityOperator, Permutation, SpaceConfig, StateVector,
                     Statistics, apply_permutation, basis_product_vector,
@@ -112,6 +113,23 @@ def test_projector_idempotent(rng, stats, d, n):
     twice = project(stats, once)
     scale = max(once.norm(), 1e-30)
     assert np.linalg.norm(twice.amplitudes - once.amplitudes) / scale < 1e-12
+
+
+@pytest.mark.parametrize("stats", list(Statistics))
+@settings(max_examples=20, deadline=None)
+@given(d=st.integers(1, 4), n=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_project_amplitudes_is_orthogonal_projector(stats, d, n, seed):
+    # P P = P and <x|P y> = <P x|y>: the projector is idempotent and
+    # Hermitian
+    rng = np.random.default_rng(seed)
+    space = SpaceConfig(d, n)
+    x, y = (crandn(rng, space.total_dim) for _ in range(2))
+    px, py = (project_amplitudes(stats, v, space) for v in (x, y))
+    twice = project_amplitudes(stats, px, space)
+    assert np.linalg.norm(twice - px) <= 1e-12 * np.linalg.norm(x)
+    scale = np.linalg.norm(x) * np.linalg.norm(y)
+    assert abs(np.vdot(x, py) - np.vdot(px, y)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (2, 3), (4, 3)])
