@@ -60,12 +60,6 @@ class LowRankObservable:
     def dim(self) -> int:
         return self.space.total_dim
 
-    def matvec(self, vec: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.dim, dtype=np.complex128)
-        for c, k, b in self.terms:
-            out += (c * (b.conj() @ vec)) * k
-        return out
-
     def expectation_pure(self, vec: np.ndarray) -> complex:
         """<v|L|v> for a raw amplitude vector."""
         return sum(c * (vec.conj() @ k) * (b.conj() @ vec)

@@ -11,9 +11,11 @@ distinguishable subsystems).  Stationary points satisfy one coupled
 generalized eigenvalue equation per party; the numerical solver fixes
 all parties but one, solves that party's generalized Hermitian
 eigenproblem restricted to the range of the overlap operator, and
-cycles until the quotient and the stationarity residual settle.  The
-quotient never decreases along the sweep (in "max" mode), so multistart
-ascent plus an independent random-sampling oracle brackets the bound.
+cycles until the quotient and the stationarity residual settle, for
+all random starts of a search at once.  The quotient never decreases
+along the sweep (in "max" mode), but the best stationary value found and
+the independent random-sampling oracle are both lower estimates of the
+bound: nothing here bounds it from above.
 """
 
 from __future__ import annotations
@@ -28,8 +30,10 @@ import numpy as np
 from .decompositions import schmidt, slater_boson, slater_fermion
 from .errors import (ConvergenceError, DimensionCapError, ZeroProjectionError)
 from .operators import LowRankObservable
+from .partystep import (_dag, _generalized_step, _hermitian_part,
+                        _span_extremum)
 from .sectors import SectorIsometry, sector_isometry
-from .tensor import (SpaceConfig, StateVector, Statistics,
+from .tensor import (BATCH_BYTES, SpaceConfig, StateVector, Statistics,
                      basis_product_vector, project, project_amplitudes,
                      require_hermitian, subspace_dimension)
 
@@ -37,7 +41,6 @@ DEFAULT_STARTS = 64
 MAX_SWEEPS = 500
 VALUE_TOL = 1e-11          # change of the quotient between sweeps
 RESIDUAL_TOL = 1e-9
-B_RANGE_CUTOFF = 1e-12     # relative cutoff on the overlap operator
 INIT_PROJECTION_TOL = 1e-8
 PARTY_DENSE_CAP = 512      # largest block-sector dimension solved densely
 _ORACLE_CHUNK = 256
@@ -221,11 +224,13 @@ def _apply_local(mat: np.ndarray, amplitudes: np.ndarray,
     return tens.reshape(-1)
 
 
-def _kron_chain(blocks) -> np.ndarray:
-    vecs = [np.asarray(b, dtype=np.complex128) for b in blocks]
-    if not vecs:
-        return np.ones(1, dtype=np.complex128)
-    return reduce(np.kron, vecs)
+def _kron_rows(blocks, count: int) -> np.ndarray:
+    """Row b: the Kronecker product of row b of every (count, dim) block
+    (a row of ones for no blocks)."""
+    out = np.ones((count, 1), dtype=np.complex128)
+    for block in blocks:
+        out = (out[:, :, None] * block[:, None, :]).reshape(count, -1)
+    return out
 
 
 def _to_sector(iso: np.ndarray | SectorIsometry | None,
@@ -307,49 +312,79 @@ class _Solver:
             self.dense = problem.operator
 
     # -- full-space helpers ------------------------------------------------
+    # (the party vectors of a batch of starts are the rows of one
+    # (batch, d_j) array per party)
 
     def projected_product(self, blocks) -> np.ndarray:
-        return project_amplitudes(self.stats, _kron_chain(blocks), self.space)
+        """P|b> of every start, as the rows of a (batch, dim) array."""
+        flat = _kron_rows(blocks, len(blocks[0]))
+        return project_amplitudes(self.stats, flat.T, self.space).T
 
-    def stationarity(self, blocks, value: float) -> tuple[
-            np.ndarray, np.ndarray, list[tuple[float, float]]]:
+    def stationarity(self, blocks, value):
         """P|b>, chi = P L P|b> - g P|b>, and per party j the pair
-        (||A_j b_j - g B_j b_j||, ||B_j b_j||).
+        (||A_j b_j - g B_j b_j||, ||B_j b_j||), as (batch, dim), (batch,
+        dim) and (batch, K, 2) arrays; without the batch axis for one
+        start's 1-D vectors.
 
         A_j b_j and B_j b_j are P L P|b> and P|b> with every other party
         contracted out, so each pair comes from chi and P|b> without
         building a party matrix; a single party contracts nothing.
         """
+        if np.ndim(blocks[0]) == 1:
+            out = self.stationarity([np.asarray(b)[None] for b in blocks],
+                                    [value])
+            return tuple(part[0] for part in out)
+        count = len(blocks[0])
         projected = self.projected_product(blocks)
         if self.lowrank is not None:
-            sandwich = self.lowrank.matvec(projected)
+            # sum_t c_t k_t <b_t|Pb>
+            t = self.coeffs.size
+            overlaps = (projected.conj() @ self.term_vectors)[:, t:].conj()
+            sandwich = (overlaps * self.coeffs) @ self.term_vectors[:, :t].T
         else:
-            sandwich = project_amplitudes(self.stats, self.dense @ projected,
-                                          self.space)
-        chi = sandwich - value * projected
-        defects = []
+            sandwich = project_amplitudes(self.stats, self.dense @ projected.T,
+                                          self.space).T
+        chi = sandwich - np.asarray(value, dtype=float)[:, None] * projected
+        pair = np.stack([chi, projected], axis=-1)
+        defects = np.empty((count, self.partition.k, 2))
         for j, dj in enumerate(self.block_dims):
-            left = _kron_chain(blocks[:j])
-            right = _kron_chain(blocks[j + 1:])
-            defects.append(tuple(
-                float(np.linalg.norm(self._contract_fixed(v, left, right, dj)))
-                for v in (chi, projected)))
+            defects[:, j] = np.linalg.norm(self._contract_fixed(
+                pair, _kron_rows(blocks[:j], count),
+                _kron_rows(blocks[j + 1:], count), dj), axis=1)
         return projected, chi, defects
+
+    def solutions(self, blocks, values, settled, sweeps,
+                  tol: float = math.inf) -> list:
+        """The solution records of a batch of starts, or None for one
+        whose overlap annihilates a party vector; a residual is the worst
+        per-party defect relative to ||B_j b_j||, and a start converged
+        where it settled with a residual within ``tol``."""
+        projected, chi, defects = self.stationarity(blocks, values)
+        out = []
+        for b, (defect, scale) in enumerate(defects.transpose(0, 2, 1)):
+            if scale.min() <= 0.0:
+                out.append(None)
+                continue
+            residual = float(np.max(defect / scale))
+            out.append(SevalueSolution(
+                value=float(values[b]),
+                party_vectors=tuple(block[b].copy() for block in blocks),
+                projected_vector=StateVector(self.space, projected[b]),
+                residual=residual, chi_norm=float(np.linalg.norm(chi[b])),
+                converged=bool(settled[b]) and residual <= tol,
+                sweeps=int(sweeps[b]), partition=self.partition,
+                statistics=self.stats))
+        return out
 
     def solution(self, blocks, value: float, converged: bool,
                  sweeps: int) -> SevalueSolution:
-        """The solution record at the given party vectors; its residual
-        is the worst per-party defect relative to ||B_j b_j||."""
-        projected, chi, defects = self.stationarity(blocks, value)
-        if min(scale for _, scale in defects) <= 0.0:
+        """One start's solution record at the given party vectors."""
+        sol, = self.solutions(
+            [np.asarray(b, dtype=np.complex128)[None] for b in blocks],
+            [value], [converged], [sweeps])
+        if sol is None:
             raise ZeroProjectionError("overlap annihilates a party vector")
-        return SevalueSolution(
-            value=float(value), party_vectors=tuple(blocks),
-            projected_vector=StateVector(self.space, projected),
-            residual=max(defect / scale for defect, scale in defects),
-            chi_norm=float(np.linalg.norm(chi)),
-            converged=converged, sweeps=sweeps,
-            partition=self.partition, statistics=self.stats)
+        return sol
 
     # -- party-wise operators ----------------------------------------------
 
@@ -390,9 +425,10 @@ class _Solver:
         return self._dense_sector
 
     def party_matrices(self, blocks, j: int) -> tuple:
-        """Party j's equation A_j x = g B_j x with the other blocks held
+        """Party j's equations A_j x = g B_j x with the other blocks held
         fixed, in its block's sector coordinates, as (numerator, overlap,
-        S_j), with S_j None for the identity.
+        S_j), with S_j None for the identity; the forms of a batch have a
+        leading batch axis, which one start's 1-D vectors leave out.
 
         The numerator is S_j^H A_j S_j, or, for a low-rank observable,
         its contracted terms (c, V), never an m x m matrix: A_j =
@@ -402,92 +438,137 @@ class _Solver:
         ||left||^2 ||right||^2 where P = 1, and 1 for a single party,
         whose sector coordinates are those of the whole sector.
         """
+        if np.ndim(blocks[0]) == 1:
+            numer, overlap, iso = self.party_matrices(
+                [np.asarray(b)[None] for b in blocks], j)
+            numer = numer[0] if isinstance(numer, np.ndarray) \
+                else (numer[0], numer[1][0])
+            return numer, overlap[0], iso
         iso = self.isometry(j)
+        count = len(blocks[0])
         if self.partition.k == 1:
             # a single dense party spans the whole space, so S_j = S,
             # y = S^H S = 1 and the pair is (S^H L S, 1)
-            numer = self.dense_sector()
-            return (numer + numer.conj().T) / 2.0, 1.0, iso
+            numer = _hermitian_part(self.dense_sector())
+            return (np.broadcast_to(numer, (count,) + numer.shape),
+                    np.ones(count), iso)
         sec = self.sector()
         dj = self.block_dims[j]
-        left = _kron_chain(blocks[:j])
-        right = _kron_chain(blocks[j + 1:])
+        left = _kron_rows(blocks[:j], count)
+        right = _kron_rows(blocks[j + 1:], count)
         if self.lowrank is not None:
             numer = (self.coeffs, _to_sector(iso, self._contract_fixed(
                 self.term_vectors, left, right, dj)))
         if sec is None:
             # P = 1 and S_j = 1: q^H q is ||left||^2 ||right||^2 times
             # the identity
-            overlap = float(np.vdot(left, left).real
-                            * np.vdot(right, right).real)
+            overlap = np.einsum("bl,bl->b", left.conj(), left).real \
+                * np.einsum("br,br->b", right.conj(), right).real
             if self.lowrank is not None:
                 return numer, overlap, iso
         embed = np.eye(dj, dtype=np.complex128) if iso is None else iso
-        q = np.einsum("l,xy,r->lxry", left, embed, right).reshape(
-            -1, embed.shape[1])
-        if sec is None:
-            y = q
-        else:
-            # q^H P q = y^H y with y = S^H q in the sector's coordinates
-            y = sec.adjoint(q)
-            overlap = y.conj().T @ y
-            overlap = (overlap + overlap.conj().T) / 2.0
+        mj = embed.shape[1]
+        # every start's q = left x embed x right side by side, as the
+        # columns (start, y) of rows (l, x, r)
+        outer = (left[:, :, None] * right[:, None, :]).transpose(1, 2, 0)
+        q = (outer.reshape(left.shape[1], 1, -1, 1)
+             * embed[None, :, None, :]).reshape(-1, count * mj)
+        # q^H P q = y^H y with y = S^H q in the sector's coordinates
+        y = q if sec is None else sec.adjoint(q)
+        stack = y.reshape(-1, count, mj).transpose(1, 0, 2)
+        if sec is not None:
+            overlap = _hermitian_part(_dag(stack) @ stack)
         if self.lowrank is None:
-            numer = y.conj().T @ (self.dense_sector() @ y)
-            numer = (numer + numer.conj().T) / 2.0
+            product = (self.dense_sector() @ y).reshape(-1, count, mj)
+            numer = _hermitian_part(_dag(stack) @ product.transpose(1, 0, 2))
         return numer, overlap, iso
 
-    def _contract_fixed(self, full_vec, left, right, dj) -> np.ndarray:
-        """<left| x 1 x <right| applied to a full-space vector, or to each
-        column of a (dim, batch) array."""
-        fixed_left = left.conj() @ full_vec.reshape(left.size, -1)
-        if full_vec.ndim == 1:
-            return fixed_left.reshape(dj, right.size) @ right.conj()
-        return right.conj() @ fixed_left.reshape(dj, right.size, -1)
+    def _contract_fixed(self, full, left, right, dj) -> np.ndarray:
+        """<left_b| x 1 x <right_b| applied, for every start b, to the
+        columns of full-space vectors: (batch, dim, c) in, or (dim, c)
+        shared by every start, and (batch, dj, c) out."""
+        count, dl, dr = len(left), left.shape[1], right.shape[1]
+        c = full.shape[-1]
+        fixed = left.conj()[:, None, :] @ full.reshape(-1, dl, dj * dr * c)
+        fixed = fixed.reshape(count, dj, dr, c).transpose(0, 1, 3, 2)
+        return (fixed.reshape(count, dj * c, dr) @ right.conj()[:, :, None]
+                ).reshape(count, dj, c)
 
     # -- the sweep ------------------------------------------------------------
 
-    def sweep(self, init, max_sweeps: int, tol: float, mode: str,
-              value_tol: float) -> SevalueSolution:
-        """Cyclic per-party ascent (or descent) from ``init``; see
-        sweep_solve."""
+    def sweep(self, inits, max_sweeps: int, tol: float, mode: str,
+              value_tol: float) -> list:
+        """Cyclic per-party ascent (or descent) of many starts at once.
+
+        ``inits`` holds one iterator per start over the initializations
+        (one vector per party) it may try.  The starts advance as one
+        batch, one batched step per party per sweep, with at most
+        BATCH_BYTES of stacked party arrays: the others wait and join as
+        starts leave.  A start that meets a zero projection takes its
+        next initialization and rejoins with its own sweep count.  A
+        start leaves when its quotient settles within ``value_tol`` and
+        its residual is within ``tol``, or after ``max_sweeps``.  Returns
+        each start's solution, or None where its initializations ran out.
+        """
         if mode not in ("max", "min"):
             raise ValueError("mode must be 'max' or 'min'")
-        k = self.partition.k
-        if len(init) != k:
-            raise ValueError(f"need {k} party vectors, got {len(init)}")
-        if k == 1 and self.lowrank is not None:
-            return self.solve_single_lowrank(mode)
-        blocks = []
-        for b, dim in zip(init, self.block_dims):
-            arr = np.asarray(b, dtype=np.complex128)
-            if arr.shape != (dim,):
-                raise ValueError("party vector dimension mismatch")
-            nrm = np.linalg.norm(arr)
-            if nrm == 0.0:
-                raise ZeroProjectionError(
-                    "zero party vector in initialization")
-            blocks.append(arr / nrm)
-        if np.linalg.norm(self.projected_product(blocks)) \
-                < INIT_PROJECTION_TOL:
-            raise ZeroProjectionError("initialization projects to zero")
-
-        value = math.nan
-        previous = math.nan
-        for sweep in range(1, max_sweeps + 1):
-            for j in range(k):
+        if self.partition.k == 1 and self.lowrank is not None:
+            return [self.solve_single_lowrank(mode) for _ in inits]
+        size = max(1, BATCH_BYTES // (16 * self.space.total_dim
+                                      * max(1, *self.sector_dims)))
+        out: list = [None] * len(inits)
+        # the starts in the batch, their sweeps so far, their last values
+        # and their party vectors
+        batch = [np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0)] \
+            + [np.zeros((0, dim), dtype=np.complex128)
+               for dim in self.block_dims]
+        pending = list(range(len(inits)))
+        while pending or batch[0].size:
+            # waiting starts draw their next initialization; those that
+            # project to nonzero join at the first party
+            room = size - batch[0].size
+            drawn = [(i, next(inits[i], None)) for i in pending[:room]]
+            drawn = [(i, init) for i, init in drawn if init is not None]
+            pending = pending[room:]
+            if drawn:
+                starts = np.array([i for i, _ in drawn])
+                new = [np.array(col, dtype=np.complex128)
+                       for col in zip(*(init for _, init in drawn))]
+                new = [b / np.linalg.norm(b, axis=1, keepdims=True)
+                       for b in new]
+                ok = np.linalg.norm(self.projected_product(new), axis=1) \
+                    >= INIT_PROJECTION_TOL
+                pending = starts[~ok].tolist() + pending
+                batch = [np.concatenate(pair) for pair in zip(batch, [
+                    starts[ok], np.zeros(np.count_nonzero(ok), dtype=int),
+                    np.full(np.count_nonzero(ok), np.nan)]
+                    + [b[ok] for b in new])]
+            ids, counts, previous, *blocks = batch
+            if not ids.size:
+                continue
+            counts += 1
+            lost = np.zeros(ids.size, dtype=bool)
+            for j in range(self.partition.k):
                 numer, overlap, iso = self.party_matrices(blocks, j)
-                value, coords = _generalized_step(
-                    numer, overlap, _to_sector(iso, blocks[j]), mode)
-                blocks[j] = coords if iso is None else iso @ coords
-            if sweep > 1 and abs(value - previous) <= value_tol:
-                sol = self.solution(blocks, value, converged=True,
-                                    sweeps=sweep)
-                if sol.residual <= tol:
-                    return sol
-            previous = value
-        return self.solution(blocks, value, converged=False,
-                             sweeps=max_sweeps)
+                coords = blocks[j] if iso is None \
+                    else (blocks[j].conj() @ iso).conj()
+                values, coords = _generalized_step(numer, overlap, coords,
+                                                   mode)
+                blocks[j] = coords if iso is None else coords @ iso.T
+                lost |= np.isnan(values)
+            settled = (counts > 1) & (np.abs(values - previous) <= value_tol)
+            check = ((settled | (counts >= max_sweeps)) & ~lost).nonzero()[0]
+            sols = self.solutions([b[check] for b in blocks], values[check],
+                                  settled[check], counts[check], tol) \
+                if check.size else []
+            done = lost.copy()
+            for pos, sol in zip(check, sols):
+                if sol is None or sol.converged or counts[pos] >= max_sweeps:
+                    out[ids[pos]] = sol
+                    lost[pos], done[pos] = sol is None, True
+            pending = ids[lost].tolist() + pending
+            batch = [part[~done] for part in [ids, counts, values] + blocks]
+        return out
 
     # -- single full-space party (K = 1) ------------------------------------
 
@@ -496,10 +577,11 @@ class _Solver:
         of the projected term vectors, so its extremal eigenvalue on the
         sector is the span's, or 0 when that lies beyond it and the span
         misses part of the sector (``_span_extremum``)."""
-        value, span, vecs = _span_extremum(self.coeffs, self.term_vectors,
-                                           mode, self.sector_dims[0])
-        if vecs is not None:
-            vector = span @ vecs[:, -1 if mode == "max" else 0]
+        values, spans, cands, masks = _span_extremum(
+            self.coeffs, self.term_vectors[None], mode, self.sector_dims[0])
+        value, span, picks = values[0], spans[0], np.nonzero(masks[0])[0]
+        if picks.size:
+            vector = cands[0][:, picks[-1] if mode == "max" else picks[0]]
         else:
             # the sector basis vector least covered by the span, with
             # its span part removed
@@ -516,115 +598,6 @@ class _Solver:
         return self.solution([vector], value, converged=True, sweeps=1)
 
 
-def _span_extremum(coeffs: np.ndarray, vectors: np.ndarray, mode: str,
-                   dim: int) -> tuple[float, np.ndarray, np.ndarray | None]:
-    """Extremal eigenvalue of H = sum_t c_t k_t b_t^H, Hermitian as a
-    whole, on a space of dimension ``dim``; ``vectors`` holds k_1..k_T,
-    then b_1..b_T, as columns.
-
-    H vanishes off the span of its term vectors, so the value is the
-    extremum of H on an orthonormal basis of that span, one eigh of size
-    at most 2T, or 0 where that extremum lies beyond 0 and the span has
-    fewer than ``dim`` dimensions.  Returns the value, the span basis
-    and the extremal eigenvectors in the basis's coordinates (every one
-    within 1e-9 relative of the value, ascending), the last None where
-    the value is that 0.
-    """
-    u, s, vh = np.linalg.svd(vectors, full_matrices=False)
-    rank = int(np.count_nonzero(s > s[0] * 1e-12))
-    span = u[:, :rank]
-    if not rank:
-        # every term vector vanishes, and so does H
-        return 0.0, span, None
-    # the term vectors' coordinates on the span basis
-    coords = s[:rank, None] * vh[:rank]
-    t = coeffs.size
-    small = (coords[:, :t] * coeffs) @ coords[:, t:].conj().T
-    vals, vecs = np.linalg.eigh((small + small.conj().T) / 2.0)
-    target = float(vals[-1] if mode == "max" else vals[0])
-    if rank < dim and (target < 0.0 if mode == "max" else target > 0.0):
-        return 0.0, span, None
-    tol = max(1e-12, 1e-9 * abs(target))
-    return target, span, vecs[:, np.abs(vals - target) <= tol]
-
-
-def _generalized_step(numer, overlap, previous: np.ndarray,
-                      mode: str) -> tuple[float, np.ndarray]:
-    """Extremal eigenpair of numer x = g overlap x on range(overlap), for
-    the forms that ``_Solver.party_matrices`` returns.
-
-    A matrix overlap is whitened through its eigendecomposition, cut at
-    B_RANGE_CUTOFF; a scalar one is divided out.  A matrix numerator is
-    solved by eigh of its whitened form, a term list (c, V) in the span
-    of its whitened term vectors (``_span_extremum``).  Where the
-    extremum is the 0 that the terms take off that span, the vector is
-    the unit vector of the zero eigenspace closest to ``previous``, or,
-    where ``previous`` has no part in it, the range coordinate vector
-    least covered by the span, with its span part removed.  Among
-    numerically degenerate extremal eigenvectors the one closest to
-    ``previous`` is kept; the result is phase-aligned with ``previous``.
-    """
-    scalar = isinstance(overlap, float)
-    if scalar:
-        wmax = overlap
-    else:
-        w, e = np.linalg.eigh(overlap)
-        wmax = float(w[-1])
-    if wmax <= 1e-14:
-        raise ZeroProjectionError("projected overlap operator is numerically zero")
-    # x = basis z turns the pair into a standard problem in z on
-    # range(overlap); for a scalar overlap the basis is a scale
-    if scalar:
-        basis = 1.0 / math.sqrt(wmax)
-    else:
-        cut = int(np.count_nonzero(w <= wmax * B_RANGE_CUTOFF))
-        basis = e[:, cut:] / np.sqrt(w[cut:])
-    if isinstance(numer, np.ndarray):
-        if scalar:
-            reduced = numer / wmax
-        else:
-            reduced = basis.conj().T @ numer @ basis
-        vals, vecs = np.linalg.eigh((reduced + reduced.conj().T) / 2.0)
-        target = float(vals[-1] if mode == "max" else vals[0])
-        tol = max(1e-12, 1e-9 * abs(target))
-        vecs = vecs[:, np.abs(vals - target) <= tol]
-        cands = vecs * basis if scalar else basis @ vecs
-    else:
-        coeffs, vectors = numer
-        whitened = vectors * basis if scalar \
-            else basis.conj().T @ vectors
-        target, span, vecs = _span_extremum(coeffs, whitened, mode,
-                                            whitened.shape[0])
-        if vecs is not None:
-            vecs = span @ vecs
-            cands = vecs * basis if scalar else basis @ vecs
-        else:
-            # the zero eigenspace: in the range coordinates alpha of the
-            # overlap's eigenvectors e, with z = sqrt(w) alpha, it is the
-            # complement of sqrt(w) span (of span for a scalar overlap)
-            if scalar:
-                cover, start = span, previous
-            else:
-                cover, _ = np.linalg.qr(np.sqrt(w[cut:])[:, None] * span)
-                start = e[:, cut:].conj().T @ previous
-            alpha = start - cover @ (cover.conj().T @ start)
-            if np.linalg.norm(alpha) <= 1e-8 * np.linalg.norm(start):
-                col = int(np.argmin(np.sum(np.abs(cover) ** 2, axis=1)))
-                alpha = -(cover @ cover[col].conj())
-                alpha[col] += 1.0
-            cands = (alpha if scalar else e[:, cut:] @ alpha)[:, None]
-    best = cands[:, 0]
-    if cands.shape[1] > 1:
-        scores = np.abs(previous.conj() @ cands) \
-            / np.linalg.norm(cands, axis=0)
-        best = cands[:, int(np.argmax(scores))]
-    best = best / math.sqrt(np.vdot(best, best).real)
-    phase = np.vdot(previous, best)
-    if abs(phase) > 1e-12:
-        best = best * (phase.conjugate() / abs(phase))
-    return target, best
-
-
 def sweep_solve(problem: SevalueProblem, init,
                 max_sweeps: int = MAX_SWEEPS, tol: float = RESIDUAL_TOL,
                 mode: str = "max",
@@ -639,20 +612,16 @@ def sweep_solve(problem: SevalueProblem, init,
     an intermediate step) has numerically zero projection; an
     unconverged run is returned flagged, not raised.
     """
-    return _Solver(problem).sweep(init, max_sweeps, tol, mode, value_tol)
-
-
-def _run_start(ws: _Solver, seed: int, start: int, mode: str,
-               max_sweeps: int, tol: float,
-               value_tol: float) -> SevalueSolution | None:
-    rng = np.random.default_rng([seed, start])
-    for _attempt in range(8):
-        init = [_crandn(rng, dim) for dim in ws.block_dims]
-        try:
-            return ws.sweep(init, max_sweeps, tol, mode, value_tol)
-        except ZeroProjectionError:
-            continue
-    return None
+    ws = _Solver(problem)
+    if [np.shape(b) for b in init] != [(dim,) for dim in ws.block_dims]:
+        raise ValueError(f"need party vectors of dimensions {ws.block_dims}")
+    if not all(np.any(b) for b in init):
+        raise ZeroProjectionError("zero party vector in initialization")
+    sol, = ws.sweep([iter([init])], max_sweeps, tol, mode, value_tol)
+    if sol is None:
+        raise ZeroProjectionError("the initialization or a party step "
+                                  "projects to zero")
+    return sol
 
 
 def solve_sup_g(problem: SevalueProblem, starts: int = DEFAULT_STARTS,
@@ -661,8 +630,9 @@ def solve_sup_g(problem: SevalueProblem, starts: int = DEFAULT_STARTS,
                 value_tol: float = VALUE_TOL) -> SupremumResult:
     """Multistart search for the extremal separability eigenvalue.
 
-    Deterministic for a fixed (seed, starts) pair: starts run in index
-    order, each with its own generator derived from (seed, start).  A
+    Deterministic for a fixed (seed, starts) pair: each start draws its
+    initializations from its own generator, derived from (seed, start),
+    and reaches the same point however the starts are batched.  A
     single full-space party is solved once, from start 0.  Raises
     ConvergenceError when no start converges (distinct from a converged
     bound that simply fails to detect).
@@ -672,29 +642,25 @@ def solve_sup_g(problem: SevalueProblem, starts: int = DEFAULT_STARTS,
     # one workspace for every start, so the isometries and the compressed
     # observable are built once per solve
     ws = _Solver(problem)
-    if problem.partition.k == 1:
-        rng = np.random.default_rng([seed, 0])
-        sol = ws.sweep([_crandn(rng, problem.space.total_dim)], max_sweeps,
-                       tol, mode, value_tol)
-        return SupremumResult(value=sol.value, best=sol, solutions=(sol,),
-                              fraction_at_value=1.0, n_converged=1,
-                              n_failed=0, starts=starts, seed=seed)
-
-    results = [_run_start(ws, seed, i, mode, max_sweeps, tol, value_tol)
-               for i in range(starts)]
+    count = 1 if problem.partition.k == 1 else starts
+    # start i tries up to 8 initializations drawn from its own generator
+    inits = [([_crandn(rng, dim) for dim in ws.block_dims]
+              for rng in [np.random.default_rng([seed, i])] * 8)
+             for i in range(count)]
+    results = ws.sweep(inits, max_sweeps, tol, mode, value_tol)
     solutions = tuple(r for r in results if r is not None)
-    n_failed = starts - len(solutions)
+    n_failed = count - len(solutions)
     converged = [s for s in solutions if s.converged]
     if not converged:
         raise ConvergenceError(
             f"no start converged ({n_failed} failed on zero projections, "
-            f"{len(solutions) - n_failed} hit the sweep limit)")
+            f"{len(solutions)} hit the sweep limit)")
     key = (lambda s: s.value) if mode == "max" else (lambda s: -s.value)
     best = max(converged, key=key)
     at_value = sum(1 for s in converged if abs(s.value - best.value) <= 1e-8)
     return SupremumResult(
         value=best.value, best=best, solutions=solutions,
-        fraction_at_value=at_value / starts,
+        fraction_at_value=at_value / count,
         n_converged=len(converged), n_failed=n_failed,
         starts=starts, seed=seed)
 

@@ -29,6 +29,8 @@ from .errors import DimensionCapError, HermiticityError
 # Size caps.  Violations are construction-time errors, never silent truncation.
 PERM_CAP = 720            # largest allowed N!
 VECTOR_CAP = 2_000_000    # largest allowed d**N for amplitude vectors
+# bytes of stacked party arrays per batch of solver starts; more run in chunks
+BATCH_BYTES = 64 * 2 ** 20
 MATRIX_CAP = 4096         # largest side for explicitly built operator matrices
 
 TOL_HERM = 1e-10          # relative to max(1, largest entry)

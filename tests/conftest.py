@@ -6,8 +6,8 @@ import pytest
 
 from sepwit import LowRankObservable, Permutation
 from sepwit.errors import ZeroProjectionError
-from sepwit.solver import (B_RANGE_CUTOFF, _ORACLE_CHUNK, _compress,
-                           _sector_basis)
+from sepwit.partystep import B_RANGE_CUTOFF
+from sepwit.solver import _ORACLE_CHUNK, _compress, _sector_basis
 
 
 def crandn(rng, *shape):

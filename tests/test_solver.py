@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 from functools import reduce
 
@@ -14,10 +15,12 @@ from sepwit import (LowRankObservable, Partition, SevalueProblem, SpaceConfig,
                     solve_sup_g, sweep_solve, transform_solution,
                     transformed_observable, verify_second_form)
 from sepwit.witness import build_k_witness
-from sepwit.errors import DimensionCapError, ZeroProjectionError
+from sepwit.errors import (ConvergenceError, DimensionCapError,
+                           ZeroProjectionError)
 from sepwit.sectors import (SectorIsometry, sector_basis_vectors,
                             sector_isometry)
-from sepwit.solver import RESIDUAL_TOL, _crandn, _generalized_step, _Solver
+from sepwit.partystep import _generalized_step
+from sepwit.solver import RESIDUAL_TOL, _crandn, _Solver
 
 from conftest import (contracted_operator, crandn, dense_party_matrices,
                       random_hermitian, random_unitary,
@@ -689,6 +692,194 @@ def test_statistics_reduction_to_distinguishable(rng):
         result = solve_sup_g(_rank_one_problem(psi, Statistics.DISTINGUISHABLE),
                              starts=16, seed=11)
         assert abs(result.value - lams[0] ** 2) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# batched multistart
+
+def _one_at_a_time(problem, starts, seed, mode="max"):
+    """Reference multistart: every start swept alone through sweep_solve,
+    up to eight initializations from its own generator, as the loop that
+    the batched driver replaced."""
+    import sepwit.solver as solver_module
+    dims = problem.partition.block_dims(problem.space.d)
+    out = []
+    for start in range(starts):
+        rng = np.random.default_rng([seed, start])
+        for _attempt in range(8):
+            init = [solver_module._crandn(rng, dim) for dim in dims]
+            try:
+                out.append(sweep_solve(problem, init, mode=mode))
+                break
+            except ZeroProjectionError:
+                continue
+    return out
+
+
+def _assert_same_solutions(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert abs(a.value - b.value) <= 1e-12 * max(1.0, abs(b.value))
+        assert (a.sweeps, a.converged) == (b.sweeps, b.converged)
+        for va, vb in zip(a.party_vectors, b.party_vectors):
+            assert np.abs(va - vb).max() <= 1e-10
+
+
+def _spoil_draws(monkeypatch, starts, parties, every=False):
+    """Make the first initialization (every one, with ``every``) of each
+    start in ``starts`` give all parties the same basis vector, which
+    fermions project to zero; the generator still advances.  Returns
+    the number of draws per start."""
+    import sepwit.solver as solver_module
+    draw = solver_module._crandn
+    calls = collections.Counter()
+
+    def spoiling(rng, size):
+        start = int(rng.bit_generator.seed_seq.entropy[1])
+        calls[start] += 1
+        vec = draw(rng, size)
+        if start in starts and (every or calls[start] <= parties):
+            vec = np.zeros(size, dtype=np.complex128)
+            vec[0] = 1.0
+        return vec
+
+    monkeypatch.setattr(solver_module, "_crandn", spoiling)
+    return calls
+
+
+_BATCH_CASES = [
+    # dense numerator, matrix overlap
+    ("dense", Statistics.BOSON, (2, 1), "max"),
+    # low-rank numerator, scalar overlap
+    ("low-rank", Statistics.DISTINGUISHABLE, (1, 1), "max"),
+    # low-rank numerator, matrix overlap
+    ("low-rank", Statistics.BOSON, (1, 1), "max"),
+    ("low-rank", Statistics.FERMION, (1, 1), "max"),
+    # three parties
+    ("dense", Statistics.FERMION, (1, 1, 1), "max"),
+    ("low-rank", Statistics.BOSON, (1, 1, 1), "min"),
+    # the 0 off the span, with a scalar and with a matrix overlap
+    ("rank-one", Statistics.DISTINGUISHABLE, (1, 1), "min"),
+    ("rank-one", Statistics.BOSON, (1, 1), "min"),
+]
+
+
+@pytest.mark.parametrize("kind,stats,parts,mode", _BATCH_CASES)
+def test_batched_multistart_matches_one_start_at_a_time(rng, kind, stats,
+                                                         parts, mode):
+    # every start advanced in one batch reaches what it reaches alone
+    partition = Partition(parts)
+    space = SpaceConfig(3, partition.n)
+    if kind == "rank-one":
+        psi = _random_sector_state(rng, 3, stats)
+        observable = rank_one_observable(psi, stats)
+    else:
+        observable = _random_observable(rng, kind, space)
+    problem = SevalueProblem(observable, stats, partition, space)
+    result = solve_sup_g(problem, starts=12, seed=4, mode=mode)
+    assert result.n_failed == 0
+    _assert_same_solutions(result.solutions,
+                           _one_at_a_time(problem, 12, 4, mode))
+
+
+def test_batched_multistart_restarts_one_start(monkeypatch, rng):
+    # start 2's first initialization projects to zero: it draws its next
+    # one and rejoins with its own sweep count while the others go on
+    space = SpaceConfig(3, 2)
+    problem = SevalueProblem(_random_observable(rng, "low-rank", space),
+                             Statistics.FERMION, Partition((1, 1)), space)
+    plain = _one_at_a_time(problem, 6, 1)
+    calls = _spoil_draws(monkeypatch, {2}, 2)
+    result = solve_sup_g(problem, starts=6, seed=1)
+    assert calls == {start: 4 if start == 2 else 2 for start in range(6)}
+    _spoil_draws(monkeypatch, {2}, 2)
+    want = _one_at_a_time(problem, 6, 1)
+    assert result.n_failed == 0
+    _assert_same_solutions(result.solutions, want)
+    _assert_same_solutions(want[:2] + want[3:], plain[:2] + plain[3:])
+    assert np.abs(want[2].party_vectors[0]
+                  - plain[2].party_vectors[0]).max() > 1e-6
+
+
+def test_batched_step_loses_only_the_vanishing_start(rng):
+    # a start whose overlap vanishes gets NaN; the others are what their
+    # own single steps give
+    space = SpaceConfig(3, 3)
+    problem = SevalueProblem(random_hermitian(rng, 27), Statistics.BOSON,
+                             Partition((2, 1)), space)
+    solver = _Solver(problem)
+    blocks = [crandn(rng, 4, 9), crandn(rng, 4, 3)]
+    blocks[1][2] = 0.0
+    numer, overlap, iso = solver.party_matrices(blocks, 0)
+    previous = blocks[0] @ iso.conj()
+    values, vectors = _generalized_step(numer, overlap, previous, "max")
+    assert np.isnan(values[2]) and not np.isnan(values[[0, 1, 3]]).any()
+    for b in (0, 1, 3):
+        value, vector = _generalized_step(numer[b], overlap[b], previous[b],
+                                          "max")
+        assert abs(values[b] - value) <= 1e-12 * max(1.0, abs(value))
+        assert np.abs(vectors[b] - vector).max() <= 1e-10
+    with pytest.raises(ZeroProjectionError):
+        _generalized_step(numer[2], overlap[2], previous[2], "max")
+
+
+def test_batched_step_mixes_span_ranks(rng):
+    # start 1's contracted term vectors vanish (span rank 0, so A = 0)
+    # while the others' span one dimension: each start gets what its
+    # own single step gives, in max and in min mode
+    space = SpaceConfig(3, 2)
+    psi = basis_product_vector(space, (0, 0)).amplitudes
+    problem = SevalueProblem(LowRankObservable(space, ((1.0, psi, psi),)),
+                             Statistics.BOSON, Partition((1, 1)), space)
+    solver = _Solver(problem)
+    blocks = [crandn(rng, 3, 3), crandn(rng, 3, 3)]
+    blocks[1][1] = [0.0, 1.0, 0.0]
+    (coeffs, vectors), overlap, iso = solver.party_matrices(blocks, 0)
+    assert iso is None and not np.any(vectors[1])
+    for mode in ("max", "min"):
+        values, got = _generalized_step((coeffs, vectors), overlap,
+                                        blocks[0], mode)
+        assert values[1] == 0.0
+        for b in range(3):
+            value, vector = _generalized_step((coeffs, vectors[b]),
+                                              overlap[b], blocks[0][b], mode)
+            assert abs(values[b] - value) <= 1e-12 * max(1.0, abs(value))
+            assert np.abs(got[b] - vector).max() <= 1e-10
+
+
+def test_start_results_do_not_depend_on_the_batch(monkeypatch, rng):
+    # a start's solution is the same in a batch of 5, of 16, and in
+    # batches cut small by the byte budget
+    import sepwit.solver as solver_module
+    space = SpaceConfig(3, 3)
+    for problem in (
+            SevalueProblem(random_hermitian(rng, 27), Statistics.BOSON,
+                           Partition((2, 1)), space),
+            SevalueProblem(_random_observable(rng, "low-rank", space),
+                           Statistics.FERMION, Partition((2, 1)), space)):
+        full = solve_sup_g(problem, starts=16, seed=9)
+        few = solve_sup_g(problem, starts=5, seed=9)
+        _assert_same_solutions(few.solutions, full.solutions[:5])
+        # room for three starts at a time, then for one
+        per_start = 16 * space.total_dim * max(_Solver(problem).sector_dims)
+        for budget in (3 * per_start, 1):
+            monkeypatch.setattr(solver_module, "BATCH_BYTES", budget)
+            chunked = solve_sup_g(problem, starts=16, seed=9)
+            _assert_same_solutions(chunked.solutions, full.solutions)
+        monkeypatch.undo()
+
+
+def test_convergence_error_counts_failed_and_unconverged(monkeypatch, rng):
+    # starts 3 and 7 project to zero on every initialization; the other
+    # 14 stop at the one-sweep limit, so none converges
+    space = SpaceConfig(3, 2)
+    problem = SevalueProblem(_random_observable(rng, "low-rank", space),
+                             Statistics.FERMION, Partition((1, 1)), space)
+    _spoil_draws(monkeypatch, {3, 7}, 2, every=True)
+    with pytest.raises(ConvergenceError,
+                       match=r"\(2 failed on zero projections, "
+                             r"14 hit the sweep limit\)"):
+        solve_sup_g(problem, starts=16, seed=0, max_sweeps=1)
 
 
 # ---------------------------------------------------------------------------
