@@ -142,7 +142,7 @@ def load_observable_file(path: str) -> tuple[SpaceConfig, Statistics | None, np.
     except (OSError, json.JSONDecodeError) as exc:
         raise InputFormatError(f"cannot read observable file {path}: {exc}")
     try:
-        space = SpaceConfig(int(blob["d"]), int(blob["N"]))
+        space = SpaceConfig(blob["d"], blob["N"])
         stats = Statistics.parse(blob["statistics"]) \
             if "statistics" in blob else None
         matrix = require_hermitian(
@@ -160,7 +160,7 @@ def load_state_file(path: str) -> tuple[SpaceConfig, DensityOperator]:
     except (OSError, json.JSONDecodeError) as exc:
         raise InputFormatError(f"cannot read state file {path}: {exc}")
     try:
-        space = SpaceConfig(int(blob["d"]), int(blob["N"]))
+        space = SpaceConfig(blob["d"], blob["N"])
         if "amplitudes" in blob:
             amps = np.array([_finite_complex(re, im, f"amplitude {idx}")
                              for idx, (re, im)

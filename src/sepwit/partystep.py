@@ -3,17 +3,15 @@
 One step solves, for every start of a batch at once, a party's
 generalized Hermitian eigenproblem A x = g B x on the range of the
 overlap B and returns its extremal value and vector.  The forms of A
-and B are those that ``solver._Solver.party_matrices`` builds: B a
-scalar per start or a stack of matrices, A a stack of matrices or the
-contracted terms of a low-rank observable.  Starts whose branches
-differ are solved as sub-batches of the same routines.
+and B are those that ``solver._Solver`` builds: B a scalar per start or
+a stack of matrices, A a stack of matrices or the contracted terms of a
+low-rank observable.  Starts whose branches differ are solved as
+sub-batches of the same routines.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import ZeroProjectionError
 
 B_RANGE_CUTOFF = 1e-12     # relative cutoff on the overlap operator
 
@@ -79,9 +77,8 @@ def _generalized_step(numer, overlap, previous: np.ndarray,
                       mode: str) -> tuple:
     """Extremal eigenpairs of numer x = g overlap x on range(overlap), one
     per start (row of ``previous``), for the batched forms that
-    ``_Solver.party_matrices`` returns; a start whose overlap vanishes
-    gets the value NaN.  One start's forms without the batch axis give
-    a float and a vector, or raise ZeroProjectionError.
+    ``_Solver`` builds; a start whose overlap vanishes gets the value
+    NaN.
 
     A matrix overlap is whitened through its eigendecomposition, cut at
     B_RANGE_CUTOFF (starts with different cuts form sub-batches); a
@@ -95,22 +92,11 @@ def _generalized_step(numer, overlap, previous: np.ndarray,
     extremal eigenvectors the one closest to ``previous`` is kept; the
     result is phase-aligned with ``previous``.
     """
-    if previous.ndim == 1:
-        numer = numer[None] if isinstance(numer, np.ndarray) \
-            else (numer[0], numer[1][None])
-        values, best = _generalized_step(numer, np.asarray(overlap)[None],
-                                         previous[None], mode)
-        if np.isnan(values[0]):
-            raise ZeroProjectionError(
-                "projected overlap operator is numerically zero")
-        return float(values[0]), best[0]
-    scalar = overlap.ndim == 1
-    if scalar:
-        wmax, cuts = overlap, np.zeros(overlap.size, dtype=int)
-    else:
-        w, e = np.linalg.eigh(overlap)
-        wmax = w[:, -1]
-        cuts = (w <= wmax[:, None] * B_RANGE_CUTOFF).sum(axis=1)
+    # a scalar overlap is its own one eigenvalue, with no eigenvectors
+    w, e = (overlap[:, None], None) if overlap.ndim == 1 \
+        else np.linalg.eigh(overlap)
+    wmax = w[:, -1]
+    cuts = (w <= wmax[:, None] * B_RANGE_CUTOFF).sum(axis=1)
     cuts[wmax <= 1e-14] = -1
     values = np.full(len(previous), np.nan)
     best = np.zeros(previous.shape, dtype=complex)
@@ -119,9 +105,8 @@ def _generalized_step(numer, overlap, previous: np.ndarray,
         # x = E (z / root) turns the pair into a standard problem in z on
         # range(overlap); E, the kept eigenvectors, is None for the
         # identity of a scalar overlap
-        ev = None if scalar else e[idx, :, cut:]
-        root = np.sqrt(wmax[idx])[:, None, None] if scalar \
-            else np.sqrt(w[idx, cut:])[:, :, None]
+        ev = None if e is None else e[idx, :, cut:]
+        root = np.sqrt(w[idx, cut:])[:, :, None]
 
         def on_range(x):
             return x if ev is None else _dag(ev) @ x

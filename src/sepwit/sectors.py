@@ -70,15 +70,18 @@ class SectorIsometry:
             out[index, cols] = (coeff * signs)[:, None]
         return out
 
-    def column(self, col: int) -> np.ndarray:
-        """Column ``col`` of S as a dense full-space vector."""
-        out = np.zeros(self.shape[0], dtype=np.complex128)
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        """S y for a sector vector or a (sector dimension, batch) array."""
+        y = np.asarray(y)
+        if y.ndim not in (1, 2) or y.shape[0] != self.shape[1]:
+            raise ValueError(f"S of shape {self.shape} cannot apply to "
+                             f"shape {y.shape}")
+        out = np.zeros((self.shape[0],) + y.shape[1:], dtype=np.complex128)
         for cols, index, signs, coeff in self.groups:
-            pos = np.searchsorted(cols, col)
-            if pos < cols.size and cols[pos] == col:
-                out[index[:, pos]] = coeff * signs
-                return out
-        raise IndexError(f"column {col} out of range for {self.shape}")
+            part = coeff * y[cols]
+            for slot, sign in zip(index, signs):
+                out[slot] = part if sign > 0 else -part
+        return out
 
 
 def sector_isometry(stats: Statistics, space: SpaceConfig) -> SectorIsometry:

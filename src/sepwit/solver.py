@@ -21,7 +21,6 @@ bound: nothing here bounds it from above.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 from functools import reduce
 
@@ -30,12 +29,11 @@ import numpy as np
 from .decompositions import schmidt, slater_boson, slater_fermion
 from .errors import (ConvergenceError, DimensionCapError, ZeroProjectionError)
 from .operators import LowRankObservable
-from .partystep import (_dag, _generalized_step, _hermitian_part,
-                        _span_extremum)
+from .partystep import _dag, _generalized_step, _hermitian_part
 from .sectors import SectorIsometry, sector_isometry
 from .tensor import (BATCH_BYTES, SpaceConfig, StateVector, Statistics,
                      basis_product_vector, project, project_amplitudes,
-                     require_hermitian, subspace_dimension)
+                     require_hermitian, require_int, subspace_dimension)
 
 DEFAULT_STARTS = 64
 MAX_SWEEPS = 500
@@ -59,7 +57,7 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
+        parts = tuple(require_int(p, "parts") for p in self.parts)
         if not parts or any(p < 1 for p in parts):
             raise ValueError(f"parts must be positive integers, got {parts}")
         object.__setattr__(self, "parts", parts)
@@ -254,19 +252,26 @@ def _sector_basis(stats: Statistics, space: SpaceConfig) \
     return sector_isometry(stats, space)
 
 
-def _compress(observable, iso):
-    """The observable in the sector coordinates of S = ``iso``: the terms
-    (c, S^H k, S^H b) of a projected low-rank observable, or S^H L S for
-    a dense L, taken through the dense columns of S (``iso`` itself when
-    the caller already holds them), whose memory is bounded by that of
-    L; the observable itself where S is None."""
-    if isinstance(observable, LowRankObservable):
-        return [(c, _to_sector(iso, k), _to_sector(iso, b))
-                for c, k, b in observable.terms]
+def _compress(observable: np.ndarray, iso: SectorIsometry | None):
+    """A dense observable L in the sector coordinates of S = ``iso``:
+    S^H L S, taken through the dense columns of S, whose memory is
+    bounded by that of L; L itself where S is None."""
     if iso is None:
         return np.asarray(observable)
-    cols = iso.toarray() if isinstance(iso, SectorIsometry) else iso
+    cols = iso.toarray()
     return cols.conj().T @ observable @ cols
+
+
+def _projected_terms(stats: Statistics, observable: LowRankObservable,
+                     space: SpaceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The terms of P L P = sum_t c_t P k_t (P b_t)^H as (c, V): the
+    coefficients c_t, and the columns P k_1..P k_T, then P b_1..P b_T,
+    projected in one call."""
+    terms = observable.terms
+    vectors = np.column_stack([k for _c, k, _b in terms]
+                              + [b for _c, _k, b in terms])
+    return (np.array([c for c, _k, _b in terms]),
+            project_amplitudes(stats, vectors, space))
 
 
 class _Solver:
@@ -299,16 +304,12 @@ class _Solver:
         self._sector = None
         self._dense_sector = None
         if isinstance(problem.operator, LowRankObservable):
-            self.lowrank = problem.operator.projected(problem.stats)
+            # the projected terms (c, V), contracted onto a party all at
+            # once; ``dense`` None marks the low-rank form
             self.dense = None
-            terms = self.lowrank.terms
-            # coefficients c_t and the columns k_1..k_T, b_1..b_T of the
-            # projected terms, contracted onto a party all at once
-            self.coeffs = np.array([c for c, _k, _b in terms])
-            self.term_vectors = np.column_stack(
-                [k for _c, k, _b in terms] + [b for _c, _k, b in terms])
+            self.coeffs, self.term_vectors = _projected_terms(
+                problem.stats, problem.operator, problem.space)
         else:
-            self.lowrank = None
             self.dense = problem.operator
 
     # -- full-space helpers ------------------------------------------------
@@ -320,23 +321,18 @@ class _Solver:
         flat = _kron_rows(blocks, len(blocks[0]))
         return project_amplitudes(self.stats, flat.T, self.space).T
 
-    def stationarity(self, blocks, value):
+    def stationarity(self, blocks, values):
         """P|b>, chi = P L P|b> - g P|b>, and per party j the pair
         (||A_j b_j - g B_j b_j||, ||B_j b_j||), as (batch, dim), (batch,
-        dim) and (batch, K, 2) arrays; without the batch axis for one
-        start's 1-D vectors.
+        dim) and (batch, K, 2) arrays.
 
         A_j b_j and B_j b_j are P L P|b> and P|b> with every other party
         contracted out, so each pair comes from chi and P|b> without
         building a party matrix; a single party contracts nothing.
         """
-        if np.ndim(blocks[0]) == 1:
-            out = self.stationarity([np.asarray(b)[None] for b in blocks],
-                                    [value])
-            return tuple(part[0] for part in out)
         count = len(blocks[0])
         projected = self.projected_product(blocks)
-        if self.lowrank is not None:
+        if self.dense is None:
             # sum_t c_t k_t <b_t|Pb>
             t = self.coeffs.size
             overlaps = (projected.conj() @ self.term_vectors)[:, t:].conj()
@@ -344,7 +340,7 @@ class _Solver:
         else:
             sandwich = project_amplitudes(self.stats, self.dense @ projected.T,
                                           self.space).T
-        chi = sandwich - np.asarray(value, dtype=float)[:, None] * projected
+        chi = sandwich - np.asarray(values, dtype=float)[:, None] * projected
         pair = np.stack([chi, projected], axis=-1)
         defects = np.empty((count, self.partition.k, 2))
         for j, dj in enumerate(self.block_dims):
@@ -388,23 +384,24 @@ class _Solver:
 
     # -- party-wise operators ----------------------------------------------
 
-    def isometry(self, j: int) -> np.ndarray | None:
-        """Party j's block-sector isometry S_j, of shape (block
-        dimension, sector dimension), built on first use; None when the
-        sector is the whole block, where S_j is unitary and the block's
-        own coordinates serve."""
+    def check_dense_cap(self, j: int) -> None:
+        """DimensionCapError where party j's sector is too large to be
+        solved through m_j x m_j matrices."""
         mj = self.sector_dims[j]
         if mj > PARTY_DENSE_CAP:
             raise DimensionCapError(
                 f"party sector dimension {mj} exceeds the dense cap "
                 f"{PARTY_DENSE_CAP}")
+
+    def isometry(self, j: int) -> np.ndarray | None:
+        """Party j's block-sector isometry S_j, of shape (block
+        dimension, sector dimension), built on first use; None when the
+        sector is the whole block, where S_j is unitary and the block's
+        own coordinates serve."""
+        self.check_dense_cap(j)
         if j not in self._isometries:
-            if self.partition.k == 1:
-                # the one block is the whole space, whose S is shared
-                iso = self.sector()
-            else:
-                iso = _sector_basis(self.stats, SpaceConfig(
-                    self.space.d, self.partition.parts[j]))
+            iso = _sector_basis(self.stats, SpaceConfig(
+                self.space.d, self.partition.parts[j]))
             self._isometries[j] = None if iso is None else iso.toarray()
         return self._isometries[j]
 
@@ -417,46 +414,30 @@ class _Solver:
 
     def dense_sector(self) -> np.ndarray:
         """The dense observable compressed to S^H L S, built on first
-        use; a single party reuses its dense S_0 = S."""
+        use."""
         if self._dense_sector is None:
-            iso = self.isometry(0) if self.partition.k == 1 \
-                else self.sector()
-            self._dense_sector = _compress(self.dense, iso)
+            self._dense_sector = _compress(self.dense, self.sector())
         return self._dense_sector
 
     def party_matrices(self, blocks, j: int) -> tuple:
         """Party j's equations A_j x = g B_j x with the other blocks held
         fixed, in its block's sector coordinates, as (numerator, overlap,
-        S_j), with S_j None for the identity; the forms of a batch have a
-        leading batch axis, which one start's 1-D vectors leave out.
+        S_j) with a leading batch axis, S_j None for the identity.
 
         The numerator is S_j^H A_j S_j, or, for a low-rank observable,
         its contracted terms (c, V), never an m x m matrix: A_j =
         sum_t c_t a_t b_t^H, and V holds S_j^H a_1..a_T, then
-        S_j^H b_1..b_T, as columns.  The overlap is S_j^H B_j S_j, or a
-        scalar s standing for s times the identity where it is one:
-        ||left||^2 ||right||^2 where P = 1, and 1 for a single party,
-        whose sector coordinates are those of the whole sector.
+        S_j^H b_1..b_T, as columns.  The overlap is S_j^H B_j S_j, or,
+        where P = 1, the scalar ||left||^2 ||right||^2 standing for that
+        multiple of the identity.
         """
-        if np.ndim(blocks[0]) == 1:
-            numer, overlap, iso = self.party_matrices(
-                [np.asarray(b)[None] for b in blocks], j)
-            numer = numer[0] if isinstance(numer, np.ndarray) \
-                else (numer[0], numer[1][0])
-            return numer, overlap[0], iso
         iso = self.isometry(j)
         count = len(blocks[0])
-        if self.partition.k == 1:
-            # a single dense party spans the whole space, so S_j = S,
-            # y = S^H S = 1 and the pair is (S^H L S, 1)
-            numer = _hermitian_part(self.dense_sector())
-            return (np.broadcast_to(numer, (count,) + numer.shape),
-                    np.ones(count), iso)
         sec = self.sector()
         dj = self.block_dims[j]
         left = _kron_rows(blocks[:j], count)
         right = _kron_rows(blocks[j + 1:], count)
-        if self.lowrank is not None:
+        if self.dense is None:
             numer = (self.coeffs, _to_sector(iso, self._contract_fixed(
                 self.term_vectors, left, right, dj)))
         if sec is None:
@@ -464,7 +445,7 @@ class _Solver:
             # the identity
             overlap = np.einsum("bl,bl->b", left.conj(), left).real \
                 * np.einsum("br,br->b", right.conj(), right).real
-            if self.lowrank is not None:
+            if self.dense is None:
                 return numer, overlap, iso
         embed = np.eye(dj, dtype=np.complex128) if iso is None else iso
         mj = embed.shape[1]
@@ -478,7 +459,7 @@ class _Solver:
         stack = y.reshape(-1, count, mj).transpose(1, 0, 2)
         if sec is not None:
             overlap = _hermitian_part(_dag(stack) @ stack)
-        if self.lowrank is None:
+        if self.dense is not None:
             product = (self.dense_sector() @ y).reshape(-1, count, mj)
             numer = _hermitian_part(_dag(stack) @ product.transpose(1, 0, 2))
         return numer, overlap, iso
@@ -509,11 +490,14 @@ class _Solver:
         start leaves when its quotient settles within ``value_tol`` and
         its residual is within ``tol``, or after ``max_sweeps``.  Returns
         each start's solution, or None where its initializations ran out.
+        A single party takes one exact step instead (``sector_step``).
         """
         if mode not in ("max", "min"):
             raise ValueError("mode must be 'max' or 'min'")
-        if self.partition.k == 1 and self.lowrank is not None:
-            return [self.solve_single_lowrank(mode) for _ in inits]
+        if self.partition.k == 1:
+            if self.dense is not None:
+                self.check_dense_cap(0)
+            return self.sector_step(inits, mode, tol)
         size = max(1, BATCH_BYTES // (16 * self.space.total_dim
                                       * max(1, *self.sector_dims)))
         out: list = [None] * len(inits)
@@ -570,32 +554,31 @@ class _Solver:
             batch = [part[~done] for part in [ids, counts, values] + blocks]
         return out
 
-    # -- single full-space party (K = 1) ------------------------------------
-
-    def solve_single_lowrank(self, mode: str) -> SevalueSolution:
-        """K = 1 with a low-rank observable: P L P vanishes off the span
-        of the projected term vectors, so its extremal eigenvalue on the
-        sector is the span's, or 0 when that lies beyond it and the span
-        misses part of the sector (``_span_extremum``)."""
-        values, spans, cands, masks = _span_extremum(
-            self.coeffs, self.term_vectors[None], mode, self.sector_dims[0])
-        value, span, picks = values[0], spans[0], np.nonzero(masks[0])[0]
-        if picks.size:
-            vector = cands[0][:, picks[-1] if mode == "max" else picks[0]]
+    def sector_step(self, inits, mode: str, tol: float) -> list:
+        """A single party: its block is the whole space, so its equation
+        is the extremal eigenproblem of P L P on the sector, with the
+        numerator S^H L S or the terms (c, S^H V) and the overlap 1.
+        One ``_generalized_step`` per start solves it exactly, from the
+        sector part y = S^H b of the start's first initialization; the
+        party vector is S y.  An empty sector fails every start."""
+        if not self.sector_dims[0]:
+            return [None] * len(inits)
+        sec = self.sector()
+        first = np.array([next(init)[0] for init in inits],
+                         dtype=np.complex128)
+        count = len(first)
+        if self.dense is None:
+            terms = _to_sector(sec, self.term_vectors)
+            numer = (self.coeffs,
+                     np.broadcast_to(terms, (count,) + terms.shape))
         else:
-            # the sector basis vector least covered by the span, with
-            # its span part removed
-            sec = self.sector()
-            cover = _to_sector(sec, span)
-            col = int(np.argmin(np.sum(np.abs(cover) ** 2, axis=1)))
-            if sec is None:
-                column = np.zeros(self.space.total_dim, dtype=np.complex128)
-                column[col] = 1.0
-            else:
-                column = sec.column(col)
-            vector = column - span @ cover[col].conj()
-        vector /= np.linalg.norm(vector)
-        return self.solution([vector], value, converged=True, sweeps=1)
+            matrix = self.dense_sector()
+            numer = np.broadcast_to(matrix, (count,) + matrix.shape)
+        values, coords = _generalized_step(
+            numer, np.ones(count), _to_sector(sec, first.T).T, mode)
+        vectors = coords if sec is None else sec.apply(coords.T).T
+        return self.solutions([vectors], values, np.ones(count, dtype=bool),
+                              np.ones(count, dtype=int), tol)
 
 
 def sweep_solve(problem: SevalueProblem, init,
@@ -606,11 +589,11 @@ def sweep_solve(problem: SevalueProblem, init,
 
     ``init`` is one vector per party.  Each party step is solved in the
     coordinates of its block's exchange sector, so the returned party
-    vectors lie in their block sectors.  A single party with a low-rank
-    observable is solved exactly from the observable's terms, without
-    sweeping.  Raises ZeroProjectionError when the initialization (or
-    an intermediate step) has numerically zero projection; an
-    unconverged run is returned flagged, not raised.
+    vectors lie in their block sectors.  A single party is solved
+    exactly by one step on the whole sector, from the sector part of
+    ``init``.  Raises ZeroProjectionError when the initialization (or
+    an intermediate step) of several parties has numerically zero
+    projection; an unconverged run is returned flagged, not raised.
     """
     ws = _Solver(problem)
     if [np.shape(b) for b in init] != [(dim,) for dim in ws.block_dims]:
@@ -787,12 +770,7 @@ def analytic_interference(space: SpaceConfig, stats: Statistics,
 def check_samples(samples) -> int:
     """The oracle's sample budget as an int; raises ValueError, naming
     ``samples``, unless it is an integer (not a bool) of at least 1."""
-    try:
-        count = operator.index(samples)
-    except TypeError:
-        count = None
-    if count is None or isinstance(samples, bool):
-        raise ValueError(f"samples must be an integer, got {samples!r}")
+    count = require_int(samples, "samples")
     if count < 1:
         raise ValueError("samples must be >= 1")
     return count
@@ -841,12 +819,12 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
     space, stats = problem.space, problem.stats
     isometry = _sector_basis(stats, space)
     if isinstance(problem.operator, LowRankObservable):
-        compressed = _compress(problem.operator.projected(stats), isometry)
-        coeffs = np.array([c for c, _k, _b in compressed])
-        # rows <k_t| and <b_t|: kets @ x and bras @ x give every term's
-        # overlaps with a batch of vectors x at once
-        kets = np.array([np.ravel(k).conj() for _c, k, _b in compressed])
-        bras = np.array([np.ravel(b).conj() for _c, _k, b in compressed])
+        coeffs, vectors = _projected_terms(stats, problem.operator, space)
+        # C-ordered rows <k_t| and <b_t| in sector coordinates: kets @ x
+        # and bras @ x give every term's overlaps with a batch of vectors
+        # x at once
+        kets, bras = np.split(np.ascontiguousarray(
+            _to_sector(isometry, vectors).T.conj()), 2)
         dense_sec = None
     else:
         dense_sec = _compress(problem.operator, isometry)
@@ -996,6 +974,8 @@ def verify_second_form(sol: SevalueSolution,
     the product vector.  The overlap vanishes at an exact stationary
     point; chi in general does not.
     """
-    blocks = [np.asarray(b, dtype=np.complex128) for b in sol.party_vectors]
-    _, chi, defects = _Solver(problem).stationarity(blocks, sol.value)
-    return StateVector(problem.space, chi), max(defect for defect, _ in defects)
+    blocks = [np.asarray(b, dtype=np.complex128)[None]
+              for b in sol.party_vectors]
+    _, chi, defects = _Solver(problem).stationarity(blocks, [sol.value])
+    return (StateVector(problem.space, chi[0]),
+            max(defect for defect, _ in defects[0]))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache, reduce
@@ -35,6 +36,18 @@ MATRIX_CAP = 4096         # largest side for explicitly built operator matrices
 
 TOL_HERM = 1e-10          # relative to max(1, largest entry)
 TOL_TRACE = 1e-10
+
+
+def require_int(value, name: str) -> int:
+    """``value`` as an int; raises ValueError, naming ``name``, unless it
+    is an integer (numpy integers included, bools not)."""
+    try:
+        out = operator.index(value)
+    except TypeError:
+        out = None
+    if out is None or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return out
 
 
 def hermiticity_defect(matrix: np.ndarray) -> float:
@@ -101,6 +114,8 @@ class SpaceConfig:
     n: int
 
     def __post_init__(self):
+        object.__setattr__(self, "d", require_int(self.d, "d"))
+        object.__setattr__(self, "n", require_int(self.n, "n"))
         if self.d < 1 or self.n < 1:
             raise ValueError(f"d and n must be positive, got d={self.d}, n={self.n}")
         if math.factorial(self.n) > PERM_CAP:

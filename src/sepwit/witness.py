@@ -18,8 +18,7 @@ import numpy as np
 from .errors import DimensionCapError, SectorError
 from .operators import LowRankObservable
 from .solver import (Partition, SevalueProblem, analytic_interference,
-                     analytic_rank_one, brute_force_bound, partitions_into,
-                     solve_sup_g)
+                     analytic_rank_one, partitions_into, solve_sup_g)
 from .tensor import (MATRIX_CAP, DensityOperator, SpaceConfig, StateVector,
                      Statistics, project, project_operator, projector_matrix)
 from .decompositions import schmidt
@@ -107,14 +106,15 @@ def sector_deviation(rho: DensityOperator, stats: Statistics) -> float:
 
 def build_witness(problem: SevalueProblem, bound_source: str = "analytic", *,
                   form: WitnessForm = WitnessForm.UPPER,
-                  starts: int = 64, seed: int = 0, samples: int = 100_000,
+                  starts: int = 64, seed: int = 0,
                   **solver_kwargs) -> Witness:
     """Witness for one specific partition.
 
     ``bound_source`` picks how the separable bound is obtained:
-    "analytic" (closed forms for the tagged observables), "numeric"
-    (multistart sweep solver), or "oracle" (random sampling; a lower
-    bound, for comparison runs only).
+    "analytic" (closed forms for the tagged observables) or "numeric"
+    (multistart sweep solver).  The sampling oracle is no source: its
+    lower bound would let ``detect`` report false "entangled" verdicts,
+    so it stays ``brute_force_bound``, for comparisons.
     """
     mode = "max" if form is WitnessForm.UPPER else "min"
     if bound_source == "analytic":
@@ -123,12 +123,6 @@ def build_witness(problem: SevalueProblem, bound_source: str = "analytic", *,
         result = solve_sup_g(problem, starts=starts, seed=seed, mode=mode,
                              **solver_kwargs)
         bound = result.value
-    elif bound_source == "oracle":
-        sign = 1.0 if mode == "max" else -1.0
-        flipped = problem if mode == "max" else SevalueProblem(
-            _negated(problem.operator), problem.stats, problem.partition,
-            problem.space)
-        bound = sign * brute_force_bound(flipped, samples=samples, seed=seed)
     else:
         raise ValueError(f"unknown bound source {bound_source!r}")
     return Witness(observable=problem.operator, stats=problem.stats,
@@ -139,27 +133,16 @@ def build_witness(problem: SevalueProblem, bound_source: str = "analytic", *,
 
 def build_k_witness(operator, stats: Statistics, space: SpaceConfig, k: int,
                     bound_source: str = "numeric", *, starts: int = 64,
-                    seed: int = 0, samples: int = 100_000,
-                    **solver_kwargs) -> Witness:
+                    seed: int = 0, **solver_kwargs) -> Witness:
     """Witness against K-separability: the bound is maximized over every
     multiset-distinct partition into k parts."""
     bound = max(
         build_witness(SevalueProblem(operator, stats, p, space), bound_source,
-                      starts=starts, seed=seed, samples=samples,
-                      **solver_kwargs).bound
+                      starts=starts, seed=seed, **solver_kwargs).bound
         for p in partitions_into(space.n, k))
     return Witness(observable=operator, stats=stats, space=space, k=k,
                    partition=None, bound=bound, form=WitnessForm.UPPER,
                    bound_source=bound_source)
-
-
-def _negated(operator):
-    if isinstance(operator, LowRankObservable):
-        return LowRankObservable(
-            operator.space,
-            tuple((-c, k, b) for c, k, b in operator.terms),
-            kind=operator.kind)
-    return -np.asarray(operator)
 
 
 def _has_equal_even_blocks(partition: Partition) -> bool:
@@ -204,11 +187,10 @@ def witness_matrix(witness: Witness) -> np.ndarray:
     dim = witness.space.total_dim
     if dim > MATRIX_CAP:
         raise DimensionCapError(f"witness matrix side {dim} exceeds cap")
-    if isinstance(witness.observable, LowRankObservable):
-        sandwiched = witness.observable.projected(witness.stats).to_matrix()
-    else:
-        sandwiched = project_operator(witness.stats, witness.observable,
-                                      witness.space)
+    observable = witness.observable
+    if isinstance(observable, LowRankObservable):
+        observable = observable.to_matrix()
+    sandwiched = project_operator(witness.stats, observable, witness.space)
     proj = projector_matrix(witness.stats, witness.space)
     if witness.form is WitnessForm.UPPER:
         return witness.bound * proj - sandwiched

@@ -7,7 +7,8 @@ import pytest
 from sepwit import LowRankObservable, Permutation
 from sepwit.errors import ZeroProjectionError
 from sepwit.partystep import B_RANGE_CUTOFF
-from sepwit.solver import _ORACLE_CHUNK, _compress, _sector_basis
+from sepwit.solver import (_ORACLE_CHUNK, _compress, _sector_basis,
+                           _to_sector)
 
 
 def crandn(rng, *shape):
@@ -124,7 +125,8 @@ def reference_brute_force_bound(problem, samples, seed=0):
     space, stats = problem.space, problem.stats
     isometry = _sector_basis(stats, space)
     if isinstance(problem.operator, LowRankObservable):
-        compressed = _compress(problem.operator.projected(stats), isometry)
+        compressed = [(c, _to_sector(isometry, k), _to_sector(isometry, b))
+                      for c, k, b in problem.operator.projected(stats).terms]
         term_kets = [(c, np.asarray(k).ravel().conj(),
                       np.asarray(b).ravel()) for c, k, b in compressed]
         dense_sec = None

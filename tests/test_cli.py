@@ -247,6 +247,18 @@ def test_loaders_reject_bad_index(tmp_path, capsys, bad):
         assert f"entry {bad}: index not an integer in 0..3" in message
 
 
+@pytest.mark.parametrize("d,n", [(2.7, 2), (2, 2.0), (True, 2), ("2", 2)])
+def test_loaders_reject_non_integer_sizes(tmp_path, d, n):
+    # d and N are not truncated to integers
+    path = tmp_path / "input.json"
+    for load, blob in ((load_observable_file, {"statistics": "boson"}),
+                       (load_state_file, {})):
+        path.write_text(json.dumps({"d": d, "N": n,
+                                    "entries": [[0, 0, 1.0, 0.0]], **blob}))
+        with pytest.raises(InputFormatError, match="must be an integer"):
+            load(str(path))
+
+
 def test_loaders_reject_repeated_entry(tmp_path, capsys):
     code, err, state_err = _bad_input(
         tmp_path, capsys, [[0, 0, 1.0, 0.0], [0, 0, 2.0, 0.0]])

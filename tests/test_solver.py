@@ -12,8 +12,9 @@ from sepwit import (LowRankObservable, Partition, SevalueProblem, SpaceConfig,
                     basis_product_vector, brute_force_bound,
                     interference_observable, partitions_into, product_vector,
                     project, projector_matrix, rank_one_observable,
-                    solve_sup_g, sweep_solve, transform_solution,
-                    transformed_observable, verify_second_form)
+                    solve_sup_g, subspace_dimension, sweep_solve,
+                    transform_solution, transformed_observable,
+                    verify_second_form)
 from sepwit.witness import build_k_witness
 from sepwit.errors import (ConvergenceError, DimensionCapError,
                            ZeroProjectionError)
@@ -38,6 +39,20 @@ def _rank_one_problem(psi, stats):
                           Partition((1, 1)), psi.space)
 
 
+def _one_start(numer, overlap, b=0):
+    """Start b's forms of a batch of party matrices, as a batch of one."""
+    numer = numer[b:b + 1] if isinstance(numer, np.ndarray) \
+        else (numer[0], numer[1][b:b + 1])
+    return numer, overlap[b:b + 1]
+
+
+def _start_forms(numer, overlap, b=0):
+    """Start b's numerator and overlap without the batch axis."""
+    numer = numer[b] if isinstance(numer, np.ndarray) \
+        else (numer[0], numer[1][b])
+    return numer, overlap[b]
+
+
 # ---------------------------------------------------------------------------
 # partitions
 
@@ -56,6 +71,12 @@ def test_partition_same_partitioning():
 def test_partition_validation():
     with pytest.raises(ValueError):
         Partition((2, 0))
+    for parts in ((1.7, 2.2), (2.0, 1), (True, 1), ("2", 1), (None,)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            Partition(parts)
+    numpy_parts = Partition((np.int64(2), np.int32(1)))
+    assert numpy_parts == Partition((2, 1))
+    assert all(type(p) is int for p in numpy_parts.parts)
     with pytest.raises(ValueError):
         SevalueProblem(np.eye(4), Statistics.BOSON, Partition((1, 1, 1)),
                        SpaceConfig(2, 2))
@@ -126,14 +147,16 @@ def test_party_matrices_match_contracted_operator(rng, stats, parts):
         solver = _Solver(SevalueProblem(observable, stats, partition, space))
         blocks = [crandn(rng, d ** nk) for nk in parts]
         g = float(rng.standard_normal())
-        _, _, defects = solver.stationarity(blocks, g)
+        batch = [b[None] for b in blocks]
+        _, _, (defects,) = solver.stationarity(batch, [g])
         for j, iso in enumerate(isometries):
-            numer, overlap, _ = solver.party_matrices(blocks, j)
+            numer, overlap, _ = solver.party_matrices(batch, j)
             # a low-rank numerator comes as its contracted terms, and the
-            # overlap as a scalar where P = 1
+            # overlap as a scalar per start where P = 1
             assert isinstance(numer, tuple) == (observable is low_rank)
-            assert (np.ndim(overlap) == 0) == (not stats.is_projected)
-            numer, overlap = dense_party_matrices(numer, overlap)
+            assert (np.ndim(overlap) == 1) == (not stats.is_projected)
+            numer, overlap = dense_party_matrices(
+                *_start_forms(numer, overlap))
             for got, full in ((numer, sandwich), (overlap, proj)):
                 want = iso.conj().T @ contracted_operator(
                     full, blocks, j, partition, space) @ iso
@@ -184,10 +207,13 @@ def test_party_step_matches_dense_reference(rng, stats, parts, mode, kind):
     blocks = [b / np.linalg.norm(b) for b in blocks]
     for _sweep in range(3):
         for j in range(partition.k):
-            numer, overlap, iso = solver.party_matrices(blocks, j)
+            numer, overlap, iso = solver.party_matrices(
+                [b[None] for b in blocks], j)
             previous = blocks[j] if iso is None else iso.conj().T @ blocks[j]
-            value, vec = _generalized_step(numer, overlap, previous, mode)
-            numer, overlap = dense_party_matrices(numer, overlap)
+            (value,), (vec,) = _generalized_step(numer, overlap,
+                                                 previous[None], mode)
+            numer, overlap = dense_party_matrices(
+                *_start_forms(numer, overlap))
             want, _ = reference_generalized_step(numer, overlap, previous,
                                                  mode)
             scale = max(1.0, abs(want))
@@ -209,12 +235,13 @@ def test_party_step_zero_extremum(rng, stats):
     solver = _Solver(problem)
     blocks = [crandn(rng, 3) for _ in range(2)]
     blocks = [b / np.linalg.norm(b) for b in blocks]
-    numer, overlap, _ = solver.party_matrices(blocks, 0)
-    kets = numer[1][:, :1]
+    numer, overlap, _ = solver.party_matrices([b[None] for b in blocks], 0)
+    kets = numer[1][0, :, :1]
     # from a random vector, and from one inside the span, which has no
     # part in the zero eigenspace
     for previous in (blocks[0], kets[:, 0] / np.linalg.norm(kets[:, 0])):
-        value, vec = _generalized_step(numer, overlap, previous, "max")
+        (value,), (vec,) = _generalized_step(numer, overlap, previous[None],
+                                             "max")
         assert value == 0.0
         assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
         assert abs(kets[:, 0].conj() @ vec) <= 1e-12 * np.linalg.norm(kets)
@@ -547,24 +574,30 @@ def test_party_isometries_built_once_per_solve(monkeypatch, rng):
     solve_sup_g(dataclasses.replace(dense, stats=Statistics.DISTINGUISHABLE),
                 starts=3, seed=0)
     assert calls == []
-    # the exact K = 1 low-rank route builds neither S nor S^H L S
-    compressions.clear()
-    single = SevalueProblem(problem.operator, Statistics.FERMION,
-                            Partition((4,)), space)
-    assert abs(solve_sup_g(single, starts=1, seed=0).value - 1.0) <= 1e-12
-    assert calls == []
-    assert compressions == []
-    # a single dense party is the whole space: its S_j is the sector's
-    # S, built and densified once, and its party matrices are S^H L S
-    # and 1
+    # a single party is one step on the whole sector: the low-rank
+    # route builds S's orbit tables once, but neither a dense S nor
+    # S^H L S, and no route builds party matrices
     dense_builds = []
 
     def counting_toarray(self):
         dense_builds.append(self.shape)
         return toarray(self)
 
+    def forbidden(*_args):
+        raise AssertionError("K = 1 solve built party matrices")
+
     toarray = SectorIsometry.toarray
     monkeypatch.setattr(SectorIsometry, "toarray", counting_toarray)
+    monkeypatch.setattr(_Solver, "party_matrices", forbidden)
+    compressions.clear()
+    single = SevalueProblem(problem.operator, Statistics.FERMION,
+                            Partition((4,)), space)
+    assert abs(solve_sup_g(single, starts=1, seed=0).value - 1.0) <= 1e-12
+    assert calls == [4]
+    assert compressions == []
+    assert dense_builds == []
+    # a single dense party densifies S once, for S^H L S
+    calls.clear()
     space = SpaceConfig(9, 3)
     observable = random_hermitian(rng, space.total_dim)
     single = SevalueProblem(observable, Statistics.FERMION, Partition((3,)),
@@ -572,38 +605,54 @@ def test_party_isometries_built_once_per_solve(monkeypatch, rng):
     value = solve_sup_g(single, starts=1, seed=0).value
     assert calls == [3]
     assert dense_builds == [(729, 84)]
+    assert compressions == [(729, 729)]
     iso = sector_basis_vectors(Statistics.FERMION, space)
     top = np.linalg.eigvalsh(iso.conj().T @ observable @ iso)[-1]
     assert abs(value - top) <= 1e-9
-    _, overlap, _ = _Solver(single).party_matrices(
-        [crandn(rng, space.total_dim)], 0)
-    assert overlap == 1.0
 
 
 @pytest.mark.parametrize("stats", list(Statistics))
 def test_single_party_lowrank_matches_sector_spectrum(rng, stats):
-    # K = 1 with a low-rank observable is solved from its terms; both
-    # extremes equal those of S^H L S, including the 0 that a rank-one
-    # observable attains off its span
+    # K = 1 is one exact step on the whole sector, for a dense matrix,
+    # a rank-one observable and three terms alike; both extremes equal
+    # those of S^H L S, including the 0 that a rank-one observable
+    # attains off its span
     space = SpaceConfig(3, 2)
     psi = _random_sector_state(rng, 3, stats)
-    observable = rank_one_observable(psi, stats)
-    problem = SevalueProblem(observable, stats, Partition((2,)), space)
     iso = sector_basis_vectors(stats, space)
-    spectrum = np.linalg.eigvalsh(iso.conj().T @ observable.to_matrix() @ iso)
-    for mode, want in (("max", spectrum[-1]), ("min", spectrum[0])):
-        sol = solve_sup_g(problem, starts=1, seed=2, mode=mode).best
-        assert abs(sol.value - want) <= 1e-12
-        assert sol.residual <= 1e-12
+    for observable in (rank_one_observable(psi, stats),
+                       _random_observable(rng, "dense", space),
+                       _random_observable(rng, "low-rank", space)):
+        problem = SevalueProblem(observable, stats, Partition((2,)), space)
+        dense = observable if isinstance(observable, np.ndarray) \
+            else observable.to_matrix()
+        spectrum = np.linalg.eigvalsh(iso.conj().T @ dense @ iso)
+        scale = max(1.0, np.abs(spectrum).max())
+        for mode, want in (("max", spectrum[-1]), ("min", spectrum[0])):
+            sol = solve_sup_g(problem, starts=1, seed=2, mode=mode).best
+            assert abs(sol.value - want) <= 1e-12 * scale
+            assert sol.residual <= 1e-12 * scale
+            assert sol.converged and sol.sweeps == 1
+
+
+@pytest.mark.parametrize("kind", ["dense", "low-rank"])
+def test_single_party_empty_sector_fails_every_start(rng, kind):
+    # three fermions in two modes have no sector: every product vector
+    # projects to zero, so no start converges
+    space = SpaceConfig(2, 3)
+    problem = SevalueProblem(_random_observable(rng, kind, space),
+                             Statistics.FERMION, Partition((3,)), space)
+    with pytest.raises(ConvergenceError, match="1 failed on zero"):
+        solve_sup_g(problem, starts=4, seed=0)
 
 
 @pytest.mark.parametrize("stats", [Statistics.DISTINGUISHABLE,
                                    Statistics.FERMION])
 def test_single_party_lowrank_negative_term_reaches_zero(monkeypatch, rng,
                                                          stats):
-    # -|psi><psi| has its maximum 0 off the span of psi: the solution is
-    # the sector basis column least covered by psi, with psi's part
-    # removed, taken from the solve's own S (none for distinguishable)
+    # -|psi><psi| has its maximum 0 off the span of psi: the solution
+    # lies in the sector and is orthogonal to psi, and the solve builds
+    # no S beyond its own (none for distinguishable)
     import sepwit.solver as solver_module
     calls = []
 
@@ -814,13 +863,14 @@ def test_batched_step_loses_only_the_vanishing_start(rng):
     previous = blocks[0] @ iso.conj()
     values, vectors = _generalized_step(numer, overlap, previous, "max")
     assert np.isnan(values[2]) and not np.isnan(values[[0, 1, 3]]).any()
-    for b in (0, 1, 3):
-        value, vector = _generalized_step(numer[b], overlap[b], previous[b],
-                                          "max")
+    for b in range(4):
+        (value,), (vector,) = _generalized_step(
+            *_one_start(numer, overlap, b), previous[b:b + 1], "max")
+        if b == 2:
+            assert np.isnan(value)
+            continue
         assert abs(values[b] - value) <= 1e-12 * max(1.0, abs(value))
         assert np.abs(vectors[b] - vector).max() <= 1e-10
-    with pytest.raises(ZeroProjectionError):
-        _generalized_step(numer[2], overlap[2], previous[2], "max")
 
 
 def test_batched_step_mixes_span_ranks(rng):
@@ -841,8 +891,9 @@ def test_batched_step_mixes_span_ranks(rng):
                                         blocks[0], mode)
         assert values[1] == 0.0
         for b in range(3):
-            value, vector = _generalized_step((coeffs, vectors[b]),
-                                              overlap[b], blocks[0][b], mode)
+            (value,), (vector,) = _generalized_step(
+                *_one_start((coeffs, vectors), overlap, b),
+                blocks[0][b:b + 1], mode)
             assert abs(values[b] - value) <= 1e-12 * max(1.0, abs(value))
             assert np.abs(got[b] - vector).max() <= 1e-10
 
@@ -1006,6 +1057,52 @@ def test_transform_solution_solves_transformed_problem(rng):
     # re-solving from the transformed point stays put
     resolved = sweep_solve(new_problem, list(moved.party_vectors))
     assert abs(resolved.value - moved.value) < 1e-8
+
+
+@pytest.mark.parametrize("stats", list(Statistics))
+@pytest.mark.parametrize("parts", [(2,), (1, 1), (2, 1), (1, 1, 1)])
+@pytest.mark.parametrize("kind", ["dense", "low-rank"])
+@settings(max_examples=8, deadline=None)
+@given(d=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1),
+       shift=st.booleans())
+def test_transformed_solution_is_stationary(stats, parts, kind, d, seed,
+                                            shift):
+    # G is covariant under lambda1 L + lambda2 P and local unitaries
+    # U^(x N): a converged solution, carried over by transform_solution,
+    # is stationary on the transformed observable with the quotient
+    # lambda1 g + lambda2 (a low-rank observable stays low-rank unshifted)
+    rng = np.random.default_rng(seed)
+    space = SpaceConfig(d, sum(parts))
+    if not subspace_dimension(stats, space):
+        return      # fermions in fewer modes than particles: no sector
+    observable = _random_observable(rng, kind, space)
+    partition = Partition(parts)
+    try:
+        sol = solve_sup_g(SevalueProblem(observable, stats, partition, space),
+                          starts=4, seed=seed % 1000).best
+    except ConvergenceError:
+        return
+    lam1 = float(rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0]))
+    lam2 = float(rng.standard_normal()) if shift else 0.0
+    unitary = random_unitary(rng, d)
+    moved = transform_solution(sol, lam1, lam2, unitary)
+    new_op = transformed_observable(observable, lam1, lam2, unitary, stats,
+                                    space)
+    assert isinstance(new_op, np.ndarray) == (shift or kind == "dense")
+    dense = observable if isinstance(observable, np.ndarray) \
+        else observable.to_matrix()
+    scale = max(1.0, abs(lam1)) * max(1.0, np.linalg.norm(dense, 2)) \
+        + abs(lam2)
+    _, overlap = verify_second_form(
+        moved, SevalueProblem(new_op, stats, partition, space))
+    assert overlap <= 1e-9 * scale
+    new_dense = new_op if isinstance(new_op, np.ndarray) \
+        else new_op.to_matrix()
+    pb = project(stats, StateVector(
+        space, reduce(np.kron, moved.party_vectors))).amplitudes
+    quotient = (pb.conj() @ new_dense @ pb).real / (pb.conj() @ pb).real
+    assert moved.value == lam1 * sol.value + lam2
+    assert abs(quotient - moved.value) <= 1e-9 * scale
 
 
 def test_matched_inits_give_unitarily_invariant_values(rng):

@@ -41,6 +41,19 @@ def test_space_caps():
         SpaceConfig(50, 6)         # 50**6 over the vector cap
 
 
+@pytest.mark.parametrize("d,n", [(3.9, 2), (3, 2.0), (True, 2), (3, False),
+                                 ("3", 2), (None, 2)])
+def test_space_rejects_non_integers(d, n):
+    with pytest.raises(ValueError, match="must be an integer"):
+        SpaceConfig(d, n)
+
+
+def test_space_accepts_numpy_integers():
+    space = SpaceConfig(np.int64(3), np.int32(2))
+    assert space == SpaceConfig(3, 2)
+    assert type(space.d) is int and type(space.n) is int
+
+
 def test_permutation_parity_and_validation():
     assert Permutation((1, 2, 3)).parity == 0
     assert Permutation((2, 1)).parity == 1
@@ -260,9 +273,10 @@ def test_sector_isometry_matches_projector(stats, d, n):
 @pytest.mark.parametrize("stats", list(Statistics))
 @pytest.mark.parametrize("d,n", [(3, 1), (2, 3), (3, 4), (4, 3), (8, 4)])
 def test_sector_isometry_kernels_match_dense(rng, stats, d, n):
-    # S^H x on one vector and on a (dim, batch) array, the dense S and a
-    # single column all agree with the normalised projections P|label>
-    # of the sector's basis labels; n > d leaves the fermion sector empty
+    # S^H x on one vector and on a (dim, batch) array, the dense S and
+    # S y for a sector unit vector y all agree with the normalised
+    # projections P|label> of the sector's basis labels; n > d leaves
+    # the fermion sector empty
     space = SpaceConfig(d, n)
     iso = sector_isometry(stats, space)
     labels = sector_basis_labels(stats, space)
@@ -280,10 +294,19 @@ def test_sector_isometry_kernels_match_dense(rng, stats, d, n):
     assert np.abs(coords[cols] - want.conj().T @ x).max(initial=0.0) <= 1e-12
     assert np.abs(iso.adjoint(x[:, 0]) - coords[:, 0]).max(initial=0.0) \
         <= 1e-12
+    eye = np.eye(len(labels), dtype=np.complex128)
     for at, col in enumerate(cols):
-        assert np.abs(iso.column(col) - want[:, at]).max() <= 1e-12
-    with pytest.raises(IndexError):
-        iso.column(len(labels))
+        assert np.abs(iso.apply(eye[col]) - want[:, at]).max() <= 1e-12
+    # S y on a (sector dimension, batch) array is the adjoint of S^H
+    y = crandn(rng, len(labels), 3)
+    images = iso.apply(y)
+    assert images.shape == (space.total_dim, 3)
+    assert np.abs(images[:, 0] - iso.apply(y[:, 0])).max(initial=0.0) \
+        <= 1e-12
+    assert np.abs(x.conj().T @ images - coords.conj().T @ y).max(
+        initial=0.0) <= 1e-12 * space.total_dim
+    with pytest.raises(ValueError):
+        iso.apply(np.zeros(len(labels) + 1))
     with pytest.raises(ValueError):
         iso.adjoint(x[1:])
     # the dense S of the 4096-dim distinguishable space would be 256 MiB

@@ -5,8 +5,9 @@ from sepwit import (DensityOperator, Partition, SevalueProblem, SpaceConfig,
                     StateVector, Statistics, WitnessForm, brute_force_bound,
                     build_k_witness, build_witness, detect, expectation,
                     fig1_state_family, interference_observable, noisy_state,
-                    project, rank_one_observable, schmidt_number_bound,
-                    sector_deviation, subspace_dimension, witness_matrix)
+                    partitions_into, project, rank_one_observable,
+                    schmidt_number_bound, sector_deviation,
+                    subspace_dimension, witness_matrix)
 from sepwit.errors import SectorError
 
 from conftest import crandn
@@ -50,12 +51,14 @@ def test_build_witness_balanced_boson():
 
 
 def test_build_witness_oracle_is_lower_bound():
+    # the sampling oracle is no witness source, only a lower bound
     psi = _balanced_boson_d3()
     problem = SevalueProblem(rank_one_observable(psi, Statistics.BOSON),
                              Statistics.BOSON, Partition((1, 1)), psi.space)
-    witness = build_witness(problem, bound_source="oracle", samples=20_000,
-                            seed=3)
-    assert witness.bound <= 2.0 / 3.0 + 1e-9
+    assert brute_force_bound(problem, samples=20_000, seed=3) \
+        <= 2.0 / 3.0 + 1e-9
+    with pytest.raises(ValueError, match="unknown bound source"):
+        build_witness(problem, bound_source="oracle")
 
 
 def test_analytic_bound_refused_for_equal_even_fermion_blocks():
@@ -190,11 +193,13 @@ def test_build_k_witness_over_partitions():
     assert witness.k == 2
     numeric = build_k_witness(observable, Statistics.BOSON, space, 2,
                               bound_source="numeric", starts=8, seed=3)
-    oracle = build_k_witness(observable, Statistics.BOSON, space, 2,
-                             bound_source="oracle", samples=2000, seed=3)
+    oracle = max(brute_force_bound(SevalueProblem(observable, Statistics.BOSON,
+                                                  p, space),
+                                   samples=2000, seed=3)
+                 for p in partitions_into(space.n, 2))
     assert abs(numeric.bound - 0.5) < 1e-9
-    assert oracle.bound <= numeric.bound + 1e-9
-    assert (numeric.bound_source, oracle.bound_source) == ("numeric", "oracle")
+    assert oracle <= numeric.bound + 1e-9
+    assert numeric.bound_source == "numeric"
 
 
 def test_schmidt_number_bound_values(rng):
