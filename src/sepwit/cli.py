@@ -44,7 +44,7 @@ from .errors import (ConvergenceError, HermiticityError, InputFormatError,
                      SectorError, SepwitError)
 from .operators import interference_observable, rank_one_observable
 from .solver import (Partition, SevalueProblem, brute_force_bound,
-                     check_samples, partitions_into, solve_sup_g)
+                     check_count, partitions_into, solve_sup_g)
 from .states import (detection_threshold, dephased_ghz, fig1_bound,
                      fig1_state_family, ghz_expectation, noisy_state,
                      GhzFamily)
@@ -382,7 +382,7 @@ def _cmd_sevalue(args) -> int:
     partitions = (partition,) if partition is not None \
         else partitions_into(space.n, k)
     # the oracle's budget is checked before any solve is spent
-    check_samples(args.oracle_samples)
+    check_count(args.oracle_samples, "samples")
     per_partition = []
     best = None
     any_converged = False

@@ -129,6 +129,17 @@ def schmidt(psi: StateVector) -> SchmidtDecomposition:
                                 right_basis=vh[:rank, :].T)
 
 
+def _complete_unitary(columns: list, d: int) -> np.ndarray:
+    """The d x d unitary whose first columns are the given orthonormal
+    ones, completed by an orthonormal basis of their complement."""
+    found = len(columns)
+    if found < d:
+        complement = (null_space(np.column_stack(columns).conj().T) if found
+                      else np.eye(d, dtype=np.complex128))
+        columns = columns + [complement[:, k] for k in range(d - found)]
+    return np.column_stack(columns)
+
+
 def takagi_symmetric(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Factor a complex symmetric matrix as U diag(kappa) U^T.
 
@@ -156,18 +167,9 @@ def takagi_symmetric(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         u = eigvecs[:d, idx] + 1j * eigvecs[d:, idx]
         columns.append(u)
         kappas.append(eigvals[idx])
-    rank = len(columns)
-    if rank < d:
-        if rank:
-            found = np.column_stack(columns)
-            complement = null_space(found.conj().T)
-        else:
-            complement = np.eye(d, dtype=np.complex128)
-        columns.extend(complement[:, k] for k in range(d - rank))
-    unitary = np.column_stack(columns)
     kappa = np.zeros(d)
-    kappa[:rank] = kappas
-    return unitary, kappa
+    kappa[:len(kappas)] = kappas
+    return _complete_unitary(columns, d), kappa
 
 
 def takagi_skew(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -209,18 +211,9 @@ def takagi_skew(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         columns.extend([u2, u1])
         kappas.append(sigma)
         work = work - sigma * (np.outer(u2, u1) - np.outer(u1, u2))
-    rank2 = len(columns)
-    if rank2 < d:
-        if rank2:
-            found = np.column_stack(columns)
-            complement = null_space(found.conj().T)
-        else:
-            complement = np.eye(d, dtype=np.complex128)
-        columns.extend(complement[:, k] for k in range(d - rank2))
-    unitary = np.column_stack(columns)
     kappa = np.zeros(npairs)
     kappa[: len(kappas)] = kappas
-    return unitary, kappa
+    return _complete_unitary(columns, d), kappa
 
 
 def slater_fermion(f: StateVector) -> FermionSlater:

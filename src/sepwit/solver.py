@@ -28,12 +28,14 @@ import numpy as np
 
 from .decompositions import schmidt, slater_boson, slater_fermion
 from .errors import (ConvergenceError, DimensionCapError, ZeroProjectionError)
-from .operators import LowRankObservable
+from .operators import (LowRankObservable, interference_observable,
+                        rank_one_observable)
 from .partystep import _dag, _generalized_step, _hermitian_part
 from .sectors import SectorIsometry, sector_isometry
 from .tensor import (BATCH_BYTES, SpaceConfig, StateVector, Statistics,
                      basis_product_vector, project, project_amplitudes,
-                     require_hermitian, require_int, subspace_dimension)
+                     projector_matrix, require_hermitian, require_int,
+                     subspace_dimension)
 
 DEFAULT_STARTS = 64
 MAX_SWEEPS = 500
@@ -70,15 +72,8 @@ class Partition:
     def n(self) -> int:
         return sum(self.parts)
 
-    def offsets(self) -> tuple[int, ...]:
-        out, acc = [], 0
-        for p in self.parts:
-            out.append(acc)
-            acc += p
-        return tuple(out)
-
     def slots(self, party: int) -> range:
-        off = self.offsets()[party]
+        off = sum(self.parts[:party])
         return range(off, off + self.parts[party])
 
     def block_dims(self, d: int) -> tuple[int, ...]:
@@ -183,6 +178,16 @@ class SupremumResult:
 # ---------------------------------------------------------------------------
 # internal machinery
 
+def check_count(value, name: str) -> int:
+    """A count (the starts, the sweep limit, the oracle's samples) as an
+    int; raises ValueError, naming ``name``, unless it is an integer
+    (not a bool) of at least 1."""
+    count = require_int(value, name)
+    if count < 1:
+        raise ValueError(f"{name} must be >= 1")
+    return count
+
+
 def _crandn(rng: np.random.Generator, size) -> np.ndarray:
     """Standard complex normals (re + 1j im) / sqrt(2), with ``re`` the
     stream's next draws and ``im`` the ones after them, written into one
@@ -231,17 +236,6 @@ def _kron_rows(blocks, count: int) -> np.ndarray:
     return out
 
 
-def _to_sector(iso: np.ndarray | SectorIsometry | None,
-               x: np.ndarray) -> np.ndarray:
-    """S^H x for a dense S or the orbit tables of one, with None
-    standing for the identity."""
-    if iso is None:
-        return x
-    if isinstance(iso, SectorIsometry):
-        return iso.adjoint(x)
-    return iso.conj().T @ x
-
-
 def _sector_basis(stats: Statistics, space: SpaceConfig) \
         -> SectorIsometry | None:
     """The exchange-sector isometry S of ``space`` as orbit tables; None
@@ -252,33 +246,11 @@ def _sector_basis(stats: Statistics, space: SpaceConfig) \
     return sector_isometry(stats, space)
 
 
-def _compress(observable: np.ndarray, iso: SectorIsometry | None):
-    """A dense observable L in the sector coordinates of S = ``iso``:
-    S^H L S, taken through the dense columns of S, whose memory is
-    bounded by that of L; L itself where S is None."""
-    if iso is None:
-        return np.asarray(observable)
-    cols = iso.toarray()
-    return cols.conj().T @ observable @ cols
-
-
-def _projected_terms(stats: Statistics, observable: LowRankObservable,
-                     space: SpaceConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The terms of P L P = sum_t c_t P k_t (P b_t)^H as (c, V): the
-    coefficients c_t, and the columns P k_1..P k_T, then P b_1..P b_T,
-    projected in one call."""
-    terms = observable.terms
-    vectors = np.column_stack([k for _c, k, _b in terms]
-                              + [b for _c, _k, b in terms])
-    return (np.array([c for c, _k, _b in terms]),
-            project_amplitudes(stats, vectors, space))
-
-
 class _Solver:
     """Per-problem workspace: the projected observable, the isometries
-    and the compressed dense observable (each built on first use) and
-    the party-wise contractions.  One workspace serves every start of a
-    solve and is released with it.
+    and the observable in sector coordinates (each built on first use)
+    and the party-wise contractions.  One workspace serves every start
+    of a solve, or every sample of the oracle, and is released with it.
 
     With the same statistics on every block, P (P_1 x ... x P_K) = P, so
     party j's equation only sees the part of b_j in its block's exchange
@@ -302,13 +274,19 @@ class _Solver:
             for nj in problem.partition.parts)
         self._isometries: dict[int, np.ndarray | None] = {}
         self._sector = None
-        self._dense_sector = None
+        self._sector_operator = None
         if isinstance(problem.operator, LowRankObservable):
-            # the projected terms (c, V), contracted onto a party all at
-            # once; ``dense`` None marks the low-rank form
+            # the terms of P L P = sum_t c_t P k_t (P b_t)^H as (c, V):
+            # V holds P k_1..P k_T, then P b_1..P b_T, projected in one
+            # call and contracted onto a party all at once; ``dense``
+            # None marks the low-rank form
+            terms = problem.operator.terms
             self.dense = None
-            self.coeffs, self.term_vectors = _projected_terms(
-                problem.stats, problem.operator, problem.space)
+            self.coeffs = np.array([c for c, _k, _b in terms])
+            self.term_vectors = project_amplitudes(
+                problem.stats, np.column_stack([k for _c, k, _b in terms]
+                                               + [b for _c, _k, b in terms]),
+                problem.space)
         else:
             self.dense = problem.operator
 
@@ -412,12 +390,23 @@ class _Solver:
             self._sector = _sector_basis(self.stats, self.space)
         return self._sector
 
-    def dense_sector(self) -> np.ndarray:
-        """The dense observable compressed to S^H L S, built on first
-        use."""
-        if self._dense_sector is None:
-            self._dense_sector = _compress(self.dense, self.sector())
-        return self._dense_sector
+    def sector_operator(self):
+        """The observable in the coordinates of the whole space's sector,
+        built on first use: S^H L S for a dense observable, taken through
+        the dense columns of S, whose memory is bounded by that of L, or
+        the terms (c, S^H V); L or (c, V) itself where S is None."""
+        if self._sector_operator is None:
+            sec = self.sector()
+            if self.dense is None:
+                self._sector_operator = (self.coeffs, self.term_vectors
+                                         if sec is None
+                                         else sec.adjoint(self.term_vectors))
+            elif sec is None:
+                self._sector_operator = np.asarray(self.dense)
+            else:
+                cols = sec.toarray()
+                self._sector_operator = cols.conj().T @ self.dense @ cols
+        return self._sector_operator
 
     def party_matrices(self, blocks, j: int) -> tuple:
         """Party j's equations A_j x = g B_j x with the other blocks held
@@ -438,8 +427,9 @@ class _Solver:
         left = _kron_rows(blocks[:j], count)
         right = _kron_rows(blocks[j + 1:], count)
         if self.dense is None:
-            numer = (self.coeffs, _to_sector(iso, self._contract_fixed(
-                self.term_vectors, left, right, dj)))
+            terms = self._contract_fixed(self.term_vectors, left, right, dj)
+            numer = (self.coeffs,
+                     terms if iso is None else iso.conj().T @ terms)
         if sec is None:
             # P = 1 and S_j = 1: q^H q is ||left||^2 ||right||^2 times
             # the identity
@@ -460,7 +450,7 @@ class _Solver:
         if sec is not None:
             overlap = _hermitian_part(_dag(stack) @ stack)
         if self.dense is not None:
-            product = (self.dense_sector() @ y).reshape(-1, count, mj)
+            product = (self.sector_operator() @ y).reshape(-1, count, mj)
             numer = _hermitian_part(_dag(stack) @ product.transpose(1, 0, 2))
         return numer, overlap, iso
 
@@ -494,6 +484,7 @@ class _Solver:
         """
         if mode not in ("max", "min"):
             raise ValueError("mode must be 'max' or 'min'")
+        max_sweeps = check_count(max_sweeps, "max_sweeps")
         if self.partition.k == 1:
             if self.dense is not None:
                 self.check_dense_cap(0)
@@ -567,15 +558,14 @@ class _Solver:
         first = np.array([next(init)[0] for init in inits],
                          dtype=np.complex128)
         count = len(first)
+        op = self.sector_operator()
         if self.dense is None:
-            terms = _to_sector(sec, self.term_vectors)
-            numer = (self.coeffs,
-                     np.broadcast_to(terms, (count,) + terms.shape))
+            numer = (op[0], np.broadcast_to(op[1], (count,) + op[1].shape))
         else:
-            matrix = self.dense_sector()
-            numer = np.broadcast_to(matrix, (count,) + matrix.shape)
-        values, coords = _generalized_step(
-            numer, np.ones(count), _to_sector(sec, first.T).T, mode)
+            numer = np.broadcast_to(op, (count,) + op.shape)
+        if sec is not None:
+            first = sec.adjoint(first.T).T
+        values, coords = _generalized_step(numer, np.ones(count), first, mode)
         vectors = coords if sec is None else sec.apply(coords.T).T
         return self.solutions([vectors], values, np.ones(count, dtype=bool),
                               np.ones(count, dtype=int), tol)
@@ -618,12 +608,12 @@ def solve_sup_g(problem: SevalueProblem, starts: int = DEFAULT_STARTS,
     and reaches the same point however the starts are batched.  A
     single full-space party is solved once, from start 0.  Raises
     ConvergenceError when no start converges (distinct from a converged
-    bound that simply fails to detect).
+    bound that simply fails to detect), and ValueError unless ``starts``
+    and ``max_sweeps`` are integers of at least 1.
     """
-    if starts < 1:
-        raise ValueError("starts must be >= 1")
-    # one workspace for every start, so the isometries and the compressed
-    # observable are built once per solve
+    starts = check_count(starts, "starts")
+    # one workspace for every start, so the isometries and the sector
+    # operator are built once per solve
     ws = _Solver(problem)
     count = 1 if problem.partition.k == 1 else starts
     # start i tries up to 8 initializations drawn from its own generator
@@ -651,9 +641,8 @@ def solve_sup_g(problem: SevalueProblem, starts: int = DEFAULT_STARTS,
 # ---------------------------------------------------------------------------
 # analytic solutions
 
-def _rank_one_diagnostics(problem: SevalueProblem, value: float,
+def _rank_one_diagnostics(ws: _Solver, value: float,
                           blocks) -> SevalueSolution:
-    ws = _Solver(problem)
     blocks = [np.asarray(b, dtype=np.complex128) for b in blocks]
     blocks = [b / np.linalg.norm(b) for b in blocks]
     sol = ws.solution(blocks, value, converged=True, sweeps=0)
@@ -674,16 +663,15 @@ def analytic_rank_one(psi: StateVector, stats: Statistics) -> list[SevalueSoluti
     """
     if psi.space.n != 2:
         raise ValueError("analytic solutions cover two-particle states only")
-    from .operators import rank_one_observable
     observable = rank_one_observable(psi, stats)
     partition = Partition((1, 1))
-    problem = SevalueProblem(observable, stats, partition, psi.space)
+    ws = _Solver(SevalueProblem(observable, stats, partition, psi.space))
     solutions: list[SevalueSolution] = []
     if stats is Statistics.DISTINGUISHABLE:
         dec = schmidt(psi)
         for idx, lam in enumerate(dec.coefficients):
             solutions.append(_rank_one_diagnostics(
-                problem, lam ** 2,
+                ws, lam ** 2,
                 [dec.left_basis[:, idx], dec.right_basis[:, idx]]))
     elif stats is Statistics.FERMION:
         dec = slater_fermion(project(stats, psi))
@@ -691,7 +679,7 @@ def analytic_rank_one(psi: StateVector, stats: Statistics) -> list[SevalueSoluti
             if kappa <= 1e-14:
                 continue
             solutions.append(_rank_one_diagnostics(
-                problem, 2.0 * kappa ** 2,
+                ws, 2.0 * kappa ** 2,
                 [dec.basis[:, 2 * idx], dec.basis[:, 2 * idx + 1]]))
     else:
         dec = slater_boson(project(stats, psi))
@@ -700,19 +688,17 @@ def analytic_rank_one(psi: StateVector, stats: Statistics) -> list[SevalueSoluti
             if kappa <= 1e-14:
                 continue
             solutions.append(_rank_one_diagnostics(
-                problem, kappa ** 2,
+                ws, kappa ** 2,
                 [dec.basis[:, idx], dec.basis[:, idx]]))
         d = psi.space.d
         for a in range(d):
             for b in range(a + 1, d):
                 if kappas[a] <= 1e-14 and kappas[b] <= 1e-14:
                     continue
-                plus = (np.sqrt(kappas[a]) * dec.basis[:, a]
-                        + 1j * np.sqrt(kappas[b]) * dec.basis[:, b])
-                minus = (np.sqrt(kappas[a]) * dec.basis[:, a]
-                         - 1j * np.sqrt(kappas[b]) * dec.basis[:, b])
+                wa = np.sqrt(kappas[a]) * dec.basis[:, a]
+                wb = 1j * np.sqrt(kappas[b]) * dec.basis[:, b]
                 solutions.append(_rank_one_diagnostics(
-                    problem, kappas[a] ** 2 + kappas[b] ** 2, [plus, minus]))
+                    ws, kappas[a] ** 2 + kappas[b] ** 2, [wa + wb, wa - wb]))
     solutions.sort(key=lambda s: -s.value)
     return solutions
 
@@ -747,7 +733,6 @@ def analytic_interference(space: SpaceConfig, stats: Statistics,
     solver finds those solutions; use it rather than this value when
     that pattern applies.
     """
-    from .operators import interference_observable
     observable = interference_observable(space, stats)
     problem = SevalueProblem(observable, stats, partition, space)
     k = partition.k
@@ -759,22 +744,13 @@ def analytic_interference(space: SpaceConfig, stats: Statistics,
         high = basis_product_vector(sub, [space.n + s
                                           for s in partition.slots(party)])
         blocks.append((low.amplitudes + high.amplitudes) / math.sqrt(2.0))
-    rep = _rank_one_diagnostics(problem, bound, blocks)
+    rep = _rank_one_diagnostics(_Solver(problem), bound, blocks)
     return InterferenceAnalysis(bound=bound, solutions=(rep,),
                                 trivial_value=0.0)
 
 
 # ---------------------------------------------------------------------------
 # sampling oracle
-
-def check_samples(samples) -> int:
-    """The oracle's sample budget as an int; raises ValueError, naming
-    ``samples``, unless it is an integer (not a bool) of at least 1."""
-    count = require_int(samples, "samples")
-    if count < 1:
-        raise ValueError("samples must be >= 1")
-    return count
-
 
 def brute_force_bound(problem: SevalueProblem, samples: int,
                       seed: int = 0) -> float:
@@ -791,13 +767,13 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
 
     Quotients are evaluated through the combinatorial sector basis,
     never through per-party eigensolves: S, whose orbit tables apply
-    S^H by gathers, and the compressed observable come from the same
-    helpers as the sweep's party matrices.  The sweep reads that basis
-    too, so the check on it lies elsewhere: the solver's stationarity
-    diagnostics stay on the permutation-sum projector, and the tests
-    compare ``sector_isometry`` with that projector.  Samples with
-    numerically zero projection are skipped.  Deterministic for a fixed
-    seed.
+    S^H by gathers, and the observable in sector coordinates are read
+    from a solver workspace, as the K=1 step and the dense party step
+    read them.  So the check on that basis lies elsewhere: the solver's
+    stationarity diagnostics stay on the permutation-sum projector, and
+    the tests compare ``sector_isometry`` with that projector.  Samples
+    with numerically zero projection are skipped.  Deterministic for a
+    fixed seed.
 
     Each chunk of up to 256 samples builds one complex block per party
     from a single draw of normals, then scales, re-centres and
@@ -815,20 +791,16 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
     the oracle stays at or below a solver value therefore cannot catch
     a solver value that is too low; nothing here bounds G from above.
     """
-    samples = check_samples(samples)
-    space, stats = problem.space, problem.stats
-    isometry = _sector_basis(stats, space)
-    if isinstance(problem.operator, LowRankObservable):
-        coeffs, vectors = _projected_terms(stats, problem.operator, space)
+    samples = check_count(samples, "samples")
+    ws = _Solver(problem)
+    sec, sec_op = ws.sector(), ws.sector_operator()
+    if ws.dense is None:
+        coeffs, vectors = sec_op
         # C-ordered rows <k_t| and <b_t| in sector coordinates: kets @ x
         # and bras @ x give every term's overlaps with a batch of vectors
         # x at once
-        kets, bras = np.split(np.ascontiguousarray(
-            _to_sector(isometry, vectors).T.conj()), 2)
-        dense_sec = None
-    else:
-        dense_sec = _compress(problem.operator, isometry)
-    dims = problem.partition.block_dims(space.d)
+        kets, bras = np.split(np.ascontiguousarray(vectors.T.conj()), 2)
+    dims = ws.block_dims
 
     def evaluate(blocks):
         """Quotients of a batch of product vectors.
@@ -840,19 +812,19 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
         vecs = blocks[0]
         for block in blocks[1:]:
             vecs = (vecs[:, None, :] * block[None, :, :]).reshape(-1, count)
-        coords = _to_sector(isometry, vecs)
+        coords = vecs if sec is None else sec.adjoint(vecs)
         denom = _column_norms_sq(coords)
         quotients = np.full(count, -math.inf)
         valid = denom > 1e-14
         if not np.any(valid):
             return quotients
-        if dense_sec is None:
+        if ws.dense is None:
             # sum_t c_t <x|k_t> <b_t|x>
             numer = np.einsum("t,tc,tc->c", coeffs, (kets @ coords).conj(),
                               bras @ coords).real
         else:
             numer = np.einsum("dc,dc->c", coords.conj(),
-                              dense_sec @ coords).real
+                              sec_op @ coords).real
         quotients[valid] = numer[valid] / denom[valid]
         return quotients
 
@@ -925,7 +897,6 @@ def transformed_observable(operator, lambda1: float, lambda2: float,
                 for c, k, b in operator.terms)
             return LowRankObservable(space, terms, kind=operator.kind)
         operator = operator.to_matrix()
-    from .tensor import projector_matrix
     dim = space.total_dim
     if dim > PARTY_DENSE_CAP:
         raise DimensionCapError(

@@ -7,8 +7,8 @@ import pytest
 from sepwit import LowRankObservable, Permutation
 from sepwit.errors import ZeroProjectionError
 from sepwit.partystep import B_RANGE_CUTOFF
-from sepwit.solver import (_ORACLE_CHUNK, _compress, _sector_basis,
-                           _to_sector)
+from sepwit.sectors import sector_isometry
+from sepwit.solver import _ORACLE_CHUNK
 
 
 def crandn(rng, *shape):
@@ -119,19 +119,20 @@ def reference_brute_force_bound(problem, samples, seed=0):
     ``solver.brute_force_bound`` replaced, with per-term numerators,
     ``np.linalg.norm`` normalisation and out-of-place perturbations.
     It draws the same stream, so both give the same bound up to the
-    rounding of the summation order."""
+    rounding of the summation order.  Its sector coordinates come from
+    the dense columns of ``sector_isometry`` (the identity for
+    distinguishable parties), not from the solver's workspace."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     space, stats = problem.space, problem.stats
-    isometry = _sector_basis(stats, space)
+    isometry = sector_isometry(stats, space).toarray()
+    adjoint = isometry.conj().T
     if isinstance(problem.operator, LowRankObservable):
-        compressed = [(c, _to_sector(isometry, k), _to_sector(isometry, b))
-                      for c, k, b in problem.operator.projected(stats).terms]
-        term_kets = [(c, np.asarray(k).ravel().conj(),
-                      np.asarray(b).ravel()) for c, k, b in compressed]
+        term_kets = [(c, (adjoint @ k).conj(), adjoint @ b)
+                     for c, k, b in problem.operator.projected(stats).terms]
         dense_sec = None
     else:
-        dense_sec = _compress(problem.operator, isometry)
+        dense_sec = adjoint @ problem.operator @ isometry
         term_kets = None
     dims = problem.partition.block_dims(space.d)
 
@@ -140,7 +141,7 @@ def reference_brute_force_bound(problem, samples, seed=0):
         vecs = blocks[0]
         for block in blocks[1:]:
             vecs = (vecs[:, None, :] * block[None, :, :]).reshape(-1, count)
-        coords = isometry.adjoint(vecs) if isometry is not None else vecs
+        coords = adjoint @ vecs
         denom = np.einsum("dc,dc->c", coords.real, coords.real) \
             + np.einsum("dc,dc->c", coords.imag, coords.imag)
         quotients = np.full(count, -math.inf)

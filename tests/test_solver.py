@@ -530,30 +530,36 @@ def test_single_party_dense_cap_reads_sector_dimension(rng):
 
 
 def test_party_isometries_built_once_per_solve(monkeypatch, rng):
-    # every start of a solve shares its S_j and the whole space's S; a
-    # block whose sector is the whole block (one slot here) is solved
-    # without one
+    # every start of a solve shares its S_j, the whole space's S and the
+    # observable in S's coordinates; a block whose sector is the whole
+    # block (one slot here) is solved without one, and the oracle reads
+    # the same workspace
     import sepwit.solver as solver_module
     calls = []
-    compressions = []
+    builds = []
 
     def counting(stats, space):
         calls.append(space.n)
         return sector_isometry(stats, space)
 
-    def counting_compress(*args):
-        compressions.append(args[0].shape)
-        return compress(*args)
+    def counting_operator(self):
+        # a build is a call that finds the cache empty: a dense
+        # observable's S^H L S records the observable's shape, the terms
+        # (c, S^H V) record "terms"
+        if self._sector_operator is None:
+            builds.append("terms" if self.dense is None else self.dense.shape)
+        return sector_operator(self)
 
-    compress = solver_module._compress
+    sector_operator = _Solver.sector_operator
     monkeypatch.setattr(solver_module, "sector_isometry", counting)
-    monkeypatch.setattr(solver_module, "_compress", counting_compress)
+    monkeypatch.setattr(_Solver, "sector_operator", counting_operator)
     space = SpaceConfig(8, 4)
     problem = SevalueProblem(interference_observable(space, Statistics.FERMION),
                              Statistics.FERMION, Partition((3, 1)), space)
     assert abs(solve_sup_g(problem, starts=3, seed=0).value - 0.5) <= 1e-9
     assert calls == [3, 4]
-    assert compressions == []
+    # a low-rank solve never compresses
+    assert builds == []
     ws = _Solver(problem)
     assert ws.isometry(1) is None
     assert calls == [3, 4]
@@ -568,15 +574,15 @@ def test_party_isometries_built_once_per_solve(monkeypatch, rng):
                            Partition((2, 1)), small)
     solve_sup_g(dense, starts=3, seed=0)
     assert calls == [2, 3]
-    assert compressions == [(27, 27)]
+    assert builds == [(27, 27)]
     # a distinguishable dense solve builds no isometry at all
     calls.clear()
     solve_sup_g(dataclasses.replace(dense, stats=Statistics.DISTINGUISHABLE),
                 starts=3, seed=0)
     assert calls == []
     # a single party is one step on the whole sector: the low-rank
-    # route builds S's orbit tables once, but neither a dense S nor
-    # S^H L S, and no route builds party matrices
+    # route builds S's orbit tables once and its terms (c, S^H V), but
+    # neither a dense S nor S^H L S, and no route builds party matrices
     dense_builds = []
 
     def counting_toarray(self):
@@ -589,15 +595,33 @@ def test_party_isometries_built_once_per_solve(monkeypatch, rng):
     toarray = SectorIsometry.toarray
     monkeypatch.setattr(SectorIsometry, "toarray", counting_toarray)
     monkeypatch.setattr(_Solver, "party_matrices", forbidden)
-    compressions.clear()
+    builds.clear()
     single = SevalueProblem(problem.operator, Statistics.FERMION,
                             Partition((4,)), space)
     assert abs(solve_sup_g(single, starts=1, seed=0).value - 1.0) <= 1e-12
     assert calls == [4]
-    assert compressions == []
+    assert builds == ["terms"]
     assert dense_builds == []
+    # the low-rank oracle at N=4, d=8 builds S's orbit tables once and
+    # its terms once, never a dense S, and no party's S_j
+    calls.clear()
+    builds.clear()
+    oracle = dataclasses.replace(problem, partition=Partition((2, 2)))
+    assert brute_force_bound(oracle, samples=64, seed=0) <= 1.0 + 1e-12
+    assert calls == [4]
+    assert builds == ["terms"]
+    assert dense_builds == []
+    # the dense oracle compresses once, through one dense S
+    calls.clear()
+    builds.clear()
+    brute_force_bound(dense, samples=64, seed=0)
+    assert calls == [3]
+    assert builds == [(27, 27)]
+    assert dense_builds == [(27, 10)]
     # a single dense party densifies S once, for S^H L S
     calls.clear()
+    builds.clear()
+    dense_builds.clear()
     space = SpaceConfig(9, 3)
     observable = random_hermitian(rng, space.total_dim)
     single = SevalueProblem(observable, Statistics.FERMION, Partition((3,)),
@@ -605,7 +629,7 @@ def test_party_isometries_built_once_per_solve(monkeypatch, rng):
     value = solve_sup_g(single, starts=1, seed=0).value
     assert calls == [3]
     assert dense_builds == [(729, 84)]
-    assert compressions == [(729, 729)]
+    assert builds == [(729, 729)]
     iso = sector_basis_vectors(Statistics.FERMION, space)
     top = np.linalg.eigvalsh(iso.conj().T @ observable @ iso)[-1]
     assert abs(value - top) <= 1e-9
@@ -983,6 +1007,34 @@ def test_brute_force_rejects_non_integer_samples(samples):
         brute_force_bound(problem, samples=0)
     assert brute_force_bound(problem, samples=np.int64(3), seed=2) \
         == brute_force_bound(problem, samples=3, seed=2)
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.0, "3", None, 0, -1])
+def test_solve_rejects_bad_starts_and_max_sweeps(bad):
+    # starts and max_sweeps follow the oracle's rule for samples: an
+    # integer (not a bool) of at least 1, for one party or several
+    space = SpaceConfig(3, 2)
+    problem = SevalueProblem(np.eye(9), Statistics.BOSON, Partition((1, 1)),
+                             space)
+    single = dataclasses.replace(problem, partition=Partition((2,)))
+    with pytest.raises(ValueError, match="starts"):
+        solve_sup_g(problem, starts=bad)
+    for target in (problem, single):
+        with pytest.raises(ValueError, match="max_sweeps"):
+            solve_sup_g(target, starts=2, max_sweeps=bad)
+    with pytest.raises(ValueError, match="max_sweeps"):
+        sweep_solve(problem, [np.ones(3), np.ones(3)], max_sweeps=bad)
+
+
+def test_solve_accepts_numpy_integer_counts():
+    space = SpaceConfig(3, 2)
+    problem = SevalueProblem(random_hermitian(np.random.default_rng(3), 9),
+                             Statistics.BOSON, Partition((1, 1)), space)
+    got = solve_sup_g(problem, starts=np.int64(3), max_sweeps=np.int32(200))
+    want = solve_sup_g(problem, starts=3, max_sweeps=200)
+    assert type(got.starts) is int and got.starts == 3
+    assert [(s.value, s.sweeps) for s in got.solutions] \
+        == [(s.value, s.sweeps) for s in want.solutions]
 
 
 def test_brute_force_interference_stays_below_bound():
