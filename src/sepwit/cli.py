@@ -222,10 +222,11 @@ _FIG1_PANELS = (("SR>1", Statistics.DISTINGUISHABLE, 1),
                 ("SR>2", Statistics.DISTINGUISHABLE, 2),
                 ("Boson", Statistics.BOSON, None),
                 ("Fermion", Statistics.FERMION, None))
+_FIG1_GRID_STEP = 1e-3     # noise grid of the --verify threshold scan
 
 
-def _fig1_rows(d_min: int, d_max: int, verify: bool, starts: int, seed: int,
-               grid_step: float = 1e-3) -> list[dict]:
+def _fig1_rows(d_min: int, d_max: int, verify: bool, starts: int,
+               seed: int) -> list[dict]:
     rows = []
     for d in range(d_min, d_max + 1):
         for panel, stats, level in _FIG1_PANELS:
@@ -237,9 +238,9 @@ def _fig1_rows(d_min: int, d_max: int, verify: bool, starts: int, seed: int,
                    "undetectable": p_star >= 1.0 - 1e-12}
             if verify:
                 psi = fig1_state_family(d, stats)
-                scan = _fig1_grid_scan(psi, stats, bound, grid_step)
+                scan = _fig1_grid_scan(psi, stats, bound, _FIG1_GRID_STEP)
                 row["p_star_scan"] = scan
-                ok = abs(scan - p_star) <= grid_step + 1e-12
+                ok = abs(scan - p_star) <= _FIG1_GRID_STEP + 1e-12
                 if level is None or level == 1:
                     observable = rank_one_observable(psi, stats)
                     problem = SevalueProblem(observable, stats,
@@ -334,6 +335,8 @@ def _cmd_fig2(args) -> int:
     k_max = args.k_max if args.k_max is not None else min(args.n, 5)
     if not 2 <= k_max <= args.n:
         raise InputFormatError(f"k-max must be in 2..{args.n}")
+    if args.delta_steps < 2:
+        raise InputFormatError("delta-steps must be >= 2")
     deltas = [idx * math.pi / (args.delta_steps - 1)
               for idx in range(args.delta_steps)]
     numeric = None

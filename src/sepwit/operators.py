@@ -39,9 +39,13 @@ class LowRankObservable:
             b = np.array(bra, dtype=np.complex128)
             if k.shape != (dim,) or b.shape != (dim,):
                 raise ValueError("term vector dimension mismatch")
+            coeff = complex(coeff)
+            if not (np.isfinite(coeff) and np.isfinite(k).all()
+                    and np.isfinite(b).all()):
+                raise ValueError("low-rank term list must be finite")
             k.setflags(write=False)
             b.setflags(write=False)
-            frozen.append((complex(coeff), k, b))
+            frozen.append((coeff, k, b))
         object.__setattr__(self, "terms", tuple(frozen))
         self._validate_hermitian()
 

@@ -4,7 +4,7 @@ One step solves, for every start of a batch at once, a party's
 generalized Hermitian eigenproblem A x = g B x on the range of the
 overlap B and returns its extremal value and vector.  The forms of A
 and B are those that ``solver._Solver`` builds: B a scalar per start or
-a stack of matrices, A a stack of matrices or the contracted terms of a
+a stack of matrices, A the contracted sector terms (c, V) of a dense or
 low-rank observable.  Starts whose branches differ are solved as
 sub-batches of the same routines.
 """
@@ -34,22 +34,26 @@ def _hermitian_part(x: np.ndarray) -> np.ndarray:
     return (x + _dag(x)) / 2.0
 
 
-def _span_extremum(coeffs: np.ndarray, vectors: np.ndarray, mode: str,
-                   dim: int) -> tuple:
+def _span_extremum(coeffs: np.ndarray, vectors: np.ndarray,
+                   mode: str) -> tuple:
     """Extremal eigenvalue of H = sum_t c_t k_t b_t^H, Hermitian as a
-    whole, on a space of dimension ``dim``, per start: ``vectors`` is
+    whole, on the space C^n of ``vectors``, per start: ``vectors`` is
     (batch, n, 2T), each start's k_1..k_T, then b_1..b_T, as columns.
 
     H vanishes off the span of its term vectors, so the value is the
     extremum of H on an orthonormal basis of that span, one eigh of size
-    at most 2T, or 0 where that extremum lies beyond 0 and the span has
-    fewer than ``dim`` dimensions; spans of different ranks form
+    at most min(n, 2T), or 0 where that extremum lies beyond 0 and the
+    span has fewer than n dimensions; spans of different ranks form
     sub-batches.  Returns the values, the span bases and the
     eigenvectors, (batch, n, r) with the columns past a start's rank
     zero, and a (batch, r) mask of the extremal eigenvectors (every one
     within 1e-9 relative of the value), empty where the value is that 0.
     """
-    u, s, vh = np.linalg.svd(vectors, full_matrices=False)
+    batch, n, terms = vectors.shape
+    # no fewer term vectors than dimensions (a dense observable's terms):
+    # no SVD, C^n is the span, every start one rank-n batch sharing it
+    u, s, vh = np.linalg.svd(vectors, full_matrices=False) if terms < n \
+        else (np.eye(n)[None], np.ones((batch, n)), vectors)
     ranks = (s > s[:, :1] * 1e-12).sum(axis=1)
     width = max(int(ranks.max()), 1)
     span = u[:, :, :width] * (np.arange(width) < ranks[:, None])[:, None, :]
@@ -63,8 +67,8 @@ def _span_extremum(coeffs: np.ndarray, vectors: np.ndarray, mode: str,
         small = (coords[:, :, :t] * coeffs) @ _dag(coords[:, :, t:])
         vals, vecs = np.linalg.eigh(_hermitian_part(small))
         target = vals[:, -1] if mode == "max" else vals[:, 0]
-        off = (rank < dim) & ((target < 0.0) if mode == "max"
-                              else (target > 0.0))
+        off = (rank < n) & ((target < 0.0) if mode == "max"
+                            else (target > 0.0))
         tol = np.maximum(1e-12, 1e-9 * np.abs(target))
         values[idx] = np.where(off, 0.0, target)
         cands[idx, :, :rank] = u[idx, :, :rank] @ vecs
@@ -73,17 +77,16 @@ def _span_extremum(coeffs: np.ndarray, vectors: np.ndarray, mode: str,
     return values, span, cands, masks
 
 
-def _generalized_step(numer, overlap, previous: np.ndarray,
+def _generalized_step(numer: tuple, overlap, previous: np.ndarray,
                       mode: str) -> tuple:
-    """Extremal eigenpairs of numer x = g overlap x on range(overlap), one
+    """Extremal eigenpairs of A x = g overlap x on range(overlap), one
     per start (row of ``previous``), for the batched forms that
-    ``_Solver`` builds; a start whose overlap vanishes gets the value
-    NaN.
+    ``_Solver`` builds, ``numer`` the terms (c, V) of A = sum_t c_t
+    V[:, t] V[:, T + t]^H; a start whose overlap vanishes gets NaN.
 
     A matrix overlap is whitened through its eigendecomposition, cut at
     B_RANGE_CUTOFF (starts with different cuts form sub-batches); a
-    scalar one is divided out.  A matrix numerator is solved by eigh of
-    its whitened form, a term list (c, V) in the span of its whitened
+    scalar one is divided out.  A is solved in the span of its whitened
     term vectors (``_span_extremum``).  Where the extremum is the 0 that
     the terms take off that span, the vector is the unit vector of the
     zero eigenspace closest to ``previous``, or, where ``previous`` has
@@ -111,35 +114,27 @@ def _generalized_step(numer, overlap, previous: np.ndarray,
         def on_range(x):
             return x if ev is None else _dag(ev) @ x
 
-        if isinstance(numer, np.ndarray):
-            reduced = on_range(_dag(on_range(numer[idx]) / root)) / root
-            vals, cands = np.linalg.eigh(_hermitian_part(reduced))
-            target = vals[:, -1] if mode == "max" else vals[:, 0]
-            tol = np.maximum(1e-12, 1e-9 * np.abs(target))
-            masks = np.abs(vals - target[:, None]) <= tol[:, None]
-        else:
-            whitened = on_range(numer[1][idx]) / root
-            target, span, cands, masks = _span_extremum(
-                numer[0], whitened, mode, whitened.shape[1])
-            zero = ~masks.any(axis=1)
-            if zero.any():
-                # the zero eigenspace: in the range coordinates alpha,
-                # z = root alpha, it is the complement of root span; a
-                # QR of the zero-padded span leaves those columns out
-                cover, tri = np.linalg.qr(root[zero] * span[zero])
-                cover *= (np.abs(np.diagonal(tri, axis1=1, axis2=2))
-                          > 0.0)[:, None, :]
-                start = on_range(prev[:, :, None])[zero]
-                alpha = (start - cover @ (_dag(cover) @ start))[:, :, 0]
-                stuck = np.nonzero(np.linalg.norm(alpha, axis=1) <= 1e-8
-                                   * np.linalg.norm(start[:, :, 0], axis=1))[0]
-                col = np.argmin(np.sum(np.abs(cover[stuck]) ** 2, axis=2),
-                                axis=1)
-                alpha[stuck] = -(cover[stuck] @ cover[stuck, col, :, None]
-                                 .conj())[:, :, 0]
-                alpha[stuck, col] += 1.0
-                cands[zero, :, 0] = root[zero][:, :, 0] * alpha
-                masks[zero, 0] = True
+        whitened = on_range(numer[1][idx]) / root
+        target, span, cands, masks = _span_extremum(numer[0], whitened, mode)
+        zero = ~masks.any(axis=1)
+        if zero.any():
+            # the zero eigenspace: in the range coordinates alpha,
+            # z = root alpha, it is the complement of root span; a QR of
+            # the zero-padded span leaves those columns out
+            cover, tri = np.linalg.qr(root[zero] * span[zero])
+            cover *= (np.abs(np.diagonal(tri, axis1=1, axis2=2))
+                      > 0.0)[:, None, :]
+            start = on_range(prev[:, :, None])[zero]
+            alpha = (start - cover @ (_dag(cover) @ start))[:, :, 0]
+            stuck = np.nonzero(np.linalg.norm(alpha, axis=1) <= 1e-8
+                               * np.linalg.norm(start[:, :, 0], axis=1))[0]
+            col = np.argmin(np.sum(np.abs(cover[stuck]) ** 2, axis=2),
+                            axis=1)
+            alpha[stuck] = -(cover[stuck] @ cover[stuck, col, :, None]
+                             .conj())[:, :, 0]
+            alpha[stuck, col] += 1.0
+            cands[zero, :, 0] = root[zero][:, :, 0] * alpha
+            masks[zero, 0] = True
         # back to x; of several candidates, the closest to ``previous``
         cands = cands / root
         if ev is not None:

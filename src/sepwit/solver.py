@@ -258,10 +258,10 @@ class _Solver:
     isometry S_j, of dimension ``sector_dims[j]``, while party vectors
     and every diagnostic stay in full-space coordinates.  The party
     matrices are contracted in the coordinates of the whole space's
-    exchange sector, through its isometry S: P q = S (S^H q), and a
-    dense numerator is y^H (S^H L S) y and the overlap y^H y, with
-    y = S^H q.  ``stationarity`` stays on the permutation-sum projector,
-    so it checks the sector route independently.
+    exchange sector, through its isometry S: with y = S^H q the overlap
+    is y^H y and the numerator y^H X, for the sector terms (c, X) of
+    ``sector_operator``.  ``stationarity`` stays on the permutation-sum
+    projector, so it checks that conversion independently.
     """
 
     def __init__(self, problem: SevalueProblem):
@@ -278,8 +278,7 @@ class _Solver:
         if isinstance(problem.operator, LowRankObservable):
             # the terms of P L P = sum_t c_t P k_t (P b_t)^H as (c, V):
             # V holds P k_1..P k_T, then P b_1..P b_T, projected in one
-            # call and contracted onto a party all at once; ``dense``
-            # None marks the low-rank form
+            # call; ``dense`` None marks the low-rank form
             terms = problem.operator.terms
             self.dense = None
             self.coeffs = np.array([c for c, _k, _b in terms])
@@ -390,22 +389,28 @@ class _Solver:
             self._sector = _sector_basis(self.stats, self.space)
         return self._sector
 
-    def sector_operator(self):
-        """The observable in the coordinates of the whole space's sector,
-        built on first use: S^H L S for a dense observable, taken through
-        the dense columns of S, whose memory is bounded by that of L, or
-        the terms (c, S^H V); L or (c, V) itself where S is None."""
+    def sector_operator(self) -> tuple:
+        """S^H L S (L itself where S is None) as terms (c, X), built on
+        first use: (c, S^H V) for a low-rank L; for a dense L, through the
+        dense columns of S, its eigenpairs (c_t, k_t = b_t) but those with
+        |c_t| <= D eps max|c| (``orth``'s rank rule), the largest kept."""
         if self._sector_operator is None:
             sec = self.sector()
             if self.dense is None:
                 self._sector_operator = (self.coeffs, self.term_vectors
                                          if sec is None
                                          else sec.adjoint(self.term_vectors))
-            elif sec is None:
-                self._sector_operator = np.asarray(self.dense)
             else:
-                cols = sec.toarray()
-                self._sector_operator = cols.conj().T @ self.dense @ cols
+                op = self.dense
+                if sec is not None:
+                    cols = sec.toarray()
+                    op = cols.conj().T @ op @ cols
+                vals, vecs = np.linalg.eigh(op)
+                size = np.abs(vals)
+                keep = size > np.finfo(float).eps * len(vals) * size.max()
+                keep[size.argmax()] = True
+                # C-ordered, so that ``_contract_fixed`` reshapes it in place
+                self._sector_operator = (vals[keep], np.tile(vecs[:, keep], 2))
         return self._sector_operator
 
     def party_matrices(self, blocks, j: int) -> tuple:
@@ -413,30 +418,26 @@ class _Solver:
         fixed, in its block's sector coordinates, as (numerator, overlap,
         S_j) with a leading batch axis, S_j None for the identity.
 
-        The numerator is S_j^H A_j S_j, or, for a low-rank observable,
-        its contracted terms (c, V), never an m x m matrix: A_j =
-        sum_t c_t a_t b_t^H, and V holds S_j^H a_1..a_T, then
-        S_j^H b_1..b_T, as columns.  The overlap is S_j^H B_j S_j, or,
-        where P = 1, the scalar ||left||^2 ||right||^2 standing for that
-        multiple of the identity.
+        The numerator is the terms of ``sector_operator`` contracted
+        onto the party, never an m x m matrix: A_j = sum_t c_t a_t b_t^H
+        as (c, V), V holding S_j^H a_1..a_T, then S_j^H b_1..b_T.  The
+        overlap is S_j^H B_j S_j, or, where P = 1, the scalar
+        ||left||^2 ||right||^2 standing for that multiple of the identity.
         """
         iso = self.isometry(j)
         count = len(blocks[0])
         sec = self.sector()
+        coeffs, vectors = self.sector_operator()
         dj = self.block_dims[j]
         left = _kron_rows(blocks[:j], count)
         right = _kron_rows(blocks[j + 1:], count)
-        if self.dense is None:
-            terms = self._contract_fixed(self.term_vectors, left, right, dj)
-            numer = (self.coeffs,
-                     terms if iso is None else iso.conj().T @ terms)
         if sec is None:
             # P = 1 and S_j = 1: q^H q is ||left||^2 ||right||^2 times
             # the identity
             overlap = np.einsum("bl,bl->b", left.conj(), left).real \
                 * np.einsum("br,br->b", right.conj(), right).real
-            if self.dense is None:
-                return numer, overlap, iso
+            return ((coeffs, self._contract_fixed(vectors, left, right, dj)),
+                    overlap, iso)
         embed = np.eye(dj, dtype=np.complex128) if iso is None else iso
         mj = embed.shape[1]
         # every start's q = left x embed x right side by side, as the
@@ -444,15 +445,9 @@ class _Solver:
         outer = (left[:, :, None] * right[:, None, :]).transpose(1, 2, 0)
         q = (outer.reshape(left.shape[1], 1, -1, 1)
              * embed[None, :, None, :]).reshape(-1, count * mj)
-        # q^H P q = y^H y with y = S^H q in the sector's coordinates
-        y = q if sec is None else sec.adjoint(q)
-        stack = y.reshape(-1, count, mj).transpose(1, 0, 2)
-        if sec is not None:
-            overlap = _hermitian_part(_dag(stack) @ stack)
-        if self.dense is not None:
-            product = (self.sector_operator() @ y).reshape(-1, count, mj)
-            numer = _hermitian_part(_dag(stack) @ product.transpose(1, 0, 2))
-        return numer, overlap, iso
+        # q^H P q = y^H y and q^H k = y^H S^H k, with y = S^H q
+        adj = _dag(sec.adjoint(q).reshape(-1, count, mj).transpose(1, 0, 2))
+        return (coeffs, adj @ vectors), _hermitian_part(adj @ _dag(adj)), iso
 
     def _contract_fixed(self, full, left, right, dj) -> np.ndarray:
         """<left_b| x 1 x <right_b| applied, for every start b, to the
@@ -460,6 +455,10 @@ class _Solver:
         shared by every start, and (batch, dj, c) out."""
         count, dl, dr = len(left), left.shape[1], right.shape[1]
         c = full.shape[-1]
+        if dr > dl:
+            # the larger side first, which leaves the smaller intermediate
+            return self._contract_fixed(full.reshape(-1, dl, dj, dr, c)
+                                        .swapaxes(1, 3), right, left, dj)
         fixed = left.conj()[:, None, :] @ full.reshape(-1, dl, dj * dr * c)
         fixed = fixed.reshape(count, dj, dr, c).transpose(0, 1, 3, 2)
         return (fixed.reshape(count, dj * c, dr) @ right.conj()[:, :, None]
@@ -548,7 +547,7 @@ class _Solver:
     def sector_step(self, inits, mode: str, tol: float) -> list:
         """A single party: its block is the whole space, so its equation
         is the extremal eigenproblem of P L P on the sector, with the
-        numerator S^H L S or the terms (c, S^H V) and the overlap 1.
+        terms of ``sector_operator`` as numerator and the overlap 1.
         One ``_generalized_step`` per start solves it exactly, from the
         sector part y = S^H b of the start's first initialization; the
         party vector is S y.  An empty sector fails every start."""
@@ -558,11 +557,8 @@ class _Solver:
         first = np.array([next(init)[0] for init in inits],
                          dtype=np.complex128)
         count = len(first)
-        op = self.sector_operator()
-        if self.dense is None:
-            numer = (op[0], np.broadcast_to(op[1], (count,) + op[1].shape))
-        else:
-            numer = np.broadcast_to(op, (count,) + op.shape)
+        coeffs, vectors = self.sector_operator()
+        numer = (coeffs, np.broadcast_to(vectors, (count,) + vectors.shape))
         if sec is not None:
             first = sec.adjoint(first.T).T
         values, coords = _generalized_step(numer, np.ones(count), first, mode)
@@ -767,11 +763,11 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
 
     Quotients are evaluated through the combinatorial sector basis,
     never through per-party eigensolves: S, whose orbit tables apply
-    S^H by gathers, and the observable in sector coordinates are read
-    from a solver workspace, as the K=1 step and the dense party step
-    read them.  So the check on that basis lies elsewhere: the solver's
-    stationarity diagnostics stay on the permutation-sum projector, and
-    the tests compare ``sector_isometry`` with that projector.  Samples
+    S^H by gathers, and the observable's sector terms are read from a
+    solver workspace, as the party steps read them.  So the check on
+    that basis lies elsewhere: the solver's stationarity diagnostics
+    stay on the permutation-sum projector, and the tests compare
+    ``sector_isometry`` with that projector.  Samples
     with numerically zero projection are skipped.  Deterministic for a
     fixed seed.
 
@@ -793,13 +789,11 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
     """
     samples = check_count(samples, "samples")
     ws = _Solver(problem)
-    sec, sec_op = ws.sector(), ws.sector_operator()
-    if ws.dense is None:
-        coeffs, vectors = sec_op
-        # C-ordered rows <k_t| and <b_t| in sector coordinates: kets @ x
-        # and bras @ x give every term's overlaps with a batch of vectors
-        # x at once
-        kets, bras = np.split(np.ascontiguousarray(vectors.T.conj()), 2)
+    sec, (coeffs, vectors) = ws.sector(), ws.sector_operator()
+    # C-ordered rows <k_t| and <b_t| in sector coordinates: kets @ x and
+    # bras @ x give every term's overlaps with a batch of vectors x at
+    # once
+    kets, bras = np.split(np.ascontiguousarray(vectors.T.conj()), 2)
     dims = ws.block_dims
 
     def evaluate(blocks):
@@ -818,13 +812,9 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
         valid = denom > 1e-14
         if not np.any(valid):
             return quotients
-        if ws.dense is None:
-            # sum_t c_t <x|k_t> <b_t|x>
-            numer = np.einsum("t,tc,tc->c", coeffs, (kets @ coords).conj(),
-                              bras @ coords).real
-        else:
-            numer = np.einsum("dc,dc->c", coords.conj(),
-                              sec_op @ coords).real
+        # sum_t c_t <x|k_t> <b_t|x>
+        numer = np.einsum("t,tc,tc->c", coeffs, (kets @ coords).conj(),
+                          bras @ coords).real
         quotients[valid] = numer[valid] / denom[valid]
         return quotients
 

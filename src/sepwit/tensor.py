@@ -57,9 +57,12 @@ def hermiticity_defect(matrix: np.ndarray) -> float:
 
 
 def require_hermitian(matrix: np.ndarray, label: str = "operator") -> np.ndarray:
-    """The matrix as complex128; HermiticityError if its defect exceeds
+    """The matrix as complex128; ValueError, naming ``label``, if an
+    entry is not finite, and HermiticityError if its defect exceeds
     TOL_HERM times max(1, largest entry)."""
     m = np.asarray(matrix, dtype=np.complex128)
+    if not np.isfinite(m).all():
+        raise ValueError(f"{label} must be finite")
     scale = max(1.0, float(np.abs(m).max(initial=0.0)))
     defect = hermiticity_defect(m)
     if defect > TOL_HERM * scale:

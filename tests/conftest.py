@@ -72,12 +72,11 @@ def contracted_operator(operator, party_vectors, j, partition, space):
 
 def dense_party_matrices(numer, overlap):
     """The m x m matrices behind ``_Solver.party_matrices``'s return
-    forms: a term list (c, V) becomes sum_t c_t V[:, t] V[:, T + t]^H
+    forms: the term list (c, V) becomes sum_t c_t V[:, t] V[:, T + t]^H
     and a scalar overlap that multiple of the identity."""
-    if isinstance(numer, tuple):
-        coeffs, vectors = numer
-        t = coeffs.size
-        numer = (vectors[:, :t] * coeffs) @ vectors[:, t:].conj().T
+    coeffs, vectors = numer
+    t = coeffs.size
+    numer = (vectors[:, :t] * coeffs) @ vectors[:, t:].conj().T
     if np.ndim(overlap) == 0:
         overlap = overlap * np.eye(numer.shape[0], dtype=np.complex128)
     return numer, overlap

@@ -158,6 +158,15 @@ def test_fig2_verify_needs_small_n(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("steps", ["1", "0", "-3"])
+def test_fig2_rejects_too_few_delta_steps(capsys, steps):
+    # the grid idx * pi / (steps - 1) needs both end points
+    code = main(["fig2", "--n", "3", "--delta-steps", steps])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "delta-steps must be >= 2" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # sevalue
 

@@ -41,16 +41,12 @@ def _rank_one_problem(psi, stats):
 
 def _one_start(numer, overlap, b=0):
     """Start b's forms of a batch of party matrices, as a batch of one."""
-    numer = numer[b:b + 1] if isinstance(numer, np.ndarray) \
-        else (numer[0], numer[1][b:b + 1])
-    return numer, overlap[b:b + 1]
+    return (numer[0], numer[1][b:b + 1]), overlap[b:b + 1]
 
 
 def _start_forms(numer, overlap, b=0):
     """Start b's numerator and overlap without the batch axis."""
-    numer = numer[b] if isinstance(numer, np.ndarray) \
-        else (numer[0], numer[1][b])
-    return numer, overlap[b]
+    return (numer[0], numer[1][b]), overlap[b]
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +76,23 @@ def test_partition_validation():
     with pytest.raises(ValueError):
         SevalueProblem(np.eye(4), Statistics.BOSON, Partition((1, 1, 1)),
                        SpaceConfig(2, 2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_observables_reject_non_finite(rng, bad):
+    space = SpaceConfig(2, 2)
+    dense = np.eye(4, dtype=complex)
+    dense[0, 0] = bad
+    with pytest.raises(ValueError, match="observable must be finite"):
+        SevalueProblem(dense, Statistics.BOSON, Partition((1, 1)), space)
+    ket = crandn(rng, 4)
+    broken = ket.copy()
+    broken[2] = bad
+    for terms in (((bad, ket, ket),), ((1.0, broken, ket),),
+                  ((1.0, ket, ket), (0.5, ket, broken))):
+        with pytest.raises(ValueError,
+                           match="low-rank term list must be finite"):
+            LowRankObservable(space, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +164,9 @@ def test_party_matrices_match_contracted_operator(rng, stats, parts):
         _, _, (defects,) = solver.stationarity(batch, [g])
         for j, iso in enumerate(isometries):
             numer, overlap, _ = solver.party_matrices(batch, j)
-            # a low-rank numerator comes as its contracted terms, and the
-            # overlap as a scalar per start where P = 1
-            assert isinstance(numer, tuple) == (observable is low_rank)
+            # every numerator comes as its contracted terms, dense or
+            # low-rank, and the overlap as a scalar per start where P = 1
+            assert isinstance(numer, tuple)
             assert (np.ndim(overlap) == 1) == (not stats.is_projected)
             numer, overlap = dense_party_matrices(
                 *_start_forms(numer, overlap))
@@ -558,8 +571,8 @@ def test_party_isometries_built_once_per_solve(monkeypatch, rng):
                              Statistics.FERMION, Partition((3, 1)), space)
     assert abs(solve_sup_g(problem, starts=3, seed=0).value - 0.5) <= 1e-9
     assert calls == [3, 4]
-    # a low-rank solve never compresses
-    assert builds == []
+    # a projected low-rank solve builds its sector terms (c, S^H V) once
+    assert builds == ["terms"]
     ws = _Solver(problem)
     assert ws.isometry(1) is None
     assert calls == [3, 4]
@@ -569,17 +582,21 @@ def test_party_isometries_built_once_per_solve(monkeypatch, rng):
     assert calls == [3, 4]
     # a dense observable is compressed to S^H L S once per solve
     calls.clear()
+    builds.clear()
     small = SpaceConfig(3, 3)
     dense = SevalueProblem(random_hermitian(rng, 27), Statistics.BOSON,
                            Partition((2, 1)), small)
     solve_sup_g(dense, starts=3, seed=0)
     assert calls == [2, 3]
     assert builds == [(27, 27)]
-    # a distinguishable dense solve builds no isometry at all
+    # a distinguishable dense solve builds no isometry at all, and takes
+    # the eigen-terms of L itself once
     calls.clear()
+    builds.clear()
     solve_sup_g(dataclasses.replace(dense, stats=Statistics.DISTINGUISHABLE),
                 starts=3, seed=0)
     assert calls == []
+    assert builds == [(27, 27)]
     # a single party is one step on the whole sector: the low-rank
     # route builds S's orbit tables once and its terms (c, S^H V), but
     # neither a dense S nor S^H L S, and no route builds party matrices
@@ -657,6 +674,37 @@ def test_single_party_lowrank_matches_sector_spectrum(rng, stats):
             assert abs(sol.value - want) <= 1e-12 * scale
             assert sol.residual <= 1e-12 * scale
             assert sol.converged and sol.sweeps == 1
+
+
+@pytest.mark.parametrize("stats", list(Statistics))
+@pytest.mark.parametrize("parts", [(1, 1), (2, 1), (1, 1, 1), (2,)])
+def test_dense_observable_matches_low_rank_twin(rng, stats, parts):
+    # a dense observable is solved through the eigen-terms of S^H L S, a
+    # low-rank one through its own terms: the same operator either way
+    # gives the same bound, and the oracle the same sampled maximum
+    partition = Partition(parts)
+    space = SpaceConfig(3, partition.n)
+    twin = _random_observable(rng, "low-rank", space)
+    results = []
+    for observable in (twin, twin.to_matrix()):
+        problem = SevalueProblem(observable, stats, partition, space)
+        results.append((solve_sup_g(problem, starts=6, seed=4).value,
+                        brute_force_bound(problem, samples=300, seed=4)))
+    (g_low, oracle_low), (g_dense, oracle_dense) = results
+    assert abs(g_dense - g_low) <= 1e-10 * max(1.0, abs(g_low))
+    assert abs(oracle_dense - oracle_low) <= 1e-9 * max(1.0, abs(oracle_low))
+
+
+@pytest.mark.parametrize("parts", [(1, 1), (2,)])
+def test_observable_without_sector_part_bounds_to_zero(parts):
+    # the antisymmetrizer posed for bosons has no part in their sector:
+    # its eigen-terms keep the one largest eigenvalue, 0, so the solver
+    # and the oracle both give exactly 0
+    space = SpaceConfig(3, 2)
+    problem = SevalueProblem(projector_matrix(Statistics.FERMION, space),
+                             Statistics.BOSON, Partition(parts), space)
+    assert solve_sup_g(problem, starts=4, seed=0).value == 0.0
+    assert brute_force_bound(problem, samples=100, seed=0) == 0.0
 
 
 @pytest.mark.parametrize("kind", ["dense", "low-rank"])

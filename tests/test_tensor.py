@@ -347,6 +347,16 @@ def test_state_vector_rejects_non_finite(bad):
         StateVector(SpaceConfig(2, 2), [bad, 0, 0, 1])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_density_operator_rejects_non_finite(bad):
+    # NaN compares false against the Hermiticity tolerance, so the check
+    # for finite entries comes first
+    matrix = np.eye(4, dtype=complex) / 4.0
+    matrix[1, 1] = bad
+    with pytest.raises(ValueError, match="density matrix must be finite"):
+        DensityOperator.from_matrix(SpaceConfig(2, 2), matrix)
+
+
 def test_density_operator_validation(rng):
     space = SpaceConfig(2, 2)
     with pytest.raises(HermiticityError):
