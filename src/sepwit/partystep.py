@@ -49,11 +49,8 @@ def _span_extremum(coeffs: np.ndarray, vectors: np.ndarray,
     zero, and a (batch, r) mask of the extremal eigenvectors (every one
     within 1e-9 relative of the value), empty where the value is that 0.
     """
-    batch, n, terms = vectors.shape
-    # no fewer term vectors than dimensions (a dense observable's terms):
-    # no SVD, C^n is the span, every start one rank-n batch sharing it
-    u, s, vh = np.linalg.svd(vectors, full_matrices=False) if terms < n \
-        else (np.eye(n)[None], np.ones((batch, n)), vectors)
+    n = vectors.shape[1]
+    u, s, vh = np.linalg.svd(vectors, full_matrices=False)
     ranks = (s > s[:, :1] * 1e-12).sum(axis=1)
     width = max(int(ranks.max()), 1)
     span = u[:, :, :width] * (np.arange(width) < ranks[:, None])[:, None, :]

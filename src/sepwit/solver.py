@@ -407,8 +407,10 @@ class _Solver:
                     op = cols.conj().T @ op @ cols
                 vals, vecs = np.linalg.eigh(op)
                 size = np.abs(vals)
-                keep = size > np.finfo(float).eps * len(vals) * size.max()
-                keep[size.argmax()] = True
+                keep = size > np.finfo(float).eps * len(vals) \
+                    * size.max(initial=0.0)
+                if vals.size:
+                    keep[size.argmax()] = True
                 # C-ordered, so that ``_contract_fixed`` reshapes it in place
                 self._sector_operator = (vals[keep], np.tile(vecs[:, keep], 2))
         return self._sector_operator
@@ -455,10 +457,6 @@ class _Solver:
         shared by every start, and (batch, dj, c) out."""
         count, dl, dr = len(left), left.shape[1], right.shape[1]
         c = full.shape[-1]
-        if dr > dl:
-            # the larger side first, which leaves the smaller intermediate
-            return self._contract_fixed(full.reshape(-1, dl, dj, dr, c)
-                                        .swapaxes(1, 3), right, left, dj)
         fixed = left.conj()[:, None, :] @ full.reshape(-1, dl, dj * dr * c)
         fixed = fixed.reshape(count, dj, dr, c).transpose(0, 1, 3, 2)
         return (fixed.reshape(count, dj * c, dr) @ right.conj()[:, :, None]

@@ -264,6 +264,31 @@ def test_party_step_zero_extremum(rng, stats):
     assert abs(psi.conj() @ sol.projected_vector.amplitudes) <= 1e-12
 
 
+@pytest.mark.parametrize("stats", list(Statistics))
+def test_party_step_zero_extremum_with_as_many_terms_as_dimensions(rng,
+                                                                    stats):
+    # -|psi><psi| in two equal terms on three-mode parties: 2T = 4 term
+    # vectors, no fewer than the dimensions of the overlap's range (3,
+    # or 2 for fermions), that span one dimension, so the extremum is
+    # still the exact 0 off that span, taken orthogonal to it
+    space = SpaceConfig(3, 2)
+    psi = _random_sector_state(rng, 3, stats).amplitudes
+    observable = LowRankObservable(space, ((-0.5, psi, psi),
+                                           (-0.5, psi, psi)))
+    problem = SevalueProblem(observable, stats, Partition((1, 1)), space)
+    blocks = [crandn(rng, 3) for _ in range(2)]
+    blocks = [b / np.linalg.norm(b) for b in blocks]
+    numer, overlap, _ = _Solver(problem).party_matrices(
+        [b[None] for b in blocks], 0)
+    assert numer[1].shape[1:] == (3, 4)
+    kets = numer[1][0, :, :1]
+    (value,), (vec,) = _generalized_step(numer, overlap, blocks[0][None],
+                                         "max")
+    assert value == 0.0
+    assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
+    assert abs(kets[:, 0].conj() @ vec) <= 1e-12 * np.linalg.norm(kets)
+
+
 def test_distinguishable_lowrank_sweep_solves_no_large_eigh(monkeypatch):
     # N=4, d=8, partition (3, 1): a 512-mode party whose overlap is a
     # scalar and whose numerator has 2T = 4 term vectors, so no eigh
@@ -710,12 +735,15 @@ def test_observable_without_sector_part_bounds_to_zero(parts):
 @pytest.mark.parametrize("kind", ["dense", "low-rank"])
 def test_single_party_empty_sector_fails_every_start(rng, kind):
     # three fermions in two modes have no sector: every product vector
-    # projects to zero, so no start converges
+    # projects to zero, so no start converges and every oracle sample
+    # is skipped
     space = SpaceConfig(2, 3)
     problem = SevalueProblem(_random_observable(rng, kind, space),
                              Statistics.FERMION, Partition((3,)), space)
     with pytest.raises(ConvergenceError, match="1 failed on zero"):
         solve_sup_g(problem, starts=4, seed=0)
+    with pytest.raises(ZeroProjectionError, match="every sample"):
+        brute_force_bound(problem, samples=20, seed=0)
 
 
 @pytest.mark.parametrize("stats", [Statistics.DISTINGUISHABLE,
