@@ -40,6 +40,18 @@ def orth(mat: np.ndarray) -> np.ndarray:
     return u[:, :_svd_rank(s, mat.shape)]
 
 
+def eigen_terms(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A Hermitian n x n h as eigen-terms (c, X), h = X diag(c) X^H with
+    orthonormal C-ordered columns X, less the eigenpairs with |c_t| <= n
+    eps max|c| but the largest: a zero matrix keeps one term."""
+    vals, vecs = np.linalg.eigh(h)
+    size = np.abs(vals)
+    keep = size > np.finfo(float).eps * len(vals) * size.max(initial=0.0)
+    if vals.size:
+        keep[size.argmax()] = True
+    return vals[keep], np.ascontiguousarray(vecs[:, keep])
+
+
 def null_space(mat: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the kernel of ``mat``, from its SVD."""
     mat = np.asarray(mat)

@@ -3,7 +3,7 @@
 Large composite spaces make dense operator matrices impractical, so the
 two observables with known closed-form bounds are carried around as
 short lists of |ket><bra| terms.  The solver and witness code accept
-either representation.
+either representation; the solver reads both as eigen-terms.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompositions import orth
+from .decompositions import eigen_terms, orth
 from .errors import DimensionCapError
 from .tensor import (MATRIX_CAP, SpaceConfig, StateVector, Statistics,
                      basis_product_vector, project, require_hermitian)
@@ -22,9 +22,9 @@ from .tensor import (MATRIX_CAP, SpaceConfig, StateVector, Statistics,
 class LowRankObservable:
     """Hermitian operator sum_r coeff_r |ket_r><bra_r| on the composite space.
 
-    The term list as a whole must be Hermitian; this is validated on a
-    compressed copy at construction time.  ``kind`` tags operators with
-    known analytic separability bounds ("rank_one", "interference").
+    The term list as a whole must be Hermitian; ``eigen_form`` checks it
+    on a compressed copy at construction time.  ``kind`` tags operators
+    with known analytic separability bounds ("rank_one", "interference").
     """
 
     space: SpaceConfig
@@ -32,6 +32,8 @@ class LowRankObservable:
     kind: str | None = None
 
     def __post_init__(self):
+        if not self.terms:
+            raise ValueError("a low-rank observable needs at least one term")
         dim = self.space.total_dim
         frozen = []
         for coeff, ket, bra in self.terms:
@@ -47,18 +49,23 @@ class LowRankObservable:
             b.setflags(write=False)
             frozen.append((coeff, k, b))
         object.__setattr__(self, "terms", tuple(frozen))
-        self._validate_hermitian()
+        self.eigen_form()
 
-    def _validate_hermitian(self):
-        vecs = []
-        for _c, k, b in self.terms:
-            vecs.extend([k, b])
-        basis = orth(np.column_stack(vecs))
-        compressed = np.zeros((basis.shape[1],) * 2, dtype=np.complex128)
-        for c, k, b in self.terms:
-            compressed += c * np.outer(basis.conj().T @ k,
-                                       (basis.conj().T @ b).conj())
-        require_hermitian(compressed, "low-rank term list")
+    def eigen_form(self) -> tuple[np.ndarray, np.ndarray]:
+        """The operator as sum_t c_t |x_t><x_t|, (c, X) with real c and
+        orthonormal columns X: the ``eigen_terms`` of its compression onto
+        an orthonormal basis of its term vectors' span, taken back to the
+        whole space; HermiticityError where that compression is not
+        Hermitian."""
+        coeffs, kets, bras = (np.array(part).T for part in zip(*self.terms))
+        stacked = np.hstack([kets, bras])
+        # L = 0 keeps one zero term, like a zero matrix in ``eigen_terms``
+        basis = orth(stacked) if stacked.any() else np.eye(self.dim, 1)
+        compressed = (basis.conj().T @ kets * coeffs) \
+            @ (basis.conj().T @ bras).conj().T
+        values, vectors = eigen_terms(
+            require_hermitian(compressed, "low-rank term list"))
+        return values, basis @ vectors
 
     @property
     def dim(self) -> int:

@@ -4,9 +4,10 @@ One step solves, for every start of a batch at once, a party's
 generalized Hermitian eigenproblem A x = g B x on the range of the
 overlap B and returns its extremal value and vector.  The forms of A
 and B are those that ``solver._Solver`` builds: B a scalar per start or
-a stack of matrices, A the contracted sector terms (c, V) of a dense or
-low-rank observable.  Starts whose branches differ are solved as
-sub-batches of the same routines.
+a stack of matrices, A the contracted sector eigen-terms (c, X), A =
+sum_t c_t x_t x_t^H with real c_t, of a dense or low-rank observable.
+Starts whose branches differ are solved as sub-batches of the same
+routines.
 """
 
 from __future__ import annotations
@@ -36,13 +37,13 @@ def _hermitian_part(x: np.ndarray) -> np.ndarray:
 
 def _span_extremum(coeffs: np.ndarray, vectors: np.ndarray,
                    mode: str) -> tuple:
-    """Extremal eigenvalue of H = sum_t c_t k_t b_t^H, Hermitian as a
-    whole, on the space C^n of ``vectors``, per start: ``vectors`` is
-    (batch, n, 2T), each start's k_1..k_T, then b_1..b_T, as columns.
+    """Extremal eigenvalue of H = sum_t c_t x_t x_t^H, real c_t, on the
+    space C^n of ``vectors``, per start: ``vectors`` is (batch, n, T),
+    each start's x_1..x_T as columns.
 
     H vanishes off the span of its term vectors, so the value is the
     extremum of H on an orthonormal basis of that span, one eigh of size
-    at most min(n, 2T), or 0 where that extremum lies beyond 0 and the
+    at most min(n, T), or 0 where that extremum lies beyond 0 and the
     span has fewer than n dimensions; spans of different ranks form
     sub-batches.  Returns the values, the span bases and the
     eigenvectors, (batch, n, r) with the columns past a start's rank
@@ -56,13 +57,11 @@ def _span_extremum(coeffs: np.ndarray, vectors: np.ndarray,
     span = u[:, :, :width] * (np.arange(width) < ranks[:, None])[:, None, :]
     values, cands = np.zeros(len(vectors)), np.zeros(span.shape, complex)
     masks = np.zeros((len(vectors), width), dtype=bool)
-    t = coeffs.size
     # a start whose term vectors all vanish has H = 0
     for rank, idx in _groups(np.where(ranks > 0, ranks, -1)):
         # the term vectors' coordinates on the span basis
         coords = s[idx, :rank, None] * vh[idx, :rank]
-        small = (coords[:, :, :t] * coeffs) @ _dag(coords[:, :, t:])
-        vals, vecs = np.linalg.eigh(_hermitian_part(small))
+        vals, vecs = np.linalg.eigh((coords * coeffs) @ _dag(coords))
         target = vals[:, -1] if mode == "max" else vals[:, 0]
         off = (rank < n) & ((target < 0.0) if mode == "max"
                             else (target > 0.0))
@@ -78,8 +77,8 @@ def _generalized_step(numer: tuple, overlap, previous: np.ndarray,
                       mode: str) -> tuple:
     """Extremal eigenpairs of A x = g overlap x on range(overlap), one
     per start (row of ``previous``), for the batched forms that
-    ``_Solver`` builds, ``numer`` the terms (c, V) of A = sum_t c_t
-    V[:, t] V[:, T + t]^H; a start whose overlap vanishes gets NaN.
+    ``_Solver`` builds, ``numer`` the terms (c, X) of A = sum_t c_t
+    X[:, t] X[:, t]^H; a start whose overlap vanishes gets NaN.
 
     A matrix overlap is whitened through its eigendecomposition, cut at
     B_RANGE_CUTOFF (starts with different cuts form sub-batches); a

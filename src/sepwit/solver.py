@@ -26,7 +26,7 @@ from functools import reduce
 
 import numpy as np
 
-from .decompositions import schmidt, slater_boson, slater_fermion
+from .decompositions import eigen_terms, schmidt, slater_boson, slater_fermion
 from .errors import (ConvergenceError, DimensionCapError, ZeroProjectionError)
 from .operators import (LowRankObservable, interference_observable,
                         rank_one_observable)
@@ -247,10 +247,11 @@ def _sector_basis(stats: Statistics, space: SpaceConfig) \
 
 
 class _Solver:
-    """Per-problem workspace: the projected observable, the isometries
-    and the observable in sector coordinates (each built on first use)
-    and the party-wise contractions.  One workspace serves every start
-    of a solve, or every sample of the oracle, and is released with it.
+    """Per-problem workspace: the observable (a low-rank one as its
+    eigen-form), the isometries and the observable in sector coordinates
+    (each built on first use) and the party-wise contractions.  One
+    workspace serves every start of a solve, or every sample of the
+    oracle, and is released with it.
 
     With the same statistics on every block, P (P_1 x ... x P_K) = P, so
     party j's equation only sees the part of b_j in its block's exchange
@@ -275,17 +276,10 @@ class _Solver:
         self._isometries: dict[int, np.ndarray | None] = {}
         self._sector = None
         self._sector_operator = None
+        # L = sum_t c_t x_t x_t^H as (c, X), unprojected as S^H P = S^H;
+        # ``dense`` None marks it
         if isinstance(problem.operator, LowRankObservable):
-            # the terms of P L P = sum_t c_t P k_t (P b_t)^H as (c, V):
-            # V holds P k_1..P k_T, then P b_1..P b_T, projected in one
-            # call; ``dense`` None marks the low-rank form
-            terms = problem.operator.terms
-            self.dense = None
-            self.coeffs = np.array([c for c, _k, _b in terms])
-            self.term_vectors = project_amplitudes(
-                problem.stats, np.column_stack([k for _c, k, _b in terms]
-                                               + [b for _c, _k, b in terms]),
-                problem.space)
+            self.dense, self.terms = None, problem.operator.eigen_form()
         else:
             self.dense = problem.operator
 
@@ -310,13 +304,12 @@ class _Solver:
         count = len(blocks[0])
         projected = self.projected_product(blocks)
         if self.dense is None:
-            # sum_t c_t k_t <b_t|Pb>
-            t = self.coeffs.size
-            overlaps = (projected.conj() @ self.term_vectors)[:, t:].conj()
-            sandwich = (overlaps * self.coeffs) @ self.term_vectors[:, :t].T
+            # L P|b> = sum_t c_t x_t <x_t|Pb>
+            coeffs, vectors = self.terms
+            applied = (vectors * coeffs) @ (vectors.conj().T @ projected.T)
         else:
-            sandwich = project_amplitudes(self.stats, self.dense @ projected.T,
-                                          self.space).T
+            applied = self.dense @ projected.T
+        sandwich = project_amplitudes(self.stats, applied, self.space).T
         chi = sandwich - np.asarray(values, dtype=float)[:, None] * projected
         pair = np.stack([chi, projected], axis=-1)
         defects = np.empty((count, self.partition.k, 2))
@@ -390,29 +383,22 @@ class _Solver:
         return self._sector
 
     def sector_operator(self) -> tuple:
-        """S^H L S (L itself where S is None) as terms (c, X), built on
-        first use: (c, S^H V) for a low-rank L; for a dense L, through the
-        dense columns of S, its eigenpairs (c_t, k_t = b_t) but those with
-        |c_t| <= D eps max|c| (``orth``'s rank rule), the largest kept."""
+        """S^H L S (L itself where S is None) as eigen-terms (c, X),
+        sum_t c_t x_t x_t^H, built on first use: (c, S^H X) for the
+        eigen-form (c, X) of a low-rank L, and for a dense L the
+        ``eigen_terms`` of S^H L S, built through the dense columns of S."""
         if self._sector_operator is None:
             sec = self.sector()
             if self.dense is None:
-                self._sector_operator = (self.coeffs, self.term_vectors
-                                         if sec is None
-                                         else sec.adjoint(self.term_vectors))
+                coeffs, vectors = self.terms
+                self._sector_operator = (coeffs, vectors if sec is None
+                                         else sec.adjoint(vectors))
             else:
                 op = self.dense
                 if sec is not None:
                     cols = sec.toarray()
                     op = cols.conj().T @ op @ cols
-                vals, vecs = np.linalg.eigh(op)
-                size = np.abs(vals)
-                keep = size > np.finfo(float).eps * len(vals) \
-                    * size.max(initial=0.0)
-                if vals.size:
-                    keep[size.argmax()] = True
-                # C-ordered, so that ``_contract_fixed`` reshapes it in place
-                self._sector_operator = (vals[keep], np.tile(vecs[:, keep], 2))
+                self._sector_operator = eigen_terms(op)
         return self._sector_operator
 
     def party_matrices(self, blocks, j: int) -> tuple:
@@ -420,9 +406,9 @@ class _Solver:
         fixed, in its block's sector coordinates, as (numerator, overlap,
         S_j) with a leading batch axis, S_j None for the identity.
 
-        The numerator is the terms of ``sector_operator`` contracted
-        onto the party, never an m x m matrix: A_j = sum_t c_t a_t b_t^H
-        as (c, V), V holding S_j^H a_1..a_T, then S_j^H b_1..b_T.  The
+        The numerator is the eigen-terms of ``sector_operator``
+        contracted onto the party, never an m x m matrix: A_j = sum_t c_t
+        a_t a_t^H as (c, V), V holding S_j^H a_1..a_T as columns.  The
         overlap is S_j^H B_j S_j, or, where P = 1, the scalar
         ||left||^2 ||right||^2 standing for that multiple of the identity.
         """
@@ -482,6 +468,12 @@ class _Solver:
         if mode not in ("max", "min"):
             raise ValueError("mode must be 'max' or 'min'")
         max_sweeps = check_count(max_sweeps, "max_sweeps")
+        # no residual meets a NaN or negative tol; a negative value_tol
+        # never settles, so every start runs max_sweeps sweeps
+        if not tol >= 0.0:
+            raise ValueError(f"tol must be a number >= 0, got {tol}")
+        if math.isnan(value_tol):
+            raise ValueError("value_tol must not be NaN")
         if self.partition.k == 1:
             if self.dense is not None:
                 self.check_dense_cap(0)
@@ -582,6 +574,8 @@ def sweep_solve(problem: SevalueProblem, init,
     ws = _Solver(problem)
     if [np.shape(b) for b in init] != [(dim,) for dim in ws.block_dims]:
         raise ValueError(f"need party vectors of dimensions {ws.block_dims}")
+    if not all(np.isfinite(b).all() for b in init):
+        raise ValueError("init must be finite")
     if not all(np.any(b) for b in init):
         raise ZeroProjectionError("zero party vector in initialization")
     sol, = ws.sweep([iter([init])], max_sweeps, tol, mode, value_tol)
@@ -603,7 +597,8 @@ def solve_sup_g(problem: SevalueProblem, starts: int = DEFAULT_STARTS,
     single full-space party is solved once, from start 0.  Raises
     ConvergenceError when no start converges (distinct from a converged
     bound that simply fails to detect), and ValueError unless ``starts``
-    and ``max_sweeps`` are integers of at least 1.
+    and ``max_sweeps`` are integers of at least 1, ``tol`` a number of
+    at least 0 and ``value_tol`` a number.
     """
     starts = check_count(starts, "starts")
     # one workspace for every start, so the isometries and the sector
@@ -788,10 +783,9 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
     samples = check_count(samples, "samples")
     ws = _Solver(problem)
     sec, (coeffs, vectors) = ws.sector(), ws.sector_operator()
-    # C-ordered rows <k_t| and <b_t| in sector coordinates: kets @ x and
-    # bras @ x give every term's overlaps with a batch of vectors x at
-    # once
-    kets, bras = np.split(np.ascontiguousarray(vectors.T.conj()), 2)
+    # C-ordered rows <x_t| in sector coordinates: rows @ x gives every
+    # term's overlaps with a batch of vectors x at once
+    rows = np.ascontiguousarray(vectors.T.conj())
     dims = ws.block_dims
 
     def evaluate(blocks):
@@ -810,9 +804,8 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
         valid = denom > 1e-14
         if not np.any(valid):
             return quotients
-        # sum_t c_t <x|k_t> <b_t|x>
-        numer = np.einsum("t,tc,tc->c", coeffs, (kets @ coords).conj(),
-                          bras @ coords).real
+        # sum_t c_t |<x_t|x>|^2
+        numer = coeffs @ np.abs(rows @ coords) ** 2
         quotients[valid] = numer[valid] / denom[valid]
         return quotients
 

@@ -72,11 +72,10 @@ def contracted_operator(operator, party_vectors, j, partition, space):
 
 def dense_party_matrices(numer, overlap):
     """The m x m matrices behind ``_Solver.party_matrices``'s return
-    forms: the term list (c, V) becomes sum_t c_t V[:, t] V[:, T + t]^H
+    forms: the term list (c, V) becomes sum_t c_t V[:, t] V[:, t]^H
     and a scalar overlap that multiple of the identity."""
     coeffs, vectors = numer
-    t = coeffs.size
-    numer = (vectors[:, :t] * coeffs) @ vectors[:, t:].conj().T
+    numer = (vectors * coeffs) @ vectors.conj().T
     if np.ndim(overlap) == 0:
         overlap = overlap * np.eye(numer.shape[0], dtype=np.complex128)
     return numer, overlap

@@ -170,6 +170,16 @@ def test_fig2_rejects_too_few_delta_steps(capsys, steps):
 # ---------------------------------------------------------------------------
 # sevalue
 
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_sevalue_rejects_bad_tol(capsys, tol):
+    # no start can meet the tolerance: an input error, not "no start
+    # converged" after every start ran to the sweep limit
+    code = main(["sevalue", INTERFERENCE_N3, "--k", "2", "--tol", tol])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "tol must be a number >= 0" in captured.err
+
+
 def test_sevalue_shipped_interference(capsys):
     code, payload = _run_json(
         capsys, ["sevalue", INTERFERENCE_N3, "--k", "2",

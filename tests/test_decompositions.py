@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sepwit import (DensityOperator, SpaceConfig, StateVector, Statistics,
-                    appendix_b_states, basis_product_vector,
-                    boson_product_decompose, numerical_rank,
-                    partial_trace_first, product_vector, project, schmidt,
-                    slater_boson, slater_fermion, takagi_skew,
-                    takagi_symmetric)
-from sepwit.decompositions import null_space, orth
+from sepwit import (DensityOperator, LowRankObservable, SpaceConfig,
+                    StateVector, Statistics, appendix_b_states,
+                    basis_product_vector, boson_product_decompose,
+                    numerical_rank, partial_trace_first, product_vector,
+                    project, schmidt, slater_boson, slater_fermion,
+                    takagi_skew, takagi_symmetric)
+from sepwit.decompositions import eigen_terms, null_space, orth
 from sepwit.errors import HermiticityError
 
 from conftest import crandn, random_unitary
@@ -321,6 +321,46 @@ def test_orth_and_null_space_split_the_columns(m, n, rank, seed):
         <= 1e-12 * scale
     # the kernel is annihilated
     assert np.abs(mat @ kernel).max(initial=0.0) <= 1e-12 * scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.integers(2, 3),
+       kinds=st.lists(st.sampled_from(["pair", "diagonal", "cancel", "zero"]),
+                      min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_eigen_form_reproduces_the_term_list(d, kinds, seed):
+    # the eigen-form (c, X) of a Hermitian term list has orthonormal
+    # columns and X diag(c) X^H equal to the operator, whether its terms
+    # come as Hermitian pairs c|k><b| + conj(c)|b><k|, as k = b terms,
+    # as pairs that cancel or with vanishing vectors
+    rng = np.random.default_rng(seed)
+    space = SpaceConfig(d, 2)
+    dim = space.total_dim
+    terms = []
+    for kind in kinds:
+        k, b = crandn(rng, dim), crandn(rng, dim)
+        c = complex(crandn(rng))
+        if kind == "pair":
+            terms += [(c, k, b), (c.conjugate(), b, k)]
+        elif kind == "diagonal":
+            terms.append((c.real, k, k))
+        elif kind == "cancel":
+            terms += [(c, k, b), (c.conjugate(), b, k), (-c, k, b),
+                      (-c.conjugate(), b, k)]
+        else:
+            terms.append((c.real, np.zeros(dim), np.zeros(dim)))
+    observable = LowRankObservable(space, tuple(terms))
+    coeffs, vectors = observable.eigen_form()
+    assert coeffs.dtype == float and 1 <= coeffs.size <= 2 * len(terms)
+    assert np.abs(vectors.conj().T @ vectors
+                  - np.eye(coeffs.size)).max() <= 1e-12
+    want = observable.to_matrix()
+    scale = max(1.0, float(np.abs(want).max()))
+    assert np.abs((vectors * coeffs) @ vectors.conj().T - want).max() \
+        <= 1e-12 * scale
+    # a zero matrix keeps exactly one term, its zero eigenvalue
+    values, basis = eigen_terms(np.zeros((dim, dim), dtype=complex))
+    assert values.tolist() == [0.0] and basis.shape == (dim, 1)
 
 
 def test_orth_and_null_space_cutoff_is_relative():

@@ -21,7 +21,7 @@ from sepwit.errors import (ConvergenceError, DimensionCapError,
 from sepwit.sectors import (SectorIsometry, sector_basis_vectors,
                             sector_isometry)
 from sepwit.partystep import _generalized_step
-from sepwit.solver import RESIDUAL_TOL, _crandn, _Solver
+from sepwit.solver import RESIDUAL_TOL, VALUE_TOL, _crandn, _Solver
 
 from conftest import (contracted_operator, crandn, dense_party_matrices,
                       random_hermitian, random_unitary,
@@ -93,6 +93,11 @@ def test_observables_reject_non_finite(rng, bad):
         with pytest.raises(ValueError,
                            match="low-rank term list must be finite"):
             LowRankObservable(space, terms)
+
+
+def test_low_rank_observable_needs_a_term():
+    with pytest.raises(ValueError, match="needs at least one term"):
+        LowRankObservable(SpaceConfig(2, 2), ())
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +272,7 @@ def test_party_step_zero_extremum(rng, stats):
 @pytest.mark.parametrize("stats", list(Statistics))
 def test_party_step_zero_extremum_with_as_many_terms_as_dimensions(rng,
                                                                     stats):
-    # -|psi><psi| in two equal terms on three-mode parties: 2T = 4 term
+    # -|psi><psi| as four equal terms on three-mode parties: 4 term
     # vectors, no fewer than the dimensions of the overlap's range (3,
     # or 2 for fermions), that span one dimension, so the extremum is
     # still the exact 0 off that span, taken orthogonal to it
@@ -280,7 +285,10 @@ def test_party_step_zero_extremum_with_as_many_terms_as_dimensions(rng,
     blocks = [b / np.linalg.norm(b) for b in blocks]
     numer, overlap, _ = _Solver(problem).party_matrices(
         [b[None] for b in blocks], 0)
-    assert numer[1].shape[1:] == (3, 4)
+    # the observable route holds the one eigen-term of -|psi><psi|; the
+    # step gets that term's contracted vector four times, c = -1/4 each
+    assert numer[1].shape[1:] == (3, 1)
+    numer = (np.full(4, -0.25), np.repeat(numer[1], 4, axis=2))
     kets = numer[1][0, :, :1]
     (value,), (vec,) = _generalized_step(numer, overlap, blocks[0][None],
                                          "max")
@@ -291,7 +299,7 @@ def test_party_step_zero_extremum_with_as_many_terms_as_dimensions(rng,
 
 def test_distinguishable_lowrank_sweep_solves_no_large_eigh(monkeypatch):
     # N=4, d=8, partition (3, 1): a 512-mode party whose overlap is a
-    # scalar and whose numerator has 2T = 4 term vectors, so no eigh
+    # scalar and whose numerator has at most 4 term vectors, so no eigh
     # call is larger than 4
     sizes = []
     eigh = np.linalg.eigh
@@ -732,6 +740,20 @@ def test_observable_without_sector_part_bounds_to_zero(parts):
     assert brute_force_bound(problem, samples=100, seed=0) == 0.0
 
 
+@pytest.mark.parametrize("stats", list(Statistics))
+@pytest.mark.parametrize("parts", [(1, 1), (2,)])
+def test_low_rank_observable_with_vanishing_vectors_bounds_to_zero(stats,
+                                                                   parts):
+    # L = 0 given as a term whose vectors vanish: its eigen-form keeps one
+    # zero term, so the solver and the oracle both give exactly 0
+    space = SpaceConfig(3, 2)
+    zero = np.zeros(space.total_dim)
+    problem = SevalueProblem(LowRankObservable(space, ((1.0, zero, zero),)),
+                             stats, Partition(parts), space)
+    assert solve_sup_g(problem, starts=4, seed=0).value == 0.0
+    assert brute_force_bound(problem, samples=100, seed=0) == 0.0
+
+
 @pytest.mark.parametrize("kind", ["dense", "low-rank"])
 def test_single_party_empty_sector_fails_every_start(rng, kind):
     # three fermions in two modes have no sector: every product vector
@@ -1100,6 +1122,41 @@ def test_solve_rejects_bad_starts_and_max_sweeps(bad):
             solve_sup_g(target, starts=2, max_sweeps=bad)
     with pytest.raises(ValueError, match="max_sweeps"):
         sweep_solve(problem, [np.ones(3), np.ones(3)], max_sweeps=bad)
+
+
+@pytest.mark.parametrize("name, bad", [("tol", np.nan), ("tol", -1.0),
+                                       ("value_tol", np.nan)])
+def test_solve_rejects_nan_and_negative_tolerances(rng, name, bad):
+    # no start can meet a NaN tolerance or a negative tol: every entry
+    # point raises ValueError naming it, for one party or several,
+    # instead of running every start to the sweep limit; inf stays
+    # allowed
+    space = SpaceConfig(3, 2)
+    problem = SevalueProblem(random_hermitian(rng, 9), Statistics.BOSON,
+                             Partition((1, 1)), space)
+    single = dataclasses.replace(problem, partition=Partition((2,)))
+    init = [crandn(rng, 3) for _ in range(2)]
+    tols = {"tol": RESIDUAL_TOL, "value_tol": VALUE_TOL, name: bad}
+    for target in (problem, single):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            solve_sup_g(target, starts=2, **{name: bad})
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        sweep_solve(problem, init, **{name: bad})
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        _Solver(problem).sweep([iter([init])], 10, mode="max", **tols)
+    assert solve_sup_g(problem, starts=2, **{name: np.inf}).n_converged == 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("parts", [(1, 1), (2,)])
+def test_sweep_solve_rejects_non_finite_init(rng, bad, parts):
+    space = SpaceConfig(3, 2)
+    problem = SevalueProblem(random_hermitian(rng, 9), Statistics.BOSON,
+                             Partition(parts), space)
+    init = [crandn(rng, 3 ** nk) for nk in parts]
+    init[-1][0] = bad
+    with pytest.raises(ValueError, match="init must be finite"):
+        sweep_solve(problem, init)
 
 
 def test_solve_accepts_numpy_integer_counts():
