@@ -43,8 +43,9 @@ import numpy as np
 from .errors import (ConvergenceError, HermiticityError, InputFormatError,
                      SectorError, SepwitError)
 from .operators import interference_observable, rank_one_observable
-from .solver import (Partition, SevalueProblem, brute_force_bound,
-                     check_count, partitions_into, solve_sup_g)
+from .solver import (DEFAULT_STARTS, RESIDUAL_TOL, Partition, SevalueProblem,
+                     brute_force_bound, check_count, partitions_into,
+                     solve_sup_g)
 from .states import (detection_threshold, dephased_ghz, fig1_bound,
                      fig1_state_family, ghz_expectation, noisy_state,
                      GhzFamily)
@@ -496,9 +497,9 @@ def _build_parser() -> argparse.ArgumentParser:
     shared = {
         "--seed": dict(type=int, default=0,
                        help="seed; fully determines stochastic output"),
-        "--starts": dict(type=int, default=64,
+        "--starts": dict(type=int, default=DEFAULT_STARTS,
                          help="multistart count for the sweep solver"),
-        "--tol": dict(type=float, default=1e-9,
+        "--tol": dict(type=float, default=RESIDUAL_TOL,
                       help="residual tolerance of the sweep solver"),
         "--verify": dict(action="store_true",
                          help="run the independent cross-checks"),

@@ -9,6 +9,7 @@ either representation; the solver reads both as eigen-terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,8 +24,10 @@ class LowRankObservable:
     """Hermitian operator sum_r coeff_r |ket_r><bra_r| on the composite space.
 
     The term list as a whole must be Hermitian; ``eigen_form`` checks it
-    on a compressed copy at construction time.  ``kind`` tags operators
-    with known analytic separability bounds ("rank_one", "interference").
+    on a compressed copy at construction time and is kept.  Each distinct
+    input vector is stored once, as a read-only copy shared by every term
+    that names it.  ``kind`` tags operators with known analytic
+    separability bounds ("rank_one", "interference").
     """
 
     space: SpaceConfig
@@ -35,22 +38,25 @@ class LowRankObservable:
         if not self.terms:
             raise ValueError("a low-rank observable needs at least one term")
         dim = self.space.total_dim
+        copies = {}     # one read-only copy per distinct input vector
         frozen = []
         for coeff, ket, bra in self.terms:
-            k = np.array(ket, dtype=np.complex128)
-            b = np.array(bra, dtype=np.complex128)
+            for vec in (ket, bra):
+                if id(vec) not in copies:
+                    copies[id(vec)] = np.array(vec, dtype=np.complex128)
+                    copies[id(vec)].setflags(write=False)
+            k, b = copies[id(ket)], copies[id(bra)]
             if k.shape != (dim,) or b.shape != (dim,):
                 raise ValueError("term vector dimension mismatch")
             coeff = complex(coeff)
             if not (np.isfinite(coeff) and np.isfinite(k).all()
                     and np.isfinite(b).all()):
                 raise ValueError("low-rank term list must be finite")
-            k.setflags(write=False)
-            b.setflags(write=False)
             frozen.append((coeff, k, b))
         object.__setattr__(self, "terms", tuple(frozen))
-        self.eigen_form()
+        self.eigen_form     # checks the term list, and keeps its form
 
+    @cached_property
     def eigen_form(self) -> tuple[np.ndarray, np.ndarray]:
         """The operator as sum_t c_t |x_t><x_t|, (c, X) with real c and
         orthonormal columns X: the ``eigen_terms`` of its compression onto

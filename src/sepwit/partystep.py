@@ -3,9 +3,10 @@
 One step solves, for every start of a batch at once, a party's
 generalized Hermitian eigenproblem A x = g B x on the range of the
 overlap B and returns its extremal value and vector.  The forms of A
-and B are those that ``solver._Solver`` builds: B a scalar per start or
-a stack of matrices, A the contracted sector eigen-terms (c, X), A =
-sum_t c_t x_t x_t^H with real c_t, of a dense or low-rank observable.
+and B are those that ``solver._party_matrices`` builds from a problem's
+sector terms: B a scalar per start or a stack of matrices, A the
+contracted eigen-terms (c, X), A = sum_t c_t x_t x_t^H with real c_t,
+of a dense or low-rank observable.
 Starts whose branches differ are solved as sub-batches of the same
 routines.
 """
@@ -77,7 +78,7 @@ def _generalized_step(numer: tuple, overlap, previous: np.ndarray,
                       mode: str) -> tuple:
     """Extremal eigenpairs of A x = g overlap x on range(overlap), one
     per start (row of ``previous``), for the batched forms that
-    ``_Solver`` builds, ``numer`` the terms (c, X) of A = sum_t c_t
+    ``_party_matrices`` builds, ``numer`` the terms (c, X) of A = sum_t c_t
     X[:, t] X[:, t]^H; a start whose overlap vanishes gets NaN.
 
     A matrix overlap is whitened through its eigendecomposition, cut at

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -118,7 +118,28 @@ def all_partitions(n: int) -> tuple[Partition, ...]:
 @dataclass(frozen=True)
 class SevalueProblem:
     """An observable together with the statistics and partition against
-    which its separable bound is sought."""
+    which its separable bound is sought, and the workspace of its
+    equations: the data derived from these four fields, each built on
+    first use and kept, so that every solve, oracle call and diagnostic
+    on one problem reads the same copies.
+
+    With the same statistics on every block, P (P_1 x ... x P_K) = P, so
+    party j's equation only sees the part of b_j in its block's exchange
+    sector: the sweep solves it in the sector coordinates of the
+    isometry S_j, of dimension ``sector_dims[j]``, while party vectors
+    and every diagnostic stay in full-space coordinates.  The party
+    matrices are contracted in the coordinates of the whole space's
+    exchange sector, through its isometry S: with y = S^H q the overlap
+    is y^H y and the numerator y^H X, for the ``sector_terms`` (c, X).
+    ``_stationarity`` stays on the permutation-sum projector, so it
+    checks that conversion independently.
+
+    The cache relies on its inputs staying fixed: a low-rank operator's
+    term vectors are read-only copies, and a complex128 dense operator
+    is made read-only in place, not copied (another dtype is converted
+    to a read-only complex128 copy).  A write through the base of a
+    view passed in, or through a view taken before, leaves it stale.
+    """
 
     operator: LowRankObservable | np.ndarray
     stats: Statistics
@@ -139,6 +160,51 @@ class SevalueProblem:
                 raise ValueError(f"operator shape {op.shape}, expected {(dim, dim)}")
             op.setflags(write=False)
             object.__setattr__(self, "operator", op)
+
+    @cached_property
+    def block_dims(self) -> tuple[int, ...]:
+        return self.partition.block_dims(self.space.d)
+
+    @cached_property
+    def sector_dims(self) -> tuple[int, ...]:
+        d = self.space.d
+        return tuple(subspace_dimension(self.stats, SpaceConfig(d, nj))
+                     for nj in self.partition.parts)
+
+    @cached_property
+    def sector(self) -> SectorIsometry | None:
+        """The whole space's sector isometry S as orbit tables; None
+        where the sector is the whole space."""
+        return _sector_basis(self.stats, self.space)
+
+    @cached_property
+    def party_isometries(self) -> tuple[np.ndarray | None, ...]:
+        """Every party's block-sector isometry S_j, of shape (block
+        dimension, sector dimension); None where the sector is the whole
+        block, where S_j is unitary and the block's own coordinates
+        serve.  DimensionCapError where a party's sector is too large to
+        be solved through m_j x m_j matrices."""
+        _check_dense_cap(self)
+        isos = (_sector_basis(self.stats, SpaceConfig(self.space.d, nj))
+                for nj in self.partition.parts)
+        return tuple(None if iso is None else iso.toarray() for iso in isos)
+
+    @cached_property
+    def sector_terms(self) -> tuple:
+        """S^H L S (L itself where S is None) as eigen-terms (c, X),
+        sum_t c_t x_t x_t^H: (c, S^H X) for the eigen-form (c, X) of a
+        low-rank L, unprojected as S^H P = S^H, and for a dense L the
+        ``eigen_terms`` of S^H L S, built through the dense columns of
+        S."""
+        sec = self.sector
+        if isinstance(self.operator, LowRankObservable):
+            coeffs, vectors = self.operator.eigen_form
+            return coeffs, vectors if sec is None else sec.adjoint(vectors)
+        op = self.operator
+        if sec is not None:
+            cols = sec.toarray()
+            op = cols.conj().T @ op @ cols
+        return eigen_terms(op)
 
 
 @dataclass(frozen=True)
@@ -246,315 +312,235 @@ def _sector_basis(stats: Statistics, space: SpaceConfig) \
     return sector_isometry(stats, space)
 
 
-class _Solver:
-    """Per-problem workspace: the observable (a low-rank one as its
-    eigen-form), the isometries and the observable in sector coordinates
-    (each built on first use) and the party-wise contractions.  One
-    workspace serves every start of a solve, or every sample of the
-    oracle, and is released with it.
-
-    With the same statistics on every block, P (P_1 x ... x P_K) = P, so
-    party j's equation only sees the part of b_j in its block's exchange
-    sector: the sweep solves it in the sector coordinates of the
-    isometry S_j, of dimension ``sector_dims[j]``, while party vectors
-    and every diagnostic stay in full-space coordinates.  The party
-    matrices are contracted in the coordinates of the whole space's
-    exchange sector, through its isometry S: with y = S^H q the overlap
-    is y^H y and the numerator y^H X, for the sector terms (c, X) of
-    ``sector_operator``.  ``stationarity`` stays on the permutation-sum
-    projector, so it checks that conversion independently.
-    """
-
-    def __init__(self, problem: SevalueProblem):
-        self.space = problem.space
-        self.stats = problem.stats
-        self.partition = problem.partition
-        self.block_dims = problem.partition.block_dims(problem.space.d)
-        self.sector_dims = tuple(
-            subspace_dimension(problem.stats, SpaceConfig(problem.space.d, nj))
-            for nj in problem.partition.parts)
-        self._isometries: dict[int, np.ndarray | None] = {}
-        self._sector = None
-        self._sector_operator = None
-        # L = sum_t c_t x_t x_t^H as (c, X), unprojected as S^H P = S^H;
-        # ``dense`` None marks it
-        if isinstance(problem.operator, LowRankObservable):
-            self.dense, self.terms = None, problem.operator.eigen_form()
-        else:
-            self.dense = problem.operator
-
-    # -- full-space helpers ------------------------------------------------
-    # (the party vectors of a batch of starts are the rows of one
-    # (batch, d_j) array per party)
-
-    def projected_product(self, blocks) -> np.ndarray:
-        """P|b> of every start, as the rows of a (batch, dim) array."""
-        flat = _kron_rows(blocks, len(blocks[0]))
-        return project_amplitudes(self.stats, flat.T, self.space).T
-
-    def stationarity(self, blocks, values):
-        """P|b>, chi = P L P|b> - g P|b>, and per party j the pair
-        (||A_j b_j - g B_j b_j||, ||B_j b_j||), as (batch, dim), (batch,
-        dim) and (batch, K, 2) arrays.
-
-        A_j b_j and B_j b_j are P L P|b> and P|b> with every other party
-        contracted out, so each pair comes from chi and P|b> without
-        building a party matrix; a single party contracts nothing.
-        """
-        count = len(blocks[0])
-        projected = self.projected_product(blocks)
-        if self.dense is None:
-            # L P|b> = sum_t c_t x_t <x_t|Pb>
-            coeffs, vectors = self.terms
-            applied = (vectors * coeffs) @ (vectors.conj().T @ projected.T)
-        else:
-            applied = self.dense @ projected.T
-        sandwich = project_amplitudes(self.stats, applied, self.space).T
-        chi = sandwich - np.asarray(values, dtype=float)[:, None] * projected
-        pair = np.stack([chi, projected], axis=-1)
-        defects = np.empty((count, self.partition.k, 2))
-        for j, dj in enumerate(self.block_dims):
-            defects[:, j] = np.linalg.norm(self._contract_fixed(
-                pair, _kron_rows(blocks[:j], count),
-                _kron_rows(blocks[j + 1:], count), dj), axis=1)
-        return projected, chi, defects
-
-    def solutions(self, blocks, values, settled, sweeps,
-                  tol: float = math.inf) -> list:
-        """The solution records of a batch of starts, or None for one
-        whose overlap annihilates a party vector; a residual is the worst
-        per-party defect relative to ||B_j b_j||, and a start converged
-        where it settled with a residual within ``tol``."""
-        projected, chi, defects = self.stationarity(blocks, values)
-        out = []
-        for b, (defect, scale) in enumerate(defects.transpose(0, 2, 1)):
-            if scale.min() <= 0.0:
-                out.append(None)
-                continue
-            residual = float(np.max(defect / scale))
-            out.append(SevalueSolution(
-                value=float(values[b]),
-                party_vectors=tuple(block[b].copy() for block in blocks),
-                projected_vector=StateVector(self.space, projected[b]),
-                residual=residual, chi_norm=float(np.linalg.norm(chi[b])),
-                converged=bool(settled[b]) and residual <= tol,
-                sweeps=int(sweeps[b]), partition=self.partition,
-                statistics=self.stats))
-        return out
-
-    def solution(self, blocks, value: float, converged: bool,
-                 sweeps: int) -> SevalueSolution:
-        """One start's solution record at the given party vectors."""
-        sol, = self.solutions(
-            [np.asarray(b, dtype=np.complex128)[None] for b in blocks],
-            [value], [converged], [sweeps])
-        if sol is None:
-            raise ZeroProjectionError("overlap annihilates a party vector")
-        return sol
-
-    # -- party-wise operators ----------------------------------------------
-
-    def check_dense_cap(self, j: int) -> None:
-        """DimensionCapError where party j's sector is too large to be
-        solved through m_j x m_j matrices."""
-        mj = self.sector_dims[j]
+def _check_dense_cap(problem: SevalueProblem) -> None:
+    """DimensionCapError where a party's sector is too large to be
+    solved through m_j x m_j matrices."""
+    for mj in problem.sector_dims:
         if mj > PARTY_DENSE_CAP:
             raise DimensionCapError(
                 f"party sector dimension {mj} exceeds the dense cap "
                 f"{PARTY_DENSE_CAP}")
 
-    def isometry(self, j: int) -> np.ndarray | None:
-        """Party j's block-sector isometry S_j, of shape (block
-        dimension, sector dimension), built on first use; None when the
-        sector is the whole block, where S_j is unitary and the block's
-        own coordinates serve."""
-        self.check_dense_cap(j)
-        if j not in self._isometries:
-            iso = _sector_basis(self.stats, SpaceConfig(
-                self.space.d, self.partition.parts[j]))
-            self._isometries[j] = None if iso is None else iso.toarray()
-        return self._isometries[j]
 
-    def sector(self) -> SectorIsometry | None:
-        """The whole space's sector isometry S as orbit tables, built on
-        first use; None when the sector is the whole space."""
-        if self._sector is None:
-            self._sector = _sector_basis(self.stats, self.space)
-        return self._sector
+# -- full-space diagnostics ------------------------------------------------
+# (the party vectors of a batch of starts are the rows of one (batch, d_j)
+# array per party)
 
-    def sector_operator(self) -> tuple:
-        """S^H L S (L itself where S is None) as eigen-terms (c, X),
-        sum_t c_t x_t x_t^H, built on first use: (c, S^H X) for the
-        eigen-form (c, X) of a low-rank L, and for a dense L the
-        ``eigen_terms`` of S^H L S, built through the dense columns of S."""
-        if self._sector_operator is None:
-            sec = self.sector()
-            if self.dense is None:
-                coeffs, vectors = self.terms
-                self._sector_operator = (coeffs, vectors if sec is None
-                                         else sec.adjoint(vectors))
-            else:
-                op = self.dense
-                if sec is not None:
-                    cols = sec.toarray()
-                    op = cols.conj().T @ op @ cols
-                self._sector_operator = eigen_terms(op)
-        return self._sector_operator
+def _projected_product(problem: SevalueProblem, blocks) -> np.ndarray:
+    """P|b> of every start, as the rows of a (batch, dim) array."""
+    flat = _kron_rows(blocks, len(blocks[0]))
+    return project_amplitudes(problem.stats, flat.T, problem.space).T
 
-    def party_matrices(self, blocks, j: int) -> tuple:
-        """Party j's equations A_j x = g B_j x with the other blocks held
-        fixed, in its block's sector coordinates, as (numerator, overlap,
-        S_j) with a leading batch axis, S_j None for the identity.
 
-        The numerator is the eigen-terms of ``sector_operator``
-        contracted onto the party, never an m x m matrix: A_j = sum_t c_t
-        a_t a_t^H as (c, V), V holding S_j^H a_1..a_T as columns.  The
-        overlap is S_j^H B_j S_j, or, where P = 1, the scalar
-        ||left||^2 ||right||^2 standing for that multiple of the identity.
-        """
-        iso = self.isometry(j)
-        count = len(blocks[0])
-        sec = self.sector()
-        coeffs, vectors = self.sector_operator()
-        dj = self.block_dims[j]
-        left = _kron_rows(blocks[:j], count)
-        right = _kron_rows(blocks[j + 1:], count)
-        if sec is None:
-            # P = 1 and S_j = 1: q^H q is ||left||^2 ||right||^2 times
-            # the identity
-            overlap = np.einsum("bl,bl->b", left.conj(), left).real \
-                * np.einsum("br,br->b", right.conj(), right).real
-            return ((coeffs, self._contract_fixed(vectors, left, right, dj)),
-                    overlap, iso)
-        embed = np.eye(dj, dtype=np.complex128) if iso is None else iso
-        mj = embed.shape[1]
-        # every start's q = left x embed x right side by side, as the
-        # columns (start, y) of rows (l, x, r)
-        outer = (left[:, :, None] * right[:, None, :]).transpose(1, 2, 0)
-        q = (outer.reshape(left.shape[1], 1, -1, 1)
-             * embed[None, :, None, :]).reshape(-1, count * mj)
-        # q^H P q = y^H y and q^H k = y^H S^H k, with y = S^H q
-        adj = _dag(sec.adjoint(q).reshape(-1, count, mj).transpose(1, 0, 2))
-        return (coeffs, adj @ vectors), _hermitian_part(adj @ _dag(adj)), iso
+def _stationarity(problem: SevalueProblem, blocks, values):
+    """P|b>, chi = P L P|b> - g P|b>, and per party j the pair
+    (||A_j b_j - g B_j b_j||, ||B_j b_j||), as (batch, dim), (batch,
+    dim) and (batch, K, 2) arrays.
 
-    def _contract_fixed(self, full, left, right, dj) -> np.ndarray:
-        """<left_b| x 1 x <right_b| applied, for every start b, to the
-        columns of full-space vectors: (batch, dim, c) in, or (dim, c)
-        shared by every start, and (batch, dj, c) out."""
-        count, dl, dr = len(left), left.shape[1], right.shape[1]
-        c = full.shape[-1]
-        fixed = left.conj()[:, None, :] @ full.reshape(-1, dl, dj * dr * c)
-        fixed = fixed.reshape(count, dj, dr, c).transpose(0, 1, 3, 2)
-        return (fixed.reshape(count, dj * c, dr) @ right.conj()[:, :, None]
-                ).reshape(count, dj, c)
+    A_j b_j and B_j b_j are P L P|b> and P|b> with every other party
+    contracted out, so each pair comes from chi and P|b> without
+    building a party matrix; a single party contracts nothing.
+    """
+    count = len(blocks[0])
+    projected = _projected_product(problem, blocks)
+    if isinstance(problem.operator, LowRankObservable):
+        # L P|b> = sum_t c_t x_t <x_t|Pb>
+        coeffs, vectors = problem.operator.eigen_form
+        applied = (vectors * coeffs) @ (vectors.conj().T @ projected.T)
+    else:
+        applied = problem.operator @ projected.T
+    sandwich = project_amplitudes(problem.stats, applied, problem.space).T
+    chi = sandwich - np.asarray(values, dtype=float)[:, None] * projected
+    pair = np.stack([chi, projected], axis=-1)
+    defects = np.empty((count, problem.partition.k, 2))
+    for j, dj in enumerate(problem.block_dims):
+        defects[:, j] = np.linalg.norm(_contract_fixed(
+            pair, _kron_rows(blocks[:j], count),
+            _kron_rows(blocks[j + 1:], count), dj), axis=1)
+    return projected, chi, defects
 
-    # -- the sweep ------------------------------------------------------------
 
-    def sweep(self, inits, max_sweeps: int, tol: float, mode: str,
-              value_tol: float) -> list:
-        """Cyclic per-party ascent (or descent) of many starts at once.
+def _solutions(problem: SevalueProblem, blocks, values, settled, sweeps,
+               tol: float = math.inf) -> list:
+    """The solution records of a batch of starts, or None for one whose
+    overlap annihilates a party vector; a residual is the worst
+    per-party defect relative to ||B_j b_j||, and a start converged
+    where it settled with a residual within ``tol``."""
+    projected, chi, defects = _stationarity(problem, blocks, values)
+    out = []
+    for b, (defect, scale) in enumerate(defects.transpose(0, 2, 1)):
+        if scale.min() <= 0.0:
+            out.append(None)
+            continue
+        residual = float(np.max(defect / scale))
+        out.append(SevalueSolution(
+            value=float(values[b]),
+            party_vectors=tuple(block[b].copy() for block in blocks),
+            projected_vector=StateVector(problem.space, projected[b]),
+            residual=residual, chi_norm=float(np.linalg.norm(chi[b])),
+            converged=bool(settled[b]) and residual <= tol,
+            sweeps=int(sweeps[b]), partition=problem.partition,
+            statistics=problem.stats))
+    return out
 
-        ``inits`` holds one iterator per start over the initializations
-        (one vector per party) it may try.  The starts advance as one
-        batch, one batched step per party per sweep, with at most
-        BATCH_BYTES of stacked party arrays: the others wait and join as
-        starts leave.  A start that meets a zero projection takes its
-        next initialization and rejoins with its own sweep count.  A
-        start leaves when its quotient settles within ``value_tol`` and
-        its residual is within ``tol``, or after ``max_sweeps``.  Returns
-        each start's solution, or None where its initializations ran out.
-        A single party takes one exact step instead (``sector_step``).
-        """
-        if mode not in ("max", "min"):
-            raise ValueError("mode must be 'max' or 'min'")
-        max_sweeps = check_count(max_sweeps, "max_sweeps")
-        # no residual meets a NaN or negative tol; a negative value_tol
-        # never settles, so every start runs max_sweeps sweeps
-        if not tol >= 0.0:
-            raise ValueError(f"tol must be a number >= 0, got {tol}")
-        if math.isnan(value_tol):
-            raise ValueError("value_tol must not be NaN")
-        if self.partition.k == 1:
-            if self.dense is not None:
-                self.check_dense_cap(0)
-            return self.sector_step(inits, mode, tol)
-        size = max(1, BATCH_BYTES // (16 * self.space.total_dim
-                                      * max(1, *self.sector_dims)))
-        out: list = [None] * len(inits)
-        # the starts in the batch, their sweeps so far, their last values
-        # and their party vectors
-        batch = [np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0)] \
-            + [np.zeros((0, dim), dtype=np.complex128)
-               for dim in self.block_dims]
-        pending = list(range(len(inits)))
-        while pending or batch[0].size:
-            # waiting starts draw their next initialization; those that
-            # project to nonzero join at the first party
-            room = size - batch[0].size
-            drawn = [(i, next(inits[i], None)) for i in pending[:room]]
-            drawn = [(i, init) for i, init in drawn if init is not None]
-            pending = pending[room:]
-            if drawn:
-                starts = np.array([i for i, _ in drawn])
-                new = [np.array(col, dtype=np.complex128)
-                       for col in zip(*(init for _, init in drawn))]
-                new = [b / np.linalg.norm(b, axis=1, keepdims=True)
-                       for b in new]
-                ok = np.linalg.norm(self.projected_product(new), axis=1) \
-                    >= INIT_PROJECTION_TOL
-                pending = starts[~ok].tolist() + pending
-                batch = [np.concatenate(pair) for pair in zip(batch, [
-                    starts[ok], np.zeros(np.count_nonzero(ok), dtype=int),
-                    np.full(np.count_nonzero(ok), np.nan)]
-                    + [b[ok] for b in new])]
-            ids, counts, previous, *blocks = batch
-            if not ids.size:
-                continue
-            counts += 1
-            lost = np.zeros(ids.size, dtype=bool)
-            for j in range(self.partition.k):
-                numer, overlap, iso = self.party_matrices(blocks, j)
-                coords = blocks[j] if iso is None \
-                    else (blocks[j].conj() @ iso).conj()
-                values, coords = _generalized_step(numer, overlap, coords,
-                                                   mode)
-                blocks[j] = coords if iso is None else coords @ iso.T
-                lost |= np.isnan(values)
-            settled = (counts > 1) & (np.abs(values - previous) <= value_tol)
-            check = ((settled | (counts >= max_sweeps)) & ~lost).nonzero()[0]
-            sols = self.solutions([b[check] for b in blocks], values[check],
-                                  settled[check], counts[check], tol) \
-                if check.size else []
-            done = lost.copy()
-            for pos, sol in zip(check, sols):
-                if sol is None or sol.converged or counts[pos] >= max_sweeps:
-                    out[ids[pos]] = sol
-                    lost[pos], done[pos] = sol is None, True
-            pending = ids[lost].tolist() + pending
-            batch = [part[~done] for part in [ids, counts, values] + blocks]
-        return out
 
-    def sector_step(self, inits, mode: str, tol: float) -> list:
-        """A single party: its block is the whole space, so its equation
-        is the extremal eigenproblem of P L P on the sector, with the
-        terms of ``sector_operator`` as numerator and the overlap 1.
-        One ``_generalized_step`` per start solves it exactly, from the
-        sector part y = S^H b of the start's first initialization; the
-        party vector is S y.  An empty sector fails every start."""
-        if not self.sector_dims[0]:
-            return [None] * len(inits)
-        sec = self.sector()
-        first = np.array([next(init)[0] for init in inits],
-                         dtype=np.complex128)
-        count = len(first)
-        coeffs, vectors = self.sector_operator()
-        numer = (coeffs, np.broadcast_to(vectors, (count,) + vectors.shape))
-        if sec is not None:
-            first = sec.adjoint(first.T).T
-        values, coords = _generalized_step(numer, np.ones(count), first, mode)
-        vectors = coords if sec is None else sec.apply(coords.T).T
-        return self.solutions([vectors], values, np.ones(count, dtype=bool),
-                              np.ones(count, dtype=int), tol)
+# -- party-wise operators --------------------------------------------------
+
+def _party_matrices(problem: SevalueProblem, blocks, j: int) -> tuple:
+    """Party j's equations A_j x = g B_j x with the other blocks held
+    fixed, in its block's sector coordinates, as (numerator, overlap,
+    S_j) with a leading batch axis, S_j None for the identity.
+
+    The numerator is the ``sector_terms`` contracted onto the party,
+    never an m x m matrix: A_j = sum_t c_t a_t a_t^H as (c, V), V
+    holding S_j^H a_1..a_T as columns.  The overlap is S_j^H B_j S_j,
+    or, where P = 1, the scalar ||left||^2 ||right||^2 standing for
+    that multiple of the identity.
+    """
+    iso = problem.party_isometries[j]
+    count = len(blocks[0])
+    sec = problem.sector
+    coeffs, vectors = problem.sector_terms
+    dj = problem.block_dims[j]
+    left = _kron_rows(blocks[:j], count)
+    right = _kron_rows(blocks[j + 1:], count)
+    if sec is None:
+        # P = 1 and S_j = 1: q^H q is ||left||^2 ||right||^2 times the
+        # identity
+        overlap = np.einsum("bl,bl->b", left.conj(), left).real \
+            * np.einsum("br,br->b", right.conj(), right).real
+        return ((coeffs, _contract_fixed(vectors, left, right, dj)),
+                overlap, iso)
+    embed = np.eye(dj, dtype=np.complex128) if iso is None else iso
+    mj = embed.shape[1]
+    # every start's q = left x embed x right side by side, as the columns
+    # (start, y) of rows (l, x, r)
+    outer = (left[:, :, None] * right[:, None, :]).transpose(1, 2, 0)
+    q = (outer.reshape(left.shape[1], 1, -1, 1)
+         * embed[None, :, None, :]).reshape(-1, count * mj)
+    # q^H P q = y^H y and q^H k = y^H S^H k, with y = S^H q
+    adj = _dag(sec.adjoint(q).reshape(-1, count, mj).transpose(1, 0, 2))
+    return (coeffs, adj @ vectors), _hermitian_part(adj @ _dag(adj)), iso
+
+
+def _contract_fixed(full, left, right, dj) -> np.ndarray:
+    """<left_b| x 1 x <right_b| applied, for every start b, to the
+    columns of full-space vectors: (batch, dim, c) in, or (dim, c)
+    shared by every start, and (batch, dj, c) out."""
+    count, dl, dr = len(left), left.shape[1], right.shape[1]
+    c = full.shape[-1]
+    fixed = left.conj()[:, None, :] @ full.reshape(-1, dl, dj * dr * c)
+    fixed = fixed.reshape(count, dj, dr, c).transpose(0, 1, 3, 2)
+    return (fixed.reshape(count, dj * c, dr) @ right.conj()[:, :, None]
+            ).reshape(count, dj, c)
+
+
+# -- the sweep -------------------------------------------------------------
+
+def _sweep(problem: SevalueProblem, inits, max_sweeps: int, tol: float,
+           mode: str, value_tol: float) -> list:
+    """Cyclic per-party ascent (or descent) of many starts at once.
+
+    ``inits`` holds one iterator per start over the initializations (one
+    vector per party) it may try.  The starts advance as one batch, one
+    batched step per party per sweep, with at most BATCH_BYTES of
+    stacked party arrays: the others wait and join as starts leave.  A
+    start that meets a zero projection takes its next initialization and
+    rejoins with its own sweep count.  A start leaves when its quotient
+    settles within ``value_tol`` and its residual is within ``tol``, or
+    after ``max_sweeps``.  Returns each start's solution, or None where
+    its initializations ran out.  A single party takes one exact step
+    instead (``_sector_step``).
+    """
+    if mode not in ("max", "min"):
+        raise ValueError("mode must be 'max' or 'min'")
+    max_sweeps = check_count(max_sweeps, "max_sweeps")
+    # no residual meets a NaN or negative tol; a negative value_tol never
+    # settles, so every start runs max_sweeps sweeps
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be a number >= 0, got {tol}")
+    if math.isnan(value_tol):
+        raise ValueError("value_tol must not be NaN")
+    if problem.partition.k == 1:
+        if not isinstance(problem.operator, LowRankObservable):
+            _check_dense_cap(problem)
+        return _sector_step(problem, inits, mode, tol)
+    size = max(1, BATCH_BYTES // (16 * problem.space.total_dim
+                                  * max(1, *problem.sector_dims)))
+    out: list = [None] * len(inits)
+    # the starts in the batch, their sweeps so far, their last values and
+    # their party vectors
+    batch = [np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0)] \
+        + [np.zeros((0, dim), dtype=np.complex128)
+           for dim in problem.block_dims]
+    pending = list(range(len(inits)))
+    while pending or batch[0].size:
+        # waiting starts draw their next initialization; those that
+        # project to nonzero join at the first party
+        room = size - batch[0].size
+        drawn = [(i, next(inits[i], None)) for i in pending[:room]]
+        drawn = [(i, init) for i, init in drawn if init is not None]
+        pending = pending[room:]
+        if drawn:
+            starts = np.array([i for i, _ in drawn])
+            new = [np.array(col, dtype=np.complex128)
+                   for col in zip(*(init for _, init in drawn))]
+            new = [b / np.linalg.norm(b, axis=1, keepdims=True) for b in new]
+            ok = np.linalg.norm(_projected_product(problem, new), axis=1) \
+                >= INIT_PROJECTION_TOL
+            pending = starts[~ok].tolist() + pending
+            batch = [np.concatenate(pair) for pair in zip(batch, [
+                starts[ok], np.zeros(np.count_nonzero(ok), dtype=int),
+                np.full(np.count_nonzero(ok), np.nan)]
+                + [b[ok] for b in new])]
+        ids, counts, previous, *blocks = batch
+        if not ids.size:
+            continue
+        counts += 1
+        lost = np.zeros(ids.size, dtype=bool)
+        for j in range(problem.partition.k):
+            numer, overlap, iso = _party_matrices(problem, blocks, j)
+            coords = blocks[j] if iso is None \
+                else (blocks[j].conj() @ iso).conj()
+            values, coords = _generalized_step(numer, overlap, coords, mode)
+            blocks[j] = coords if iso is None else coords @ iso.T
+            lost |= np.isnan(values)
+        settled = (counts > 1) & (np.abs(values - previous) <= value_tol)
+        check = ((settled | (counts >= max_sweeps)) & ~lost).nonzero()[0]
+        sols = _solutions(problem, [b[check] for b in blocks], values[check],
+                          settled[check], counts[check], tol) \
+            if check.size else []
+        done = lost.copy()
+        for pos, sol in zip(check, sols):
+            if sol is None or sol.converged or counts[pos] >= max_sweeps:
+                out[ids[pos]] = sol
+                lost[pos], done[pos] = sol is None, True
+        pending = ids[lost].tolist() + pending
+        batch = [part[~done] for part in [ids, counts, values] + blocks]
+    return out
+
+
+def _sector_step(problem: SevalueProblem, inits, mode: str,
+                 tol: float) -> list:
+    """A single party: its block is the whole space, so its equation is
+    the extremal eigenproblem of P L P on the sector, with the
+    ``sector_terms`` as numerator and the overlap 1.  One
+    ``_generalized_step`` per start solves it exactly, from the sector
+    part y = S^H b of the start's first initialization; the party vector
+    is S y.  An empty sector fails every start."""
+    if not problem.sector_dims[0]:
+        return [None] * len(inits)
+    sec = problem.sector
+    first = np.array([next(init)[0] for init in inits], dtype=np.complex128)
+    count = len(first)
+    coeffs, vectors = problem.sector_terms
+    numer = (coeffs, np.broadcast_to(vectors, (count,) + vectors.shape))
+    if sec is not None:
+        first = sec.adjoint(first.T).T
+    values, coords = _generalized_step(numer, np.ones(count), first, mode)
+    vectors = coords if sec is None else sec.apply(coords.T).T
+    return _solutions(problem, [vectors], values, np.ones(count, dtype=bool),
+                      np.ones(count, dtype=int), tol)
 
 
 def sweep_solve(problem: SevalueProblem, init,
@@ -571,14 +557,14 @@ def sweep_solve(problem: SevalueProblem, init,
     an intermediate step) of several parties has numerically zero
     projection; an unconverged run is returned flagged, not raised.
     """
-    ws = _Solver(problem)
-    if [np.shape(b) for b in init] != [(dim,) for dim in ws.block_dims]:
-        raise ValueError(f"need party vectors of dimensions {ws.block_dims}")
+    dims = problem.block_dims
+    if [np.shape(b) for b in init] != [(dim,) for dim in dims]:
+        raise ValueError(f"need party vectors of dimensions {dims}")
     if not all(np.isfinite(b).all() for b in init):
         raise ValueError("init must be finite")
     if not all(np.any(b) for b in init):
         raise ZeroProjectionError("zero party vector in initialization")
-    sol, = ws.sweep([iter([init])], max_sweeps, tol, mode, value_tol)
+    sol, = _sweep(problem, [iter([init])], max_sweeps, tol, mode, value_tol)
     if sol is None:
         raise ZeroProjectionError("the initialization or a party step "
                                   "projects to zero")
@@ -601,15 +587,12 @@ def solve_sup_g(problem: SevalueProblem, starts: int = DEFAULT_STARTS,
     at least 0 and ``value_tol`` a number.
     """
     starts = check_count(starts, "starts")
-    # one workspace for every start, so the isometries and the sector
-    # operator are built once per solve
-    ws = _Solver(problem)
     count = 1 if problem.partition.k == 1 else starts
     # start i tries up to 8 initializations drawn from its own generator
-    inits = [([_crandn(rng, dim) for dim in ws.block_dims]
+    inits = [([_crandn(rng, dim) for dim in problem.block_dims]
               for rng in [np.random.default_rng([seed, i])] * 8)
              for i in range(count)]
-    results = ws.sweep(inits, max_sweeps, tol, mode, value_tol)
+    results = _sweep(problem, inits, max_sweeps, tol, mode, value_tol)
     solutions = tuple(r for r in results if r is not None)
     n_failed = count - len(solutions)
     converged = [s for s in solutions if s.converged]
@@ -630,12 +613,14 @@ def solve_sup_g(problem: SevalueProblem, starts: int = DEFAULT_STARTS,
 # ---------------------------------------------------------------------------
 # analytic solutions
 
-def _rank_one_diagnostics(ws: _Solver, value: float,
+def _rank_one_diagnostics(problem: SevalueProblem, value: float,
                           blocks) -> SevalueSolution:
+    """The converged solution record of one start at the given party
+    vectors, normalised."""
     blocks = [np.asarray(b, dtype=np.complex128) for b in blocks]
-    blocks = [b / np.linalg.norm(b) for b in blocks]
-    sol = ws.solution(blocks, value, converged=True, sweeps=0)
-    if sol.projected_vector.norm() < 1e-12:
+    sol, = _solutions(problem, [(b / np.linalg.norm(b))[None] for b in blocks],
+                      [value], [True], [0])
+    if sol is None or sol.projected_vector.norm() < 1e-12:
         raise ZeroProjectionError("analytic party vectors project to zero")
     return sol
 
@@ -654,13 +639,13 @@ def analytic_rank_one(psi: StateVector, stats: Statistics) -> list[SevalueSoluti
         raise ValueError("analytic solutions cover two-particle states only")
     observable = rank_one_observable(psi, stats)
     partition = Partition((1, 1))
-    ws = _Solver(SevalueProblem(observable, stats, partition, psi.space))
+    problem = SevalueProblem(observable, stats, partition, psi.space)
     solutions: list[SevalueSolution] = []
     if stats is Statistics.DISTINGUISHABLE:
         dec = schmidt(psi)
         for idx, lam in enumerate(dec.coefficients):
             solutions.append(_rank_one_diagnostics(
-                ws, lam ** 2,
+                problem, lam ** 2,
                 [dec.left_basis[:, idx], dec.right_basis[:, idx]]))
     elif stats is Statistics.FERMION:
         dec = slater_fermion(project(stats, psi))
@@ -668,7 +653,7 @@ def analytic_rank_one(psi: StateVector, stats: Statistics) -> list[SevalueSoluti
             if kappa <= 1e-14:
                 continue
             solutions.append(_rank_one_diagnostics(
-                ws, 2.0 * kappa ** 2,
+                problem, 2.0 * kappa ** 2,
                 [dec.basis[:, 2 * idx], dec.basis[:, 2 * idx + 1]]))
     else:
         dec = slater_boson(project(stats, psi))
@@ -677,7 +662,7 @@ def analytic_rank_one(psi: StateVector, stats: Statistics) -> list[SevalueSoluti
             if kappa <= 1e-14:
                 continue
             solutions.append(_rank_one_diagnostics(
-                ws, kappa ** 2,
+                problem, kappa ** 2,
                 [dec.basis[:, idx], dec.basis[:, idx]]))
         d = psi.space.d
         for a in range(d):
@@ -687,7 +672,8 @@ def analytic_rank_one(psi: StateVector, stats: Statistics) -> list[SevalueSoluti
                 wa = np.sqrt(kappas[a]) * dec.basis[:, a]
                 wb = 1j * np.sqrt(kappas[b]) * dec.basis[:, b]
                 solutions.append(_rank_one_diagnostics(
-                    ws, kappas[a] ** 2 + kappas[b] ** 2, [wa + wb, wa - wb]))
+                    problem, kappas[a] ** 2 + kappas[b] ** 2,
+                    [wa + wb, wa - wb]))
     solutions.sort(key=lambda s: -s.value)
     return solutions
 
@@ -733,7 +719,7 @@ def analytic_interference(space: SpaceConfig, stats: Statistics,
         high = basis_product_vector(sub, [space.n + s
                                           for s in partition.slots(party)])
         blocks.append((low.amplitudes + high.amplitudes) / math.sqrt(2.0))
-    rep = _rank_one_diagnostics(_Solver(problem), bound, blocks)
+    rep = _rank_one_diagnostics(problem, bound, blocks)
     return InterferenceAnalysis(bound=bound, solutions=(rep,),
                                 trivial_value=0.0)
 
@@ -756,8 +742,8 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
 
     Quotients are evaluated through the combinatorial sector basis,
     never through per-party eigensolves: S, whose orbit tables apply
-    S^H by gathers, and the observable's sector terms are read from a
-    solver workspace, as the party steps read them.  So the check on
+    S^H by gathers, and the observable's sector terms are read from the
+    problem, as the party steps read them.  So the check on
     that basis lies elsewhere: the solver's stationarity diagnostics
     stay on the permutation-sum projector, and the tests compare
     ``sector_isometry`` with that projector.  Samples
@@ -781,12 +767,11 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
     a solver value that is too low; nothing here bounds G from above.
     """
     samples = check_count(samples, "samples")
-    ws = _Solver(problem)
-    sec, (coeffs, vectors) = ws.sector(), ws.sector_operator()
+    sec, (coeffs, vectors) = problem.sector, problem.sector_terms
     # C-ordered rows <x_t| in sector coordinates: rows @ x gives every
     # term's overlaps with a batch of vectors x at once
     rows = np.ascontiguousarray(vectors.T.conj())
-    dims = ws.block_dims
+    dims = problem.block_dims
 
     def evaluate(blocks):
         """Quotients of a batch of product vectors.
@@ -924,10 +909,15 @@ def verify_second_form(sol: SevalueSolution,
     Returns the in-sector perturbation chi = P L P|b> - g P|b> together
     with the largest overlap of chi against single-party variations of
     the product vector.  The overlap vanishes at an exact stationary
-    point; chi in general does not.
+    point; chi in general does not.  Raises ValueError unless the
+    solution has the problem's partition, statistics and space.
     """
+    if (sol.partition, sol.statistics, sol.projected_vector.space) \
+            != (problem.partition, problem.stats, problem.space):
+        raise ValueError("solution is of another partition, statistics "
+                         "or space than the problem")
     blocks = [np.asarray(b, dtype=np.complex128)[None]
               for b in sol.party_vectors]
-    _, chi, defects = _Solver(problem).stationarity(blocks, [sol.value])
+    _, chi, defects = _stationarity(problem, blocks, [sol.value])
     return (StateVector(problem.space, chi[0]),
             max(defect for defect, _ in defects[0]))

@@ -17,8 +17,9 @@ import numpy as np
 
 from .errors import DimensionCapError, SectorError
 from .operators import LowRankObservable
-from .solver import (Partition, SevalueProblem, analytic_interference,
-                     analytic_rank_one, partitions_into, solve_sup_g)
+from .solver import (DEFAULT_STARTS, Partition, SevalueProblem,
+                     analytic_interference, analytic_rank_one,
+                     partitions_into, solve_sup_g)
 from .tensor import (MATRIX_CAP, DensityOperator, SpaceConfig, StateVector,
                      Statistics, project, project_operator, projector_matrix)
 from .decompositions import schmidt
@@ -106,7 +107,7 @@ def sector_deviation(rho: DensityOperator, stats: Statistics) -> float:
 
 def build_witness(problem: SevalueProblem, bound_source: str = "analytic", *,
                   form: WitnessForm = WitnessForm.UPPER,
-                  starts: int = 64, seed: int = 0,
+                  starts: int = DEFAULT_STARTS, seed: int = 0,
                   **solver_kwargs) -> Witness:
     """Witness for one specific partition.
 
@@ -132,8 +133,9 @@ def build_witness(problem: SevalueProblem, bound_source: str = "analytic", *,
 
 
 def build_k_witness(operator, stats: Statistics, space: SpaceConfig, k: int,
-                    bound_source: str = "numeric", *, starts: int = 64,
-                    seed: int = 0, **solver_kwargs) -> Witness:
+                    bound_source: str = "numeric", *,
+                    starts: int = DEFAULT_STARTS, seed: int = 0,
+                    **solver_kwargs) -> Witness:
     """Witness against K-separability: the bound is maximized over every
     multiset-distinct partition into k parts."""
     bound = max(

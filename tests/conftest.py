@@ -71,9 +71,10 @@ def contracted_operator(operator, party_vectors, j, partition, space):
 
 
 def dense_party_matrices(numer, overlap):
-    """The m x m matrices behind ``_Solver.party_matrices``'s return
-    forms: the term list (c, V) becomes sum_t c_t V[:, t] V[:, t]^H
-    and a scalar overlap that multiple of the identity."""
+    """The m x m matrices behind the return forms of
+    ``solver._party_matrices``, which contracts a problem's sector
+    terms: the term list (c, V) becomes sum_t c_t V[:, t] V[:, t]^H and
+    a scalar overlap that multiple of the identity."""
     coeffs, vectors = numer
     numer = (vectors * coeffs) @ vectors.conj().T
     if np.ndim(overlap) == 0:
@@ -119,7 +120,7 @@ def reference_brute_force_bound(problem, samples, seed=0):
     It draws the same stream, so both give the same bound up to the
     rounding of the summation order.  Its sector coordinates come from
     the dense columns of ``sector_isometry`` (the identity for
-    distinguishable parties), not from the solver's workspace."""
+    distinguishable parties), not from the problem's cached ones."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     space, stats = problem.space, problem.stats

@@ -230,6 +230,25 @@ def test_sevalue_rejects_oracle_samples_before_solving(monkeypatch, capsys):
     assert capsys.readouterr().err == "sepwit: samples must be >= 1\n"
 
 
+def test_sevalue_diagonalises_the_sector_observable_once(monkeypatch,
+                                                         capsys):
+    # the solver and the oracle of a partition read one problem, so the
+    # dense observable's S^H L S, of side 56 on the boson sector at N=3,
+    # d=6, is diagonalised once for the one partition (2, 1)
+    sizes = []
+
+    def counting(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return eigh(a, *args, **kwargs)
+
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    code, _ = _run(capsys, ["sevalue", INTERFERENCE_N3, "--k", "2",
+                            "--starts", "16", "--oracle-samples", "200"])
+    assert code == 0
+    assert sizes.count(56) == 1
+
+
 def test_sevalue_requires_partition_choice(capsys):
     code, _ = _run(capsys, ["sevalue", INTERFERENCE_N3])
     assert code == 2

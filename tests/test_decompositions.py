@@ -350,7 +350,7 @@ def test_eigen_form_reproduces_the_term_list(d, kinds, seed):
         else:
             terms.append((c.real, np.zeros(dim), np.zeros(dim)))
     observable = LowRankObservable(space, tuple(terms))
-    coeffs, vectors = observable.eigen_form()
+    coeffs, vectors = observable.eigen_form
     assert coeffs.dtype == float and 1 <= coeffs.size <= 2 * len(terms)
     assert np.abs(vectors.conj().T @ vectors
                   - np.eye(coeffs.size)).max() <= 1e-12

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import functools
 from functools import reduce
 
 import numpy as np
@@ -21,7 +22,8 @@ from sepwit.errors import (ConvergenceError, DimensionCapError,
 from sepwit.sectors import (SectorIsometry, sector_basis_vectors,
                             sector_isometry)
 from sepwit.partystep import _generalized_step
-from sepwit.solver import RESIDUAL_TOL, VALUE_TOL, _crandn, _Solver
+from sepwit.solver import (RESIDUAL_TOL, VALUE_TOL, _crandn, _party_matrices,
+                           _solutions, _stationarity, _sweep)
 
 from conftest import (contracted_operator, crandn, dense_party_matrices,
                       random_hermitian, random_unitary,
@@ -100,6 +102,20 @@ def test_low_rank_observable_needs_a_term():
         LowRankObservable(SpaceConfig(2, 2), ())
 
 
+def test_low_rank_observable_stores_each_vector_once(rng):
+    # |v><w| + |w><v| holds two read-only copies, shared by both terms,
+    # and the input vectors stay the caller's own
+    space = SpaceConfig(6, 3)
+    (_, v, w), (_, w_again, v_again) = \
+        interference_observable(space, Statistics.BOSON).terms
+    assert v is v_again and w is w_again and v is not w
+    assert not (v.flags.writeable or w.flags.writeable)
+    ket = crandn(rng, 4)
+    (_, first, second), = LowRankObservable(SpaceConfig(2, 2),
+                                            ((1.0, ket, ket),)).terms
+    assert first is second and first is not ket and ket.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # contracted operator
 
@@ -162,13 +178,13 @@ def test_party_matrices_match_contracted_operator(rng, stats, parts):
         dense = observable if isinstance(observable, np.ndarray) \
             else observable.to_matrix()
         sandwich = proj @ dense @ proj
-        solver = _Solver(SevalueProblem(observable, stats, partition, space))
+        problem = SevalueProblem(observable, stats, partition, space)
         blocks = [crandn(rng, d ** nk) for nk in parts]
         g = float(rng.standard_normal())
         batch = [b[None] for b in blocks]
-        _, _, (defects,) = solver.stationarity(batch, [g])
+        _, _, (defects,) = _stationarity(problem, batch, [g])
         for j, iso in enumerate(isometries):
-            numer, overlap, _ = solver.party_matrices(batch, j)
+            numer, overlap, _ = _party_matrices(problem, batch, j)
             # every numerator comes as its contracted terms, dense or
             # low-rank, and the overlap as a scalar per start where P = 1
             assert isinstance(numer, tuple)
@@ -220,13 +236,12 @@ def test_party_step_matches_dense_reference(rng, stats, parts, mode, kind):
     space = SpaceConfig(3, partition.n)
     problem = SevalueProblem(_random_observable(rng, kind, space), stats,
                              partition, space)
-    solver = _Solver(problem)
     blocks = [crandn(rng, 3 ** nk) for nk in parts]
     blocks = [b / np.linalg.norm(b) for b in blocks]
-    for _sweep in range(3):
+    for _ in range(3):
         for j in range(partition.k):
-            numer, overlap, iso = solver.party_matrices(
-                [b[None] for b in blocks], j)
+            numer, overlap, iso = _party_matrices(
+                problem, [b[None] for b in blocks], j)
             previous = blocks[j] if iso is None else iso.conj().T @ blocks[j]
             (value,), (vec,) = _generalized_step(numer, overlap,
                                                  previous[None], mode)
@@ -250,10 +265,9 @@ def test_party_step_zero_extremum(rng, stats):
     psi = _random_sector_state(rng, 3, stats).amplitudes
     observable = LowRankObservable(space, ((-1.0, psi, psi),))
     problem = SevalueProblem(observable, stats, Partition((1, 1)), space)
-    solver = _Solver(problem)
     blocks = [crandn(rng, 3) for _ in range(2)]
     blocks = [b / np.linalg.norm(b) for b in blocks]
-    numer, overlap, _ = solver.party_matrices([b[None] for b in blocks], 0)
+    numer, overlap, _ = _party_matrices(problem, [b[None] for b in blocks], 0)
     kets = numer[1][0, :, :1]
     # from a random vector, and from one inside the span, which has no
     # part in the zero eigenspace
@@ -283,8 +297,8 @@ def test_party_step_zero_extremum_with_as_many_terms_as_dimensions(rng,
     problem = SevalueProblem(observable, stats, Partition((1, 1)), space)
     blocks = [crandn(rng, 3) for _ in range(2)]
     blocks = [b / np.linalg.norm(b) for b in blocks]
-    numer, overlap, _ = _Solver(problem).party_matrices(
-        [b[None] for b in blocks], 0)
+    numer, overlap, _ = _party_matrices(problem, [b[None] for b in blocks],
+                                        0)
     # the observable route holds the one eigen-term of -|psi><psi|; the
     # step gets that term's contracted vector four times, c = -1/4 each
     assert numer[1].shape[1:] == (3, 1)
@@ -529,9 +543,8 @@ def test_single_party_residual_matches_projector_reference(rng, stats):
             pb = proj @ b
             defect = np.linalg.norm(sandwich @ b - g * pb)
             expected = defect / np.linalg.norm(pb)
-            got = _Solver(problem).solution([b], g, converged=False,
-                                            sweeps=0).residual
-            assert abs(got - expected) <= 1e-12 * max(1.0, expected)
+            sol, = _solutions(problem, [b[None]], [g], [False], [0])
+            assert abs(sol.residual - expected) <= 1e-12 * max(1.0, expected)
             moved = dataclasses.replace(solved, party_vectors=(b,), value=g)
             _, overlap = verify_second_form(moved, problem)
             assert abs(overlap - defect) <= 1e-12 * max(1.0, defect)
@@ -575,45 +588,64 @@ def test_single_party_dense_cap_reads_sector_dimension(rng):
         solve_sup_g(wide, starts=1, seed=1)
 
 
-def test_party_isometries_built_once_per_solve(monkeypatch, rng):
-    # every start of a solve shares its S_j, the whole space's S and the
-    # observable in S's coordinates; a block whose sector is the whole
-    # block (one slot here) is solved without one, and the oracle reads
-    # the same workspace
+def test_party_isometries_built_once_per_problem(monkeypatch, rng):
+    # every start of a solve, and every later solve, oracle call and
+    # second-form check on the same problem, shares its S_j, the whole
+    # space's S and the observable in S's coordinates; a block whose
+    # sector is the whole block (one slot here) is solved without one
+    import sepwit.operators as operators_module
     import sepwit.solver as solver_module
     calls = []
     builds = []
+    orth_calls = []
 
     def counting(stats, space):
         calls.append(space.n)
         return sector_isometry(stats, space)
 
-    def counting_operator(self):
-        # a build is a call that finds the cache empty: a dense
+    def counting_terms(problem):
+        # the property runs only where its cache is empty: a dense
         # observable's S^H L S records the observable's shape, the terms
         # (c, S^H V) record "terms"
-        if self._sector_operator is None:
-            builds.append("terms" if self.dense is None else self.dense.shape)
-        return sector_operator(self)
+        dense = isinstance(problem.operator, np.ndarray)
+        builds.append(problem.operator.shape if dense else "terms")
+        return sector_terms(problem)
 
-    sector_operator = _Solver.sector_operator
+    def counting_orth(mat):
+        orth_calls.append(mat.shape)
+        return orth(mat)
+
+    sector_terms = SevalueProblem.sector_terms.func
+    counting_property = functools.cached_property(counting_terms)
+    counting_property.__set_name__(SevalueProblem, "sector_terms")
+    orth = operators_module.orth
     monkeypatch.setattr(solver_module, "sector_isometry", counting)
-    monkeypatch.setattr(_Solver, "sector_operator", counting_operator)
+    monkeypatch.setattr(SevalueProblem, "sector_terms", counting_property)
     space = SpaceConfig(8, 4)
     problem = SevalueProblem(interference_observable(space, Statistics.FERMION),
                              Statistics.FERMION, Partition((3, 1)), space)
-    assert abs(solve_sup_g(problem, starts=3, seed=0).value - 0.5) <= 1e-9
+    monkeypatch.setattr(operators_module, "orth", counting_orth)
+    result = solve_sup_g(problem, starts=3, seed=0)
+    assert abs(result.value - 0.5) <= 1e-9
     assert calls == [3, 4]
     # a projected low-rank solve builds its sector terms (c, S^H V) once
     assert builds == ["terms"]
-    ws = _Solver(problem)
-    assert ws.isometry(1) is None
+    # and later solves, the oracle and the second-form check on the same
+    # problem build nothing again, nor the observable's eigen-form
+    solve_sup_g(problem, starts=2, seed=1)
+    sweep_solve(problem, list(result.best.party_vectors))
+    assert brute_force_bound(problem, samples=64, seed=0) <= 0.5 + 1e-9
+    verify_second_form(result.best, problem)
+    assert calls == [3, 4]
+    assert builds == ["terms"]
+    assert orth_calls == []
+    assert problem.party_isometries[1] is None
     assert calls == [3, 4]
     wide = SevalueProblem(problem.operator, Statistics.DISTINGUISHABLE,
                           Partition((2, 2)), space)
-    assert all(_Solver(wide).isometry(j) is None for j in range(2))
+    assert all(iso is None for iso in wide.party_isometries)
     assert calls == [3, 4]
-    # a dense observable is compressed to S^H L S once per solve
+    # a dense observable is compressed to S^H L S once per problem
     calls.clear()
     builds.clear()
     small = SpaceConfig(3, 3)
@@ -644,7 +676,7 @@ def test_party_isometries_built_once_per_solve(monkeypatch, rng):
 
     toarray = SectorIsometry.toarray
     monkeypatch.setattr(SectorIsometry, "toarray", counting_toarray)
-    monkeypatch.setattr(_Solver, "party_matrices", forbidden)
+    monkeypatch.setattr(solver_module, "_party_matrices", forbidden)
     builds.clear()
     single = SevalueProblem(problem.operator, Statistics.FERMION,
                             Partition((4,)), space)
@@ -661,10 +693,13 @@ def test_party_isometries_built_once_per_solve(monkeypatch, rng):
     assert calls == [4]
     assert builds == ["terms"]
     assert dense_builds == []
-    # the dense oracle compresses once, through one dense S
+    # the dense oracle on the solved problem reads its S^H L S, and on a
+    # new one compresses once, through one dense S
     calls.clear()
     builds.clear()
     brute_force_bound(dense, samples=64, seed=0)
+    assert calls == builds == dense_builds == []
+    brute_force_bound(dataclasses.replace(dense), samples=64, seed=0)
     assert calls == [3]
     assert builds == [(27, 27)]
     assert dense_builds == [(27, 10)]
@@ -800,10 +835,12 @@ def test_single_party_lowrank_negative_term_reaches_zero(monkeypatch, rng,
 def test_single_party_lowrank_shortcut_above_dense_cap(monkeypatch):
     # N=4, d=8, partition (4,): 4096 modes with a 70-dim fermion sector;
     # the exact low-rank route never builds a party matrix
+    import sepwit.solver as solver_module
+
     def forbidden(*_args):
         raise AssertionError("K = 1 low-rank solve built a party matrix")
 
-    monkeypatch.setattr(_Solver, "party_matrices", forbidden)
+    monkeypatch.setattr(solver_module, "_party_matrices", forbidden)
     space = SpaceConfig(8, 4)
     problem = SevalueProblem(interference_observable(space, Statistics.FERMION),
                              Statistics.FERMION, Partition((4,)), space)
@@ -978,10 +1015,9 @@ def test_batched_step_loses_only_the_vanishing_start(rng):
     space = SpaceConfig(3, 3)
     problem = SevalueProblem(random_hermitian(rng, 27), Statistics.BOSON,
                              Partition((2, 1)), space)
-    solver = _Solver(problem)
     blocks = [crandn(rng, 4, 9), crandn(rng, 4, 3)]
     blocks[1][2] = 0.0
-    numer, overlap, iso = solver.party_matrices(blocks, 0)
+    numer, overlap, iso = _party_matrices(problem, blocks, 0)
     previous = blocks[0] @ iso.conj()
     values, vectors = _generalized_step(numer, overlap, previous, "max")
     assert np.isnan(values[2]) and not np.isnan(values[[0, 1, 3]]).any()
@@ -1003,10 +1039,9 @@ def test_batched_step_mixes_span_ranks(rng):
     psi = basis_product_vector(space, (0, 0)).amplitudes
     problem = SevalueProblem(LowRankObservable(space, ((1.0, psi, psi),)),
                              Statistics.BOSON, Partition((1, 1)), space)
-    solver = _Solver(problem)
     blocks = [crandn(rng, 3, 3), crandn(rng, 3, 3)]
     blocks[1][1] = [0.0, 1.0, 0.0]
-    (coeffs, vectors), overlap, iso = solver.party_matrices(blocks, 0)
+    (coeffs, vectors), overlap, iso = _party_matrices(problem, blocks, 0)
     assert iso is None and not np.any(vectors[1])
     for mode in ("max", "min"):
         values, got = _generalized_step((coeffs, vectors), overlap,
@@ -1034,7 +1069,7 @@ def test_start_results_do_not_depend_on_the_batch(monkeypatch, rng):
         few = solve_sup_g(problem, starts=5, seed=9)
         _assert_same_solutions(few.solutions, full.solutions[:5])
         # room for three starts at a time, then for one
-        per_start = 16 * space.total_dim * max(_Solver(problem).sector_dims)
+        per_start = 16 * space.total_dim * max(problem.sector_dims)
         for budget in (3 * per_start, 1):
             monkeypatch.setattr(solver_module, "BATCH_BYTES", budget)
             chunked = solve_sup_g(problem, starts=16, seed=9)
@@ -1143,7 +1178,7 @@ def test_solve_rejects_nan_and_negative_tolerances(rng, name, bad):
     with pytest.raises(ValueError, match=f"^{name} must"):
         sweep_solve(problem, init, **{name: bad})
     with pytest.raises(ValueError, match=f"^{name} must"):
-        _Solver(problem).sweep([iter([init])], 10, mode="max", **tols)
+        _sweep(problem, [iter([init])], 10, mode="max", **tols)
     assert solve_sup_g(problem, starts=2, **{name: np.inf}).n_converged == 2
 
 
@@ -1351,6 +1386,26 @@ def test_second_form_analytic_fermion_chi():
         expected[a * d + b] += kappas[0] * k
         expected[b * d + a] -= kappas[0] * k
     assert np.linalg.norm(chi.amplitudes - expected) < 1e-10
+
+
+@pytest.mark.parametrize("other", [
+    dict(stats=Statistics.FERMION),
+    dict(partition=Partition((1, 2))),
+    dict(space=SpaceConfig(7, 3)),
+])
+def test_second_form_rejects_a_solution_of_another_problem(rng, other):
+    # a boson (2, 1) solution at N=3, d=6 checked against a problem of
+    # other statistics, partition or space raises instead of reporting
+    # an overlap
+    space = SpaceConfig(6, 3)
+    problem = SevalueProblem(interference_observable(space, Statistics.BOSON),
+                             Statistics.BOSON, Partition((2, 1)), space)
+    sol = sweep_solve(problem, [crandn(rng, 36), crandn(rng, 6)])
+    fields = {"stats": problem.stats, "partition": problem.partition,
+              "space": space, **other}
+    observable = interference_observable(fields["space"], fields["stats"])
+    with pytest.raises(ValueError, match="another partition"):
+        verify_second_form(sol, SevalueProblem(observable, **fields))
 
 
 def test_second_form_detects_broken_eigenrelation(rng):
