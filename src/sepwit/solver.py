@@ -21,6 +21,7 @@ bound: nothing here bounds it from above.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 
@@ -45,6 +46,8 @@ INIT_PROJECTION_TOL = 1e-8
 PARTY_DENSE_CAP = 512      # largest block-sector dimension solved densely
 _ORACLE_CHUNK = 256
 _RSQRT2 = 1.0 / math.sqrt(2.0)
+_DRAW_PIECE = 1 << 14      # doubles per piece of a complex normal draw
+_PREFETCH_BYTES = 1 << 20  # smallest draw made on a worker thread
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +138,8 @@ class SevalueProblem:
     checks that conversion independently.
 
     The cache relies on its inputs staying fixed: a low-rank operator's
-    term vectors are read-only copies, and a complex128 dense operator
-    is made read-only in place, not copied (another dtype is converted
-    to a read-only complex128 copy).  A write through the base of a
-    view passed in, or through a view taken before, leaves it stale.
+    term vectors are read-only copies, and a dense operator is kept as
+    a private read-only complex128 copy.
     """
 
     operator: LowRankObservable | np.ndarray
@@ -155,7 +156,8 @@ class SevalueProblem:
                 raise ValueError("operator space mismatch")
         else:
             dim = self.space.total_dim
-            op = require_hermitian(self.operator, "observable")
+            op = require_hermitian(
+                np.array(self.operator, dtype=np.complex128), "observable")
             if op.shape != (dim, dim):
                 raise ValueError(f"operator shape {op.shape}, expected {(dim, dim)}")
             op.setflags(write=False)
@@ -254,16 +256,64 @@ def check_count(value, name: str) -> int:
     return count
 
 
-def _crandn(rng: np.random.Generator, size) -> np.ndarray:
+def _crandn(rng: np.random.Generator, size=None, *,
+            out: np.ndarray | None = None) -> np.ndarray:
     """Standard complex normals (re + 1j im) / sqrt(2), with ``re`` the
-    stream's next draws and ``im`` the ones after them, written into one
-    complex array."""
-    shape = (size,) if np.ndim(size) == 0 else tuple(size)
-    pair = rng.standard_normal((2,) + shape)
-    out = np.empty(shape, dtype=np.complex128)
-    np.multiply(pair[0], _RSQRT2, out=out.real)
-    np.multiply(pair[1], _RSQRT2, out=out.imag)
+    stream's next draws and ``im`` the ones after them, written into
+    ``out`` (a C-contiguous complex128 array), or into a new array of
+    shape ``size``.  The draws pass through a buffer of at most
+    _DRAW_PIECE doubles: splitting a draw does not change the stream."""
+    if out is None:
+        out = np.empty(size, dtype=np.complex128)
+    flat = out.reshape(-1)
+    buf = np.empty(min(_DRAW_PIECE, flat.size))
+    for part in (flat.real, flat.imag):
+        for at in range(0, flat.size, _DRAW_PIECE):
+            piece = buf[:flat.size - at]
+            rng.standard_normal(out=piece)
+            np.multiply(piece, _RSQRT2, out=part[at:at + _DRAW_PIECE])
     return out
+
+
+def _draws(rng: np.random.Generator, shapes):
+    """_crandn blocks of ``shapes``, in order.  Where the largest holds
+    at least _PREFETCH_BYTES, each is drawn on a worker thread while the
+    caller works on the one before (the draws release the GIL): one draw
+    at a time, into an array allocated on the caller's thread (a worker's
+    own allocations would grow a per-thread heap), with a draw's
+    exception raised here.  Closing the generator joins the worker."""
+    if 16 * max(map(math.prod, shapes), default=0) < _PREFETCH_BYTES:
+        for shape in shapes:
+            yield _crandn(rng, shape)
+        return
+    failed = []
+
+    def draw(out):
+        try:
+            _crandn(rng, out=out)
+        except BaseException as exc:
+            failed.append(exc)
+
+    def start(shape):
+        out = np.empty(shape, dtype=np.complex128)
+        worker = threading.Thread(target=draw, args=(out,))
+        worker.start()
+        return out, worker
+
+    ahead = start(shapes[0])
+    try:
+        for shape in shapes[1:] + [None]:
+            out, worker = ahead
+            worker.join()
+            ahead = None
+            if failed:
+                raise failed[0]
+            if shape is not None:
+                ahead = start(shape)
+            yield out
+    finally:
+        if ahead:
+            ahead[1].join()
 
 
 def _column_norms_sq(block: np.ndarray) -> np.ndarray:
@@ -753,8 +803,13 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
     Each chunk of up to 256 samples builds one complex block per party
     from a single draw of normals, then scales, re-centres and
     normalises it in place; numerators come from all terms at once.
-    Drawing the normals bounds the time: for a 4096-mode party they are
-    about two thirds of it (one BLAS thread).  The draws and the bounds
+    Drawing the normals bounds the time.  The draws' shapes are fixed
+    before any quotient is seen, so where a block holds at least 1 MiB
+    (256 modes at 256 samples) each is drawn on a second thread while
+    this one works on the block before (``_draws``); for a 4096-mode
+    party the call then takes about as long as its draws alone (two
+    cores, one BLAS thread).  Smaller blocks are drawn inline, where a
+    thread would cost more than it hides.  The draws and the bounds
     are those of the loop form that the tests keep as a reference; only
     the summation order of the norms and numerators differs, so the two
     agree to 1e-12 relative.  ``samples`` must be an integer of at
@@ -794,54 +849,57 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
         quotients[valid] = numer[valid] / denom[valid]
         return quotients
 
-    rng = np.random.default_rng([seed, 11])
-    best = -math.inf
-    best_blocks = None
-    remaining = samples - samples // 2
-    while remaining > 0:
-        count = min(_ORACLE_CHUNK, remaining)
-        remaining -= count
-        blocks = []
-        for dim in dims:
-            block = _crandn(rng, (dim, count))
-            _normalize_columns(block)
-            blocks.append(block)
-        quotients = evaluate(blocks)
-        top = int(np.argmax(quotients))
-        if quotients[top] > best:
-            best = float(quotients[top])
-            best_blocks = [block[:, top].copy() for block in blocks]
-    if best_blocks is None:
-        raise ZeroProjectionError("every sample projected to zero")
-
-    # refinement: cycle through the parties, perturbing one at a time
-    # around the incumbent with an adaptive relative step
-    steps = [0.5] * len(dims)
-    party = 0
-    remaining = samples // 2
-    while remaining > 0:
-        count = min(_ORACLE_CHUNK, remaining)
-        remaining -= count
-        blocks = []
-        for j, (center, dim) in enumerate(zip(best_blocks, dims)):
-            if j == party:
-                block = _crandn(rng, (dim, count))
-                block *= steps[j] / math.sqrt(dim)
-                block += center[:, None]
+    # the draws' shapes are fixed before any quotient is seen: a block
+    # per party for each explore chunk, and one party's block, the
+    # parties taking turns, for each refinement chunk
+    explore, refine = ([min(_ORACLE_CHUNK, total - at)
+                        for at in range(0, total, _ORACLE_CHUNK)]
+                       for total in (samples - samples // 2, samples // 2))
+    draws = _draws(np.random.default_rng([seed, 11]),
+                   [(dim, count) for count in explore for dim in dims]
+                   + [(dims[i % len(dims)], count)
+                      for i, count in enumerate(refine)])
+    try:
+        best = -math.inf
+        best_blocks = None
+        for _count in explore:
+            blocks = [next(draws) for _dim in dims]
+            for block in blocks:
                 _normalize_columns(block)
+            quotients = evaluate(blocks)
+            top = int(np.argmax(quotients))
+            if quotients[top] > best:
+                best = float(quotients[top])
+                best_blocks = [block[:, top].copy() for block in blocks]
+        if best_blocks is None:
+            raise ZeroProjectionError("every sample projected to zero")
+
+        # refinement: cycle through the parties, perturbing one at a time
+        # around the incumbent with an adaptive relative step
+        steps = [0.5] * len(dims)
+        for i, count in enumerate(refine):
+            party = i % len(dims)
+            blocks = []
+            for j, (center, dim) in enumerate(zip(best_blocks, dims)):
+                if j == party:
+                    block = next(draws)
+                    block *= steps[j] / math.sqrt(dim)
+                    block += center[:, None]
+                    _normalize_columns(block)
+                else:
+                    block = np.broadcast_to(center[:, None], (dim, count))
+                blocks.append(block)
+            quotients = evaluate(blocks)
+            top = int(np.argmax(quotients))
+            if quotients[top] > best:
+                best = float(quotients[top])
+                best_blocks = [np.array(block[:, top]) for block in blocks]
+                steps[party] = min(steps[party] * 1.5, 2.0)
             else:
-                block = np.broadcast_to(center[:, None], (dim, count))
-            blocks.append(block)
-        quotients = evaluate(blocks)
-        top = int(np.argmax(quotients))
-        if quotients[top] > best:
-            best = float(quotients[top])
-            best_blocks = [np.array(block[:, top]) for block in blocks]
-            steps[party] = min(steps[party] * 1.5, 2.0)
-        else:
-            steps[party] = max(steps[party] * 0.8, 1e-4)
-        party = (party + 1) % len(dims)
-    return best
+                steps[party] = max(steps[party] * 0.8, 1e-4)
+        return best
+    finally:
+        draws.close()
 
 
 # ---------------------------------------------------------------------------

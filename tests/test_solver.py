@@ -1,12 +1,16 @@
 import collections
 import dataclasses
 import functools
+import math
+import sys
+import threading
 from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sepwit.solver as solver_module
 from sepwit import (LowRankObservable, Partition, SevalueProblem, SpaceConfig,
                     StateVector, Statistics, all_partitions,
                     analytic_interference, analytic_rank_one,
@@ -720,6 +724,20 @@ def test_party_isometries_built_once_per_problem(monkeypatch, rng):
     assert abs(value - top) <= 1e-9
 
 
+def test_problem_keeps_its_own_copy_of_a_dense_operator(rng):
+    # a write through the base of a view passed in reaches neither the
+    # problem's operator nor its cached sector terms
+    space = SpaceConfig(3, 2)
+    base = random_hermitian(rng, 9)
+    problem = SevalueProblem(base[:], Statistics.BOSON, Partition((1, 1)),
+                             space)
+    before = solve_sup_g(problem, starts=8, seed=0).value
+    base *= 2.0
+    assert solve_sup_g(problem, starts=8, seed=0).value == before
+    assert not problem.operator.flags.writeable
+    assert np.array_equal(problem.operator, base / 2.0)
+
+
 @pytest.mark.parametrize("stats", list(Statistics))
 def test_single_party_lowrank_matches_sector_spectrum(rng, stats):
     # K = 1 is one exact step on the whole sector, for a dense matrix,
@@ -1103,12 +1121,113 @@ def test_brute_force_identity_is_exactly_one(rng):
 
 def test_crandn_is_the_two_draw_formula():
     # one draw of 2 x size normals is the same stream as two draws of
-    # size, real parts first
-    for size in (7, (9, 100)):
-        got = _crandn(np.random.default_rng(4), size)
+    # size, real parts first, at sizes around the buffer's piece and
+    # into a given array alike
+    piece = solver_module._DRAW_PIECE
+    for size in (1, 7, (9, 100), piece - 1, piece, piece + 1,
+                 (3 * piece + 7,), (7, piece + 1)):
         rng = np.random.default_rng(4)
         re, im = rng.standard_normal(size), rng.standard_normal(size)
-        assert np.array_equal(got, (re + 1j * im) / np.sqrt(2.0))
+        want = (re + 1j * im) / np.sqrt(2.0)
+        got = _crandn(np.random.default_rng(4), size)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        out = np.empty(want.shape, dtype=np.complex128)
+        assert _crandn(np.random.default_rng(4), out=out) is out
+        assert np.array_equal(out, want)
+
+
+# problems whose largest draw holds at least _PREFETCH_BYTES: 625 or 343
+# modes a party at 256 samples a chunk
+_PREFETCHED = [(stats, parts, d) for stats in (Statistics.DISTINGUISHABLE,
+                                               Statistics.BOSON)
+               for parts, d in (((4,), 5), ((3, 1), 7))]
+
+
+def _oracle_problem(rng, stats, parts, d):
+    partition = Partition(parts)
+    space = SpaceConfig(d, partition.n)
+    return SevalueProblem(_random_observable(rng, "low-rank", space), stats,
+                          partition, space)
+
+
+def _draw_threads(monkeypatch):
+    """Record, for every _crandn call, whether it ran on the main
+    thread."""
+    draw = solver_module._crandn
+    on_main = []
+
+    def recording(*args, **kwargs):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "_crandn", recording)
+    return on_main
+
+
+@pytest.mark.parametrize("stats,parts,d", _PREFETCHED)
+def test_prefetched_draws_match_inline_draws(monkeypatch, rng, stats, parts,
+                                             d):
+    # drawing one block ahead on a worker thread reads the same stream in
+    # the same order as drawing inline, so the bounds are equal, also
+    # with the interpreter lock handed between the threads at every turn
+    problem = _oracle_problem(rng, stats, parts, d)
+    on_main = _draw_threads(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ahead = [brute_force_bound(problem, 1300, seed) for seed in (0, 1)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert on_main and not any(on_main)
+    on_main.clear()
+    monkeypatch.setattr(solver_module, "_PREFETCH_BYTES", math.inf)
+    inline = [brute_force_bound(problem, 1300, seed) for seed in (0, 1)]
+    assert on_main and all(on_main)
+    assert ahead == inline
+
+
+def test_prefetched_oracle_matches_reference(rng):
+    problem = _oracle_problem(rng, Statistics.BOSON, (3, 1), 7)
+    for samples in (1, 3, 700):
+        want = reference_brute_force_bound(problem, samples, seed=2)
+        got = brute_force_bound(problem, samples, seed=2)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_small_oracle_draws_inline(monkeypatch, rng):
+    # below the size rule every draw runs on the calling thread
+    on_main = _draw_threads(monkeypatch)
+    brute_force_bound(_oracle_problem(rng, Statistics.BOSON, (2, 2), 3),
+                      600, seed=0)
+    assert on_main and all(on_main)
+
+
+def test_no_draw_thread_outlives_the_oracle(monkeypatch, rng):
+    threads = threading.active_count()
+    brute_force_bound(_oracle_problem(rng, Statistics.BOSON, (4,), 5), 600)
+    assert threading.active_count() == threads
+    # an empty sector (six fermions in three modes, 729-mode draws)
+    # raises after the explore chunks, with a refinement draw pending
+    space = SpaceConfig(3, 6)
+    empty = SevalueProblem(_random_observable(rng, "low-rank", space),
+                           Statistics.FERMION, Partition((6,)), space)
+    with pytest.raises(ZeroProjectionError):
+        brute_force_bound(empty, 600)
+    assert threading.active_count() == threads
+    # a draw that fails on the worker fails the call with that exception
+    failure = RuntimeError("draw failed")
+    draw = solver_module._crandn
+
+    def failing(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise failure
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "_crandn", failing)
+    with pytest.raises(RuntimeError) as raised:
+        brute_force_bound(_oracle_problem(rng, Statistics.BOSON, (4,), 5), 600)
+    assert raised.value is failure
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("stats", list(Statistics))
