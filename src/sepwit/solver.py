@@ -281,7 +281,10 @@ def _draws(rng: np.random.Generator, shapes):
     caller works on the one before (the draws release the GIL): one draw
     at a time, into an array allocated on the caller's thread (a worker's
     own allocations would grow a per-thread heap), with a draw's
-    exception raised here.  Closing the generator joins the worker."""
+    exception raised here.  Closing the generator joins the worker.  A
+    block is dropped here when the next is asked for, so a caller that
+    drops a chunk's blocks before asking for the next chunk's holds at
+    most one chunk and one draw in flight."""
     if 16 * max(map(math.prod, shapes), default=0) < _PREFETCH_BYTES:
         for shape in shapes:
             yield _crandn(rng, shape)
@@ -808,8 +811,11 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
     (256 modes at 256 samples) each is drawn on a second thread while
     this one works on the block before (``_draws``); for a 4096-mode
     party the call then takes about as long as its draws alone (two
-    cores, one BLAS thread).  Smaller blocks are drawn inline, where a
-    thread would cost more than it hides.  The draws and the bounds
+    cores, one BLAS thread).  No block of a chunk outlives the request
+    for the next chunk, so the current chunk's blocks and one draw in
+    flight are all that is alive: two 16 MiB blocks for a 4096-mode
+    party.  Smaller blocks are drawn inline, where a thread would cost
+    more than it hides.  The draws and the bounds
     are those of the loop form that the tests keep as a reference; only
     the summation order of the norms and numerators differs, so the two
     agree to 1e-12 relative.  ``samples`` must be an integer of at
@@ -828,8 +834,9 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
     rows = np.ascontiguousarray(vectors.T.conj())
     dims = problem.block_dims
 
-    def evaluate(blocks):
-        """Quotients of a batch of product vectors.
+    def best_of(blocks):
+        """The largest quotient of a batch of product vectors, and its
+        party vectors.
 
         Each per-party block has shape (party_dim, batch): keeping the
         batch on the trailing, contiguous axis makes each gather of the
@@ -842,12 +849,29 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
         denom = _column_norms_sq(coords)
         quotients = np.full(count, -math.inf)
         valid = denom > 1e-14
-        if not np.any(valid):
-            return quotients
-        # sum_t c_t |<x_t|x>|^2
-        numer = coeffs @ np.abs(rows @ coords) ** 2
-        quotients[valid] = numer[valid] / denom[valid]
-        return quotients
+        if np.any(valid):
+            # sum_t c_t |<x_t|x>|^2
+            numer = coeffs @ np.abs(rows @ coords) ** 2
+            quotients[valid] = numer[valid] / denom[valid]
+        top = int(np.argmax(quotients))
+        return float(quotients[top]), [np.array(b[:, top]) for b in blocks]
+
+    # each chunk's blocks live only in the frames of explored or refined
+    # and best_of, so they are freed before the next draw is asked for
+    def explored():
+        blocks = [next(draws) for _dim in dims]
+        for block in blocks:
+            _normalize_columns(block)
+        return best_of(blocks)
+
+    def refined(party, count):
+        blocks = [np.broadcast_to(center[:, None], (dim, count))
+                  for center, dim in zip(best_blocks, dims)]
+        block = blocks[party] = next(draws)
+        block *= steps[party] / math.sqrt(dims[party])
+        block += best_blocks[party][:, None]
+        _normalize_columns(block)
+        return best_of(blocks)
 
     # the draws' shapes are fixed before any quotient is seen: a block
     # per party for each explore chunk, and one party's block, the
@@ -860,17 +884,11 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
                    + [(dims[i % len(dims)], count)
                       for i, count in enumerate(refine)])
     try:
-        best = -math.inf
-        best_blocks = None
+        best, best_blocks = -math.inf, None
         for _count in explore:
-            blocks = [next(draws) for _dim in dims]
-            for block in blocks:
-                _normalize_columns(block)
-            quotients = evaluate(blocks)
-            top = int(np.argmax(quotients))
-            if quotients[top] > best:
-                best = float(quotients[top])
-                best_blocks = [block[:, top].copy() for block in blocks]
+            value, top = explored()
+            if value > best:
+                best, best_blocks = value, top
         if best_blocks is None:
             raise ZeroProjectionError("every sample projected to zero")
 
@@ -879,21 +897,9 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
         steps = [0.5] * len(dims)
         for i, count in enumerate(refine):
             party = i % len(dims)
-            blocks = []
-            for j, (center, dim) in enumerate(zip(best_blocks, dims)):
-                if j == party:
-                    block = next(draws)
-                    block *= steps[j] / math.sqrt(dim)
-                    block += center[:, None]
-                    _normalize_columns(block)
-                else:
-                    block = np.broadcast_to(center[:, None], (dim, count))
-                blocks.append(block)
-            quotients = evaluate(blocks)
-            top = int(np.argmax(quotients))
-            if quotients[top] > best:
-                best = float(quotients[top])
-                best_blocks = [np.array(block[:, top]) for block in blocks]
+            value, top = refined(party, count)
+            if value > best:
+                best, best_blocks = value, top
                 steps[party] = min(steps[party] * 1.5, 2.0)
             else:
                 steps[party] = max(steps[party] * 0.8, 1e-4)

@@ -33,6 +33,7 @@ VECTOR_CAP = 2_000_000    # largest allowed d**N for amplitude vectors
 # bytes of stacked party arrays per batch of solver starts; more run in chunks
 BATCH_BYTES = 64 * 2 ** 20
 MATRIX_CAP = 4096         # largest side for explicitly built operator matrices
+_SLAB_BYTES = 2 * 2 ** 20  # bytes of matrix rows validated at a time
 
 TOL_HERM = 1e-10          # relative to max(1, largest entry)
 TOL_TRACE = 1e-10
@@ -50,20 +51,36 @@ def require_int(value, name: str) -> int:
     return out
 
 
+def _row_slabs(m: np.ndarray, label: str) -> list[slice]:
+    """Slices of about _SLAB_BYTES of rows of the square matrix ``m``:
+    the checks below run one slab at a time, so none of their
+    temporaries is the size of the matrix.  ValueError, naming
+    ``label``, unless ``m`` is square."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{label} must be a square matrix, got shape "
+                         f"{m.shape}")
+    step = max(1, _SLAB_BYTES // max(1, m[:1].nbytes))
+    return [slice(at, at + step) for at in range(0, len(m), step)]
+
+
 def hermiticity_defect(matrix: np.ndarray) -> float:
-    """Largest entrywise deviation from Hermitian symmetry."""
+    """Largest entrywise deviation from Hermitian symmetry of a square
+    matrix."""
     m = np.asarray(matrix)
-    return float(np.abs(m - m.conj().T).max(initial=0.0))
+    return float(np.max([np.abs(m[rows] - m[:, rows].T.conj()).max()
+                         for rows in _row_slabs(m, "matrix")], initial=0.0))
 
 
 def require_hermitian(matrix: np.ndarray, label: str = "operator") -> np.ndarray:
-    """The matrix as complex128; ValueError, naming ``label``, if an
-    entry is not finite, and HermiticityError if its defect exceeds
-    TOL_HERM times max(1, largest entry)."""
+    """The matrix as complex128; ValueError, naming ``label``, if it is
+    not square or an entry is not finite, and HermiticityError if its
+    defect exceeds TOL_HERM times max(1, largest entry)."""
     m = np.asarray(matrix, dtype=np.complex128)
-    if not np.isfinite(m).all():
-        raise ValueError(f"{label} must be finite")
-    scale = max(1.0, float(np.abs(m).max(initial=0.0)))
+    scale = 1.0
+    for rows in _row_slabs(m, label):
+        if not np.isfinite(m[rows]).all():
+            raise ValueError(f"{label} must be finite")
+        scale = max(scale, float(np.abs(m[rows]).max()))
     defect = hermiticity_defect(m)
     if defect > TOL_HERM * scale:
         raise HermiticityError(f"{label} is not Hermitian "

@@ -4,6 +4,7 @@ import functools
 import math
 import sys
 import threading
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -22,7 +23,7 @@ from sepwit import (LowRankObservable, Partition, SevalueProblem, SpaceConfig,
                     verify_second_form)
 from sepwit.witness import build_k_witness
 from sepwit.errors import (ConvergenceError, DimensionCapError,
-                           ZeroProjectionError)
+                           HermiticityError, ZeroProjectionError)
 from sepwit.sectors import (SectorIsometry, sector_basis_vectors,
                             sector_isometry)
 from sepwit.partystep import _generalized_step
@@ -738,6 +739,35 @@ def test_problem_keeps_its_own_copy_of_a_dense_operator(rng):
     assert np.array_equal(problem.operator, base / 2.0)
 
 
+def test_dense_operator_is_validated_in_row_slabs(rng):
+    # the checks of a side-1296 operator (25.6 MiB) run over row slabs,
+    # so constructing the problem allocates its private copy and little
+    # more; bad entries in a late slab raise the errors they raised when
+    # the checks ran over the whole matrix
+    space = SpaceConfig(6, 4)
+    dense = random_hermitian(rng, space.total_dim)
+    args = (Statistics.BOSON, Partition((2, 2)), space)
+    tracemalloc.start()
+    try:
+        SevalueProblem(dense, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * dense.nbytes
+    broken = dense.copy()
+    broken[1200, 5] = np.nan
+    with pytest.raises(ValueError, match="observable must be finite"):
+        SevalueProblem(broken, *args)
+    broken = dense.copy()
+    broken[1200, 5] += 1e-6
+    with pytest.raises(HermiticityError,
+                       match=r"observable is not Hermitian "
+                             r"\(max asymmetry 1\.000e-06\)"):
+        SevalueProblem(broken, *args)
+    with pytest.raises(ValueError, match="observable must be a square"):
+        SevalueProblem(dense[:, :-1], *args)
+
+
 @pytest.mark.parametrize("stats", list(Statistics))
 def test_single_party_lowrank_matches_sector_spectrum(rng, stats):
     # K = 1 is one exact step on the whole sector, for a dense matrix,
@@ -1228,6 +1258,23 @@ def test_no_draw_thread_outlives_the_oracle(monkeypatch, rng):
         brute_force_bound(_oracle_problem(rng, Statistics.BOSON, (4,), 5), 600)
     assert raised.value is failure
     assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("stats", list(Statistics))
+def test_oracle_holds_one_block_in_use_and_one_in_flight(rng, stats):
+    # a prefetched K=1 call at N=4, d=6 draws 1296-mode blocks of 5.06
+    # MiB at 256 samples a chunk; only the chunk in use and the draw in
+    # flight may be alive, so the traced peak stays under three blocks
+    problem = _oracle_problem(rng, stats, (4,), 6)
+    problem.sector, problem.sector_terms    # built before tracing starts
+    block = 16 * 6 ** 4 * solver_module._ORACLE_CHUNK
+    tracemalloc.start()
+    try:
+        brute_force_bound(problem, 2048, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * block
 
 
 @pytest.mark.parametrize("stats", list(Statistics))

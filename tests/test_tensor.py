@@ -12,7 +12,8 @@ from sepwit import (DensityOperator, Permutation, SpaceConfig, StateVector,
 from sepwit.errors import DimensionCapError, HermiticityError
 from sepwit.sectors import (sector_basis_labels, sector_basis_vectors,
                             sector_isometry)
-from sepwit.tensor import project_amplitudes
+from sepwit.tensor import (hermiticity_defect, project_amplitudes,
+                           require_hermitian)
 
 from conftest import crandn, project_full_sum, random_hermitian
 
@@ -355,6 +356,19 @@ def test_density_operator_rejects_non_finite(bad):
     matrix[1, 1] = bad
     with pytest.raises(ValueError, match="density matrix must be finite"):
         DensityOperator.from_matrix(SpaceConfig(2, 2), matrix)
+
+
+def test_hermiticity_defect_over_slabs_is_the_whole_matrix_max(rng):
+    # a 700-side matrix (7.8 MiB) is checked in several row slabs; a max
+    # does not depend on their order, so the defect is that of the whole
+    # difference, and a NaN anywhere still gives NaN
+    m = crandn(rng, 700, 700)
+    assert hermiticity_defect(m) == float(np.abs(m - m.conj().T).max())
+    m[650, 3] = np.nan
+    assert math.isnan(hermiticity_defect(m))
+    assert hermiticity_defect(np.zeros((0, 0))) == 0.0
+    with pytest.raises(ValueError, match="factor must be a square matrix"):
+        require_hermitian(np.zeros((2, 3)), "factor")
 
 
 def test_density_operator_validation(rng):
