@@ -23,10 +23,9 @@ from .solver import (InterferenceAnalysis, Partition, SevalueProblem,
 from .witness import (Witness, WitnessForm, WitnessVerdict, build_k_witness,
                       build_witness, detect, expectation,
                       schmidt_number_bound, sector_deviation, witness_matrix)
-from .states import (DephasedGhz, GhzFamily, NoisyPureState,
-                     appendix_b_states, dephased_ghz, detection_threshold,
-                     fig1_bound, fig1_state_family, ghz_expectation, ghz_state,
-                     noisy_state, sinc)
+from .states import (GhzFamily, appendix_b_states, dephased_ghz,
+                     detection_threshold, fig1_bound, fig1_state_family,
+                     ghz_expectation, ghz_state, noisy_state, sinc)
 from . import errors
 
 __version__ = "0.1.0"

@@ -395,12 +395,14 @@ def _cmd_sevalue(args) -> int:
         try:
             result = solve_sup_g(problem, starts=args.starts, seed=args.seed,
                                  tol=args.tol)
+            oracle = brute_force_bound(problem, samples=args.oracle_samples,
+                                       seed=args.seed)
         except ConvergenceError as exc:
             per_partition.append({"partition": str(part), "error": str(exc)})
             continue
+        finally:
+            del problem     # with its copy of L, before the next is built
         any_converged = True
-        oracle = brute_force_bound(problem, samples=args.oracle_samples,
-                                   seed=args.seed)
         groups = {}
         for sol in result.solutions:
             if not sol.converged:

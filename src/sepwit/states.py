@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ZeroProjectionError
 from .sectors import sector_basis_vectors
 from .tensor import (DensityOperator, SpaceConfig, StateVector, Statistics,
-                     basis_product_vector, project, subspace_dimension)
+                     basis_product_vector, project)
 
 
 def sinc(x: float) -> float:
@@ -23,40 +23,21 @@ def sinc(x: float) -> float:
     return 1.0 if x == 0.0 else math.sin(x) / x
 
 
-@dataclass(frozen=True)
-class NoisyPureState:
-    """A projected pure state mixed with white noise on its sector:
-    rho = p |psi~><psi~| + (1 - p) P / tr(P)."""
-
-    psi: StateVector
-    stats: Statistics
-    p: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"noise parameter p={self.p} outside [0, 1]")
-
-    def to_density_operator(self) -> DensityOperator:
-        projected = project(self.stats, self.psi)
-        if projected.norm() < 1e-12:
-            raise ZeroProjectionError("pure part projects to zero")
-        pure = projected.normalized()
-        dim = subspace_dimension(self.stats, self.psi.space)
-        pairs = []
-        if self.p > 0.0:
-            pairs.append((self.p, pure))
-        if self.p < 1.0:
-            weight = (1.0 - self.p) / dim
-            basis = sector_basis_vectors(self.stats, self.psi.space)
-            pairs.extend((weight, StateVector(self.psi.space, basis[:, col]))
-                         for col in range(basis.shape[1]))
-        return DensityOperator.from_mixture(pairs)
-
-
 def noisy_state(psi: StateVector, stats: Statistics, p: float) -> DensityOperator:
     """Mixture of the projected, normalized pure part (weight p) with the
-    maximally mixed state of the sector (weight 1 - p)."""
-    return NoisyPureState(psi, stats, p).to_density_operator()
+    maximally mixed state of the sector (weight 1 - p):
+    rho = p |psi~><psi~| + (1 - p) P / tr(P), whose noise rows are the
+    sector basis.  A part of weight 0 is left out."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"noise parameter p={p} outside [0, 1]")
+    projected = project(stats, psi)
+    if projected.norm() < 1e-12:
+        raise ZeroProjectionError("pure part projects to zero")
+    noise = sector_basis_vectors(stats, psi.space).T
+    weights = np.r_[p, np.full(len(noise), (1.0 - p) / len(noise))]
+    rows = np.vstack([projected.normalized().amplitudes, noise])
+    keep = weights > 0.0
+    return DensityOperator(psi.space, weights=weights[keep], vectors=rows[keep])
 
 
 def fig1_state_family(d: int, stats: Statistics) -> StateVector:
@@ -71,16 +52,11 @@ def fig1_state_family(d: int, stats: Statistics) -> StateVector:
     space = SpaceConfig(d, 2)
     amps = np.zeros(space.total_dim, dtype=np.complex128)
     if stats is Statistics.FERMION:
-        pairs = d // 2
-        coeff = 1.0 / math.sqrt(2 * pairs)
-        for idx in range(pairs):
-            a, b = 2 * idx, 2 * idx + 1
-            amps[a * d + b] = coeff
-            amps[b * d + a] = -coeff
+        a = np.arange(0, d - 1, 2)      # pair modes a and a + 1
+        amps[a * d + a + 1] = 1.0 / math.sqrt(2 * a.size)
+        amps[(a + 1) * d + a] = -amps[a * d + a + 1]
     else:
-        coeff = 1.0 / math.sqrt(d)
-        for mode in range(d):
-            amps[mode * d + mode] = coeff
+        amps[::d + 1] = 1.0 / math.sqrt(d)
     return StateVector(space, amps)
 
 
@@ -149,13 +125,10 @@ class GhzFamily:
         object.__setattr__(self, "tail_bound",
                            abs(self.q) ** (2 * (self.n_max + 1)))
 
-    def term_labels(self, n: int) -> tuple[int, ...]:
-        start = n * self.n_parties
-        return tuple(range(start, start + self.n_parties))
-
     def term_vector(self, n: int) -> StateVector:
         """Projected, unit-norm n-th product term."""
-        raw = basis_product_vector(self.space, self.term_labels(n))
+        labels = range(n * self.n_parties, (n + 1) * self.n_parties)
+        raw = basis_product_vector(self.space, labels)
         nu = self.stats.norm_factor(self.n_parties)
         return StateVector(self.space,
                            math.sqrt(nu) * project(self.stats, raw).amplitudes)
@@ -164,9 +137,8 @@ class GhzFamily:
         return math.sqrt(1.0 - abs(self.q) ** 2) * self.q ** n
 
     def state(self) -> StateVector:
-        amps = np.zeros(self.space.total_dim, dtype=np.complex128)
-        for n in range(self.n_max + 1):
-            amps += self.amplitude(n) * self.term_vector(n).amplitudes
+        amps = sum(self.amplitude(n) * self.term_vector(n).amplitudes
+                   for n in range(self.n_max + 1))
         return StateVector(self.space, amps).normalized()
 
 
@@ -176,50 +148,24 @@ def ghz_state(n_parties: int, q: complex, stats: Statistics,
     return GhzFamily(n_parties, q, stats, n_max).state()
 
 
-@dataclass(frozen=True)
-class DephasedGhz:
-    """GHZ-type state with amplitude r = |q| fixed and the phase averaged
-    uniformly over [-delta, +delta]."""
-
-    family: GhzFamily
-    delta: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.delta <= math.pi:
-            raise ValueError(f"delta={self.delta} outside [0, pi]")
-
-    def kernel(self) -> np.ndarray:
-        """Coefficient matrix in the orthonormal projected term basis."""
-        r = abs(self.family.q)
-        count = self.family.n_max + 1
-        out = np.empty((count, count))
-        for row in range(count):
-            for col in range(count):
-                out[row, col] = ((1.0 - r * r) * r ** (row + col)
-                                 * sinc(self.delta * (row - col)))
-        return out
-
-    def to_density_operator(self) -> DensityOperator:
-        kernel = self.kernel()
-        eigvals, eigvecs = np.linalg.eigh(kernel)
-        terms = [self.family.term_vector(n).amplitudes
-                 for n in range(self.family.n_max + 1)]
-        pairs = []
-        for idx in range(eigvals.size):
-            weight = float(eigvals[idx])
-            if weight <= 1e-14:
-                continue
-            amps = np.zeros(self.family.space.total_dim, dtype=np.complex128)
-            for n, term in enumerate(terms):
-                amps += eigvecs[n, idx] * term
-            pairs.append((weight, StateVector(self.family.space, amps)))
-        # trace is 1 minus the truncation tail, deliberately not rescaled
-        return DensityOperator.from_mixture(pairs, normalized=False)
-
-
 def dephased_ghz(family: GhzFamily, delta: float) -> DensityOperator:
-    """Uniformly dephased GHZ-type mixture, truncated at family.n_max."""
-    return DephasedGhz(family, delta).to_density_operator()
+    """Uniformly dephased GHZ-type mixture, truncated at family.n_max:
+    the amplitude r = |q| fixed and the phase averaged uniformly over
+    [-delta, +delta].  Its rows are the eigenvectors of the coefficient
+    kernel in the orthonormal projected term basis, kept where their
+    weight exceeds 1e-14."""
+    if not 0.0 <= delta <= math.pi:
+        raise ValueError(f"delta={delta} outside [0, pi]")
+    r = abs(family.q)
+    n = np.arange(family.n_max + 1)
+    kernel = ((1.0 - r * r) * r ** np.add.outer(n, n)
+              * np.sinc(delta / math.pi * np.subtract.outer(n, n)))
+    weights, vectors = np.linalg.eigh(kernel)
+    keep = weights > 1e-14
+    rows = vectors[:, keep].T @ [family.term_vector(t).amplitudes for t in n]
+    # trace is 1 minus the truncation tail, deliberately not rescaled
+    return DensityOperator(family.space, weights=weights[keep], vectors=rows,
+                           normalized=False)
 
 
 def ghz_expectation(r: float, delta: float) -> float:

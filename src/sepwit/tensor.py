@@ -245,24 +245,28 @@ class StateVector:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """A density operator, stored dense or as a mixture of pure states.
-
-    Exactly one of ``matrix`` / ``mixture`` is set.  Mixture entries are
-    (weight, StateVector) pairs with unit-norm vectors; the represented
-    operator is sum_i w_i |v_i><v_i|.
+    """A density operator: a dense ``matrix``, or the mixture
+    sum_r w_r |v_r><v_r| of one read-only block of ``weights`` (m,) and
+    unit rows ``vectors`` (m, total_dim), which are set together.  The
+    block is checked as one: entries must be finite, a weight below
+    -TOL_TRACE is rejected and a smaller negative one clipped to 0, and
+    a row whose norm is off 1 by more than 1e-9 is normalized, a zero
+    row rejected.  ``normalized`` asks for trace 1 within TOL_TRACE.
     """
 
     space: SpaceConfig
     matrix: np.ndarray | None = None
-    mixture: tuple[tuple[float, StateVector], ...] | None = None
+    weights: np.ndarray | None = None
+    vectors: np.ndarray | None = None
     normalized: bool = True
 
     def __post_init__(self):
-        if (self.matrix is None) == (self.mixture is None):
-            raise ValueError("exactly one of matrix/mixture must be given")
+        if (self.matrix is None) == (self.weights is None) \
+                or (self.weights is None) != (self.vectors is None):
+            raise ValueError("give either matrix, or weights and vectors")
+        dim = self.space.total_dim
         if self.matrix is not None:
             m = np.array(self.matrix, dtype=np.complex128)
-            dim = self.space.total_dim
             if m.shape != (dim, dim):
                 raise ValueError(f"matrix shape {m.shape}, expected {(dim, dim)}")
             require_hermitian(m, "density matrix")
@@ -270,18 +274,26 @@ class DensityOperator:
                 raise ValueError(f"trace {np.trace(m):.3e} is not 1")
             m.setflags(write=False)
             object.__setattr__(self, "matrix", m)
-        else:
-            pairs = []
-            for w, v in self.mixture:
-                w = float(w)
-                if w < -TOL_TRACE:
-                    raise ValueError(f"negative mixture weight {w}")
-                if abs(v.norm() - 1.0) > 1e-9:
-                    v = v.normalized()
-                pairs.append((max(w, 0.0), v))
-            if self.normalized and abs(sum(w for w, _ in pairs) - 1.0) > TOL_TRACE:
-                raise ValueError("mixture weights do not sum to 1")
-            object.__setattr__(self, "mixture", tuple(pairs))
+            return
+        w = np.array(self.weights, dtype=np.float64)
+        rows = np.array(self.vectors, dtype=np.complex128)
+        if w.ndim != 1 or rows.shape != (w.size, dim):
+            raise ValueError(f"weights {w.shape} and vectors {rows.shape} "
+                             f"are not (m,) and (m, {dim})")
+        if not (np.isfinite(w).all() and np.isfinite(rows).all()):
+            raise ValueError("mixture must be finite")
+        if (w < -TOL_TRACE).any():
+            raise ValueError(f"negative mixture weight {w.min()}")
+        norms = np.linalg.norm(rows, axis=1, keepdims=True)
+        if not norms.all():
+            raise ValueError("cannot normalize the zero vector")
+        rows = np.where(np.abs(norms - 1.0) > 1e-9, rows / norms, rows)
+        w = np.maximum(w, 0.0)
+        if self.normalized and abs(w.sum() - 1.0) > TOL_TRACE:
+            raise ValueError("mixture weights do not sum to 1")
+        for name, value in (("weights", w), ("vectors", rows)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_matrix(cls, space: SpaceConfig, matrix: np.ndarray,
@@ -290,7 +302,7 @@ class DensityOperator:
 
     @classmethod
     def from_pure(cls, state: StateVector) -> "DensityOperator":
-        return cls(state.space, mixture=((1.0, state.normalized()),))
+        return cls.from_mixture([(1.0, state.normalized())])
 
     @classmethod
     def from_mixture(cls, pairs: Iterable[tuple[float, StateVector]],
@@ -298,12 +310,19 @@ class DensityOperator:
         pairs = tuple(pairs)
         if not pairs:
             raise ValueError("empty mixture")
-        return cls(pairs[0][1].space, mixture=pairs, normalized=normalized)
+        weights, states = zip(*pairs)
+        space = states[0].space
+        strays = {v.space for v in states} - {space}
+        if strays:
+            raise ValueError(f"mixture mixes spaces {space} and {strays.pop()}")
+        return cls(space, weights=weights,
+                   vectors=[v.amplitudes for v in states],
+                   normalized=normalized)
 
     def trace(self) -> float:
         if self.matrix is not None:
             return float(np.trace(self.matrix).real)
-        return float(sum(w for w, _ in self.mixture))
+        return float(self.weights.sum())
 
     def to_matrix(self) -> np.ndarray:
         if self.matrix is not None:
@@ -312,10 +331,7 @@ class DensityOperator:
         if dim > MATRIX_CAP:
             raise DimensionCapError(
                 f"densifying a mixture of side {dim} exceeds cap {MATRIX_CAP}")
-        out = np.zeros((dim, dim), dtype=np.complex128)
-        for w, v in self.mixture:
-            out += w * np.outer(v.amplitudes, v.amplitudes.conj())
-        return out
+        return (self.vectors.T * self.weights) @ self.vectors.conj()
 
 
 # ---------------------------------------------------------------------------
@@ -489,10 +505,8 @@ def partial_trace_first(rho: DensityOperator) -> DensityOperator:
         t = rho.matrix.reshape(space.d, rest, space.d, rest)
         reduced = np.trace(t, axis1=0, axis2=2)
     else:
-        reduced = np.zeros((rest, rest), dtype=np.complex128)
-        for w, v in rho.mixture:
-            block = v.amplitudes.reshape(space.d, rest)
-            reduced += w * (block.T @ block.conj())
+        blocks = rho.vectors.reshape(-1, rest)
+        reduced = (blocks.T * np.repeat(rho.weights, space.d)) @ blocks.conj()
     return DensityOperator.from_matrix(small, reduced, normalized=rho.normalized)
 
 

@@ -21,7 +21,8 @@ from .solver import (DEFAULT_STARTS, Partition, SevalueProblem,
                      analytic_interference, analytic_rank_one,
                      partitions_into, solve_sup_g)
 from .tensor import (MATRIX_CAP, DensityOperator, SpaceConfig, StateVector,
-                     Statistics, project, project_operator, projector_matrix)
+                     Statistics, project_amplitudes, project_operator,
+                     projector_matrix)
 from .decompositions import schmidt
 
 DETECTION_MARGIN = 1e-9
@@ -65,23 +66,26 @@ class WitnessVerdict:
 def expectation(rho: DensityOperator, observable) -> float:
     """tr(rho X) for a Hermitian observable, real up to float noise.
 
-    Mixtures are evaluated term by term, without densifying."""
+    A mixture is evaluated on all its rows at once, without densifying;
+    a low-rank observable through its kets and bras."""
     if isinstance(observable, LowRankObservable):
         if observable.space != rho.space:
             raise ValueError("dimension mismatch")
-        if rho.mixture is not None:
-            total = sum(w * observable.expectation_pure(v.amplitudes)
-                        for w, v in rho.mixture)
+        coeffs, kets, bras = (np.array(part) for part in zip(*observable.terms))
+        if rho.matrix is None:
+            rows = rho.vectors
+            total = rho.weights @ (rows.conj() @ kets.T
+                                   * (rows @ bras.conj().T)) @ coeffs
         else:
-            total = sum(c * (b.conj() @ rho.matrix @ k)
-                        for c, k, b in observable.terms)
+            total = coeffs @ np.einsum("tj,tj->t",
+                                       bras.conj() @ rho.matrix, kets)
     else:
         x = np.asarray(observable, dtype=np.complex128)
         if x.shape != (rho.space.total_dim,) * 2:
             raise ValueError("dimension mismatch")
-        if rho.mixture is not None:
-            total = sum(w * (v.amplitudes.conj() @ x @ v.amplitudes)
-                        for w, v in rho.mixture)
+        if rho.matrix is None:
+            rows = rho.vectors
+            total = rho.weights @ np.einsum("rj,rj->r", rows.conj() @ x, rows)
         else:
             total = np.einsum("ij,ji->", rho.matrix, x)
     total = complex(total)
@@ -92,15 +96,15 @@ def expectation(rho: DensityOperator, observable) -> float:
 
 
 def sector_deviation(rho: DensityOperator, stats: Statistics) -> float:
-    """How far the state sticks out of the exchange sector."""
+    """How far the state sticks out of the exchange sector: for a
+    mixture the largest 2-norm of a unit row's component off the sector,
+    (P - 1) v_r, and for a matrix the largest entry of rho - P rho P."""
     if not stats.is_projected:
         return 0.0
-    if rho.mixture is not None:
-        worst = 0.0
-        for _w, v in rho.mixture:
-            delta = project(stats, v).amplitudes - v.amplitudes
-            worst = max(worst, float(np.linalg.norm(delta)))
-        return worst
+    if rho.matrix is None:
+        rows = rho.vectors.T
+        delta = project_amplitudes(stats, rows, rho.space) - rows
+        return float(np.linalg.norm(delta, axis=0).max(initial=0.0))
     sandwiched = project_operator(stats, rho.matrix, rho.space)
     return float(np.abs(rho.matrix - sandwiched).max(initial=0.0))
 
@@ -138,12 +142,16 @@ def build_k_witness(operator, stats: Statistics, space: SpaceConfig, k: int,
                     **solver_kwargs) -> Witness:
     """Witness against K-separability: the bound is maximized over every
     multiset-distinct partition into k parts."""
-    bound = max(
-        build_witness(SevalueProblem(operator, stats, p, space), bound_source,
-                      starts=starts, seed=seed, **solver_kwargs).bound
-        for p in partitions_into(space.n, k))
+    bounds = []
+    for p in partitions_into(space.n, k):
+        # one problem at a time; keeps its frozen copy, not the caller's
+        part = build_witness(SevalueProblem(operator, stats, p, space),
+                             bound_source, starts=starts, seed=seed,
+                             **solver_kwargs)
+        operator = part.observable
+        bounds.append(part.bound)
     return Witness(observable=operator, stats=stats, space=space, k=k,
-                   partition=None, bound=bound, form=WitnessForm.UPPER,
+                   partition=None, bound=max(bounds), form=WitnessForm.UPPER,
                    bound_source=bound_source)
 
 

@@ -9,12 +9,24 @@ from sepwit.errors import ZeroProjectionError
 from sepwit.partystep import B_RANGE_CUTOFF
 from sepwit.sectors import sector_isometry
 from sepwit.solver import _ORACLE_CHUNK
+from sepwit.tensor import project_amplitudes
 
 
 def crandn(rng, *shape):
     """Standard complex normal samples."""
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
         / np.sqrt(2.0)
+
+
+def random_mixture(rng, space, m, stats=None):
+    """Weights summing to 1 and m random unit rows, each projected onto
+    the sector of ``stats`` first where it is given."""
+    rows = crandn(rng, m, space.total_dim)
+    if stats is not None:
+        rows = project_amplitudes(stats, rows.T, space).T
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    weights = rng.random(m) + 0.01
+    return weights / weights.sum(), rows
 
 
 def random_hermitian(rng, n):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from importlib.resources import files
 from pathlib import Path
 
@@ -16,6 +17,8 @@ from sepwit import cli
 from sepwit.cli import (load_observable_file, load_state_file, main,
                         save_observable_json, save_state_json)
 from sepwit.errors import InputFormatError
+
+from conftest import random_hermitian
 
 INTERFERENCE_N3 = str(files("sepwit").joinpath("data/interference_N3.json"))
 BELL_BOSON_D3 = str(files("sepwit").joinpath("data/bell_boson_d3.json"))
@@ -247,6 +250,34 @@ def test_sevalue_diagonalises_the_sector_observable_once(monkeypatch,
                             "--starts", "16", "--oracle-samples", "200"])
     assert code == 0
     assert sizes.count(56) == 1
+
+
+def test_sevalue_holds_one_problem_at_a_time(tmp_path, monkeypatch,
+                                            capsys):
+    # each partition's problem, with its private copy of the dense
+    # observable, dies before the next partition's is built
+    rng = np.random.default_rng(5)
+    space = SpaceConfig(3, 4)
+    path = tmp_path / "dense.json"
+    save_observable_json(str(path), space, Statistics.BOSON,
+                         random_hermitian(rng, space.total_dim))
+    refs = []
+    alive = []
+
+    def tracked(*args):
+        problem = problem_class(*args)
+        refs.append(weakref.ref(problem))
+        alive.append(sum(ref() is not None for ref in refs))
+        return problem
+
+    problem_class = cli.SevalueProblem
+    monkeypatch.setattr(cli, "SevalueProblem", tracked)
+    code, payload = _run_json(capsys, ["sevalue", str(path), "--k", "2",
+                                       "--starts", "2",
+                                       "--oracle-samples", "20"])
+    assert code == 0
+    assert len(payload["partitions"]) == 2
+    assert alive == [1, 1]
 
 
 def test_sevalue_requires_partition_choice(capsys):

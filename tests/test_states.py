@@ -21,10 +21,10 @@ from conftest import crandn
 def test_noisy_state_extremes(rng):
     psi = fig1_state_family(3, Statistics.BOSON)
     pure = noisy_state(psi, Statistics.BOSON, 1.0)
-    assert len(pure.mixture) == 1
+    assert len(pure.weights) == 1
     assert abs(pure.trace() - 1.0) < 1e-12
     mixed = noisy_state(psi, Statistics.BOSON, 0.0)
-    assert len(mixed.mixture) == subspace_dimension(Statistics.BOSON,
+    assert len(mixed.weights) == subspace_dimension(Statistics.BOSON,
                                                     psi.space)
     assert abs(mixed.trace() - 1.0) < 1e-10
 
@@ -173,10 +173,10 @@ def test_ghz_family_tail_bound():
 def test_dephased_ghz_limits():
     family = GhzFamily(2, 1 / math.sqrt(3), Statistics.BOSON, 6)
     pure = dephased_ghz(family, 0.0)
-    assert len(pure.mixture) == 1          # no dephasing: still pure
+    assert len(pure.weights) == 1          # no dephasing: still pure
     full = dephased_ghz(family, math.pi)
     # full dephasing: diagonal in the product terms, hence separable
-    kernel_weights = sorted(w for w, _ in full.mixture)
+    kernel_weights = sorted(full.weights)
     r = abs(family.q)
     expected = sorted((1 - r * r) * r ** (2 * n) for n in range(7))
     assert np.allclose(kernel_weights, expected, atol=1e-12)

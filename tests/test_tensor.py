@@ -15,7 +15,8 @@ from sepwit.sectors import (sector_basis_labels, sector_basis_vectors,
 from sepwit.tensor import (hermiticity_defect, project_amplitudes,
                            require_hermitian)
 
-from conftest import crandn, project_full_sum, random_hermitian
+from conftest import (crandn, project_full_sum, random_hermitian,
+                      random_mixture)
 
 
 def test_flatten_index_examples():
@@ -239,6 +240,78 @@ def test_partial_trace_mixture_matches_dense(rng):
     out_mix = partial_trace_first(mix)
     out_dense = partial_trace_first(dense)
     assert np.allclose(out_mix.matrix, out_dense.matrix, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.integers(1, 3), n=st.integers(2, 3), m=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_partial_trace_mixture_form_matches_dense(d, n, m, seed):
+    # the block form and its dense matrix reduce to the same operator
+    rng = np.random.default_rng(seed)
+    space = SpaceConfig(d, n)
+    weights, rows = random_mixture(rng, space, m)
+    mix = DensityOperator(space, weights=weights, vectors=rows)
+    # the per-vector loop is the reference for the block's products
+    loop = sum(w * np.outer(v, v.conj()) for w, v in zip(weights, rows))
+    assert np.abs(mix.to_matrix() - loop).max() < 1e-12
+    dense = DensityOperator.from_matrix(space, mix.to_matrix())
+    assert abs(mix.trace() - 1.0) < 1e-12
+    out_mix = partial_trace_first(mix)
+    out_dense = partial_trace_first(dense)
+    assert np.abs(out_mix.matrix - out_dense.matrix).max() < 1e-12
+
+
+def test_mixture_block_rules(rng):
+    space = SpaceConfig(2, 2)
+    rows = crandn(rng, 3, 4)
+    weights = np.array([0.5, 0.5 + 1e-12, -1e-12])
+    rho = DensityOperator(space, weights=weights, vectors=rows)
+    # rows are normalized, the tiny negative weight clipped to 0, and
+    # neither array is the caller's or writable
+    assert np.allclose(np.linalg.norm(rho.vectors, axis=1), 1.0,
+                       atol=1e-15)
+    assert rho.weights[2] == 0.0
+    rows[:] = 0.0
+    assert np.abs(rho.vectors).min() > 0.0
+    for arr in (rho.weights, rho.vectors):
+        assert not arr.flags.writeable
+    unit = rho.vectors[:1]
+    assert np.array_equal(
+        DensityOperator(space, weights=[1.0], vectors=unit).vectors, unit)
+    for kwargs in ({"weights": [1.0]}, {"vectors": unit},
+                   {"matrix": np.eye(4) / 4, "weights": [1.0],
+                    "vectors": unit}, {}):
+        with pytest.raises(ValueError, match="give either matrix"):
+            DensityOperator(space, **kwargs)
+    bad = [
+        ({"weights": [1.0], "vectors": crandn(rng, 1, 8)}, "are not"),
+        ({"weights": [[1.0]], "vectors": unit}, "are not"),
+        ({"weights": [1.0], "vectors": unit * np.nan}, "finite"),
+        ({"weights": [np.inf], "vectors": unit}, "finite"),
+        ({"weights": [1.1, -0.1], "vectors": rows[:2] + 1.0},
+         "negative mixture weight"),
+        ({"weights": [0.5, 0.5], "vectors": np.vstack([unit, 0 * unit])},
+         "zero vector"),
+        ({"weights": [0.5, 0.4], "vectors": crandn(rng, 2, 4)}, "sum to 1"),
+    ]
+    for kwargs, message in bad:
+        with pytest.raises(ValueError, match=message):
+            DensityOperator(space, **kwargs)
+    loose = DensityOperator(space, weights=[0.5, 0.4],
+                            vectors=crandn(rng, 2, 4), normalized=False)
+    assert abs(loose.trace() - 0.9) < 1e-15
+
+
+def test_from_mixture_rejects_mixed_spaces(rng):
+    # both spaces have 16 amplitudes, so only the space check sees it
+    wide, long = SpaceConfig(4, 2), SpaceConfig(2, 4)
+    pairs = [(0.5, StateVector(wide, crandn(rng, 16)).normalized()),
+             (0.5, StateVector(long, crandn(rng, 16)).normalized())]
+    with pytest.raises(ValueError, match=r"mixes spaces SpaceConfig\(d=4, "
+                       r"n=2\) and SpaceConfig\(d=2, n=4\)"):
+        DensityOperator.from_mixture(pairs)
+    with pytest.raises(ValueError, match="empty mixture"):
+        DensityOperator.from_mixture(iter(()))
 
 
 def test_partial_trace_single_slot_rejected():

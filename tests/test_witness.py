@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from sepwit import (DensityOperator, Partition, SevalueProblem, SpaceConfig,
-                    StateVector, Statistics, WitnessForm, brute_force_bound,
-                    build_k_witness, build_witness, detect, expectation,
-                    fig1_state_family, interference_observable, noisy_state,
-                    partitions_into, project, rank_one_observable,
-                    schmidt_number_bound, sector_deviation,
-                    subspace_dimension, witness_matrix)
+from sepwit import (DensityOperator, LowRankObservable, Partition,
+                    SevalueProblem, SpaceConfig, StateVector, Statistics,
+                    WitnessForm, brute_force_bound, build_k_witness,
+                    build_witness, detect, expectation, fig1_state_family,
+                    interference_observable, noisy_state, partitions_into,
+                    project, rank_one_observable, schmidt_number_bound,
+                    sector_deviation, subspace_dimension, witness_matrix)
 from sepwit.errors import SectorError
 
-from conftest import crandn
+from conftest import crandn, random_hermitian, random_mixture
 
 
 def _balanced_boson_d3():
@@ -93,6 +94,41 @@ def test_expectation_dense_matches_mixture(rng):
     x = x + x.conj().T
     dense = DensityOperator.from_matrix(space, rho.to_matrix())
     assert abs(expectation(rho, x) - expectation(dense, x)) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(stats=st.sampled_from(list(Statistics)), d=st.integers(2, 3),
+       n=st.integers(1, 3), m=st.integers(1, 5), terms=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_mixture_form_matches_dense(stats, d, n, m, terms, seed):
+    # expectation of the block form equals that of its dense matrix and
+    # the per-vector loop's for a dense and a low-rank observable; rows
+    # projected onto the sector do not stick out of it, and random rows
+    # stick out as far as the loop says
+    assume(stats is not Statistics.FERMION or n <= d)
+    rng = np.random.default_rng(seed)
+    space = SpaceConfig(d, n)
+    weights, rows = random_mixture(rng, space, m, stats)
+    rho = DensityOperator(space, weights=weights, vectors=rows)
+    dense = DensityOperator.from_matrix(space, rho.to_matrix())
+    kets, bras = crandn(rng, 2, terms, space.total_dim)
+    coeffs = crandn(rng, terms)
+    low_rank = LowRankObservable(space, tuple(
+        zip(coeffs, kets, bras)) + tuple(zip(coeffs.conj(), bras, kets)))
+    x = random_hermitian(rng, space.total_dim)
+    loops = (sum(w * (v.conj() @ x @ v) for w, v in zip(weights, rows)),
+             sum(w * low_rank.expectation_pure(v)
+                 for w, v in zip(weights, rows)))
+    for observable, loop in zip((x, low_rank), loops):
+        value = expectation(rho, observable)
+        assert abs(value - expectation(dense, observable)) < 1e-12
+        assert abs(value - loop.real) < 1e-12
+    assert sector_deviation(rho, stats) <= 1e-12
+    weights, rows = random_mixture(rng, space, m)
+    loop = max(np.linalg.norm(project(stats, StateVector(space, v))
+                              .amplitudes - v) for v in rows)
+    raw = DensityOperator(space, weights=weights, vectors=rows)
+    assert abs(sector_deviation(raw, stats) - loop) < 1e-12
 
 
 def test_expectation_dimension_mismatch(rng):
@@ -181,6 +217,24 @@ def test_lower_form_witness(rng):
     assert abs(witness.bound) < 1e-9
     wmat = witness_matrix(witness)
     assert np.linalg.eigvalsh(wmat).min() > -1e-9
+
+
+def test_build_k_witness_keeps_no_caller_array():
+    # writing to the caller's dense array after the build changes
+    # neither the witness's observable nor the verdict
+    psi = _balanced_boson_d3()
+    x = rank_one_observable(psi, Statistics.BOSON).to_matrix()
+    witness = build_k_witness(x, Statistics.BOSON, psi.space, 2,
+                              starts=4, seed=1)
+    assert witness.observable is not x
+    assert not witness.observable.flags.writeable
+    rho = DensityOperator.from_pure(psi)
+    before = detect(rho, witness)
+    x *= 100.0
+    after = detect(rho, witness)
+    assert before.entangled and after.entangled
+    assert after.expectation == before.expectation
+    assert abs(witness.bound - 2.0 / 3.0) < 1e-9
 
 
 def test_build_k_witness_over_partitions():
