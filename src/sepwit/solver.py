@@ -32,11 +32,12 @@ from .errors import (ConvergenceError, DimensionCapError, ZeroProjectionError)
 from .operators import (LowRankObservable, interference_observable,
                         rank_one_observable)
 from .partystep import _dag, _generalized_step, _hermitian_part
-from .sectors import SectorIsometry, sector_isometry
+from .sectors import (SectorCoupling, SectorIsometry, sector_coupling,
+                      sector_isometry)
 from .tensor import (BATCH_BYTES, SpaceConfig, StateVector, Statistics,
-                     basis_product_vector, project, project_amplitudes,
-                     projector_matrix, require_hermitian, require_int,
-                     subspace_dimension)
+                     basis_product_vector, frozen_copy, project,
+                     project_amplitudes, projector_matrix, require_hermitian,
+                     require_int, subspace_dimension)
 
 DEFAULT_STARTS = 64
 MAX_SWEEPS = 500
@@ -118,7 +119,7 @@ def all_partitions(n: int) -> tuple[Partition, ...]:
 # ---------------------------------------------------------------------------
 # problem and solution records
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SevalueProblem:
     """An observable together with the statistics and partition against
     which its separable bound is sought, and the workspace of its
@@ -131,15 +132,14 @@ class SevalueProblem:
     sector: the sweep solves it in the sector coordinates of the
     isometry S_j, of dimension ``sector_dims[j]``, while party vectors
     and every diagnostic stay in full-space coordinates.  The party
-    matrices are contracted in the coordinates of the whole space's
-    exchange sector, through its isometry S: with y = S^H q the overlap
-    is y^H y and the numerator y^H X, for the ``sector_terms`` (c, X).
-    ``_stationarity`` stays on the permutation-sum projector, so it
-    checks that conversion independently.
+    matrices reach the whole sector, of isometry S, through the
+    ``coupling`` T = S^H (S_1 x ... x S_K), built from labels alone;
+    ``_stationarity`` and the oracle stay on the projector and on S's
+    orbit tables, so they check T independently.
 
     The cache relies on its inputs staying fixed: a low-rank operator's
-    term vectors are read-only copies, and a dense operator is kept as
-    a private read-only complex128 copy.
+    term vectors are read-only copies, and a dense operator is a
+    ``frozen_copy``.  Problems compare and hash by identity.
     """
 
     operator: LowRankObservable | np.ndarray
@@ -156,11 +156,9 @@ class SevalueProblem:
                 raise ValueError("operator space mismatch")
         else:
             dim = self.space.total_dim
-            op = require_hermitian(
-                np.array(self.operator, dtype=np.complex128), "observable")
+            op = require_hermitian(frozen_copy(self.operator), "observable")
             if op.shape != (dim, dim):
                 raise ValueError(f"operator shape {op.shape}, expected {(dim, dim)}")
-            op.setflags(write=False)
             object.__setattr__(self, "operator", op)
 
     @cached_property
@@ -190,6 +188,11 @@ class SevalueProblem:
         isos = (_sector_basis(self.stats, SpaceConfig(self.space.d, nj))
                 for nj in self.partition.parts)
         return tuple(None if iso is None else iso.toarray() for iso in isos)
+
+    @cached_property
+    def coupling(self) -> SectorCoupling:
+        """T = S^H (S_1 x ... x S_K), from labels (``sector_coupling``)."""
+        return sector_coupling(self.stats, self.space.d, self.partition.parts)
 
     @cached_property
     def sector_terms(self) -> tuple:
@@ -444,36 +447,28 @@ def _party_matrices(problem: SevalueProblem, blocks, j: int) -> tuple:
     fixed, in its block's sector coordinates, as (numerator, overlap,
     S_j) with a leading batch axis, S_j None for the identity.
 
-    The numerator is the ``sector_terms`` contracted onto the party,
-    never an m x m matrix: A_j = sum_t c_t a_t a_t^H as (c, V), V
-    holding S_j^H a_1..a_T as columns.  The overlap is S_j^H B_j S_j,
-    or, where P = 1, the scalar ||left||^2 ||right||^2 standing for
-    that multiple of the identity.
+    The numerator is the ``sector_terms`` (c, X) contracted onto the
+    party: A_j = sum_t c_t a_t a_t^H as (c, V), V holding S_j^H a_t as
+    columns.  Where P = 1 the overlap is the scalar ||left||^2
+    ||right||^2 times the identity.  Else, as P (P_1 x ... x P_K) = P,
+    the others enter through c_i = S_i^H b_i alone: with y = T (c_1 x
+    ... x 1 x ... x c_K), T the ``coupling``, S_j^H B_j S_j is y^H y
+    and V is y^H X.
     """
-    iso = problem.party_isometries[j]
-    count = len(blocks[0])
-    sec = problem.sector
+    isos, count = problem.party_isometries, len(blocks[0])
     coeffs, vectors = problem.sector_terms
-    dj = problem.block_dims[j]
-    left = _kron_rows(blocks[:j], count)
-    right = _kron_rows(blocks[j + 1:], count)
-    if sec is None:
-        # P = 1 and S_j = 1: q^H q is ||left||^2 ||right||^2 times the
-        # identity
+    if problem.sector is None:
+        left = _kron_rows(blocks[:j], count)
+        right = _kron_rows(blocks[j + 1:], count)
         overlap = np.einsum("bl,bl->b", left.conj(), left).real \
             * np.einsum("br,br->b", right.conj(), right).real
-        return ((coeffs, _contract_fixed(vectors, left, right, dj)),
-                overlap, iso)
-    embed = np.eye(dj, dtype=np.complex128) if iso is None else iso
-    mj = embed.shape[1]
-    # every start's q = left x embed x right side by side, as the columns
-    # (start, y) of rows (l, x, r)
-    outer = (left[:, :, None] * right[:, None, :]).transpose(1, 2, 0)
-    q = (outer.reshape(left.shape[1], 1, -1, 1)
-         * embed[None, :, None, :]).reshape(-1, count * mj)
-    # q^H P q = y^H y and q^H k = y^H S^H k, with y = S^H q
-    adj = _dag(sec.adjoint(q).reshape(-1, count, mj).transpose(1, 0, 2))
-    return (coeffs, adj @ vectors), _hermitian_part(adj @ _dag(adj)), iso
+        return ((coeffs, _contract_fixed(vectors, left, right,
+                                         problem.block_dims[j])),
+                overlap, isos[j])
+    coords = [b if iso is None or i == j else (b.conj() @ iso).conj()
+              for i, (b, iso) in enumerate(zip(blocks, isos))]
+    adj = _dag(problem.coupling.contract(coords, j))
+    return (coeffs, adj @ vectors), _hermitian_part(adj @ _dag(adj)), isos[j]
 
 
 def _contract_fixed(full, left, right, dj) -> np.ndarray:
@@ -496,14 +491,16 @@ def _sweep(problem: SevalueProblem, inits, max_sweeps: int, tol: float,
 
     ``inits`` holds one iterator per start over the initializations (one
     vector per party) it may try.  The starts advance as one batch, one
-    batched step per party per sweep, with at most BATCH_BYTES of
-    stacked party arrays: the others wait and join as starts leave.  A
-    start that meets a zero projection takes its next initialization and
-    rejoins with its own sweep count.  A start leaves when its quotient
-    settles within ``value_tol`` and its residual is within ``tol``, or
-    after ``max_sweeps``.  Returns each start's solution, or None where
-    its initializations ran out.  A single party takes one exact step
-    instead (``_sector_step``).
+    batched step per party per sweep, so many that the largest stacked
+    array holds at most BATCH_BYTES (a start's: chi and P|b> side by
+    side, the sector terms contracted out where P = 1, or else
+    ``coupling.contract``'s): the others wait and join as starts leave.
+    A start that meets a zero projection takes its next initialization
+    and rejoins with its own sweep count.  A start leaves when its
+    quotient settles within ``value_tol`` and its residual is within
+    ``tol``, or after ``max_sweeps``.  Returns each start's solution, or
+    None where its initializations ran out.  A single party takes one
+    exact step instead (``_sector_step``).
     """
     if mode not in ("max", "min"):
         raise ValueError("mode must be 'max' or 'min'")
@@ -518,8 +515,11 @@ def _sweep(problem: SevalueProblem, inits, max_sweeps: int, tol: float,
         if not isinstance(problem.operator, LowRankObservable):
             _check_dense_cap(problem)
         return _sector_step(problem, inits, mode, tol)
-    size = max(1, BATCH_BYTES // (16 * problem.space.total_dim
-                                  * max(1, *problem.sector_dims)))
+    dim, isos = problem.space.total_dim, problem.party_isometries
+    terms = problem.sector_terms[1].shape[1]
+    width = max(2, terms) * dim if problem.sector is None \
+        else max(2 * dim, problem.coupling.width)
+    size = max(1, BATCH_BYTES // (16 * width))
     out: list = [None] * len(inits)
     # the starts in the batch, their sweeps so far, their last values and
     # their party vectors
@@ -551,8 +551,8 @@ def _sweep(problem: SevalueProblem, inits, max_sweeps: int, tol: float,
             continue
         counts += 1
         lost = np.zeros(ids.size, dtype=bool)
-        for j in range(problem.partition.k):
-            numer, overlap, iso = _party_matrices(problem, blocks, j)
+        for j, iso in enumerate(isos):
+            numer, overlap, _ = _party_matrices(problem, blocks, j)
             coords = blocks[j] if iso is None \
                 else (blocks[j].conj() @ iso).conj()
             values, coords = _generalized_step(numer, overlap, coords, mode)

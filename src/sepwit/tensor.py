@@ -63,6 +63,19 @@ def _row_slabs(m: np.ndarray, label: str) -> list[slice]:
     return [slice(at, at + step) for at in range(0, len(m), step)]
 
 
+def frozen_copy(matrix) -> np.ndarray:
+    """A read-only complex128 copy of ``matrix``, or ``matrix`` itself
+    where it is such a copy already: a read-only complex128 array that
+    owns its data, as another object's frozen copy does.  A writable
+    array, or a view, is always copied."""
+    if isinstance(matrix, np.ndarray) and matrix.dtype == np.complex128 \
+            and matrix.flags.owndata and not matrix.flags.writeable:
+        return matrix
+    out = np.array(matrix, dtype=np.complex128)
+    out.setflags(write=False)
+    return out
+
+
 def hermiticity_defect(matrix: np.ndarray) -> float:
     """Largest entrywise deviation from Hermitian symmetry of a square
     matrix."""
@@ -243,7 +256,7 @@ class StateVector:
         return self.amplitudes.reshape(self.space.dims)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """A density operator: a dense ``matrix``, or the mixture
     sum_r w_r |v_r><v_r| of one read-only block of ``weights`` (m,) and
@@ -266,13 +279,12 @@ class DensityOperator:
             raise ValueError("give either matrix, or weights and vectors")
         dim = self.space.total_dim
         if self.matrix is not None:
-            m = np.array(self.matrix, dtype=np.complex128)
+            m = frozen_copy(self.matrix)
             if m.shape != (dim, dim):
                 raise ValueError(f"matrix shape {m.shape}, expected {(dim, dim)}")
             require_hermitian(m, "density matrix")
             if self.normalized and abs(np.trace(m).real - 1.0) > TOL_TRACE:
                 raise ValueError(f"trace {np.trace(m):.3e} is not 1")
-            m.setflags(write=False)
             object.__setattr__(self, "matrix", m)
             return
         w = np.array(self.weights, dtype=np.float64)

@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import weakref
 from functools import reduce
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sepwit.solver as solver_module
-from sepwit import (LowRankObservable, Partition, SevalueProblem, SpaceConfig,
+from sepwit import (DensityOperator, LowRankObservable, Partition, SevalueProblem, SpaceConfig,
                     StateVector, Statistics, all_partitions,
                     analytic_interference, analytic_rank_one,
                     basis_product_vector, brute_force_bound,
@@ -737,6 +738,41 @@ def test_problem_keeps_its_own_copy_of_a_dense_operator(rng):
     assert solve_sup_g(problem, starts=8, seed=0).value == before
     assert not problem.operator.flags.writeable
     assert np.array_equal(problem.operator, base / 2.0)
+
+
+def test_problem_shares_a_frozen_copy_and_copies_anything_else(rng):
+    # another problem's read-only private copy is taken as it is; the
+    # caller's writable array and a read-only view are copied
+    space = SpaceConfig(3, 2)
+    dense = random_hermitian(rng, 9)
+    args = (Statistics.BOSON, Partition((1, 1)), space)
+    first = SevalueProblem(dense, *args)
+    assert not np.shares_memory(first.operator, dense)
+    second = SevalueProblem(first.operator, Statistics.FERMION,
+                            Partition((2,)), space)
+    assert np.shares_memory(second.operator, first.operator)
+    view = SevalueProblem(first.operator[:], *args)
+    assert not np.shares_memory(view.operator, first.operator)
+    assert np.array_equal(view.operator, dense)
+
+
+def test_problems_and_density_operators_compare_by_identity(rng):
+    # equal fields do not make two problems (or two density operators)
+    # equal; both serve as dict keys and in a WeakSet
+    space = SpaceConfig(3, 2)
+    problem = SevalueProblem(random_hermitian(rng, 9), Statistics.BOSON,
+                             Partition((1, 1)), space)
+    twin = SevalueProblem(problem.operator, Statistics.BOSON,
+                          Partition((1, 1)), space)
+    psi = StateVector(space, crandn(rng, 9)).normalized().amplitudes
+    rho = DensityOperator.from_matrix(space, np.outer(psi, psi.conj()))
+    rho_twin = DensityOperator.from_matrix(space, rho.matrix)
+    for one, other in ((problem, twin), (rho, rho_twin)):
+        assert one == one and one != other
+        assert hash(one) != hash(other)
+        seen = weakref.WeakSet([one, other])
+        assert one in seen and len(seen) == 2
+        assert {one: "one", other: "other"}[one] == "one"
 
 
 def test_dense_operator_is_validated_in_row_slabs(rng):

@@ -237,6 +237,27 @@ def test_build_k_witness_keeps_no_caller_array():
     assert abs(witness.bound - 2.0 / 3.0) < 1e-9
 
 
+def test_build_k_witness_holds_one_copy_of_a_dense_operator(monkeypatch,
+                                                             rng):
+    # the problems of every partition share the first one's frozen copy,
+    # and that copy shares no memory with the caller's array
+    import sepwit.witness as witness_module
+    problems = []
+
+    def recording(*args):
+        problems.append(SevalueProblem(*args))
+        return problems[-1]
+
+    monkeypatch.setattr(witness_module, "SevalueProblem", recording)
+    space = SpaceConfig(3, 4)
+    x = random_hermitian(rng, space.total_dim)
+    witness = build_k_witness(x, Statistics.BOSON, space, 2, starts=2)
+    assert [p.partition.parts for p in problems] == [(3, 1), (2, 2)]
+    for problem in problems:
+        assert np.shares_memory(problem.operator, witness.observable)
+    assert not np.shares_memory(witness.observable, x)
+
+
 def test_build_k_witness_over_partitions():
     space = SpaceConfig(6, 3)
     observable = interference_observable(space, Statistics.BOSON)
