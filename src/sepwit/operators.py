@@ -121,9 +121,10 @@ def interference_observable(space: SpaceConfig,
     projected and rescaled to unit sector norm, so the observable is
     |v><w| + |w><v| with orthonormal v, w and spectrum {1, -1, 0}.  The
     rescaling keeps the separability bound (1/2)**(K-1) independent of
-    the statistics, except for fermion partitions with two blocks of
-    equal even size, such as (2, 2), where exact product states reach
-    the eigenvalue 1 (see analytic_interference).
+    the statistics, except for fermion partitions with two or more
+    blocks of size >= 2, where it is not proven: on (2, 2) exact product
+    states reach the eigenvalue 1, and on (3, 2) the solver finds more
+    than 0.9 (see analytic_interference).
     Requires d >= 2n so the labels exist.
     """
     if space.d < 2 * space.n:

@@ -260,66 +260,81 @@ def check_count(value, name: str) -> int:
 
 
 def _crandn(rng: np.random.Generator, size=None, *,
-            out: np.ndarray | None = None) -> np.ndarray:
+            out: np.ndarray | None = None, start: int = 0) -> np.ndarray:
     """Standard complex normals (re + 1j im) / sqrt(2), with ``re`` the
     stream's next draws and ``im`` the ones after them, written into
     ``out`` (a C-contiguous complex128 array), or into a new array of
-    shape ``size``.  The draws pass through a buffer of at most
-    _DRAW_PIECE doubles: splitting a draw does not change the stream."""
+    shape ``size``.  ``out``'s stream is its real parts, then its
+    imaginary parts (a float64 ``out`` is its own stream, of values
+    scaled by 1/sqrt(2)); the positions before ``start`` are left as
+    they are.  The draws pass through a buffer of at most _DRAW_PIECE
+    doubles: splitting a draw does not change the stream."""
     if out is None:
         out = np.empty(size, dtype=np.complex128)
     flat = out.reshape(-1)
+    parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
     buf = np.empty(min(_DRAW_PIECE, flat.size))
-    for part in (flat.real, flat.imag):
-        for at in range(0, flat.size, _DRAW_PIECE):
+    for k, part in enumerate(parts):
+        for at in range(max(start - k * flat.size, 0), flat.size,
+                        _DRAW_PIECE):
             piece = buf[:flat.size - at]
             rng.standard_normal(out=piece)
-            np.multiply(piece, _RSQRT2, out=part[at:at + _DRAW_PIECE])
+            np.multiply(piece, _RSQRT2, out=part[at:at + piece.size])
     return out
 
 
 def _draws(rng: np.random.Generator, shapes):
     """_crandn blocks of ``shapes``, in order.  Where the largest holds
-    at least _PREFETCH_BYTES, each is drawn on a worker thread while the
-    caller works on the one before (the draws release the GIL): one draw
-    at a time, into an array allocated on the caller's thread (a worker's
-    own allocations would grow a per-thread heap), with a draw's
-    exception raised here.  Closing the generator joins the worker.  A
-    block is dropped here when the next is asked for, so a caller that
-    drops a chunk's blocks before asking for the next chunk's holds at
-    most one chunk and one draw in flight."""
-    if 16 * max(map(math.prod, shapes), default=0) < _PREFETCH_BYTES:
+    at least _PREFETCH_BYTES, a worker thread makes the draws (they
+    release the GIL), one at a time and in stream order: while the
+    caller works on a block, the next block's first real parts go into
+    a look-ahead buffer of a quarter of the largest block; once asked
+    for, the block is allocated here, on the caller's thread (a worker's
+    own allocations would grow a per-thread heap), and takes the
+    look-ahead while the worker draws the rest.  A draw's exception is
+    raised here; closing the generator joins the worker.  A caller that
+    drops a chunk's blocks before asking for the next holds one chunk
+    and the look-ahead."""
+    sizes = [math.prod(shape) for shape in shapes]
+    if 16 * max(sizes, default=0) < _PREFETCH_BYTES:
         for shape in shapes:
             yield _crandn(rng, shape)
         return
-    failed = []
+    ahead = np.empty(max(sizes) // 2)
+    leads = [min(ahead.size, size) for size in sizes]
+    failed, worker = [], None
 
-    def draw(out):
+    def draw(out, start):
         try:
-            _crandn(rng, out=out)
+            _crandn(rng, out=out, start=start)
         except BaseException as exc:
             failed.append(exc)
 
-    def start(shape):
-        out = np.empty(shape, dtype=np.complex128)
-        worker = threading.Thread(target=draw, args=(out,))
-        worker.start()
-        return out, worker
+    def run(out, start=0):
+        thread = threading.Thread(target=draw, args=(out, start))
+        thread.start()
+        return thread
 
-    ahead = start(shapes[0])
+    def finish(thread):
+        thread.join()
+        if failed:
+            raise failed[0]
+
     try:
-        for shape in shapes[1:] + [None]:
-            out, worker = ahead
-            worker.join()
-            ahead = None
-            if failed:
-                raise failed[0]
-            if shape is not None:
-                ahead = start(shape)
+        worker = run(ahead[:leads[0]])
+        for i, shape in enumerate(shapes):
+            finish(worker)
+            out = np.empty(shape, dtype=np.complex128)
+            worker = run(out, leads[i])
+            out.reshape(-1).real[:leads[i]] = ahead[:leads[i]]
+            finish(worker)
+            if i + 1 < len(shapes):
+                worker = run(ahead[:leads[i + 1]])
             yield out
+            del out     # not alive beside the next block
     finally:
-        if ahead:
-            ahead[1].join()
+        if worker is not None:
+            worker.join()
 
 
 def _column_norms_sq(block: np.ndarray) -> np.ndarray:
@@ -750,16 +765,17 @@ def analytic_interference(space: SpaceConfig, stats: Statistics,
 
     Caveat: this is the supremum over all product vectors for
     distinguishable subsystems and bosons, and for fermion partitions
-    with at most one block of size >= 2.  For fermion partitions with
-    two blocks of equal even size (the smallest case is (2, 2)), exact
-    product states exist whose quotient reaches 1: with A, C the two
+    with at most one block of size >= 2.  It can be beaten on fermion
+    partitions with two or more such blocks, where the witness layer
+    refuses it: on (3, 2) at d = 10 twenty sweeps from one random start
+    reach 0.932, and on two blocks of equal even size (the smallest case
+    is (2, 2)) exact product states reach quotient 1.  With A, C the two
     label groups and omega_A, omega_C antisymmetric two-particle states
     supported on them, even-degree components commute, so the cross
     terms of (omega_A + i omega_C) x (omega_A - i omega_C) cancel under
     antisymmetrization and the projected product lands exactly on the
-    balanced superposition of the two interference kets.  The sweep
-    solver finds those solutions; use it rather than this value when
-    that pattern applies.
+    balanced superposition of the two interference kets.  Use the sweep
+    solver there.
     """
     observable = interference_observable(space, stats)
     problem = SevalueProblem(observable, stats, partition, space)
@@ -803,19 +819,22 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
     with numerically zero projection are skipped.  Deterministic for a
     fixed seed.
 
-    Each chunk of up to 256 samples builds one complex block per party
-    from a single draw of normals, then scales, re-centres and
+    Each chunk of up to 256 samples (fewer where d**N exceeds 16384:
+    its product vectors fit in BATCH_BYTES) builds one complex block per
+    party from a single draw of normals, then scales, re-centres and
     normalises it in place; numerators come from all terms at once.
     Drawing the normals bounds the time.  The draws' shapes are fixed
     before any quotient is seen, so where a block holds at least 1 MiB
-    (256 modes at 256 samples) each is drawn on a second thread while
-    this one works on the block before (``_draws``); for a 4096-mode
-    party the call then takes about as long as its draws alone (two
-    cores, one BLAS thread).  No block of a chunk outlives the request
-    for the next chunk, so the current chunk's blocks and one draw in
-    flight are all that is alive: two 16 MiB blocks for a 4096-mode
-    party.  Smaller blocks are drawn inline, where a thread would cost
-    more than it hides.  The draws and the bounds
+    (256 modes at 256 samples) a second thread draws the next block's
+    first quarter while this one works on the block before, and its
+    rest once it is asked for (``_draws``).  The caller's work on a
+    4096-mode chunk takes about a fifth of its draw, so the call takes
+    about as long as its draws alone (two cores, one BLAS thread).  No
+    block of a chunk outlives the request for the next, so the chunk in
+    use and the look-ahead are all that is alive: 20 MiB for a
+    4096-mode party, where two 16 MiB blocks were.  Smaller blocks are
+    drawn inline, where a thread would cost more than it hides.  The
+    draws and the bounds
     are those of the loop form that the tests keep as a reference; only
     the summation order of the norms and numerators differs, so the two
     agree to 1e-12 relative.  ``samples`` must be an integer of at
@@ -876,8 +895,10 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
     # the draws' shapes are fixed before any quotient is seen: a block
     # per party for each explore chunk, and one party's block, the
     # parties taking turns, for each refinement chunk
-    explore, refine = ([min(_ORACLE_CHUNK, total - at)
-                        for at in range(0, total, _ORACLE_CHUNK)]
+    chunk = min(_ORACLE_CHUNK,
+                max(1, BATCH_BYTES // (16 * problem.space.total_dim)))
+    explore, refine = ([min(chunk, total - at)
+                        for at in range(0, total, chunk)]
                        for total in (samples - samples // 2, samples // 2))
     draws = _draws(np.random.default_rng([seed, 11]),
                    [(dim, count) for count in explore for dim in dims]

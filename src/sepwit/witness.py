@@ -155,11 +155,6 @@ def build_k_witness(operator, stats: Statistics, space: SpaceConfig, k: int,
                    bound_source=bound_source)
 
 
-def _has_equal_even_blocks(partition: Partition) -> bool:
-    evens = [p for p in partition.parts if p >= 2 and p % 2 == 0]
-    return any(evens.count(size) >= 2 for size in set(evens))
-
-
 def _analytic_bound(problem: SevalueProblem, mode: str) -> float:
     op = problem.operator
     if not isinstance(op, LowRankObservable) or op.kind is None:
@@ -167,14 +162,15 @@ def _analytic_bound(problem: SevalueProblem, mode: str) -> float:
                          "use the numeric source")
     if op.kind == "interference":
         if problem.stats is Statistics.FERMION and \
-                _has_equal_even_blocks(problem.partition):
-            # exact product states beat the balanced-family value here;
-            # see analytic_interference.  A too-small bound would turn
-            # the witness into a false-positive detector.
+                sum(p >= 2 for p in problem.partition.parts) >= 2:
+            # outside the proven domain of analytic_interference; exact
+            # product states beat the balanced-family value on (2, 2)
+            # and the solver finds more than it on (3, 2).  A too-small
+            # bound would turn the witness into a false-positive detector.
             raise ValueError(
-                "the balanced-family bound is not the separable supremum "
-                "for fermion partitions with two blocks of equal even "
-                "size; use the numeric source")
+                "the balanced-family bound is proven the separable "
+                "supremum for fermions only on partitions with at most "
+                "one block of size >= 2; use the numeric source")
         analysis = analytic_interference(problem.space, problem.stats,
                                          problem.partition)
         return analysis.bound if mode == "max" else -analysis.bound

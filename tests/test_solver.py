@@ -1139,6 +1139,19 @@ def test_batched_step_mixes_span_ranks(rng):
             assert np.abs(got[b] - vector).max() <= 1e-10
 
 
+def _batch_sizes(monkeypatch):
+    """Record the number of starts in every party step of the sweep."""
+    step = solver_module._party_matrices
+    sizes = []
+
+    def recording(problem, blocks, j):
+        sizes.append(blocks[0].shape[0])
+        return step(problem, blocks, j)
+
+    monkeypatch.setattr(solver_module, "_party_matrices", recording)
+    return sizes
+
+
 def test_start_results_do_not_depend_on_the_batch(monkeypatch, rng):
     # a start's solution is the same in a batch of 5, of 16, and in
     # batches cut small by the byte budget
@@ -1152,12 +1165,16 @@ def test_start_results_do_not_depend_on_the_batch(monkeypatch, rng):
         full = solve_sup_g(problem, starts=16, seed=9)
         few = solve_sup_g(problem, starts=5, seed=9)
         _assert_same_solutions(few.solutions, full.solutions[:5])
-        # room for three starts at a time, then for one
-        per_start = 16 * space.total_dim * max(problem.sector_dims)
-        for budget in (3 * per_start, 1):
+        # room for three starts at a time, then for one, by the sweep's
+        # own rule: a start's largest array holds max(2 D, T's width)
+        # complex entries
+        per_start = 16 * max(2 * space.total_dim, problem.coupling.width)
+        for starts, budget in ((3, 3 * per_start), (1, 1)):
             monkeypatch.setattr(solver_module, "BATCH_BYTES", budget)
+            batches = _batch_sizes(monkeypatch)
             chunked = solve_sup_g(problem, starts=16, seed=9)
             _assert_same_solutions(chunked.solutions, full.solutions)
+            assert max(batches) == starts
         monkeypatch.undo()
 
 
@@ -1297,10 +1314,11 @@ def test_no_draw_thread_outlives_the_oracle(monkeypatch, rng):
 
 
 @pytest.mark.parametrize("stats", list(Statistics))
-def test_oracle_holds_one_block_in_use_and_one_in_flight(rng, stats):
+def test_oracle_holds_one_block_and_the_look_ahead(rng, stats):
     # a prefetched K=1 call at N=4, d=6 draws 1296-mode blocks of 5.06
-    # MiB at 256 samples a chunk; only the chunk in use and the draw in
-    # flight may be alive, so the traced peak stays under three blocks
+    # MiB at 256 samples a chunk; only the chunk in use and the worker's
+    # look-ahead, a quarter of a block, may be alive, so the traced peak
+    # stays under one block, the look-ahead and the quotient's arrays
     problem = _oracle_problem(rng, stats, (4,), 6)
     problem.sector, problem.sector_terms    # built before tracing starts
     block = 16 * 6 ** 4 * solver_module._ORACLE_CHUNK
@@ -1310,7 +1328,81 @@ def test_oracle_holds_one_block_in_use_and_one_in_flight(rng, stats):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * block
+    assert peak <= (1 + 0.25 + 0.35) * block
+
+
+def test_draws_match_inline_draws_at_every_block_size(monkeypatch):
+    # blocks smaller than the look-ahead (a quarter of the 1 MiB block,
+    # 32768 doubles), blocks between it and the largest, and single
+    # entries: each is the stream's next stretch, as drawn inline, and
+    # every draw runs on the worker
+    shapes = [(256, 256), (3, 1), (1, 1), (200, 256), (100, 7), (256, 256),
+              (16384, 1), (256, 64), (1, 5)]
+    on_main = _draw_threads(monkeypatch)
+    ahead = list(solver_module._draws(np.random.default_rng(6), shapes))
+    assert on_main and not any(on_main)
+    rng = np.random.default_rng(6)
+    for shape, block in zip(shapes, ahead):
+        assert np.array_equal(block, _crandn(rng, shape))
+
+
+@pytest.mark.parametrize("phase", ["look-ahead", "rest"])
+def test_draw_failure_on_the_worker_fails_the_oracle(monkeypatch, rng,
+                                                      phase):
+    # a worker draw that fails while it fills the look-ahead, or the rest
+    # of a block after the caller asked for it, fails the call with that
+    # exception, after the first block was used, and leaves no thread
+    problem = _oracle_problem(rng, Statistics.BOSON, (4,), 5)
+    threads = threading.active_count()
+    failure = RuntimeError("draw failed")
+    draw = solver_module._crandn
+    calls = collections.Counter()
+
+    def failing(*args, **kwargs):
+        assert threading.current_thread() is not threading.main_thread()
+        kind = "rest" if np.iscomplexobj(kwargs["out"]) else "look-ahead"
+        calls[kind] += 1
+        if kind == phase and calls[kind] == 2:
+            raise failure
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "_crandn", failing)
+    with pytest.raises(RuntimeError) as raised:
+        brute_force_bound(problem, 600)
+    assert raised.value is failure
+    assert calls == {"look-ahead": 2, "rest": 1 if phase == "look-ahead"
+                     else 2}
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("stats,parts", [(Statistics.BOSON, (4,)),
+                                         (Statistics.DISTINGUISHABLE, (2, 2))])
+def test_oracle_chunk_fits_the_batch_budget(monkeypatch, rng, stats, parts):
+    # with room for 64 product vectors of 4096 modes, the chunks hold 64
+    # samples, and the traced peak stays within 1.5 budgets: one product
+    # block and, where it is prefetched, a quarter of it ahead
+    problem = _oracle_problem(rng, stats, parts, 8)
+    problem.sector, problem.sector_terms
+    budget = 16 * 8 ** 4 * 64
+    monkeypatch.setattr(solver_module, "BATCH_BYTES", budget)
+    draw = solver_module._crandn
+    counts = []
+
+    def recording(*args, **kwargs):
+        out = draw(*args, **kwargs)
+        if np.iscomplexobj(out):
+            counts.append(out.shape[1])
+        return out
+
+    monkeypatch.setattr(solver_module, "_crandn", recording)
+    tracemalloc.start()
+    try:
+        brute_force_bound(problem, 600, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(counts) == 64
+    assert peak <= 1.5 * budget
 
 
 @pytest.mark.parametrize("stats", list(Statistics))

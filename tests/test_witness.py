@@ -8,7 +8,8 @@ from sepwit import (DensityOperator, LowRankObservable, Partition,
                     build_witness, detect, expectation, fig1_state_family,
                     interference_observable, noisy_state, partitions_into,
                     project, rank_one_observable, schmidt_number_bound,
-                    sector_deviation, subspace_dimension, witness_matrix)
+                    sector_deviation, subspace_dimension, sweep_solve,
+                    witness_matrix)
 from sepwit.errors import SectorError
 
 from conftest import crandn, random_hermitian, random_mixture
@@ -69,6 +70,34 @@ def test_analytic_bound_refused_for_equal_even_fermion_blocks():
                              Partition((2, 2)), space)
     with pytest.raises(ValueError):
         build_witness(problem, bound_source="analytic")
+
+
+def test_analytic_bound_refused_for_two_fermion_blocks_above_one():
+    # the balanced-family value 1/2 is proven only for fermion partitions
+    # with at most one block of size >= 2; on (3, 2) twenty sweeps from
+    # one random start already pass 0.9
+    space = SpaceConfig(10, 5)
+    observable = interference_observable(space, Statistics.FERMION)
+    for parts in ((3, 2), (2, 2, 1)):
+        problem = SevalueProblem(observable, Statistics.FERMION,
+                                 Partition(parts), space)
+        with pytest.raises(ValueError, match="at most one block"):
+            build_witness(problem, bound_source="analytic")
+    for k in (2, 3):
+        with pytest.raises(ValueError, match="at most one block"):
+            build_k_witness(observable, Statistics.FERMION, space, k,
+                            bound_source="analytic")
+    problem = SevalueProblem(observable, Statistics.FERMION,
+                             Partition((3, 2)), space)
+    rng = np.random.default_rng(0)
+    init = [crandn(rng, dim) for dim in problem.block_dims]
+    assert sweep_solve(problem, init, max_sweeps=20).value > 0.9
+    # one block of size >= 2 keeps the closed form
+    one = SevalueProblem(interference_observable(SpaceConfig(8, 4),
+                                                 Statistics.FERMION),
+                         Statistics.FERMION, Partition((2, 1, 1)),
+                         SpaceConfig(8, 4))
+    assert build_witness(one, bound_source="analytic").bound == 0.25
 
 
 def test_expectation_pure_and_mixed(rng):
