@@ -21,7 +21,6 @@ bound: nothing here bounds it from above.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 
@@ -48,7 +47,6 @@ PARTY_DENSE_CAP = 512      # largest block-sector dimension solved densely
 _ORACLE_CHUNK = 256
 _RSQRT2 = 1.0 / math.sqrt(2.0)
 _DRAW_PIECE = 1 << 14      # doubles per piece of a complex normal draw
-_PREFETCH_BYTES = 1 << 20  # smallest draw made on a worker thread
 
 
 # ---------------------------------------------------------------------------
@@ -260,81 +258,22 @@ def check_count(value, name: str) -> int:
 
 
 def _crandn(rng: np.random.Generator, size=None, *,
-            out: np.ndarray | None = None, start: int = 0) -> np.ndarray:
+            out: np.ndarray | None = None) -> np.ndarray:
     """Standard complex normals (re + 1j im) / sqrt(2), with ``re`` the
     stream's next draws and ``im`` the ones after them, written into
     ``out`` (a C-contiguous complex128 array), or into a new array of
-    shape ``size``.  ``out``'s stream is its real parts, then its
-    imaginary parts (a float64 ``out`` is its own stream, of values
-    scaled by 1/sqrt(2)); the positions before ``start`` are left as
-    they are.  The draws pass through a buffer of at most _DRAW_PIECE
-    doubles: splitting a draw does not change the stream."""
+    shape ``size``.  The draws pass through a buffer of at most
+    _DRAW_PIECE doubles: splitting a draw does not change the stream."""
     if out is None:
         out = np.empty(size, dtype=np.complex128)
     flat = out.reshape(-1)
-    parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
     buf = np.empty(min(_DRAW_PIECE, flat.size))
-    for k, part in enumerate(parts):
-        for at in range(max(start - k * flat.size, 0), flat.size,
-                        _DRAW_PIECE):
+    for part in (flat.real, flat.imag):
+        for at in range(0, flat.size, _DRAW_PIECE):
             piece = buf[:flat.size - at]
             rng.standard_normal(out=piece)
             np.multiply(piece, _RSQRT2, out=part[at:at + piece.size])
     return out
-
-
-def _draws(rng: np.random.Generator, shapes):
-    """_crandn blocks of ``shapes``, in order.  Where the largest holds
-    at least _PREFETCH_BYTES, a worker thread makes the draws (they
-    release the GIL), one at a time and in stream order: while the
-    caller works on a block, the next block's first real parts go into
-    a look-ahead buffer of a quarter of the largest block; once asked
-    for, the block is allocated here, on the caller's thread (a worker's
-    own allocations would grow a per-thread heap), and takes the
-    look-ahead while the worker draws the rest.  A draw's exception is
-    raised here; closing the generator joins the worker.  A caller that
-    drops a chunk's blocks before asking for the next holds one chunk
-    and the look-ahead."""
-    sizes = [math.prod(shape) for shape in shapes]
-    if 16 * max(sizes, default=0) < _PREFETCH_BYTES:
-        for shape in shapes:
-            yield _crandn(rng, shape)
-        return
-    ahead = np.empty(max(sizes) // 2)
-    leads = [min(ahead.size, size) for size in sizes]
-    failed, worker = [], None
-
-    def draw(out, start):
-        try:
-            _crandn(rng, out=out, start=start)
-        except BaseException as exc:
-            failed.append(exc)
-
-    def run(out, start=0):
-        thread = threading.Thread(target=draw, args=(out, start))
-        thread.start()
-        return thread
-
-    def finish(thread):
-        thread.join()
-        if failed:
-            raise failed[0]
-
-    try:
-        worker = run(ahead[:leads[0]])
-        for i, shape in enumerate(shapes):
-            finish(worker)
-            out = np.empty(shape, dtype=np.complex128)
-            worker = run(out, leads[i])
-            out.reshape(-1).real[:leads[i]] = ahead[:leads[i]]
-            finish(worker)
-            if i + 1 < len(shapes):
-                worker = run(ahead[:leads[i + 1]])
-            yield out
-            del out     # not alive beside the next block
-    finally:
-        if worker is not None:
-            worker.join()
 
 
 def _column_norms_sq(block: np.ndarray) -> np.ndarray:
@@ -344,14 +283,6 @@ def _column_norms_sq(block: np.ndarray) -> np.ndarray:
     flat = np.ascontiguousarray(block).view(np.float64)
     sums = np.einsum("dc,dc->c", flat, flat)
     return sums[0::2] + sums[1::2]
-
-
-def _normalize_columns(block: np.ndarray) -> None:
-    """Scale every column of a C-contiguous complex (dim, count) array
-    to unit norm, in place."""
-    scale = 1.0 / np.sqrt(_column_norms_sq(block))
-    flat = block.view(np.float64)
-    flat *= np.repeat(scale, 2)
 
 
 def _apply_local(mat: np.ndarray, amplitudes: np.ndarray,
@@ -820,25 +751,25 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
     fixed seed.
 
     Each chunk of up to 256 samples (fewer where d**N exceeds 16384:
-    its product vectors fit in BATCH_BYTES) builds one complex block per
-    party from a single draw of normals, then scales, re-centres and
-    normalises it in place; numerators come from all terms at once.
-    Drawing the normals bounds the time.  The draws' shapes are fixed
-    before any quotient is seen, so where a block holds at least 1 MiB
-    (256 modes at 256 samples) a second thread draws the next block's
-    first quarter while this one works on the block before, and its
-    rest once it is asked for (``_draws``).  The caller's work on a
-    4096-mode chunk takes about a fifth of its draw, so the call takes
-    about as long as its draws alone (two cores, one BLAS thread).  No
-    block of a chunk outlives the request for the next, so the chunk in
-    use and the look-ahead are all that is alive: 20 MiB for a
-    4096-mode party, where two 16 MiB blocks were.  Smaller blocks are
-    drawn inline, where a thread would cost more than it hides.  The
-    draws and the bounds
-    are those of the loop form that the tests keep as a reference; only
-    the summation order of the norms and numerators differs, so the two
-    agree to 1e-12 relative.  ``samples`` must be an integer of at
-    least 1; anything else raises ValueError.
+    its product vectors fit in BATCH_BYTES) draws one complex block of
+    normals per party, on the calling thread and in stream order;
+    numerators come from all terms at once.  The quotient does not
+    depend on a sample's scale, so no block is normalised: a sample
+    projects to zero where ||S^H v||^2 is at most 1e-14 times the
+    product of its squared party norms, which is the loop form's test
+    on the unit vector.  A single party's refinement chunk never forms
+    the samples c + a d around the incumbent c either: it scores their
+    linear image a S^H d + S^H c (a <x_t|d> + <x_t|c> where P = 1),
+    with squared norms a^2 |d|^2 + 2a Re<c|d> + |c|^2.  For K >= 2 the
+    perturbed party block is small, and is formed.  A chunk's best
+    sample that beats the incumbent is re-scored on its formed unit
+    product vector, so the bound is always the quotient of a real
+    product vector.  Drawing the normals takes about 80% of a K=1 call
+    at N=4, d=8, whose chunks draw 16 MiB blocks of 4096 modes, and
+    one block is all that is alive.  The draws and the bounds are those
+    of the loop form that the tests keep as a reference; only rounding
+    differs, so the two agree to 1e-12 relative.  ``samples`` must be
+    an integer of at least 1; anything else raises ValueError.
 
     At small budgets the bound can sit far below the supremum: for the
     boson interference observable at N=3, d=6, partition (2, 1), 2000
@@ -852,81 +783,109 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
     # term's overlaps with a batch of vectors x at once
     rows = np.ascontiguousarray(vectors.T.conj())
     dims = problem.block_dims
+    rng = np.random.default_rng([seed, 11])
 
-    def best_of(blocks):
-        """The largest quotient of a batch of product vectors, and its
-        party vectors.
+    def compress(vecs):
+        return vecs if sec is None else sec.adjoint(vecs)
 
-        Each per-party block has shape (party_dim, batch): keeping the
-        batch on the trailing, contiguous axis makes each gather of the
-        sector compression S^H copy whole rows."""
+    def quotients(overlaps, denom, norms):
+        """sum_t c_t |<x_t|S^H v>|^2 / ||S^H v||^2 of every sample v, from
+        its (terms, count) overlaps and denominators; -inf where
+        ||S^H v||^2 <= 1e-14 ``norms``, the product of its squared party
+        norms."""
+        out = np.full(denom.shape, -math.inf)
+        valid = denom > 1e-14 * norms
+        if np.any(valid):
+            numer = coeffs @ np.abs(overlaps) ** 2
+            out[valid] = numer[valid] / denom[valid]
+        return out
+
+    def scored(blocks, norms):
+        """The quotients of the column products of (party_dim, count)
+        blocks, and their sector coordinates.
+
+        Keeping the batch on the trailing, contiguous axis makes each
+        gather of the sector compression S^H copy whole rows."""
         count = blocks[0].shape[1]
         vecs = blocks[0]
         for block in blocks[1:]:
             vecs = (vecs[:, None, :] * block[None, :, :]).reshape(-1, count)
-        coords = vecs if sec is None else sec.adjoint(vecs)
-        denom = _column_norms_sq(coords)
-        quotients = np.full(count, -math.inf)
-        valid = denom > 1e-14
-        if np.any(valid):
-            # sum_t c_t |<x_t|x>|^2
-            numer = coeffs @ np.abs(rows @ coords) ** 2
-            quotients[valid] = numer[valid] / denom[valid]
-        top = int(np.argmax(quotients))
-        return float(quotients[top]), [np.array(b[:, top]) for b in blocks]
+        coords = compress(vecs)
+        return quotients(rows @ coords, _column_norms_sq(coords),
+                         norms), coords
 
-    # each chunk's blocks live only in the frames of explored or refined
-    # and best_of, so they are freed before the next draw is asked for
-    def explored():
-        blocks = [next(draws) for _dim in dims]
-        for block in blocks:
-            _normalize_columns(block)
-        return best_of(blocks)
+    def offer(values, columns):
+        """Make the chunk's best sample the incumbent where its quotient,
+        re-scored on the formed unit product vector, beats the
+        incumbent's; ``columns(top)`` gives sample top's party vectors.
+        True where it did."""
+        nonlocal best, best_parts, best_coords
+        top = int(np.argmax(values))
+        if not values[top] > best:
+            return False
+        parts = [v / np.linalg.norm(v) for v in columns(top)]
+        rescored, coords = scored([v[:, None] for v in parts], 1.0)
+        if not rescored[0] > best:
+            return False
+        best, best_parts, best_coords = float(rescored[0]), parts, coords
+        return True
+
+    # a chunk's blocks live only in the frames of explored or refined,
+    # so they are freed before the next chunk is drawn
+    def explored(count):
+        blocks = [_crandn(rng, (dim, count)) for dim in dims]
+        norms = reduce(np.multiply, map(_column_norms_sq, blocks))
+        values = scored(blocks, norms)[0]
+        offer(values, lambda top: [b[:, top] for b in blocks])
 
     def refined(party, count):
-        blocks = [np.broadcast_to(center[:, None], (dim, count))
-                  for center, dim in zip(best_blocks, dims)]
-        block = blocks[party] = next(draws)
-        block *= steps[party] / math.sqrt(dims[party])
-        block += best_blocks[party][:, None]
-        _normalize_columns(block)
-        return best_of(blocks)
+        scale = steps[party] / math.sqrt(dims[party])
+        noise = _crandn(rng, (dims[party], count))
+        if len(dims) > 1:
+            noise *= scale
+            noise += best_parts[party][:, None]
+            blocks = [np.broadcast_to(v[:, None], (v.size, count))
+                      for v in best_parts]
+            blocks[party] = noise
+            values = scored(blocks, _column_norms_sq(noise))[0]
+            return offer(values, lambda top: [b[:, top] for b in blocks])
+        # the samples c + a d, scored from the images of d and of the
+        # unit incumbent c, whose S^H c is best_coords
+        center = best_parts[0]
+        norms = (scale * scale * _column_norms_sq(noise)
+                 + 2 * scale * (center.conj() @ noise).real + 1.0)
+        coords = compress(noise)
+        overlaps = scale * (rows @ coords) + rows @ best_coords
+        if sec is None:     # P = 1: a sample's sector norm is its norm
+            denom = norms
+        else:
+            coords *= scale
+            coords += best_coords
+            denom = _column_norms_sq(coords)
+        values = quotients(overlaps, denom, norms)
+        return offer(values, lambda top: [center + scale * noise[:, top]])
 
-    # the draws' shapes are fixed before any quotient is seen: a block
-    # per party for each explore chunk, and one party's block, the
-    # parties taking turns, for each refinement chunk
     chunk = min(_ORACLE_CHUNK,
                 max(1, BATCH_BYTES // (16 * problem.space.total_dim)))
     explore, refine = ([min(chunk, total - at)
                         for at in range(0, total, chunk)]
                        for total in (samples - samples // 2, samples // 2))
-    draws = _draws(np.random.default_rng([seed, 11]),
-                   [(dim, count) for count in explore for dim in dims]
-                   + [(dims[i % len(dims)], count)
-                      for i, count in enumerate(refine)])
-    try:
-        best, best_blocks = -math.inf, None
-        for _count in explore:
-            value, top = explored()
-            if value > best:
-                best, best_blocks = value, top
-        if best_blocks is None:
-            raise ZeroProjectionError("every sample projected to zero")
+    best, best_parts, best_coords = -math.inf, None, None
+    for count in explore:
+        explored(count)
+    if best_parts is None:
+        raise ZeroProjectionError("every sample projected to zero")
 
-        # refinement: cycle through the parties, perturbing one at a time
-        # around the incumbent with an adaptive relative step
-        steps = [0.5] * len(dims)
-        for i, count in enumerate(refine):
-            party = i % len(dims)
-            value, top = refined(party, count)
-            if value > best:
-                best, best_blocks = value, top
-                steps[party] = min(steps[party] * 1.5, 2.0)
-            else:
-                steps[party] = max(steps[party] * 0.8, 1e-4)
-        return best
-    finally:
-        draws.close()
+    # refinement: cycle through the parties, perturbing one at a time
+    # around the incumbent with an adaptive relative step
+    steps = [0.5] * len(dims)
+    for i, count in enumerate(refine):
+        party = i % len(dims)
+        if refined(party, count):
+            steps[party] = min(steps[party] * 1.5, 2.0)
+        else:
+            steps[party] = max(steps[party] * 0.8, 1e-4)
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,6 @@
 import collections
 import dataclasses
 import functools
-import math
-import sys
 import threading
 import tracemalloc
 import weakref
@@ -1219,11 +1217,11 @@ def test_crandn_is_the_two_draw_formula():
         assert np.array_equal(out, want)
 
 
-# problems whose largest draw holds at least _PREFETCH_BYTES: 625 or 343
-# modes a party at 256 samples a chunk
-_PREFETCHED = [(stats, parts, d) for stats in (Statistics.DISTINGUISHABLE,
-                                               Statistics.BOSON)
-               for parts, d in (((4,), 5), ((3, 1), 7))]
+# problems whose largest draw holds at least 1 MiB: 625 or 343 modes a
+# party at 256 samples a chunk
+_LARGE_DRAWS = [(stats, parts, d) for stats in (Statistics.DISTINGUISHABLE,
+                                                Statistics.BOSON)
+                for parts, d in (((4,), 5), ((3, 1), 7))]
 
 
 def _oracle_problem(rng, stats, parts, d):
@@ -1233,40 +1231,49 @@ def _oracle_problem(rng, stats, parts, d):
                           partition, space)
 
 
-def _draw_threads(monkeypatch):
-    """Record, for every _crandn call, whether it ran on the main
-    thread."""
-    draw = solver_module._crandn
-    on_main = []
+def _recorded_draws(monkeypatch):
+    """Record, for every _crandn call, whether it ran on the main thread
+    and a copy of its draw, and every thread started."""
+    draw, start = solver_module._crandn, threading.Thread.start
+    on_main, draws, started = [], [], []
 
     def recording(*args, **kwargs):
         on_main.append(threading.current_thread() is threading.main_thread())
-        return draw(*args, **kwargs)
+        out = draw(*args, **kwargs)
+        draws.append(out.copy())
+        return out
+
+    def starting(thread):
+        started.append(thread)
+        start(thread)
 
     monkeypatch.setattr(solver_module, "_crandn", recording)
-    return on_main
+    monkeypatch.setattr(threading.Thread, "start", starting)
+    return on_main, draws, started
 
 
-@pytest.mark.parametrize("stats,parts,d", _PREFETCHED)
+@pytest.mark.parametrize("stats,parts,d", _LARGE_DRAWS)
 def test_prefetched_draws_match_inline_draws(monkeypatch, rng, stats, parts,
                                              d):
-    # drawing one block ahead on a worker thread reads the same stream in
-    # the same order as drawing inline, so the bounds are equal, also
-    # with the interpreter lock handed between the threads at every turn
+    # a call with draws of at least 1 MiB makes every draw on the calling
+    # thread and starts no thread; its draws are the stream's consecutive
+    # stretches in the loop form's order (a block per party for each
+    # explore chunk, then one party's block for each refinement chunk,
+    # the parties taking turns), so a repeated call gives the same bound
     problem = _oracle_problem(rng, stats, parts, d)
-    on_main = _draw_threads(monkeypatch)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        ahead = [brute_force_bound(problem, 1300, seed) for seed in (0, 1)]
-    finally:
-        sys.setswitchinterval(interval)
-    assert on_main and not any(on_main)
-    on_main.clear()
-    monkeypatch.setattr(solver_module, "_PREFETCH_BYTES", math.inf)
-    inline = [brute_force_bound(problem, 1300, seed) for seed in (0, 1)]
-    assert on_main and all(on_main)
-    assert ahead == inline
+    on_main, draws, started = _recorded_draws(monkeypatch)
+    bound = brute_force_bound(problem, 1300, seed=1)
+    assert on_main and all(on_main) and not started
+    dims, counts = problem.block_dims, (256, 256, 138)
+    shapes = ([(dim, count) for count in counts for dim in dims]
+              + [(dims[i % len(dims)], count)
+                 for i, count in enumerate(counts)])
+    assert [block.shape for block in draws] == shapes
+    stream = np.random.default_rng([1, 11])
+    for shape, block in zip(shapes, draws):
+        assert np.array_equal(block, _crandn(stream, shape))
+    assert brute_force_bound(problem, 1300, seed=1) == bound
+    assert all(on_main) and not started
 
 
 def test_prefetched_oracle_matches_reference(rng):
@@ -1278,11 +1285,11 @@ def test_prefetched_oracle_matches_reference(rng):
 
 
 def test_small_oracle_draws_inline(monkeypatch, rng):
-    # below the size rule every draw runs on the calling thread
-    on_main = _draw_threads(monkeypatch)
+    # every draw runs on the calling thread, and no thread is started
+    on_main, _draws, started = _recorded_draws(monkeypatch)
     brute_force_bound(_oracle_problem(rng, Statistics.BOSON, (2, 2), 3),
                       600, seed=0)
-    assert on_main and all(on_main)
+    assert on_main and all(on_main) and not started
 
 
 def test_no_draw_thread_outlives_the_oracle(monkeypatch, rng):
@@ -1290,21 +1297,18 @@ def test_no_draw_thread_outlives_the_oracle(monkeypatch, rng):
     brute_force_bound(_oracle_problem(rng, Statistics.BOSON, (4,), 5), 600)
     assert threading.active_count() == threads
     # an empty sector (six fermions in three modes, 729-mode draws)
-    # raises after the explore chunks, with a refinement draw pending
+    # raises after the explore chunks
     space = SpaceConfig(3, 6)
     empty = SevalueProblem(_random_observable(rng, "low-rank", space),
                            Statistics.FERMION, Partition((6,)), space)
     with pytest.raises(ZeroProjectionError):
         brute_force_bound(empty, 600)
     assert threading.active_count() == threads
-    # a draw that fails on the worker fails the call with that exception
+    # a draw that fails fails the call with that exception
     failure = RuntimeError("draw failed")
-    draw = solver_module._crandn
 
     def failing(*args, **kwargs):
-        if threading.current_thread() is not threading.main_thread():
-            raise failure
-        return draw(*args, **kwargs)
+        raise failure
 
     monkeypatch.setattr(solver_module, "_crandn", failing)
     with pytest.raises(RuntimeError) as raised:
@@ -1314,11 +1318,10 @@ def test_no_draw_thread_outlives_the_oracle(monkeypatch, rng):
 
 
 @pytest.mark.parametrize("stats", list(Statistics))
-def test_oracle_holds_one_block_and_the_look_ahead(rng, stats):
-    # a prefetched K=1 call at N=4, d=6 draws 1296-mode blocks of 5.06
-    # MiB at 256 samples a chunk; only the chunk in use and the worker's
-    # look-ahead, a quarter of a block, may be alive, so the traced peak
-    # stays under one block, the look-ahead and the quotient's arrays
+def test_oracle_holds_one_block(rng, stats):
+    # a K=1 call at N=4, d=6 draws 1296-mode blocks of 5.06 MiB at 256
+    # samples a chunk; one block is alive at a time, so the traced peak
+    # stays under one block and the quotient's arrays
     problem = _oracle_problem(rng, stats, (4,), 6)
     problem.sector, problem.sector_terms    # built before tracing starts
     block = 16 * 6 ** 4 * solver_module._ORACLE_CHUNK
@@ -1328,41 +1331,39 @@ def test_oracle_holds_one_block_and_the_look_ahead(rng, stats):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (1 + 0.25 + 0.35) * block
+    assert peak <= 1.3 * block
 
 
-def test_draws_match_inline_draws_at_every_block_size(monkeypatch):
-    # blocks smaller than the look-ahead (a quarter of the 1 MiB block,
-    # 32768 doubles), blocks between it and the largest, and single
-    # entries: each is the stream's next stretch, as drawn inline, and
-    # every draw runs on the worker
-    shapes = [(256, 256), (3, 1), (1, 1), (200, 256), (100, 7), (256, 256),
-              (16384, 1), (256, 64), (1, 5)]
-    on_main = _draw_threads(monkeypatch)
-    ahead = list(solver_module._draws(np.random.default_rng(6), shapes))
-    assert on_main and not any(on_main)
-    rng = np.random.default_rng(6)
-    for shape, block in zip(shapes, ahead):
-        assert np.array_equal(block, _crandn(rng, shape))
+def test_draws_match_inline_draws_at_every_block_size():
+    # consecutive draws of blocks above and below the buffer's piece,
+    # and of single entries, read the stream in order: each is the
+    # stream's next stretch, real parts first
+    piece = solver_module._DRAW_PIECE
+    shapes = [(256, 256), (3, 1), (1, 1), (200, 256), (100, 7),
+              (piece, 1), (piece + 1, 1), (256, 64), (1, 5)]
+    rng, stream = np.random.default_rng(6), np.random.default_rng(6)
+    for shape in shapes:
+        re, im = stream.standard_normal(shape), stream.standard_normal(shape)
+        assert np.array_equal(_crandn(rng, shape),
+                              (re + 1j * im) / np.sqrt(2.0))
 
 
-@pytest.mark.parametrize("phase", ["look-ahead", "rest"])
-def test_draw_failure_on_the_worker_fails_the_oracle(monkeypatch, rng,
-                                                      phase):
-    # a worker draw that fails while it fills the look-ahead, or the rest
-    # of a block after the caller asked for it, fails the call with that
-    # exception, after the first block was used, and leaves no thread
+@pytest.mark.parametrize("phase", ["explore", "refine"])
+def test_draw_failure_fails_the_oracle(monkeypatch, rng, phase):
+    # a draw that fails in the second explore chunk or the second
+    # refinement chunk (600 samples of one party: two chunks each) fails
+    # the call with that exception, after the draws before it were used,
+    # and every draw ran on the calling thread
     problem = _oracle_problem(rng, Statistics.BOSON, (4,), 5)
     threads = threading.active_count()
     failure = RuntimeError("draw failed")
     draw = solver_module._crandn
-    calls = collections.Counter()
+    fail_at = {"explore": 2, "refine": 4}[phase]
+    on_main = []
 
     def failing(*args, **kwargs):
-        assert threading.current_thread() is not threading.main_thread()
-        kind = "rest" if np.iscomplexobj(kwargs["out"]) else "look-ahead"
-        calls[kind] += 1
-        if kind == phase and calls[kind] == 2:
+        on_main.append(threading.current_thread() is threading.main_thread())
+        if len(on_main) == fail_at:
             raise failure
         return draw(*args, **kwargs)
 
@@ -1370,8 +1371,7 @@ def test_draw_failure_on_the_worker_fails_the_oracle(monkeypatch, rng,
     with pytest.raises(RuntimeError) as raised:
         brute_force_bound(problem, 600)
     assert raised.value is failure
-    assert calls == {"look-ahead": 2, "rest": 1 if phase == "look-ahead"
-                     else 2}
+    assert len(on_main) == fail_at and all(on_main)
     assert threading.active_count() == threads
 
 
@@ -1380,7 +1380,7 @@ def test_draw_failure_on_the_worker_fails_the_oracle(monkeypatch, rng,
 def test_oracle_chunk_fits_the_batch_budget(monkeypatch, rng, stats, parts):
     # with room for 64 product vectors of 4096 modes, the chunks hold 64
     # samples, and the traced peak stays within 1.5 budgets: one product
-    # block and, where it is prefetched, a quarter of it ahead
+    # block and the quotient's arrays
     problem = _oracle_problem(rng, stats, parts, 8)
     problem.sector, problem.sector_terms
     budget = 16 * 8 ** 4 * 64
@@ -1421,6 +1421,46 @@ def test_brute_force_matches_reference(rng, stats, parts, kind):
             want = reference_brute_force_bound(problem, samples, seed)
             got = brute_force_bound(problem, samples, seed)
             assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("stats", list(Statistics))
+@pytest.mark.parametrize("parts", [(4,), (3, 1), (2, 2)])
+@pytest.mark.parametrize("kind", ["dense", "low-rank"])
+def test_brute_force_matches_reference_on_four_slots(rng, stats, parts, kind):
+    # four slots: one 81-mode party, scored from the linear image of its
+    # draws, and two parties of 27 and 3 or 9 and 9 modes; fermions at
+    # d=4, as four fermions have no sector in three modes
+    partition = Partition(parts)
+    space = SpaceConfig(4 if stats is Statistics.FERMION else 3, 4)
+    problem = SevalueProblem(_random_observable(rng, kind, space), stats,
+                             partition, space)
+    for samples in (1, 3, 257, 700):
+        for seed in (0, 1):
+            want = reference_brute_force_bound(problem, samples, seed)
+            got = brute_force_bound(problem, samples, seed)
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("stats", list(Statistics))
+@pytest.mark.parametrize("parts", [(2,), (3,), (1, 1), (2, 1), (1, 1, 1)])
+@pytest.mark.parametrize("kind", ["dense", "low-rank"])
+@settings(max_examples=5, deadline=None)
+@given(d=st.integers(2, 3), samples=st.integers(1, 600),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_brute_force_never_exceeds_the_sector_maximum(stats, parts, kind, d,
+                                                     samples, seed):
+    # the bound is the quotient of a product vector, so it never exceeds
+    # lambda_max of S^H L S, however the chunks were scored
+    rng = np.random.default_rng(seed)
+    space = SpaceConfig(d, sum(parts))
+    if not subspace_dimension(stats, space):
+        return      # fermions in fewer modes than particles: no sector
+    problem = SevalueProblem(_random_observable(rng, kind, space), stats,
+                             Partition(parts), space)
+    coeffs, vectors = problem.sector_terms
+    eigs = np.linalg.eigvalsh((vectors * coeffs) @ vectors.conj().T)
+    bound = brute_force_bound(problem, samples, seed % 1000)
+    assert bound <= eigs[-1] + 1e-12 * np.abs(eigs).max()
 
 
 @pytest.mark.parametrize("samples", [True, False, 1000.0, "10", None])
