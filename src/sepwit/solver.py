@@ -257,15 +257,12 @@ def check_count(value, name: str) -> int:
     return count
 
 
-def _crandn(rng: np.random.Generator, size=None, *,
-            out: np.ndarray | None = None) -> np.ndarray:
-    """Standard complex normals (re + 1j im) / sqrt(2), with ``re`` the
-    stream's next draws and ``im`` the ones after them, written into
-    ``out`` (a C-contiguous complex128 array), or into a new array of
-    shape ``size``.  The draws pass through a buffer of at most
+def _crandn(rng: np.random.Generator, size) -> np.ndarray:
+    """Standard complex normals (re + 1j im) / sqrt(2) in a new array of
+    shape ``size``, with ``re`` the stream's next draws and ``im`` the
+    ones after them.  The draws pass through a buffer of at most
     _DRAW_PIECE doubles: splitting a draw does not change the stream."""
-    if out is None:
-        out = np.empty(size, dtype=np.complex128)
+    out = np.empty(size, dtype=np.complex128)
     flat = out.reshape(-1)
     buf = np.empty(min(_DRAW_PIECE, flat.size))
     for part in (flat.real, flat.imag):
@@ -390,8 +387,8 @@ def _solutions(problem: SevalueProblem, blocks, values, settled, sweeps,
 
 def _party_matrices(problem: SevalueProblem, blocks, j: int) -> tuple:
     """Party j's equations A_j x = g B_j x with the other blocks held
-    fixed, in its block's sector coordinates, as (numerator, overlap,
-    S_j) with a leading batch axis, S_j None for the identity.
+    fixed, in its block's sector coordinates, as (numerator, overlap)
+    with a leading batch axis.
 
     The numerator is the ``sector_terms`` (c, X) contracted onto the
     party: A_j = sum_t c_t a_t a_t^H as (c, V), V holding S_j^H a_t as
@@ -408,13 +405,12 @@ def _party_matrices(problem: SevalueProblem, blocks, j: int) -> tuple:
         right = _kron_rows(blocks[j + 1:], count)
         overlap = np.einsum("bl,bl->b", left.conj(), left).real \
             * np.einsum("br,br->b", right.conj(), right).real
-        return ((coeffs, _contract_fixed(vectors, left, right,
-                                         problem.block_dims[j])),
-                overlap, isos[j])
+        return (coeffs, _contract_fixed(vectors, left, right,
+                                        problem.block_dims[j])), overlap
     coords = [b if iso is None or i == j else (b.conj() @ iso).conj()
               for i, (b, iso) in enumerate(zip(blocks, isos))]
     adj = _dag(problem.coupling.contract(coords, j))
-    return (coeffs, adj @ vectors), _hermitian_part(adj @ _dag(adj)), isos[j]
+    return (coeffs, adj @ vectors), _hermitian_part(adj @ _dag(adj))
 
 
 def _contract_fixed(full, left, right, dj) -> np.ndarray:
@@ -445,8 +441,9 @@ def _sweep(problem: SevalueProblem, inits, max_sweeps: int, tol: float,
     and rejoins with its own sweep count.  A start leaves when its
     quotient settles within ``value_tol`` and its residual is within
     ``tol``, or after ``max_sweeps``.  Returns each start's solution, or
-    None where its initializations ran out.  A single party takes one
-    exact step instead (``_sector_step``).
+    None where its initializations ran out.  A single party is solved
+    by one exact step (``_sector_step``) from the first start alone, so
+    it returns that start's solution only, however many starts there are.
     """
     if mode not in ("max", "min"):
         raise ValueError("mode must be 'max' or 'min'")
@@ -460,7 +457,7 @@ def _sweep(problem: SevalueProblem, inits, max_sweeps: int, tol: float,
     if problem.partition.k == 1:
         if not isinstance(problem.operator, LowRankObservable):
             _check_dense_cap(problem)
-        return _sector_step(problem, inits, mode, tol)
+        return _sector_step(problem, inits[:1], mode, tol)
     dim, isos = problem.space.total_dim, problem.party_isometries
     terms = problem.sector_terms[1].shape[1]
     width = max(2, terms) * dim if problem.sector is None \
@@ -498,7 +495,7 @@ def _sweep(problem: SevalueProblem, inits, max_sweeps: int, tol: float,
         counts += 1
         lost = np.zeros(ids.size, dtype=bool)
         for j, iso in enumerate(isos):
-            numer, overlap, _ = _party_matrices(problem, blocks, j)
+            numer, overlap = _party_matrices(problem, blocks, j)
             coords = blocks[j] if iso is None \
                 else (blocks[j].conj() @ iso).conj()
             values, coords = _generalized_step(numer, overlap, coords, mode)
@@ -578,22 +575,22 @@ def solve_sup_g(problem: SevalueProblem, starts: int = DEFAULT_STARTS,
 
     Deterministic for a fixed (seed, starts) pair: each start draws its
     initializations from its own generator, derived from (seed, start),
-    and reaches the same point however the starts are batched.  A
-    single full-space party is solved once, from start 0.  Raises
+    and reaches the same point however the starts are batched.  The
+    counts are those of the solutions ``_sweep`` returns: a single
+    full-space party is solved once, from start 0.  Raises
     ConvergenceError when no start converges (distinct from a converged
     bound that simply fails to detect), and ValueError unless ``starts``
     and ``max_sweeps`` are integers of at least 1, ``tol`` a number of
     at least 0 and ``value_tol`` a number.
     """
     starts = check_count(starts, "starts")
-    count = 1 if problem.partition.k == 1 else starts
     # start i tries up to 8 initializations drawn from its own generator
     inits = [([_crandn(rng, dim) for dim in problem.block_dims]
               for rng in [np.random.default_rng([seed, i])] * 8)
-             for i in range(count)]
+             for i in range(starts)]
     results = _sweep(problem, inits, max_sweeps, tol, mode, value_tol)
     solutions = tuple(r for r in results if r is not None)
-    n_failed = count - len(solutions)
+    n_failed = len(results) - len(solutions)
     converged = [s for s in solutions if s.converged]
     if not converged:
         raise ConvergenceError(
@@ -604,7 +601,7 @@ def solve_sup_g(problem: SevalueProblem, starts: int = DEFAULT_STARTS,
     at_value = sum(1 for s in converged if abs(s.value - best.value) <= 1e-8)
     return SupremumResult(
         value=best.value, best=best, solutions=solutions,
-        fraction_at_value=at_value / count,
+        fraction_at_value=at_value / len(results),
         n_converged=len(converged), n_failed=n_failed,
         starts=starts, seed=seed)
 
@@ -757,19 +754,20 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
     depend on a sample's scale, so no block is normalised: a sample
     projects to zero where ||S^H v||^2 is at most 1e-14 times the
     product of its squared party norms, which is the loop form's test
-    on the unit vector.  A single party's refinement chunk never forms
-    the samples c + a d around the incumbent c either: it scores their
-    linear image a S^H d + S^H c (a <x_t|d> + <x_t|c> where P = 1),
-    with squared norms a^2 |d|^2 + 2a Re<c|d> + |c|^2.  For K >= 2 the
-    perturbed party block is small, and is formed.  A chunk's best
-    sample that beats the incumbent is re-scored on its formed unit
-    product vector, so the bound is always the quotient of a real
-    product vector.  Drawing the normals takes about 80% of a K=1 call
-    at N=4, d=8, whose chunks draw 16 MiB blocks of 4096 modes, and
-    one block is all that is alive.  The draws and the bounds are those
-    of the loop form that the tests keep as a reference; only rounding
-    differs, so the two agree to 1e-12 relative.  ``samples`` must be
-    an integer of at least 1; anything else raises ValueError.
+    on the unit vector.  A refinement chunk, which perturbs party j of
+    the incumbent c = c_1 x ... x c_K (unit parts) by draws d, never
+    forms its samples c_1 x ... x (c_j + a d) x ... x c_K either,
+    whatever K: it scores their linear image a S^H(c_1 x ... x d x ...
+    x c_K) + S^H c, with squared norms a^2 |d|^2 + 2a Re<c_j|d> + 1.
+    A chunk's best sample that beats the incumbent is re-scored on its
+    formed unit product vector, so the bound is always the quotient of
+    a real product vector.  Drawing the normals takes about 80% of a
+    K=1 call at N=4, d=8, whose chunks draw 16 MiB blocks of 4096
+    modes, and one block is all that is alive.  The draws and the
+    bounds are those of the loop form that the tests keep as a
+    reference; only rounding differs, so the two agree to 1e-12
+    relative.  ``samples`` must be an integer of at least 1; anything
+    else raises ValueError.
 
     At small budgets the bound can sit far below the supremum: for the
     boson interference observable at N=3, d=6, partition (2, 1), 2000
@@ -785,7 +783,16 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
     dims = problem.block_dims
     rng = np.random.default_rng([seed, 11])
 
-    def compress(vecs):
+    def image(blocks):
+        """S^H of the column products of (party_dim, count) blocks, where
+        a block of one column is a fixed party shared by every column.
+
+        Keeping the batch on the trailing, contiguous axis makes each
+        gather of the sector compression S^H copy whole rows."""
+        vecs = blocks[0]
+        for block in blocks[1:]:
+            vecs = vecs[:, None, :] * block[None, :, :]
+            vecs = vecs.reshape(-1, vecs.shape[-1])
         return vecs if sec is None else sec.adjoint(vecs)
 
     def quotients(overlaps, denom, norms):
@@ -800,20 +807,6 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
             out[valid] = numer[valid] / denom[valid]
         return out
 
-    def scored(blocks, norms):
-        """The quotients of the column products of (party_dim, count)
-        blocks, and their sector coordinates.
-
-        Keeping the batch on the trailing, contiguous axis makes each
-        gather of the sector compression S^H copy whole rows."""
-        count = blocks[0].shape[1]
-        vecs = blocks[0]
-        for block in blocks[1:]:
-            vecs = (vecs[:, None, :] * block[None, :, :]).reshape(-1, count)
-        coords = compress(vecs)
-        return quotients(rows @ coords, _column_norms_sq(coords),
-                         norms), coords
-
     def offer(values, columns):
         """Make the chunk's best sample the incumbent where its quotient,
         re-scored on the formed unit product vector, beats the
@@ -824,7 +817,8 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
         if not values[top] > best:
             return False
         parts = [v / np.linalg.norm(v) for v in columns(top)]
-        rescored, coords = scored([v[:, None] for v in parts], 1.0)
+        coords = image([v[:, None] for v in parts])
+        rescored = quotients(rows @ coords, _column_norms_sq(coords), 1.0)
         if not rescored[0] > best:
             return False
         best, best_parts, best_coords = float(rescored[0]), parts, coords
@@ -835,26 +829,21 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
     def explored(count):
         blocks = [_crandn(rng, (dim, count)) for dim in dims]
         norms = reduce(np.multiply, map(_column_norms_sq, blocks))
-        values = scored(blocks, norms)[0]
+        coords = image(blocks)
+        values = quotients(rows @ coords, _column_norms_sq(coords), norms)
         offer(values, lambda top: [b[:, top] for b in blocks])
 
     def refined(party, count):
+        # the samples c_1 x ... x (c_j + a d) x ... x c_K around the unit
+        # incumbent, scored from the image of d in party j's place and
+        # the incumbent's own image best_coords
         scale = steps[party] / math.sqrt(dims[party])
         noise = _crandn(rng, (dims[party], count))
-        if len(dims) > 1:
-            noise *= scale
-            noise += best_parts[party][:, None]
-            blocks = [np.broadcast_to(v[:, None], (v.size, count))
-                      for v in best_parts]
-            blocks[party] = noise
-            values = scored(blocks, _column_norms_sq(noise))[0]
-            return offer(values, lambda top: [b[:, top] for b in blocks])
-        # the samples c + a d, scored from the images of d and of the
-        # unit incumbent c, whose S^H c is best_coords
-        center = best_parts[0]
+        center = best_parts[party]
         norms = (scale * scale * _column_norms_sq(noise)
                  + 2 * scale * (center.conj() @ noise).real + 1.0)
-        coords = compress(noise)
+        coords = image([noise if i == party else v[:, None]
+                        for i, v in enumerate(best_parts)])
         overlaps = scale * (rows @ coords) + rows @ best_coords
         if sec is None:     # P = 1: a sample's sector norm is its norm
             denom = norms
@@ -863,7 +852,9 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
             coords += best_coords
             denom = _column_norms_sq(coords)
         values = quotients(overlaps, denom, norms)
-        return offer(values, lambda top: [center + scale * noise[:, top]])
+        return offer(values, lambda top: [
+            center + scale * noise[:, top] if i == party else v
+            for i, v in enumerate(best_parts)])
 
     chunk = min(_ORACLE_CHUNK,
                 max(1, BATCH_BYTES // (16 * problem.space.total_dim)))

@@ -20,7 +20,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -395,13 +395,6 @@ def product_vector(space: SpaceConfig,
 # ---------------------------------------------------------------------------
 # permutations and projectors
 
-@lru_cache(maxsize=8)
-def _signed_permutations(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """All (axes, parity) pairs for S_n, identity first."""
-    return tuple((perm, _cycle_parity(perm))
-                 for perm in itertools.permutations(range(n)))
-
-
 def apply_permutation(sigma: Permutation, v: StateVector) -> StateVector:
     """Permute particle slots: the product of (a_1,...,a_n) becomes the
     product of (a_sigma(1),...,a_sigma(n)).  Matrix-free."""
@@ -499,7 +492,7 @@ def symmetrize_operator(factors: Sequence[np.ndarray]) -> np.ndarray:
         raise DimensionCapError(
             f"operator side {d ** n} exceeds matrix cap {MATRIX_CAP}")
     out = np.zeros((d ** n, d ** n), dtype=np.complex128)
-    for axes, _parity in _signed_permutations(n):
+    for axes in itertools.permutations(range(n)):
         out += reduce(np.kron, [mats[a] for a in axes])
     out /= math.factorial(n)
     return out

@@ -87,7 +87,7 @@ def _embedded_party_matrices(problem, blocks, j):
         numers.append(y.conj().T @ vectors)
         overlap = y.conj().T @ y
         overlaps.append((overlap + overlap.conj().T) / 2.0)
-    return (coeffs, np.array(numers)), np.array(overlaps), iso
+    return (coeffs, np.array(numers)), np.array(overlaps)
 
 
 def _observable(rng, kind, space):

@@ -188,7 +188,7 @@ def test_party_matrices_match_contracted_operator(rng, stats, parts):
         batch = [b[None] for b in blocks]
         _, _, (defects,) = _stationarity(problem, batch, [g])
         for j, iso in enumerate(isometries):
-            numer, overlap, _ = _party_matrices(problem, batch, j)
+            numer, overlap = _party_matrices(problem, batch, j)
             # every numerator comes as its contracted terms, dense or
             # low-rank, and the overlap as a scalar per start where P = 1
             assert isinstance(numer, tuple)
@@ -243,8 +243,8 @@ def test_party_step_matches_dense_reference(rng, stats, parts, mode, kind):
     blocks = [crandn(rng, 3 ** nk) for nk in parts]
     blocks = [b / np.linalg.norm(b) for b in blocks]
     for _ in range(3):
-        for j in range(partition.k):
-            numer, overlap, iso = _party_matrices(
+        for j, iso in enumerate(problem.party_isometries):
+            numer, overlap = _party_matrices(
                 problem, [b[None] for b in blocks], j)
             previous = blocks[j] if iso is None else iso.conj().T @ blocks[j]
             (value,), (vec,) = _generalized_step(numer, overlap,
@@ -271,7 +271,7 @@ def test_party_step_zero_extremum(rng, stats):
     problem = SevalueProblem(observable, stats, Partition((1, 1)), space)
     blocks = [crandn(rng, 3) for _ in range(2)]
     blocks = [b / np.linalg.norm(b) for b in blocks]
-    numer, overlap, _ = _party_matrices(problem, [b[None] for b in blocks], 0)
+    numer, overlap = _party_matrices(problem, [b[None] for b in blocks], 0)
     kets = numer[1][0, :, :1]
     # from a random vector, and from one inside the span, which has no
     # part in the zero eigenspace
@@ -301,8 +301,7 @@ def test_party_step_zero_extremum_with_as_many_terms_as_dimensions(rng,
     problem = SevalueProblem(observable, stats, Partition((1, 1)), space)
     blocks = [crandn(rng, 3) for _ in range(2)]
     blocks = [b / np.linalg.norm(b) for b in blocks]
-    numer, overlap, _ = _party_matrices(problem, [b[None] for b in blocks],
-                                        0)
+    numer, overlap = _party_matrices(problem, [b[None] for b in blocks], 0)
     # the observable route holds the one eigen-term of -|psi><psi|; the
     # step gets that term's contracted vector four times, c = -1/4 each
     assert numer[1].shape[1:] == (3, 1)
@@ -827,6 +826,25 @@ def test_single_party_lowrank_matches_sector_spectrum(rng, stats):
 
 
 @pytest.mark.parametrize("stats", list(Statistics))
+@pytest.mark.parametrize("kind", ["dense", "low-rank"])
+def test_single_party_is_solved_once_whatever_the_starts(rng, stats, kind):
+    # the sweep solves a single party by one exact step from start 0
+    # alone: 64 starts give start 0's solution, bit for bit, as the
+    # search's one solution
+    space = SpaceConfig(3, 2)
+    problem = SevalueProblem(_random_observable(rng, kind, space), stats,
+                             Partition((2,)), space)
+    one = solve_sup_g(problem, starts=1, seed=5)
+    many = solve_sup_g(problem, starts=64, seed=5)
+    assert many.best.value == one.best.value
+    assert all(np.array_equal(a, b) for a, b in
+               zip(many.best.party_vectors, one.best.party_vectors))
+    assert len(many.solutions) == 1 and many.starts == 64
+    assert (many.n_converged, many.n_failed) == (1, 0)
+    assert many.fraction_at_value == 1.0
+
+
+@pytest.mark.parametrize("stats", list(Statistics))
 @pytest.mark.parametrize("parts", [(1, 1), (2, 1), (1, 1, 1), (2,)])
 def test_dense_observable_matches_low_rank_twin(rng, stats, parts):
     # a dense observable is solved through the eigen-terms of S^H L S, a
@@ -1099,8 +1117,8 @@ def test_batched_step_loses_only_the_vanishing_start(rng):
                              Partition((2, 1)), space)
     blocks = [crandn(rng, 4, 9), crandn(rng, 4, 3)]
     blocks[1][2] = 0.0
-    numer, overlap, iso = _party_matrices(problem, blocks, 0)
-    previous = blocks[0] @ iso.conj()
+    numer, overlap = _party_matrices(problem, blocks, 0)
+    previous = blocks[0] @ problem.party_isometries[0].conj()
     values, vectors = _generalized_step(numer, overlap, previous, "max")
     assert np.isnan(values[2]) and not np.isnan(values[[0, 1, 3]]).any()
     for b in range(4):
@@ -1123,8 +1141,8 @@ def test_batched_step_mixes_span_ranks(rng):
                              Statistics.BOSON, Partition((1, 1)), space)
     blocks = [crandn(rng, 3, 3), crandn(rng, 3, 3)]
     blocks[1][1] = [0.0, 1.0, 0.0]
-    (coeffs, vectors), overlap, iso = _party_matrices(problem, blocks, 0)
-    assert iso is None and not np.any(vectors[1])
+    (coeffs, vectors), overlap = _party_matrices(problem, blocks, 0)
+    assert problem.party_isometries[0] is None and not np.any(vectors[1])
     for mode in ("max", "min"):
         values, got = _generalized_step((coeffs, vectors), overlap,
                                         blocks[0], mode)
@@ -1202,8 +1220,7 @@ def test_brute_force_identity_is_exactly_one(rng):
 
 def test_crandn_is_the_two_draw_formula():
     # one draw of 2 x size normals is the same stream as two draws of
-    # size, real parts first, at sizes around the buffer's piece and
-    # into a given array alike
+    # size, real parts first, at sizes around the buffer's piece
     piece = solver_module._DRAW_PIECE
     for size in (1, 7, (9, 100), piece - 1, piece, piece + 1,
                  (3 * piece + 7,), (7, piece + 1)):
@@ -1212,9 +1229,6 @@ def test_crandn_is_the_two_draw_formula():
         want = (re + 1j * im) / np.sqrt(2.0)
         got = _crandn(np.random.default_rng(4), size)
         assert got.shape == want.shape and np.array_equal(got, want)
-        out = np.empty(want.shape, dtype=np.complex128)
-        assert _crandn(np.random.default_rng(4), out=out) is out
-        assert np.array_equal(out, want)
 
 
 # problems whose largest draw holds at least 1 MiB: 625 or 343 modes a
@@ -1424,12 +1438,14 @@ def test_brute_force_matches_reference(rng, stats, parts, kind):
 
 
 @pytest.mark.parametrize("stats", list(Statistics))
-@pytest.mark.parametrize("parts", [(4,), (3, 1), (2, 2)])
+@pytest.mark.parametrize("parts", [(4,), (3, 1), (2, 2), (2, 1, 1),
+                                   (1, 1, 1, 1)])
 @pytest.mark.parametrize("kind", ["dense", "low-rank"])
 def test_brute_force_matches_reference_on_four_slots(rng, stats, parts, kind):
-    # four slots: one 81-mode party, scored from the linear image of its
-    # draws, and two parties of 27 and 3 or 9 and 9 modes; fermions at
-    # d=4, as four fermions have no sector in three modes
+    # four slots, one to four parties, every refinement scored from the
+    # linear image of its draws in the perturbed party's place: one
+    # 81-mode party, 27 and 3 or 9 and 9 modes, 9, 3 and 3, or four of 3;
+    # fermions at d=4, as four fermions have no sector in three modes
     partition = Partition(parts)
     space = SpaceConfig(4 if stats is Statistics.FERMION else 3, 4)
     problem = SevalueProblem(_random_observable(rng, kind, space), stats,
