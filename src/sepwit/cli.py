@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import collections
 import json
 import math
 import sys
@@ -43,9 +44,9 @@ import numpy as np
 from .errors import (ConvergenceError, HermiticityError, InputFormatError,
                      SectorError, SepwitError)
 from .operators import interference_observable, rank_one_observable
-from .solver import (DEFAULT_STARTS, RESIDUAL_TOL, Partition, SevalueProblem,
-                     brute_force_bound, check_count, partitions_into,
-                     solve_sup_g)
+from .solver import (DEFAULT_STARTS, MAX_SWEEPS, RESIDUAL_TOL, Partition,
+                     SevalueProblem, brute_force_bound, check_count,
+                     partitions_into, solve_sup_g)
 from .states import (detection_threshold, dephased_ghz, fig1_bound,
                      fig1_state_family, ghz_expectation, noisy_state,
                      GhzFamily)
@@ -409,6 +410,7 @@ def _cmd_sevalue(args) -> int:
                 continue
             key = format(sol.value, ".10g")
             groups.setdefault(key, []).append(sol)
+        sweeps = collections.Counter(s.sweeps for s in result.solutions)
         per_partition.append({
             "partition": str(part),
             "G": result.value,
@@ -424,6 +426,11 @@ def _cmd_sevalue(args) -> int:
                   "residual_max": max(s.residual for s in sols)}
                  for key, sols in groups.items()),
                 key=lambda item: -item["g"]),
+            "sweep_histogram": [{"sweeps": n, "starts": sweeps[n]}
+                                for n in sorted(sweeps)],
+            "sweep_limit_hits": sum(
+                1 for s in result.solutions
+                if not s.converged and s.sweeps >= MAX_SWEEPS),
         })
         if best is None or result.value > best:
             best = result.value
@@ -431,7 +438,8 @@ def _cmd_sevalue(args) -> int:
         sys.stderr.write("sevalue: no start converged on any partition\n")
         return _EXIT_NUMERICAL
     rows = [{key: val for key, val in entry.items()
-             if key not in ("distinct_values",)}
+             if key not in ("distinct_values", "sweep_histogram",
+                            "sweep_limit_hits")}
             for entry in per_partition]
     payload = {"command": "sevalue", "observable": args.observable,
                "statistics": stats.value, "K": k, "G": best,

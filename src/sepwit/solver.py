@@ -12,10 +12,11 @@ generalized eigenvalue equation per party; the numerical solver fixes
 all parties but one, solves that party's generalized Hermitian
 eigenproblem restricted to the range of the overlap operator, and
 cycles until the quotient and the stationarity residual settle, for
-all random starts of a search at once.  The quotient never decreases
-along the sweep (in "max" mode), but the best stationary value found and
-the independent random-sampling oracle are both lower estimates of the
-bound: nothing here bounds it from above.
+all random starts of a search at once; each sweep ends with an
+extrapolated line step, taken only where it improves the quotient.  The
+quotient never decreases along the sweep (in "max" mode), but the best
+stationary value found and the independent random-sampling oracle are
+both lower estimates of the bound: nothing here bounds it from above.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ MAX_SWEEPS = 500
 VALUE_TOL = 1e-11          # change of the quotient between sweeps
 RESIDUAL_TOL = 1e-9
 INIT_PROJECTION_TOL = 1e-8
+LINE_STEP = 0.5            # first extrapolation factor of a start's sweeps
+LINE_GROWTH = 1.5          # its growth after an accepted extrapolation
 PARTY_DENSE_CAP = 512      # largest block-sector dimension solved densely
 _ORACLE_CHUNK = 256
 _RSQRT2 = 1.0 / math.sqrt(2.0)
@@ -438,12 +441,29 @@ def _sweep(problem: SevalueProblem, inits, max_sweeps: int, tol: float,
     side, the sector terms contracted out where P = 1, or else
     ``coupling.contract``'s): the others wait and join as starts leave.
     A start that meets a zero projection takes its next initialization
-    and rejoins with its own sweep count.  A start leaves when its
-    quotient settles within ``value_tol`` and its residual is within
-    ``tol``, or after ``max_sweeps``.  Returns each start's solution, or
-    None where its initializations ran out.  A single party is solved
-    by one exact step (``_sector_step``) from the first start alone, so
-    it returns that start's solution only, however many starts there are.
+    and rejoins with its own sweep count.
+
+    After the party steps, every start still moving (past its first
+    sweep, not settled within ``value_tol``, not lost) takes one line
+    step (``_extrapolated``): the trial moves every party on to b_j +
+    beta (b_j - b_j'), b_j' its vector before the sweep, normalised,
+    and replaces the start's vectors and value only where its quotient
+    rises ("max") or falls ("min") and its projected norm is at least
+    INIT_PROJECTION_TOL.  So the quotient stays monotone, and a start
+    holds a product of block-sector vectors whatever is taken.  beta is
+    the start's own, LINE_STEP at first, times LINE_GROWTH after a
+    taken trial and back to LINE_STEP after a refused one; the step
+    carries cyclic ascent's linear tail along the line of its last
+    sweep.  A settled start takes none: there a trial's gain is at the
+    level of rounding, and taking it would make the start's result
+    depend on its batch and on the contraction's route.
+
+    A start leaves when its quotient settles within ``value_tol`` and
+    its residual is within ``tol``, or after ``max_sweeps``.  Returns
+    each start's solution, or None where its initializations ran out.
+    A single party is solved by one exact step (``_sector_step``) from
+    the first start alone, so it returns that start's solution only,
+    however many starts there are.
     """
     if mode not in ("max", "min"):
         raise ValueError("mode must be 'max' or 'min'")
@@ -457,18 +477,18 @@ def _sweep(problem: SevalueProblem, inits, max_sweeps: int, tol: float,
     if problem.partition.k == 1:
         if not isinstance(problem.operator, LowRankObservable):
             _check_dense_cap(problem)
-        return _sector_step(problem, inits[:1], mode, tol)
+        return [_sector_step(problem, inits[0], mode, tol)]
     dim, isos = problem.space.total_dim, problem.party_isometries
     terms = problem.sector_terms[1].shape[1]
     width = max(2, terms) * dim if problem.sector is None \
         else max(2 * dim, problem.coupling.width)
     size = max(1, BATCH_BYTES // (16 * width))
     out: list = [None] * len(inits)
-    # the starts in the batch, their sweeps so far, their last values and
-    # their party vectors
-    batch = [np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0)] \
-        + [np.zeros((0, dim), dtype=np.complex128)
-           for dim in problem.block_dims]
+    # the starts in the batch, their sweeps so far, their last values,
+    # their extrapolation factors and their party vectors
+    batch = [np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0),
+             np.zeros(0)] + [np.zeros((0, dim), dtype=np.complex128)
+                             for dim in problem.block_dims]
     pending = list(range(len(inits)))
     while pending or batch[0].size:
         # waiting starts draw their next initialization; those that
@@ -485,15 +505,17 @@ def _sweep(problem: SevalueProblem, inits, max_sweeps: int, tol: float,
             ok = np.linalg.norm(_projected_product(problem, new), axis=1) \
                 >= INIT_PROJECTION_TOL
             pending = starts[~ok].tolist() + pending
+            joined = np.count_nonzero(ok)
             batch = [np.concatenate(pair) for pair in zip(batch, [
-                starts[ok], np.zeros(np.count_nonzero(ok), dtype=int),
-                np.full(np.count_nonzero(ok), np.nan)]
+                starts[ok], np.zeros(joined, dtype=int),
+                np.full(joined, np.nan), np.full(joined, LINE_STEP)]
                 + [b[ok] for b in new])]
-        ids, counts, previous, *blocks = batch
+        ids, counts, previous, steps, *blocks = batch
         if not ids.size:
             continue
         counts += 1
         lost = np.zeros(ids.size, dtype=bool)
+        before = list(blocks)
         for j, iso in enumerate(isos):
             numer, overlap = _party_matrices(problem, blocks, j)
             coords = blocks[j] if iso is None \
@@ -502,6 +524,19 @@ def _sweep(problem: SevalueProblem, inits, max_sweeps: int, tol: float,
             blocks[j] = coords if iso is None else coords @ iso.T
             lost |= np.isnan(values)
         settled = (counts > 1) & (np.abs(values - previous) <= value_tol)
+        moving = ((counts > 1) & ~settled & ~lost).nonzero()[0]
+        if moving.size:
+            trial, scores = _extrapolated(
+                problem, [b[moving] for b in before],
+                [b[moving] for b in blocks], steps[moving])
+            better = scores > values[moving] if mode == "max" \
+                else scores < values[moving]
+            steps[moving] = np.where(better, steps[moving] * LINE_GROWTH,
+                                     LINE_STEP)
+            taken = moving[better]
+            values[taken] = scores[better]
+            for block, part in zip(blocks, trial):
+                block[taken] = part[better]
         check = ((settled | (counts >= max_sweeps)) & ~lost).nonzero()[0]
         sols = _solutions(problem, [b[check] for b in blocks], values[check],
                           settled[check], counts[check], tol) \
@@ -512,31 +547,50 @@ def _sweep(problem: SevalueProblem, inits, max_sweeps: int, tol: float,
                 out[ids[pos]] = sol
                 lost[pos], done[pos] = sol is None, True
         pending = ids[lost].tolist() + pending
-        batch = [part[~done] for part in [ids, counts, values] + blocks]
+        batch = [part[~done] for part in [ids, counts, values, steps]
+                 + blocks]
     return out
 
 
-def _sector_step(problem: SevalueProblem, inits, mode: str,
-                 tol: float) -> list:
+def _extrapolated(problem: SevalueProblem, before, after, steps) -> tuple:
+    """The line step of a sweep: every party moved on to after_j +
+    beta (after_j - before_j), beta the start's ``steps`` entry, and
+    normalised, with the quotient sum_t c_t |v_t^H x|^2 / x^H B x of
+    that product from party K-1's equations, x its sector coordinates.
+    Returns the trial party vectors and their quotients, NaN (never
+    taken) where the trial's projected norm is below
+    INIT_PROJECTION_TOL."""
+    trial = [a + steps[:, None] * (a - b) for a, b in zip(after, before)]
+    trial = [t / np.linalg.norm(t, axis=1, keepdims=True) for t in trial]
+    j, iso = len(trial) - 1, problem.party_isometries[-1]
+    (coeffs, vectors), overlap = _party_matrices(problem, trial, j)
+    x = trial[j] if iso is None else (trial[j].conj() @ iso).conj()
+    numer = np.abs(x.conj()[:, None, :] @ vectors)[:, 0] ** 2 @ coeffs
+    denom = overlap if overlap.ndim == 1 \
+        else (x.conj()[:, None, :] @ overlap @ x[:, :, None])[:, 0, 0].real
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = numer / denom
+    return trial, np.where(denom >= INIT_PROJECTION_TOL ** 2, scores, np.nan)
+
+
+def _sector_step(problem: SevalueProblem, init, mode: str, tol: float):
     """A single party: its block is the whole space, so its equation is
     the extremal eigenproblem of P L P on the sector, with the
     ``sector_terms`` as numerator and the overlap 1.  One
-    ``_generalized_step`` per start solves it exactly, from the sector
-    part y = S^H b of the start's first initialization; the party vector
-    is S y.  An empty sector fails every start."""
+    ``_generalized_step`` solves it exactly, from the sector part
+    y = S^H b of ``init``'s first initialization; the party vector is
+    S y.  Returns that solution, or None where the sector is empty."""
     if not problem.sector_dims[0]:
-        return [None] * len(inits)
+        return None
     sec = problem.sector
-    first = np.array([next(init)[0] for init in inits], dtype=np.complex128)
-    count = len(first)
+    first = np.asarray(next(init)[0], dtype=np.complex128)
     coeffs, vectors = problem.sector_terms
-    numer = (coeffs, np.broadcast_to(vectors, (count,) + vectors.shape))
-    if sec is not None:
-        first = sec.adjoint(first.T).T
-    values, coords = _generalized_step(numer, np.ones(count), first, mode)
-    vectors = coords if sec is None else sec.apply(coords.T).T
-    return _solutions(problem, [vectors], values, np.ones(count, dtype=bool),
-                      np.ones(count, dtype=int), tol)
+    values, coords = _generalized_step(
+        (coeffs, vectors[None]), np.ones(1),
+        (first if sec is None else sec.adjoint(first))[None], mode)
+    vector = coords[0] if sec is None else sec.apply(coords[0])
+    sol, = _solutions(problem, [vector[None]], values, [True], [1], tol)
+    return sol
 
 
 def sweep_solve(problem: SevalueProblem, init,
@@ -575,7 +629,9 @@ def solve_sup_g(problem: SevalueProblem, starts: int = DEFAULT_STARTS,
 
     Deterministic for a fixed (seed, starts) pair: each start draws its
     initializations from its own generator, derived from (seed, start),
-    and reaches the same point however the starts are batched.  The
+    and reaches the same point however the starts are batched.  Each
+    sweep of party steps ends with a line step along the sweep's own
+    move, taken only where it improves the quotient (``_sweep``).  The
     counts are those of the solutions ``_sweep`` returns: a single
     full-space party is solved once, from start 0.  Raises
     ConvergenceError when no start converges (distinct from a converged

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -192,6 +193,32 @@ def test_sevalue_shipped_interference(capsys):
     entry = payload["partitions"][0]
     assert entry["oracle_bound"] <= payload["G"] + 1e-9
     assert entry["max_residual"] <= 1e-9
+
+
+def test_sevalue_reports_sweeps_and_limit_hits(monkeypatch, capsys):
+    # every start's sweeps go into the histogram; sweep_limit_hits counts
+    # the starts that stopped at the limit unconverged: none at the
+    # default limit, and with the limit cut below some starts' counts,
+    # exactly those starts, each in the histogram at the limit
+    argv = ["sevalue", INTERFERENCE_N3, "--k", "2", "--starts", "12",
+            "--seed", "4", "--oracle-samples", "20"]
+    _, payload = _run_json(capsys, argv)
+    entry, = payload["partitions"]
+    full = {h["sweeps"]: h["starts"] for h in entry["sweep_histogram"]}
+    assert sum(full.values()) == 12 and entry["sweep_limit_hits"] == 0
+    assert "sweep_histogram" not in payload["rows"][0]
+    limit = sorted(full)[len(full) // 2]
+    beyond = sum(count for sweeps, count in full.items() if sweeps > limit)
+    assert beyond > 0
+    monkeypatch.setattr(cli, "MAX_SWEEPS", limit)
+    monkeypatch.setattr(cli, "solve_sup_g",
+                        functools.partial(cli.solve_sup_g, max_sweeps=limit))
+    _, payload = _run_json(capsys, argv)
+    entry, = payload["partitions"]
+    cut = {h["sweeps"]: h["starts"] for h in entry["sweep_histogram"]}
+    assert entry["sweep_limit_hits"] == beyond
+    assert cut == {**{n: c for n, c in full.items() if n < limit},
+                   limit: full.get(limit, 0) + beyond}
 
 
 def test_sevalue_shipped_boson_rank_one(capsys):

@@ -1177,7 +1177,11 @@ def test_start_results_do_not_depend_on_the_batch(monkeypatch, rng):
             SevalueProblem(random_hermitian(rng, 27), Statistics.BOSON,
                            Partition((2, 1)), space),
             SevalueProblem(_random_observable(rng, "low-rank", space),
-                           Statistics.FERMION, Partition((2, 1)), space)):
+                           Statistics.FERMION, Partition((2, 1)), space),
+            # three parties, whose trials are scored through the coupling
+            # map's many-to-one scatter
+            SevalueProblem(random_hermitian(rng, 27), Statistics.BOSON,
+                           Partition((1, 1, 1)), space)):
         full = solve_sup_g(problem, starts=16, seed=9)
         few = solve_sup_g(problem, starts=5, seed=9)
         _assert_same_solutions(few.solutions, full.solutions[:5])
@@ -1192,6 +1196,20 @@ def test_start_results_do_not_depend_on_the_batch(monkeypatch, rng):
             _assert_same_solutions(chunked.solutions, full.solutions)
             assert max(batches) == starts
         monkeypatch.undo()
+
+
+def test_extrapolated_sweeps_cut_the_linear_tail():
+    # boson interference at N=3, d=6, (2, 1): plain cyclic ascent takes
+    # 366 sweeps in all and up to 41 per start from these 16 starts; the
+    # line step after every sweep cuts both, to the same bound
+    space = SpaceConfig(6, 3)
+    problem = SevalueProblem(interference_observable(space, Statistics.BOSON),
+                             Statistics.BOSON, Partition((2, 1)), space)
+    result = solve_sup_g(problem, starts=16, seed=0)
+    sweeps = [sol.sweeps for sol in result.solutions]
+    assert result.n_converged == 16
+    assert abs(result.value - 0.5) <= 1e-9
+    assert sum(sweeps) <= 200 and max(sweeps) <= 20
 
 
 def test_convergence_error_counts_failed_and_unconverged(monkeypatch, rng):
