@@ -7,7 +7,8 @@ Subcommands:
   witness  entanglement verdict for a state file against an observable
 
 Exit codes: 0 success (verdicts live in the payload, never in the exit
-status), 2 input error, 3 numerical failure (no start converged).
+status), 2 input error, 3 numerical failure (no start converged, or a
+party step's eigensolve failed by every route).
 
 File formats (JSON):
   observable  {"d": int, "N": int, "statistics": str,

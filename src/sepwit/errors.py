@@ -25,5 +25,9 @@ class ConvergenceError(SepwitError):
     """No optimization start reached the convergence thresholds."""
 
 
+class EigensolveError(ConvergenceError):
+    """No eigensolver route diagonalised a party step's overlap."""
+
+
 class InputFormatError(SepwitError):
     """An input file does not match the documented schema."""

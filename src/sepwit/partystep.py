@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import EigensolveError
+
 B_RANGE_CUTOFF = 1e-12     # relative cutoff on the overlap operator
 
 
@@ -74,6 +76,27 @@ def _span_extremum(coeffs: np.ndarray, vectors: np.ndarray,
     return values, span, cands, masks
 
 
+def _overlap_eigh(overlap: np.ndarray) -> tuple:
+    """Ascending eigenpairs of a stack of PSD overlaps: where the batched
+    eigh fails, each matrix's alone, and from its SVD B = U diag(s) U^H
+    where that fails again; EigensolveError where the SVD fails too."""
+    try:
+        return np.linalg.eigh(overlap)
+    except np.linalg.LinAlgError:
+        w, e = np.empty(overlap.shape[:2]), np.empty_like(overlap)
+    for b, mat in enumerate(overlap):
+        try:
+            w[b], e[b] = np.linalg.eigh(mat)
+        except np.linalg.LinAlgError:
+            try:
+                u, sv, _ = np.linalg.svd(mat)
+            except np.linalg.LinAlgError as exc:
+                raise EigensolveError("no route diagonalised a party "
+                                      f"overlap of side {len(mat)}") from exc
+            w[b], e[b] = sv[::-1], u[:, ::-1]
+    return w, e
+
+
 def _generalized_step(numer: tuple, overlap, previous: np.ndarray,
                       mode: str) -> tuple:
     """Extremal eigenpairs of A x = g overlap x on range(overlap), one
@@ -81,20 +104,20 @@ def _generalized_step(numer: tuple, overlap, previous: np.ndarray,
     ``_party_matrices`` builds, ``numer`` the terms (c, X) of A = sum_t c_t
     X[:, t] X[:, t]^H; a start whose overlap vanishes gets NaN.
 
-    A matrix overlap is whitened through its eigendecomposition, cut at
-    B_RANGE_CUTOFF (starts with different cuts form sub-batches); a
-    scalar one is divided out.  A is solved in the span of its whitened
-    term vectors (``_span_extremum``).  Where the extremum is the 0 that
-    the terms take off that span, the vector is the unit vector of the
-    zero eigenspace closest to ``previous``, or, where ``previous`` has
-    no part in it, the range coordinate vector least covered by the
-    span, with its span part removed.  Among numerically degenerate
-    extremal eigenvectors the one closest to ``previous`` is kept; the
-    result is phase-aligned with ``previous``.
+    A matrix overlap is whitened through its eigendecomposition
+    (``_overlap_eigh``), cut at B_RANGE_CUTOFF (starts with different
+    cuts form sub-batches); a scalar one is divided out.  A is solved in
+    the span of its whitened term vectors (``_span_extremum``).  Where
+    the extremum is the 0 that the terms take off that span, the vector
+    is the unit vector of the zero eigenspace closest to ``previous``,
+    or, where ``previous`` has no part in it, the range coordinate
+    vector least covered by the span, with its span part removed.  Among
+    numerically degenerate extremal eigenvectors the one closest to
+    ``previous`` is kept; the result is phase-aligned with ``previous``.
     """
     # a scalar overlap is its own one eigenvalue, with no eigenvectors
     w, e = (overlap[:, None], None) if overlap.ndim == 1 \
-        else np.linalg.eigh(overlap)
+        else _overlap_eigh(overlap)
     wmax = w[:, -1]
     cuts = (w <= wmax[:, None] * B_RANGE_CUTOFF).sum(axis=1)
     cuts[wmax <= 1e-14] = -1

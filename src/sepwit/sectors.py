@@ -150,12 +150,13 @@ class SectorCoupling:
                  rows: np.ndarray, coeffs: np.ndarray):
         self.shape, self.dims = shape, dims
         self.rows, self.coeffs = rows, coeffs
-        # party j's scatter into a flat (m, m_j) array: the columns with
-        # an entry, sorted by their target (row, x_j), the position of
-        # each distinct target's first column, and those targets
+        # party j's scatter into a flat (m, m_j) array, and T's own as
+        # the last (j = K, m_K = 1): the columns with an entry, sorted by
+        # their target (row, x_j), the position of each distinct
+        # target's first column, and those targets
         cols = np.nonzero(rows >= 0)[0]
         self._plans = []
-        for j, mj in enumerate(dims):
+        for j, mj in enumerate(dims + (1,)):
             keys = rows[cols] * mj + cols // math.prod(dims[j + 1:]) % mj
             order = np.argsort(keys, kind="stable")
             first = np.nonzero(np.diff(keys[order], prepend=-1))[0]
@@ -178,7 +179,9 @@ class SectorCoupling:
         """y = T (c_1 x ... x 1 x ... x c_K), the identity in party j's
         place, for every start: ``coords[i]`` holds party i's
         block-sector coordinates c_i as (batch, m_i) rows, and
-        ``coords[j]`` is not read; y comes as a (batch, m, m_j) array.
+        ``coords[j]`` is not read; y comes as a (batch, m, m_j) array,
+        and for j = K, no party, as T (c_1 x ... x c_K) of shape (batch,
+        m, 1).
 
         Several columns can share one target: for K >= 3 and a fixed
         x_j the other labels may come in any order (bosons (1, 1, 1):
@@ -190,7 +193,7 @@ class SectorCoupling:
             if i != j:
                 prod = prod * c.reshape((len(c),) + (1,) * i + (-1,)
                                         + (1,) * (k - 1 - i))
-        count, mj = len(prod), self.dims[j]
+        count, mj = len(prod), (self.dims + (1,))[j]
         cols, first, targets = self._plans[j]
         out = np.zeros((count, self.shape[0] * mj), dtype=np.complex128)
         out[:, targets] = np.add.reduceat(

@@ -21,6 +21,7 @@ both lower estimates of the bound: nothing here bounds it from above.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
@@ -111,10 +112,7 @@ def partitions_into(n: int, k: int) -> tuple[Partition, ...]:
 
 
 def all_partitions(n: int) -> tuple[Partition, ...]:
-    out = []
-    for k in range(1, n + 1):
-        out.extend(partitions_into(n, k))
-    return tuple(out)
+    return tuple(p for k in range(1, n + 1) for p in partitions_into(n, k))
 
 
 # ---------------------------------------------------------------------------
@@ -123,20 +121,17 @@ def all_partitions(n: int) -> tuple[Partition, ...]:
 @dataclass(frozen=True, eq=False)
 class SevalueProblem:
     """An observable together with the statistics and partition against
-    which its separable bound is sought, and the workspace of its
-    equations: the data derived from these four fields, each built on
-    first use and kept, so that every solve, oracle call and diagnostic
-    on one problem reads the same copies.
+    which its separable bound is sought, and the data derived from them,
+    each built on first use and kept, so that every solve, oracle call
+    and diagnostic on one problem reads the same copies.
 
     With the same statistics on every block, P (P_1 x ... x P_K) = P, so
     party j's equation only sees the part of b_j in its block's exchange
-    sector: the sweep solves it in the sector coordinates of the
-    isometry S_j, of dimension ``sector_dims[j]``, while party vectors
-    and every diagnostic stay in full-space coordinates.  The party
-    matrices reach the whole sector, of isometry S, through the
-    ``coupling`` T = S^H (S_1 x ... x S_K), built from labels alone;
-    ``_stationarity`` and the oracle stay on the projector and on S's
-    orbit tables, so they check T independently.
+    sector, of isometry S_j and dimension ``sector_dims[j]``, where the
+    sweep solves it; party vectors stay in full-space coordinates.  The
+    party matrices and the residuals reach the whole sector, of isometry
+    S, through the ``coupling`` T = S^H (S_1 x ... x S_K), built from
+    labels alone; the oracle stays on S's orbit tables.
 
     The cache relies on its inputs staying fixed: a low-rank operator's
     term vectors are read-only copies, and a dense operator is a
@@ -179,16 +174,22 @@ class SevalueProblem:
         return _sector_basis(self.stats, self.space)
 
     @cached_property
+    def party_sectors(self) -> tuple[SectorIsometry | None, ...]:
+        """Every party's block-sector isometry S_j as orbit tables (the
+        ``sector`` where the block is the whole space); None where the
+        sector is the whole block, whose own coordinates serve."""
+        return tuple(self.sector if nj == self.space.n else _sector_basis(
+            self.stats, SpaceConfig(self.space.d, nj))
+            for nj in self.partition.parts)
+
+    @cached_property
     def party_isometries(self) -> tuple[np.ndarray | None, ...]:
-        """Every party's block-sector isometry S_j, of shape (block
-        dimension, sector dimension); None where the sector is the whole
-        block, where S_j is unitary and the block's own coordinates
-        serve.  DimensionCapError where a party's sector is too large to
-        be solved through m_j x m_j matrices."""
+        """The ``party_sectors`` as dense (block dimension, sector
+        dimension) arrays.  DimensionCapError where a party's sector is
+        too large to be solved through m_j x m_j matrices."""
         _check_dense_cap(self)
-        isos = (_sector_basis(self.stats, SpaceConfig(self.space.d, nj))
-                for nj in self.partition.parts)
-        return tuple(None if iso is None else iso.toarray() for iso in isos)
+        return tuple(None if iso is None else iso.toarray()
+                     for iso in self.party_sectors)
 
     @cached_property
     def coupling(self) -> SectorCoupling:
@@ -200,8 +201,7 @@ class SevalueProblem:
         """S^H L S (L itself where S is None) as eigen-terms (c, X),
         sum_t c_t x_t x_t^H: (c, S^H X) for the eigen-form (c, X) of a
         low-rank L, unprojected as S^H P = S^H, and for a dense L the
-        ``eigen_terms`` of S^H L S, built through the dense columns of
-        S."""
+        ``eigen_terms`` of S^H L S, through the dense columns of S."""
         sec = self.sector
         if isinstance(self.operator, LowRankObservable):
             coeffs, vectors = self.operator.eigen_form
@@ -219,18 +219,25 @@ class SevalueSolution:
 
     ``residual`` is the worst per-party stationarity defect
     ||A_j b_j - g B_j b_j|| / ||B_j b_j||; ``chi_norm`` is the norm of
-    the in-sector perturbation P[L P - g]|b_1,...,b_K>.
+    the in-sector perturbation P[L P - g]|b_1,...,b_K>.  The record keeps
+    the party vectors only: ``projected_vector`` is formed when read.
     """
 
     value: float
     party_vectors: tuple[np.ndarray, ...]
-    projected_vector: StateVector
+    space: SpaceConfig
     residual: float
     chi_norm: float
     converged: bool
     sweeps: int
     partition: Partition
     statistics: Statistics
+
+    @property
+    def projected_vector(self) -> StateVector:
+        """P|b_1, ..., b_K>."""
+        return StateVector(self.space, project_amplitudes(
+            self.statistics, reduce(np.kron, self.party_vectors), self.space))
 
 
 @dataclass(frozen=True)
@@ -324,42 +331,47 @@ def _check_dense_cap(problem: SevalueProblem) -> None:
                 f"{PARTY_DENSE_CAP}")
 
 
-# -- full-space diagnostics ------------------------------------------------
+# -- diagnostics in sector coordinates -------------------------------------
 # (the party vectors of a batch of starts are the rows of one (batch, d_j)
 # array per party)
 
-def _projected_product(problem: SevalueProblem, blocks) -> np.ndarray:
-    """P|b> of every start, as the rows of a (batch, dim) array."""
-    flat = _kron_rows(blocks, len(blocks[0]))
-    return project_amplitudes(problem.stats, flat.T, problem.space).T
+def _sector_product(problem: SevalueProblem, blocks) -> tuple:
+    """Every party's c_i = S_i^H b_i (b_i where S_i is None), by the
+    orbit tables, and y = T (c_1 x ... x c_K), P|b> = S y (y = |b>
+    where P = 1), as (batch, m_i) and (batch, m) rows."""
+    coords = [b if sec is None else sec.adjoint(b.T).T
+              for b, sec in zip(blocks, problem.party_sectors)]
+    return coords, _kron_rows(coords, len(blocks[0])) \
+        if problem.sector is None \
+        else problem.coupling.contract(coords, len(coords))[:, :, 0]
 
 
 def _stationarity(problem: SevalueProblem, blocks, values):
-    """P|b>, chi = P L P|b> - g P|b>, and per party j the pair
-    (||A_j b_j - g B_j b_j||, ||B_j b_j||), as (batch, dim), (batch,
-    dim) and (batch, K, 2) arrays.
+    """chi = X diag(c) X^H y - g y = S^H (P L P|b> - g P|b>), (c, X) the
+    ``sector_terms``, and per party j the pair (||A_j b_j - g B_j b_j||,
+    ||B_j b_j||), as (batch, m) and (batch, K, 2) arrays.
 
-    A_j b_j and B_j b_j are P L P|b> and P|b> with every other party
-    contracted out, so each pair comes from chi and P|b> without
-    building a party matrix; a single party contracts nothing.
+    A_j b_j and B_j b_j are S chi and S y with the other parties
+    contracted out: as P (P_1 x ... x P_K) = P, S_j (c_1^H x ... x 1 x
+    ... x c_K^H) T^H applied to chi and to y, T^H a gather and the c_i
+    contracted out by ``_contract_fixed``, as where P = 1.  No
+    full-space vector is formed where P is not 1.
     """
     count = len(blocks[0])
-    projected = _projected_product(problem, blocks)
-    if isinstance(problem.operator, LowRankObservable):
-        # L P|b> = sum_t c_t x_t <x_t|Pb>
-        coeffs, vectors = problem.operator.eigen_form
-        applied = (vectors * coeffs) @ (vectors.conj().T @ projected.T)
-    else:
-        applied = problem.operator @ projected.T
-    sandwich = project_amplitudes(problem.stats, applied, problem.space).T
-    chi = sandwich - np.asarray(values, dtype=float)[:, None] * projected
-    pair = np.stack([chi, projected], axis=-1)
-    defects = np.empty((count, problem.partition.k, 2))
-    for j, dj in enumerate(problem.block_dims):
-        defects[:, j] = np.linalg.norm(_contract_fixed(
-            pair, _kron_rows(blocks[:j], count),
-            _kron_rows(blocks[j + 1:], count), dj), axis=1)
-    return projected, chi, defects
+    coords, y = _sector_product(problem, blocks)
+    coeffs, vectors = problem.sector_terms
+    chi = ((y @ vectors.conj()) * coeffs) @ vectors.T \
+        - np.asarray(values, dtype=float)[:, None] * y
+    defects = np.empty((count, len(coords), 2))
+    for side, vec in enumerate((chi, y)):
+        if problem.sector is not None:
+            # T has one entry per column at most, 0 where labels collide
+            vec = vec[:, problem.coupling.rows] * problem.coupling.coeffs
+        for j, c in enumerate(coords):
+            defects[:, j, side] = np.linalg.norm(_contract_fixed(
+                vec[:, :, None], _kron_rows(coords[:j], count),
+                _kron_rows(coords[j + 1:], count), c.shape[1]), axis=(1, 2))
+    return chi, defects
 
 
 def _solutions(problem: SevalueProblem, blocks, values, settled, sweeps,
@@ -368,7 +380,7 @@ def _solutions(problem: SevalueProblem, blocks, values, settled, sweeps,
     overlap annihilates a party vector; a residual is the worst
     per-party defect relative to ||B_j b_j||, and a start converged
     where it settled with a residual within ``tol``."""
-    projected, chi, defects = _stationarity(problem, blocks, values)
+    chi, defects = _stationarity(problem, blocks, values)
     out = []
     for b, (defect, scale) in enumerate(defects.transpose(0, 2, 1)):
         if scale.min() <= 0.0:
@@ -378,7 +390,7 @@ def _solutions(problem: SevalueProblem, blocks, values, settled, sweeps,
         out.append(SevalueSolution(
             value=float(values[b]),
             party_vectors=tuple(block[b].copy() for block in blocks),
-            projected_vector=StateVector(problem.space, projected[b]),
+            space=problem.space,
             residual=residual, chi_norm=float(np.linalg.norm(chi[b])),
             converged=bool(settled[b]) and residual <= tol,
             sweeps=int(sweeps[b]), partition=problem.partition,
@@ -418,7 +430,7 @@ def _party_matrices(problem: SevalueProblem, blocks, j: int) -> tuple:
 
 def _contract_fixed(full, left, right, dj) -> np.ndarray:
     """<left_b| x 1 x <right_b| applied, for every start b, to the
-    columns of full-space vectors: (batch, dim, c) in, or (dim, c)
+    columns of product-space vectors: (batch, dim, c) in, or (dim, c)
     shared by every start, and (batch, dj, c) out."""
     count, dl, dr = len(left), left.shape[1], right.shape[1]
     c = full.shape[-1]
@@ -437,33 +449,30 @@ def _sweep(problem: SevalueProblem, inits, max_sweeps: int, tol: float,
     ``inits`` holds one iterator per start over the initializations (one
     vector per party) it may try.  The starts advance as one batch, one
     batched step per party per sweep, so many that the largest stacked
-    array holds at most BATCH_BYTES (a start's: chi and P|b> side by
-    side, the sector terms contracted out where P = 1, or else
-    ``coupling.contract``'s): the others wait and join as starts leave.
-    A start that meets a zero projection takes its next initialization
-    and rejoins with its own sweep count.
+    array holds at most BATCH_BYTES (a start's: the sector terms
+    contracted out where P = 1, or else ``coupling.contract``'s, no
+    smaller than the residual's T^H chi): the others wait and join as
+    starts leave.  A start that meets a zero projection takes its next
+    initialization and rejoins with its own sweep count.
 
     After the party steps, every start still moving (past its first
     sweep, not settled within ``value_tol``, not lost) takes one line
-    step (``_extrapolated``): the trial moves every party on to b_j +
-    beta (b_j - b_j'), b_j' its vector before the sweep, normalised,
-    and replaces the start's vectors and value only where its quotient
-    rises ("max") or falls ("min") and its projected norm is at least
-    INIT_PROJECTION_TOL.  So the quotient stays monotone, and a start
-    holds a product of block-sector vectors whatever is taken.  beta is
-    the start's own, LINE_STEP at first, times LINE_GROWTH after a
-    taken trial and back to LINE_STEP after a refused one; the step
-    carries cyclic ascent's linear tail along the line of its last
-    sweep.  A settled start takes none: there a trial's gain is at the
-    level of rounding, and taking it would make the start's result
-    depend on its batch and on the contraction's route.
+    step (``_extrapolated``) to b_j + beta (b_j - b_j'), b_j' its vector
+    before the sweep, normalised, kept only where its quotient rises
+    ("max") or falls ("min") and its projected norm is at least
+    INIT_PROJECTION_TOL: the quotient stays monotone, and the step
+    carries cyclic ascent's linear tail along the line of the sweep.
+    beta is the start's own, LINE_STEP at first, times LINE_GROWTH
+    after a taken trial and back to LINE_STEP after a refused one.  A
+    settled start takes none: there a trial's gain is at the level of
+    rounding, and taking it would make the start's result depend on its
+    batch and on the contraction's route.
 
     A start leaves when its quotient settles within ``value_tol`` and
     its residual is within ``tol``, or after ``max_sweeps``.  Returns
     each start's solution, or None where its initializations ran out.
     A single party is solved by one exact step (``_sector_step``) from
-    the first start alone, so it returns that start's solution only,
-    however many starts there are.
+    the first start alone, whose solution is the only one returned.
     """
     if mode not in ("max", "min"):
         raise ValueError("mode must be 'max' or 'min'")
@@ -481,7 +490,7 @@ def _sweep(problem: SevalueProblem, inits, max_sweeps: int, tol: float,
     dim, isos = problem.space.total_dim, problem.party_isometries
     terms = problem.sector_terms[1].shape[1]
     width = max(2, terms) * dim if problem.sector is None \
-        else max(2 * dim, problem.coupling.width)
+        else max(1, problem.coupling.width)
     size = max(1, BATCH_BYTES // (16 * width))
     out: list = [None] * len(inits)
     # the starts in the batch, their sweeps so far, their last values,
@@ -502,7 +511,7 @@ def _sweep(problem: SevalueProblem, inits, max_sweeps: int, tol: float,
             new = [np.array(col, dtype=np.complex128)
                    for col in zip(*(init for _, init in drawn))]
             new = [b / np.linalg.norm(b, axis=1, keepdims=True) for b in new]
-            ok = np.linalg.norm(_projected_product(problem, new), axis=1) \
+            ok = np.linalg.norm(_sector_product(problem, new)[1], axis=1) \
                 >= INIT_PROJECTION_TOL
             pending = starts[~ok].tolist() + pending
             joined = np.count_nonzero(ok)
@@ -555,21 +564,18 @@ def _sweep(problem: SevalueProblem, inits, max_sweeps: int, tol: float,
 def _extrapolated(problem: SevalueProblem, before, after, steps) -> tuple:
     """The line step of a sweep: every party moved on to after_j +
     beta (after_j - before_j), beta the start's ``steps`` entry, and
-    normalised, with the quotient sum_t c_t |v_t^H x|^2 / x^H B x of
-    that product from party K-1's equations, x its sector coordinates.
-    Returns the trial party vectors and their quotients, NaN (never
-    taken) where the trial's projected norm is below
-    INIT_PROJECTION_TOL."""
+    normalised, with the quotient sum_t c_t |x_t^H y|^2 / ||y||^2 of
+    that product, y its ``_sector_product`` and (c, X) the
+    ``sector_terms``.  Returns the trial party vectors and their
+    quotients, NaN (never taken) where the trial's projected norm is
+    below INIT_PROJECTION_TOL."""
     trial = [a + steps[:, None] * (a - b) for a, b in zip(after, before)]
     trial = [t / np.linalg.norm(t, axis=1, keepdims=True) for t in trial]
-    j, iso = len(trial) - 1, problem.party_isometries[-1]
-    (coeffs, vectors), overlap = _party_matrices(problem, trial, j)
-    x = trial[j] if iso is None else (trial[j].conj() @ iso).conj()
-    numer = np.abs(x.conj()[:, None, :] @ vectors)[:, 0] ** 2 @ coeffs
-    denom = overlap if overlap.ndim == 1 \
-        else (x.conj()[:, None, :] @ overlap @ x[:, :, None])[:, 0, 0].real
+    _, y = _sector_product(problem, trial)
+    coeffs, vectors = problem.sector_terms
+    denom = np.einsum("bm,bm->b", y.conj(), y).real
     with np.errstate(divide="ignore", invalid="ignore"):
-        scores = numer / denom
+        scores = np.abs(y @ vectors.conj()) ** 2 @ coeffs / denom
     return trial, np.where(denom >= INIT_PROJECTION_TOL ** 2, scores, np.nan)
 
 
@@ -635,9 +641,10 @@ def solve_sup_g(problem: SevalueProblem, starts: int = DEFAULT_STARTS,
     counts are those of the solutions ``_sweep`` returns: a single
     full-space party is solved once, from start 0.  Raises
     ConvergenceError when no start converges (distinct from a converged
-    bound that simply fails to detect), and ValueError unless ``starts``
-    and ``max_sweeps`` are integers of at least 1, ``tol`` a number of
-    at least 0 and ``value_tol`` a number.
+    bound that simply fails to detect), its subclass EigensolveError
+    where no route diagonalises a party's overlap (``partystep``), and
+    ValueError unless ``starts`` and ``max_sweeps`` are integers of at
+    least 1, ``tol`` a number of at least 0 and ``value_tol`` a number.
     """
     starts = check_count(starts, "starts")
     # start i tries up to 8 initializations drawn from its own generator
@@ -669,11 +676,11 @@ def _rank_one_diagnostics(problem: SevalueProblem, value: float,
                           blocks) -> SevalueSolution:
     """The converged solution record of one start at the given party
     vectors, normalised."""
-    blocks = [np.asarray(b, dtype=np.complex128) for b in blocks]
-    sol, = _solutions(problem, [(b / np.linalg.norm(b))[None] for b in blocks],
-                      [value], [True], [0])
-    if sol is None or sol.projected_vector.norm() < 1e-12:
+    blocks = [(np.asarray(b, complex) / np.linalg.norm(b))[None]
+              for b in blocks]
+    if np.linalg.norm(_sector_product(problem, blocks)[1]) < 1e-12:
         raise ZeroProjectionError("analytic party vectors project to zero")
+    sol, = _solutions(problem, blocks, [value], [True], [0])
     return sol
 
 
@@ -689,45 +696,30 @@ def analytic_rank_one(psi: StateVector, stats: Statistics) -> list[SevalueSoluti
     """
     if psi.space.n != 2:
         raise ValueError("analytic solutions cover two-particle states only")
-    observable = rank_one_observable(psi, stats)
-    partition = Partition((1, 1))
-    problem = SevalueProblem(observable, stats, partition, psi.space)
-    solutions: list[SevalueSolution] = []
+    problem = SevalueProblem(rank_one_observable(psi, stats), stats,
+                             Partition((1, 1)), psi.space)
     if stats is Statistics.DISTINGUISHABLE:
         dec = schmidt(psi)
-        for idx, lam in enumerate(dec.coefficients):
-            solutions.append(_rank_one_diagnostics(
-                problem, lam ** 2,
-                [dec.left_basis[:, idx], dec.right_basis[:, idx]]))
+        points = [(lam ** 2, [dec.left_basis[:, i], dec.right_basis[:, i]])
+                  for i, lam in enumerate(dec.coefficients)]
     elif stats is Statistics.FERMION:
         dec = slater_fermion(project(stats, psi))
-        for idx, kappa in enumerate(dec.coefficients):
-            if kappa <= 1e-14:
-                continue
-            solutions.append(_rank_one_diagnostics(
-                problem, 2.0 * kappa ** 2,
-                [dec.basis[:, 2 * idx], dec.basis[:, 2 * idx + 1]]))
+        points = [(2.0 * kappa ** 2, [dec.basis[:, 2 * i],
+                                      dec.basis[:, 2 * i + 1]])
+                  for i, kappa in enumerate(dec.coefficients) if kappa > 1e-14]
     else:
         dec = slater_boson(project(stats, psi))
         kappas = dec.coefficients
-        for idx, kappa in enumerate(kappas):
-            if kappa <= 1e-14:
-                continue
-            solutions.append(_rank_one_diagnostics(
-                problem, kappa ** 2,
-                [dec.basis[:, idx], dec.basis[:, idx]]))
-        d = psi.space.d
-        for a in range(d):
-            for b in range(a + 1, d):
-                if kappas[a] <= 1e-14 and kappas[b] <= 1e-14:
-                    continue
+        points = [(kappa ** 2, [dec.basis[:, i]] * 2)
+                  for i, kappa in enumerate(kappas) if kappa > 1e-14]
+        for a, b in itertools.combinations(range(psi.space.d), 2):
+            if kappas[a] > 1e-14 or kappas[b] > 1e-14:
                 wa = np.sqrt(kappas[a]) * dec.basis[:, a]
                 wb = 1j * np.sqrt(kappas[b]) * dec.basis[:, b]
-                solutions.append(_rank_one_diagnostics(
-                    problem, kappas[a] ** 2 + kappas[b] ** 2,
-                    [wa + wb, wa - wb]))
-    solutions.sort(key=lambda s: -s.value)
-    return solutions
+                points.append((kappas[a] ** 2 + kappas[b] ** 2,
+                               [wa + wb, wa - wb]))
+    return sorted((_rank_one_diagnostics(problem, value, blocks)
+                   for value, blocks in points), key=lambda s: -s.value)
 
 
 @dataclass(frozen=True)
@@ -749,28 +741,21 @@ def analytic_interference(space: SpaceConfig, stats: Statistics,
 
     Caveat: this is the supremum over all product vectors for
     distinguishable subsystems and bosons, and for fermion partitions
-    with at most one block of size >= 2.  It can be beaten on fermion
-    partitions with two or more such blocks, where the witness layer
-    refuses it: on (3, 2) at d = 10 twenty sweeps from one random start
-    reach 0.932, and on two blocks of equal even size (the smallest case
-    is (2, 2)) exact product states reach quotient 1.  With A, C the two
-    label groups and omega_A, omega_C antisymmetric two-particle states
-    supported on them, even-degree components commute, so the cross
-    terms of (omega_A + i omega_C) x (omega_A - i omega_C) cancel under
-    antisymmetrization and the projected product lands exactly on the
-    balanced superposition of the two interference kets.  Use the sweep
-    solver there.
+    with at most one block of size >= 2.  On fermion partitions with two
+    or more such blocks, where the witness layer refuses it, it can be
+    beaten: on (3, 2) at d = 10 twenty sweeps from one random start
+    reach 0.932, and on two blocks of equal even size, such as (2, 2),
+    exact product states reach quotient 1 (``notes/decisions.md``).
+    Use the sweep solver there.
     """
-    observable = interference_observable(space, stats)
-    problem = SevalueProblem(observable, stats, partition, space)
-    k = partition.k
-    bound = 0.5 ** (k - 1)
+    problem = SevalueProblem(interference_observable(space, stats), stats,
+                             partition, space)
+    bound = 0.5 ** (partition.k - 1)
     blocks = []
-    for party in range(k):
-        sub = SpaceConfig(space.d, partition.parts[party])
-        low = basis_product_vector(sub, [s for s in partition.slots(party)])
-        high = basis_product_vector(sub, [space.n + s
-                                          for s in partition.slots(party)])
+    for party, nj in enumerate(partition.parts):
+        slots = list(partition.slots(party))
+        low, high = (basis_product_vector(SpaceConfig(space.d, nj), labels)
+                     for labels in (slots, [space.n + s for s in slots]))
         blocks.append((low.amplitudes + high.amplitudes) / math.sqrt(2.0))
     rep = _rank_one_diagnostics(problem, bound, blocks)
     return InterferenceAnalysis(bound=bound, solutions=(rep,),
@@ -793,37 +778,29 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
     the bound comes close to the supremum instead of stalling at the
     bulk of the distribution.
 
-    Quotients are evaluated through the combinatorial sector basis,
-    never through per-party eigensolves: S, whose orbit tables apply
-    S^H by gathers, and the observable's sector terms are read from the
-    problem, as the party steps read them.  So the check on
-    that basis lies elsewhere: the solver's stationarity diagnostics
-    stay on the permutation-sum projector, and the tests compare
-    ``sector_isometry`` with that projector.  Samples
-    with numerically zero projection are skipped.  Deterministic for a
-    fixed seed.
+    Quotients are evaluated through S's orbit tables, which apply S^H
+    by gathers, and the problem's sector terms, never through per-party
+    eigensolves or the coupling map, so the oracle checks the party
+    steps by another route; the tests check S and the solver's
+    residuals against the permutation-sum projector.  Samples with
+    numerically zero projection are skipped.  Deterministic for a fixed
+    seed.
 
     Each chunk of up to 256 samples (fewer where d**N exceeds 16384:
     its product vectors fit in BATCH_BYTES) draws one complex block of
-    normals per party, on the calling thread and in stream order;
-    numerators come from all terms at once.  The quotient does not
-    depend on a sample's scale, so no block is normalised: a sample
-    projects to zero where ||S^H v||^2 is at most 1e-14 times the
-    product of its squared party norms, which is the loop form's test
-    on the unit vector.  A refinement chunk, which perturbs party j of
-    the incumbent c = c_1 x ... x c_K (unit parts) by draws d, never
-    forms its samples c_1 x ... x (c_j + a d) x ... x c_K either,
-    whatever K: it scores their linear image a S^H(c_1 x ... x d x ...
-    x c_K) + S^H c, with squared norms a^2 |d|^2 + 2a Re<c_j|d> + 1.
-    A chunk's best sample that beats the incumbent is re-scored on its
-    formed unit product vector, so the bound is always the quotient of
-    a real product vector.  Drawing the normals takes about 80% of a
-    K=1 call at N=4, d=8, whose chunks draw 16 MiB blocks of 4096
-    modes, and one block is all that is alive.  The draws and the
-    bounds are those of the loop form that the tests keep as a
-    reference; only rounding differs, so the two agree to 1e-12
-    relative.  ``samples`` must be an integer of at least 1; anything
-    else raises ValueError.
+    normals per party, in stream order; numerators come from all terms
+    at once.  No block is normalised: a sample projects to zero where
+    ||S^H v||^2 is at most 1e-14 times the product of its squared party
+    norms, the loop form's test on the unit vector.  A refinement chunk,
+    perturbing party j of the incumbent c = c_1 x ... x c_K (unit
+    parts) by draws d, scores the linear image a S^H(c_1 x ... x d x
+    ... x c_K) + S^H c of its samples, with squared norms a^2 |d|^2 +
+    2a Re<c_j|d> + 1, whatever K.  A chunk's best sample that beats the
+    incumbent is re-scored on its formed unit product vector, so the
+    bound is always the quotient of a real product vector.  The draws
+    and bounds are those of the loop form that the tests keep as a
+    reference, to 1e-12 relative.  ``samples`` must be an integer of
+    at least 1; anything else raises ValueError.
 
     At small budgets the bound can sit far below the supremum: for the
     boson interference observable at N=3, d=6, partition (2, 1), 2000
@@ -973,23 +950,14 @@ def transform_solution(sol: SevalueSolution, lambda1: float, lambda2: float,
     if lambda1 == 0.0:
         raise ValueError("lambda1 must be nonzero")
     u = np.asarray(unitary, dtype=np.complex128)
-    d = sol.projected_vector.space.d
+    d = sol.space.d
     if u.shape != (d, d) or \
             np.abs(u.conj().T @ u - np.eye(d)).max() > 1e-10:
         raise ValueError("unitary must be a d x d unitary matrix")
-    udag = u.conj().T
-    new_blocks = tuple(
-        _apply_local(udag, np.asarray(b), nk)
-        for b, nk in zip(sol.party_vectors, sol.partition.parts))
-    new_projected = StateVector(
-        sol.projected_vector.space,
-        _apply_local(udag, sol.projected_vector.amplitudes,
-                     sol.projected_vector.space.n))
-    return replace(sol,
-                   value=lambda1 * sol.value + lambda2,
-                   party_vectors=new_blocks,
-                   projected_vector=new_projected,
-                   residual=abs(lambda1) * sol.residual,
+    blocks = tuple(_apply_local(u.conj().T, np.asarray(b), nk)
+                   for b, nk in zip(sol.party_vectors, sol.partition.parts))
+    return replace(sol, value=lambda1 * sol.value + lambda2,
+                   party_vectors=blocks, residual=abs(lambda1) * sol.residual,
                    chi_norm=abs(lambda1) * sol.chi_norm)
 
 
@@ -1000,15 +968,16 @@ def verify_second_form(sol: SevalueSolution,
     Returns the in-sector perturbation chi = P L P|b> - g P|b> together
     with the largest overlap of chi against single-party variations of
     the product vector.  The overlap vanishes at an exact stationary
-    point; chi in general does not.  Raises ValueError unless the
+    point; chi in general does not.  Both are the residual's (chi is S
+    applied to its sector coordinates).  Raises ValueError unless the
     solution has the problem's partition, statistics and space.
     """
-    if (sol.partition, sol.statistics, sol.projected_vector.space) \
+    if (sol.partition, sol.statistics, sol.space) \
             != (problem.partition, problem.stats, problem.space):
         raise ValueError("solution is of another partition, statistics "
                          "or space than the problem")
-    blocks = [np.asarray(b, dtype=np.complex128)[None]
-              for b in sol.party_vectors]
-    _, chi, defects = _stationarity(problem, blocks, [sol.value])
-    return (StateVector(problem.space, chi[0]),
-            max(defect for defect, _ in defects[0]))
+    blocks = [np.asarray(b, complex)[None] for b in sol.party_vectors]
+    (chi,), (defects,) = _stationarity(problem, blocks, [sol.value])
+    sec = problem.sector
+    return (StateVector(problem.space, chi if sec is None else sec.apply(chi)),
+            max(defect for defect, _ in defects))

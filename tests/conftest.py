@@ -1,5 +1,8 @@
+import collections
 import itertools
 import math
+import sys
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -125,6 +128,39 @@ def reference_generalized_step(numer, overlap, previous, mode):
     return float(target), best_vec
 
 
+def full_space_stationarity(problem, blocks, values):
+    """Reference for ``solver._stationarity`` through the full space:
+    P|b>, chi = P L P|b> - g P|b> from the projector's coset recursion
+    and L's own eigen-form or matrix, and per party j the pair
+    (||A_j b_j - g B_j b_j||, ||B_j b_j||), A_j b_j and B_j b_j being
+    chi and P|b> with every other party contracted out by one einsum,
+    start by start.  Returns (batch, dim), (batch, dim) and (batch, K,
+    2) arrays; no sector basis or coupling map is read."""
+    space, stats, dims = problem.space, problem.stats, problem.block_dims
+    count = len(blocks[0])
+    flat = np.array([reduce(np.kron, [b[i] for b in blocks])
+                     for i in range(count)])
+    projected = project_amplitudes(stats, flat.T, space).T
+    if isinstance(problem.operator, LowRankObservable):
+        coeffs, vectors = problem.operator.eigen_form
+        applied = (vectors * coeffs) @ (vectors.conj().T @ projected.T)
+    else:
+        applied = problem.operator @ projected.T
+    chi = project_amplitudes(stats, applied, space).T \
+        - np.asarray(values, dtype=float)[:, None] * projected
+    defects = np.empty((count, len(dims), 2))
+    for i in range(count):
+        for j, dj in enumerate(dims):
+            left = reduce(np.kron, [b[i] for b in blocks[:j]], np.ones(1))
+            right = reduce(np.kron, [b[i] for b in blocks[j + 1:]],
+                           np.ones(1))
+            for col, vec in enumerate((chi[i], projected[i])):
+                defects[i, j, col] = np.linalg.norm(np.einsum(
+                    "l,ljr,r->j", left.conj(),
+                    vec.reshape(len(left), dj, len(right)), right.conj()))
+    return projected, chi, defects
+
+
 def reference_brute_force_bound(problem, samples, seed=0):
     """Reference sampling oracle: the loop form that
     ``solver.brute_force_bound`` replaced, with per-term numerators,
@@ -215,6 +251,34 @@ def reference_brute_force_bound(problem, samples, seed=0):
             steps[party] = max(steps[party] * 0.8, 1e-4)
         party = (party + 1) % len(dims)
     return best
+
+
+def break_overlap_eigh(monkeypatch, sides=()):
+    """Make ``np.linalg.eigh``, where partystep whitens overlaps, raise
+    LinAlgError on any call that holds the chosen matrix, the second of
+    the first batch of at least two.  With ``sides``, every call on
+    overlaps of those sides raises instead, and so does the SVD route.
+    Returns the count of calls that raised, by routine."""
+    eigh, svd = np.linalg.eigh, np.linalg.svd
+    chosen, raised = [], collections.Counter()
+
+    def failing(solve, name):
+        def call(a, *args, **kwargs):
+            if sys._getframe(1).f_code.co_name == "_overlap_eigh":
+                if not chosen and np.ndim(a) == 3 and len(a) >= 2:
+                    chosen.append(np.array(a[1]))
+                mats = np.reshape(a, (-1,) + np.shape(a)[-2:])
+                if np.shape(a)[-1] in sides if sides else chosen and any(
+                        np.array_equal(m, chosen[0]) for m in mats):
+                    raised[name] += 1
+                    raise np.linalg.LinAlgError("did not converge")
+            return solve(a, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np.linalg, "eigh", failing(eigh, "eigh"))
+    if sides:
+        monkeypatch.setattr(np.linalg, "svd", failing(svd, "svd"))
+    return raised
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from sepwit.cli import (load_observable_file, load_state_file, main,
                         save_observable_json, save_state_json)
 from sepwit.errors import InputFormatError
 
-from conftest import random_hermitian
+from conftest import break_overlap_eigh, random_hermitian
 
 INTERFERENCE_N3 = str(files("sepwit").joinpath("data/interference_N3.json"))
 BELL_BOSON_D3 = str(files("sepwit").joinpath("data/bell_boson_d3.json"))
@@ -305,6 +305,31 @@ def test_sevalue_holds_one_problem_at_a_time(tmp_path, monkeypatch,
     assert code == 0
     assert len(payload["partitions"]) == 2
     assert alive == [1, 1]
+
+
+def test_sevalue_reports_a_failed_eigensolve_and_goes_on(tmp_path,
+                                                         monkeypatch, capsys):
+    # boson N=4, d=3 at K=2: where no route diagonalises the overlaps of
+    # partition (3, 1) (party sectors of 10 and 3 dimensions), its row
+    # records the failure and (2, 2) is solved; where none of either
+    # partition's is, no partition converged: a numerical failure
+    rng = np.random.default_rng(5)
+    space = SpaceConfig(3, 4)
+    path = tmp_path / "dense.json"
+    save_observable_json(str(path), space, Statistics.BOSON,
+                         random_hermitian(rng, space.total_dim))
+    argv = ["sevalue", str(path), "--k", "2", "--starts", "2",
+            "--oracle-samples", "20"]
+    with monkeypatch.context() as patch:
+        break_overlap_eigh(patch, sides=(10,))
+        code, payload = _run_json(capsys, argv)
+    assert code == 0
+    failed, solved = payload["partitions"]
+    assert failed["partition"] == "3,1" and "no route" in failed["error"]
+    assert solved["partition"] == "2,2" and "G" in solved
+    break_overlap_eigh(monkeypatch, sides=(10, 6))
+    code = main(argv)
+    assert code == 3 and capsys.readouterr().out == ""
 
 
 def test_sevalue_requires_partition_choice(capsys):

@@ -20,16 +20,18 @@ from sepwit import (DensityOperator, LowRankObservable, Partition, SevalueProble
                     solve_sup_g, subspace_dimension, sweep_solve,
                     transform_solution, transformed_observable,
                     verify_second_form)
-from sepwit.witness import build_k_witness
+from sepwit.witness import _analytic_bound, build_k_witness
 from sepwit.errors import (ConvergenceError, DimensionCapError,
-                           HermiticityError, ZeroProjectionError)
+                           EigensolveError, HermiticityError,
+                           ZeroProjectionError)
 from sepwit.sectors import (SectorIsometry, sector_basis_vectors,
                             sector_isometry)
 from sepwit.partystep import _generalized_step
 from sepwit.solver import (RESIDUAL_TOL, VALUE_TOL, _crandn, _party_matrices,
                            _solutions, _stationarity, _sweep)
 
-from conftest import (contracted_operator, crandn, dense_party_matrices,
+from conftest import (break_overlap_eigh, contracted_operator, crandn,
+                      dense_party_matrices, full_space_stationarity,
                       random_hermitian, random_unitary,
                       reference_brute_force_bound, reference_generalized_step)
 
@@ -186,7 +188,7 @@ def test_party_matrices_match_contracted_operator(rng, stats, parts):
         blocks = [crandn(rng, d ** nk) for nk in parts]
         g = float(rng.standard_normal())
         batch = [b[None] for b in blocks]
-        _, _, (defects,) = _stationarity(problem, batch, [g])
+        _, (defects,) = _stationarity(problem, batch, [g])
         for j, iso in enumerate(isometries):
             numer, overlap = _party_matrices(problem, batch, j)
             # every numerator comes as its contracted terms, dense or
@@ -433,6 +435,35 @@ def test_sweep_zero_projection_raises():
         sweep_solve(problem, [same, same.copy()])
 
 
+@pytest.mark.parametrize("stats,parts", [(Statistics.BOSON, (2, 1)),
+                                         (Statistics.FERMION, (1, 1, 1))])
+def test_failed_overlap_eigh_takes_another_route(monkeypatch, rng, stats,
+                                                 parts):
+    # one overlap of a batch fails in the batched eigh and alone; the
+    # step takes it from the SVD and the solve reaches the same G
+    space = SpaceConfig(4, sum(parts))
+    problem = SevalueProblem(_random_observable(rng, "dense", space), stats,
+                             Partition(parts), space)
+    want = solve_sup_g(problem, starts=6, seed=1).value
+    raised = break_overlap_eigh(monkeypatch)
+    got = solve_sup_g(problem, starts=6, seed=1).value
+    assert raised == {"eigh": 2}
+    assert abs(got - want) <= 1e-10
+
+
+def test_overlap_eigh_failing_every_route_is_a_convergence_error(
+        monkeypatch, rng):
+    space = SpaceConfig(3, 3)
+    problem = SevalueProblem(_random_observable(rng, "low-rank", space),
+                             Statistics.BOSON, Partition((2, 1)), space)
+    problem.sector_terms
+    raised = break_overlap_eigh(monkeypatch, sides=(3, 6))
+    with pytest.raises(EigensolveError, match="no route") as info:
+        solve_sup_g(problem, starts=4, seed=0)
+    assert isinstance(info.value, ConvergenceError)
+    assert raised == {"eigh": 2, "svd": 1}
+
+
 def test_solution_projected_vector_nonzero_and_diagnostics(rng):
     psi = _random_sector_state(rng, 4, Statistics.FERMION)
     problem = _rank_one_problem(psi, Statistics.FERMION)
@@ -499,6 +530,17 @@ def test_fermion_two_two_partition_reaches_unity():
     assert abs(sol.value - 1.0) < 1e-9
 
 
+def test_fermion_two_two_one_at_five_particles_reaches_one_half():
+    # (2, 2, 1) at N=5, d=10 has two fermion blocks of size >= 2, so the
+    # analytic route refuses it; two starts reach 1/2
+    space = SpaceConfig(10, 5)
+    problem = SevalueProblem(interference_observable(space, Statistics.FERMION),
+                             Statistics.FERMION, Partition((2, 2, 1)), space)
+    assert abs(solve_sup_g(problem, starts=2, seed=0).value - 0.5) <= 1e-6
+    with pytest.raises(ValueError, match="at most one block"):
+        _analytic_bound(problem, "max")
+
+
 def test_monotone_bound_in_k(rng):
     space = SpaceConfig(6, 3)
     observable = interference_observable(space, Statistics.BOSON)
@@ -551,6 +593,67 @@ def test_single_party_residual_matches_projector_reference(rng, stats):
             moved = dataclasses.replace(solved, party_vectors=(b,), value=g)
             _, overlap = verify_second_form(moved, problem)
             assert abs(overlap - defect) <= 1e-12 * max(1.0, defect)
+
+
+def _within(got, want):
+    """1e-10 relative or 1e-14 absolute."""
+    return abs(got - want) <= max(1e-10 * abs(want), 1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stats=st.sampled_from(list(Statistics)),
+       parts=st.sampled_from([(1,), (2,), (3,), (1, 1), (2, 1), (1, 2),
+                              (1, 1, 1)]),
+       kind=st.sampled_from(["dense", "low-rank"]), d=st.integers(2, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sector_residuals_match_the_full_space_reference(stats, parts, kind,
+                                                         d, seed):
+    # the residuals, chi_norm and the second form's overlap, taken in
+    # sector coordinates, equal those of the full-space route (the
+    # projector, L itself and one contraction per party) at random
+    # party vectors and values, and second-form chi is the full-space chi
+    rng = np.random.default_rng(seed)
+    space = SpaceConfig(d, sum(parts))
+    if not subspace_dimension(stats, space):
+        return      # fermions in fewer modes than particles: no sector
+    problem = SevalueProblem(_random_observable(rng, kind, space), stats,
+                             Partition(parts), space)
+    blocks = [crandn(rng, 3, dim) for dim in problem.block_dims]
+    values = rng.standard_normal(3)
+    projected, chi, defects = full_space_stationarity(problem, blocks,
+                                                      values)
+    sols = _solutions(problem, blocks, values, [False] * 3, [0] * 3)
+    for b, sol in enumerate(sols):
+        defect, scale = defects[b].T
+        assert _within(sol.residual, np.max(defect / scale))
+        assert _within(sol.chi_norm, np.linalg.norm(chi[b]))
+        assert np.abs(sol.projected_vector.amplitudes
+                      - projected[b]).max() <= 1e-12
+        got, overlap = verify_second_form(sol, problem)
+        assert _within(overlap, defect.max())
+        assert np.abs(got.amplitudes - chi[b]).max() \
+            <= 1e-10 * np.abs(chi[b]).max()
+
+
+def test_solutions_hold_no_full_space_array():
+    # boson (3, 1) at N=4, d=8: a solution keeps its 512- and 8-mode
+    # party vectors, not the 4096-mode projected product, which it
+    # forms only when read
+    space = SpaceConfig(8, 4)
+    problem = SevalueProblem(interference_observable(space, Statistics.BOSON),
+                             Statistics.BOSON, Partition((3, 1)), space)
+    result = solve_sup_g(problem, starts=3, seed=0)
+    for sol in result.solutions:
+        fields = [getattr(sol, f.name) for f in dataclasses.fields(sol)]
+        held = [v.size for f in fields
+                for v in (f if isinstance(f, tuple) else (f,))
+                if isinstance(v, np.ndarray)]
+        assert sorted(held) == [8, 512]
+        assert "projected_vector" not in vars(sol)
+        pb = project(Statistics.BOSON, StateVector(
+            space, reduce(np.kron, sol.party_vectors)))
+        assert np.abs(sol.projected_vector.amplitudes
+                      - pb.amplitudes).max() <= 1e-15
 
 
 def test_analytic_interference_diagnostics_above_dense_cap():
@@ -1186,9 +1289,9 @@ def test_start_results_do_not_depend_on_the_batch(monkeypatch, rng):
         few = solve_sup_g(problem, starts=5, seed=9)
         _assert_same_solutions(few.solutions, full.solutions[:5])
         # room for three starts at a time, then for one, by the sweep's
-        # own rule: a start's largest array holds max(2 D, T's width)
-        # complex entries
-        per_start = 16 * max(2 * space.total_dim, problem.coupling.width)
+        # own rule: a start's largest array holds T's width in complex
+        # entries
+        per_start = 16 * problem.coupling.width
         for starts, budget in ((3, 3 * per_start), (1, 1)):
             monkeypatch.setattr(solver_module, "BATCH_BYTES", budget)
             batches = _batch_sizes(monkeypatch)
