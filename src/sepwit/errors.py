@@ -26,7 +26,8 @@ class ConvergenceError(SepwitError):
 
 
 class EigensolveError(ConvergenceError):
-    """No eigensolver route diagonalised a party step's overlap."""
+    """No route decomposed a party step's matrix: the eigh or SVD of an
+    overlap, or the SVD or eigh of the whitened terms."""
 
 
 class InputFormatError(SepwitError):

@@ -38,6 +38,22 @@ def _hermitian_part(x: np.ndarray) -> np.ndarray:
     return (x + _dag(x)) / 2.0
 
 
+def _decompose(stack: np.ndarray, *routes) -> tuple:
+    """The first of ``routes``, numpy.linalg decompositions, of a stack
+    of matrices at once; where that fails, of each matrix alone, by the
+    first route that succeeds on it; EigensolveError where none does."""
+    single = stack.ndim == 2
+    for route in routes if single else routes[:1]:
+        try:
+            return route(stack)
+        except np.linalg.LinAlgError as exc:
+            error = exc
+    if single:
+        raise EigensolveError("no route decomposed a party step's matrix "
+                              f"of side {stack.shape[-1]}") from error
+    return tuple(map(np.stack, zip(*(_decompose(m, *routes) for m in stack))))
+
+
 def _span_extremum(coeffs: np.ndarray, vectors: np.ndarray,
                    mode: str) -> tuple:
     """Extremal eigenvalue of H = sum_t c_t x_t x_t^H, real c_t, on the
@@ -54,7 +70,8 @@ def _span_extremum(coeffs: np.ndarray, vectors: np.ndarray,
     within 1e-9 relative of the value), empty where the value is that 0.
     """
     n = vectors.shape[1]
-    u, s, vh = np.linalg.svd(vectors, full_matrices=False)
+    u, s, vh = _decompose(
+        vectors, lambda x: np.linalg.svd(x, full_matrices=False))
     ranks = (s > s[:, :1] * 1e-12).sum(axis=1)
     width = max(int(ranks.max()), 1)
     span = u[:, :, :width] * (np.arange(width) < ranks[:, None])[:, None, :]
@@ -64,7 +81,8 @@ def _span_extremum(coeffs: np.ndarray, vectors: np.ndarray,
     for rank, idx in _groups(np.where(ranks > 0, ranks, -1)):
         # the term vectors' coordinates on the span basis
         coords = s[idx, :rank, None] * vh[idx, :rank]
-        vals, vecs = np.linalg.eigh((coords * coeffs) @ _dag(coords))
+        vals, vecs = _decompose((coords * coeffs) @ _dag(coords),
+                                np.linalg.eigh)
         target = vals[:, -1] if mode == "max" else vals[:, 0]
         off = (rank < n) & ((target < 0.0) if mode == "max"
                             else (target > 0.0))
@@ -77,24 +95,14 @@ def _span_extremum(coeffs: np.ndarray, vectors: np.ndarray,
 
 
 def _overlap_eigh(overlap: np.ndarray) -> tuple:
-    """Ascending eigenpairs of a stack of PSD overlaps: where the batched
-    eigh fails, each matrix's alone, and from its SVD B = U diag(s) U^H
-    where that fails again; EigensolveError where the SVD fails too."""
-    try:
-        return np.linalg.eigh(overlap)
-    except np.linalg.LinAlgError:
-        w, e = np.empty(overlap.shape[:2]), np.empty_like(overlap)
-    for b, mat in enumerate(overlap):
-        try:
-            w[b], e[b] = np.linalg.eigh(mat)
-        except np.linalg.LinAlgError:
-            try:
-                u, sv, _ = np.linalg.svd(mat)
-            except np.linalg.LinAlgError as exc:
-                raise EigensolveError("no route diagonalised a party "
-                                      f"overlap of side {len(mat)}") from exc
-            w[b], e[b] = sv[::-1], u[:, ::-1]
-    return w, e
+    """Ascending eigenpairs of a stack of PSD overlaps (``_decompose``):
+    where eigh fails on a matrix, from its SVD B = U diag(s) U^H."""
+
+    def by_svd(mat):
+        u, sv, _ = np.linalg.svd(mat)
+        return sv[::-1], u[:, ::-1]
+
+    return _decompose(overlap, np.linalg.eigh, by_svd)
 
 
 def _generalized_step(numer: tuple, overlap, previous: np.ndarray,

@@ -127,11 +127,12 @@ class SevalueProblem:
 
     With the same statistics on every block, P (P_1 x ... x P_K) = P, so
     party j's equation only sees the part of b_j in its block's exchange
-    sector, of isometry S_j and dimension ``sector_dims[j]``, where the
-    sweep solves it; party vectors stay in full-space coordinates.  The
-    party matrices and the residuals reach the whole sector, of isometry
-    S, through the ``coupling`` T = S^H (S_1 x ... x S_K), built from
-    labels alone; the oracle stays on S's orbit tables.
+    sector, of isometry S_j and dimension ``sector_dims[j]``: the sweep
+    holds party j as c_j = S_j^H b_j, applied by the orbit tables of
+    ``party_sectors``, and its solutions hold full-block vectors S_j c_j.
+    The party matrices and the residuals reach the whole sector, of
+    isometry S, through the ``coupling`` T = S^H (S_1 x ... x S_K), built
+    from labels alone; the oracle stays on S's orbit tables.
 
     The cache relies on its inputs staying fixed: a low-rank operator's
     term vectors are read-only copies, and a dense operator is a
@@ -181,15 +182,6 @@ class SevalueProblem:
         return tuple(self.sector if nj == self.space.n else _sector_basis(
             self.stats, SpaceConfig(self.space.d, nj))
             for nj in self.partition.parts)
-
-    @cached_property
-    def party_isometries(self) -> tuple[np.ndarray | None, ...]:
-        """The ``party_sectors`` as dense (block dimension, sector
-        dimension) arrays.  DimensionCapError where a party's sector is
-        too large to be solved through m_j x m_j matrices."""
-        _check_dense_cap(self)
-        return tuple(None if iso is None else iso.toarray()
-                     for iso in self.party_sectors)
 
     @cached_property
     def coupling(self) -> SectorCoupling:
@@ -316,33 +308,40 @@ def _sector_basis(stats: Statistics, space: SpaceConfig) \
     """The exchange-sector isometry S of ``space`` as orbit tables; None
     where the sector is the whole space, so that no identity products
     are done."""
-    if subspace_dimension(stats, space) == space.total_dim:
-        return None
-    return sector_isometry(stats, space)
+    return None if subspace_dimension(stats, space) == space.total_dim \
+        else sector_isometry(stats, space)
 
 
 def _check_dense_cap(problem: SevalueProblem) -> None:
     """DimensionCapError where a party's sector is too large to be
     solved through m_j x m_j matrices."""
-    for mj in problem.sector_dims:
-        if mj > PARTY_DENSE_CAP:
-            raise DimensionCapError(
-                f"party sector dimension {mj} exceeds the dense cap "
-                f"{PARTY_DENSE_CAP}")
+    mj = max(problem.sector_dims)
+    if mj > PARTY_DENSE_CAP:
+        raise DimensionCapError(f"party sector dimension {mj} exceeds the "
+                                f"dense cap {PARTY_DENSE_CAP}")
 
 
 # -- diagnostics in sector coordinates -------------------------------------
-# (the party vectors of a batch of starts are the rows of one (batch, d_j)
-# array per party)
+# (a batch of starts holds one array per party: its full-block vectors
+# b_j as (batch, d_j) rows, or its coordinates c_j as (batch, m_j) rows)
 
-def _sector_product(problem: SevalueProblem, blocks) -> tuple:
-    """Every party's c_i = S_i^H b_i (b_i where S_i is None), by the
-    orbit tables, and y = T (c_1 x ... x c_K), P|b> = S y (y = |b>
-    where P = 1), as (batch, m_i) and (batch, m) rows."""
-    coords = [b if sec is None else sec.adjoint(b.T).T
-              for b, sec in zip(blocks, problem.party_sectors)]
-    return coords, _kron_rows(coords, len(blocks[0])) \
-        if problem.sector is None \
+def _party_coords(problem: SevalueProblem, blocks) -> list:
+    """Every party's c_j = S_j^H b_j (b_j where S_j is None), by the
+    orbit tables of ``party_sectors``."""
+    return [b if sec is None else sec.adjoint(b.T).T
+            for b, sec in zip(blocks, problem.party_sectors)]
+
+
+def _party_vectors(problem: SevalueProblem, coords) -> list:
+    """Every party's full-block b_j = S_j c_j (c_j where S_j is None)."""
+    return [c if sec is None else sec.apply(c.T).T
+            for c, sec in zip(coords, problem.party_sectors)]
+
+
+def _sector_product(problem: SevalueProblem, coords) -> np.ndarray:
+    """y = T (c_1 x ... x c_K), P|b> = S y (y = |b> where P = 1), as
+    (batch, m) rows."""
+    return _kron_rows(coords, len(coords[0])) if problem.sector is None \
         else problem.coupling.contract(coords, len(coords))[:, :, 0]
 
 
@@ -358,7 +357,8 @@ def _stationarity(problem: SevalueProblem, blocks, values):
     full-space vector is formed where P is not 1.
     """
     count = len(blocks[0])
-    coords, y = _sector_product(problem, blocks)
+    coords = _party_coords(problem, blocks)
+    y = _sector_product(problem, coords)
     coeffs, vectors = problem.sector_terms
     chi = ((y @ vectors.conj()) * coeffs) @ vectors.T \
         - np.asarray(values, dtype=float)[:, None] * y
@@ -400,30 +400,28 @@ def _solutions(problem: SevalueProblem, blocks, values, settled, sweeps,
 
 # -- party-wise operators --------------------------------------------------
 
-def _party_matrices(problem: SevalueProblem, blocks, j: int) -> tuple:
-    """Party j's equations A_j x = g B_j x with the other blocks held
-    fixed, in its block's sector coordinates, as (numerator, overlap)
-    with a leading batch axis.
+def _party_matrices(problem: SevalueProblem, coords, j: int) -> tuple:
+    """Party j's equations A_j x = g B_j x with the other parties'
+    coordinates c_i held fixed, in its block's sector coordinates, as
+    (numerator, overlap) with a leading batch axis.
 
     The numerator is the ``sector_terms`` (c, X) contracted onto the
     party: A_j = sum_t c_t a_t a_t^H as (c, V), V holding S_j^H a_t as
     columns.  Where P = 1 the overlap is the scalar ||left||^2
     ||right||^2 times the identity.  Else, as P (P_1 x ... x P_K) = P,
-    the others enter through c_i = S_i^H b_i alone: with y = T (c_1 x
-    ... x 1 x ... x c_K), T the ``coupling``, S_j^H B_j S_j is y^H y
-    and V is y^H X.
+    the others enter through their c_i alone: with y = T (c_1 x ... x 1
+    x ... x c_K), T the ``coupling``, S_j^H B_j S_j is y^H y and V is
+    y^H X.
     """
-    isos, count = problem.party_isometries, len(blocks[0])
+    count = len(coords[0])
     coeffs, vectors = problem.sector_terms
     if problem.sector is None:
-        left = _kron_rows(blocks[:j], count)
-        right = _kron_rows(blocks[j + 1:], count)
+        left = _kron_rows(coords[:j], count)
+        right = _kron_rows(coords[j + 1:], count)
         overlap = np.einsum("bl,bl->b", left.conj(), left).real \
             * np.einsum("br,br->b", right.conj(), right).real
         return (coeffs, _contract_fixed(vectors, left, right,
-                                        problem.block_dims[j])), overlap
-    coords = [b if iso is None or i == j else (b.conj() @ iso).conj()
-              for i, (b, iso) in enumerate(zip(blocks, isos))]
+                                        problem.sector_dims[j])), overlap
     adj = _dag(problem.coupling.contract(coords, j))
     return (coeffs, adj @ vectors), _hermitian_part(adj @ _dag(adj))
 
@@ -447,20 +445,23 @@ def _sweep(problem: SevalueProblem, inits, max_sweeps: int, tol: float,
     """Cyclic per-party ascent (or descent) of many starts at once.
 
     ``inits`` holds one iterator per start over the initializations (one
-    vector per party) it may try.  The starts advance as one batch, one
-    batched step per party per sweep, so many that the largest stacked
-    array holds at most BATCH_BYTES (a start's: the sector terms
-    contracted out where P = 1, or else ``coupling.contract``'s, no
-    smaller than the residual's T^H chi): the others wait and join as
-    starts leave.  A start that meets a zero projection takes its next
-    initialization and rejoins with its own sweep count.
+    vector per party) it may try.  A start holds every party in its
+    block's sector coordinates c_j = S_j^H b_j, taken once, as it joins;
+    full-block vectors S_j c_j are formed only for the solution records.
+    The starts advance as one batch, one batched step per party per
+    sweep, so many that the largest stacked array holds at most
+    BATCH_BYTES (a start's: the sector terms contracted out where P = 1,
+    or else ``coupling.contract``'s, no smaller than the residual's
+    T^H chi): the others wait and join as starts leave.  A start that
+    meets a zero projection takes its next initialization and rejoins
+    with its own sweep count.
 
     After the party steps, every start still moving (past its first
     sweep, not settled within ``value_tol``, not lost) takes one line
-    step (``_extrapolated``) to b_j + beta (b_j - b_j'), b_j' its vector
-    before the sweep, normalised, kept only where its quotient rises
-    ("max") or falls ("min") and its projected norm is at least
-    INIT_PROJECTION_TOL: the quotient stays monotone, and the step
+    step (``_extrapolated``) to c_j + beta (c_j - c_j'), c_j' its
+    coordinates before the sweep, normalised, kept only where its
+    quotient rises ("max") or falls ("min") and its projected norm is at
+    least INIT_PROJECTION_TOL: the quotient stays monotone, and the step
     carries cyclic ascent's linear tail along the line of the sweep.
     beta is the start's own, LINE_STEP at first, times LINE_GROWTH
     after a taken trial and back to LINE_STEP after a refused one.  A
@@ -487,17 +488,17 @@ def _sweep(problem: SevalueProblem, inits, max_sweeps: int, tol: float,
         if not isinstance(problem.operator, LowRankObservable):
             _check_dense_cap(problem)
         return [_sector_step(problem, inits[0], mode, tol)]
-    dim, isos = problem.space.total_dim, problem.party_isometries
+    _check_dense_cap(problem)
     terms = problem.sector_terms[1].shape[1]
-    width = max(2, terms) * dim if problem.sector is None \
+    width = max(2, terms) * problem.space.total_dim if problem.sector is None \
         else max(1, problem.coupling.width)
     size = max(1, BATCH_BYTES // (16 * width))
     out: list = [None] * len(inits)
     # the starts in the batch, their sweeps so far, their last values,
-    # their extrapolation factors and their party vectors
+    # their extrapolation factors and their party coordinates
     batch = [np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0),
-             np.zeros(0)] + [np.zeros((0, dim), dtype=np.complex128)
-                             for dim in problem.block_dims]
+             np.zeros(0)] + [np.zeros((0, mj), dtype=np.complex128)
+                             for mj in problem.sector_dims]
     pending = list(range(len(inits)))
     while pending or batch[0].size:
         # waiting starts draw their next initialization; those that
@@ -510,8 +511,9 @@ def _sweep(problem: SevalueProblem, inits, max_sweeps: int, tol: float,
             starts = np.array([i for i, _ in drawn])
             new = [np.array(col, dtype=np.complex128)
                    for col in zip(*(init for _, init in drawn))]
-            new = [b / np.linalg.norm(b, axis=1, keepdims=True) for b in new]
-            ok = np.linalg.norm(_sector_product(problem, new)[1], axis=1) \
+            new = _party_coords(problem, [
+                b / np.linalg.norm(b, axis=1, keepdims=True) for b in new])
+            ok = np.linalg.norm(_sector_product(problem, new), axis=1) \
                 >= INIT_PROJECTION_TOL
             pending = starts[~ok].tolist() + pending
             joined = np.count_nonzero(ok)
@@ -519,37 +521,35 @@ def _sweep(problem: SevalueProblem, inits, max_sweeps: int, tol: float,
                 starts[ok], np.zeros(joined, dtype=int),
                 np.full(joined, np.nan), np.full(joined, LINE_STEP)]
                 + [b[ok] for b in new])]
-        ids, counts, previous, steps, *blocks = batch
+        ids, counts, previous, steps, *coords = batch
         if not ids.size:
             continue
         counts += 1
         lost = np.zeros(ids.size, dtype=bool)
-        before = list(blocks)
-        for j, iso in enumerate(isos):
-            numer, overlap = _party_matrices(problem, blocks, j)
-            coords = blocks[j] if iso is None \
-                else (blocks[j].conj() @ iso).conj()
-            values, coords = _generalized_step(numer, overlap, coords, mode)
-            blocks[j] = coords if iso is None else coords @ iso.T
+        before = list(coords)
+        for j in range(len(coords)):
+            numer, overlap = _party_matrices(problem, coords, j)
+            values, coords[j] = _generalized_step(numer, overlap, coords[j],
+                                                  mode)
             lost |= np.isnan(values)
         settled = (counts > 1) & (np.abs(values - previous) <= value_tol)
         moving = ((counts > 1) & ~settled & ~lost).nonzero()[0]
         if moving.size:
             trial, scores = _extrapolated(
-                problem, [b[moving] for b in before],
-                [b[moving] for b in blocks], steps[moving])
+                problem, [c[moving] for c in before],
+                [c[moving] for c in coords], steps[moving])
             better = scores > values[moving] if mode == "max" \
                 else scores < values[moving]
             steps[moving] = np.where(better, steps[moving] * LINE_GROWTH,
                                      LINE_STEP)
             taken = moving[better]
             values[taken] = scores[better]
-            for block, part in zip(blocks, trial):
-                block[taken] = part[better]
+            for c, part in zip(coords, trial):
+                c[taken] = part[better]
         check = ((settled | (counts >= max_sweeps)) & ~lost).nonzero()[0]
-        sols = _solutions(problem, [b[check] for b in blocks], values[check],
-                          settled[check], counts[check], tol) \
-            if check.size else []
+        sols = _solutions(problem, _party_vectors(
+            problem, [c[check] for c in coords]), values[check],
+            settled[check], counts[check], tol) if check.size else []
         done = lost.copy()
         for pos, sol in zip(check, sols):
             if sol is None or sol.converged or counts[pos] >= max_sweeps:
@@ -557,21 +557,21 @@ def _sweep(problem: SevalueProblem, inits, max_sweeps: int, tol: float,
                 lost[pos], done[pos] = sol is None, True
         pending = ids[lost].tolist() + pending
         batch = [part[~done] for part in [ids, counts, values, steps]
-                 + blocks]
+                 + coords]
     return out
 
 
 def _extrapolated(problem: SevalueProblem, before, after, steps) -> tuple:
-    """The line step of a sweep: every party moved on to after_j +
-    beta (after_j - before_j), beta the start's ``steps`` entry, and
-    normalised, with the quotient sum_t c_t |x_t^H y|^2 / ||y||^2 of
-    that product, y its ``_sector_product`` and (c, X) the
-    ``sector_terms``.  Returns the trial party vectors and their
+    """The line step of a sweep: every party's coordinates moved on to
+    after_j + beta (after_j - before_j), beta the start's ``steps``
+    entry, and normalised, with the quotient sum_t c_t |x_t^H y|^2 /
+    ||y||^2 of that product, y its ``_sector_product`` and (c, X) the
+    ``sector_terms``.  Returns the trial coordinates and their
     quotients, NaN (never taken) where the trial's projected norm is
     below INIT_PROJECTION_TOL."""
     trial = [a + steps[:, None] * (a - b) for a, b in zip(after, before)]
     trial = [t / np.linalg.norm(t, axis=1, keepdims=True) for t in trial]
-    _, y = _sector_product(problem, trial)
+    y = _sector_product(problem, trial)
     coeffs, vectors = problem.sector_terms
     denom = np.einsum("bm,bm->b", y.conj(), y).real
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -588,14 +588,12 @@ def _sector_step(problem: SevalueProblem, init, mode: str, tol: float):
     S y.  Returns that solution, or None where the sector is empty."""
     if not problem.sector_dims[0]:
         return None
-    sec = problem.sector
-    first = np.asarray(next(init)[0], dtype=np.complex128)
+    first, = _party_coords(problem, [np.asarray(next(init)[0], complex)[None]])
     coeffs, vectors = problem.sector_terms
-    values, coords = _generalized_step(
-        (coeffs, vectors[None]), np.ones(1),
-        (first if sec is None else sec.adjoint(first))[None], mode)
-    vector = coords[0] if sec is None else sec.apply(coords[0])
-    sol, = _solutions(problem, [vector[None]], values, [True], [1], tol)
+    values, coords = _generalized_step((coeffs, vectors[None]), np.ones(1),
+                                       first, mode)
+    sol, = _solutions(problem, _party_vectors(problem, [coords]), values,
+                      [True], [1], tol)
     return sol
 
 
@@ -678,7 +676,8 @@ def _rank_one_diagnostics(problem: SevalueProblem, value: float,
     vectors, normalised."""
     blocks = [(np.asarray(b, complex) / np.linalg.norm(b))[None]
               for b in blocks]
-    if np.linalg.norm(_sector_product(problem, blocks)[1]) < 1e-12:
+    if np.linalg.norm(_sector_product(
+            problem, _party_coords(problem, blocks))) < 1e-12:
         raise ZeroProjectionError("analytic party vectors project to zero")
     sol, = _solutions(problem, blocks, [value], [True], [0])
     return sol

@@ -253,18 +253,29 @@ def reference_brute_force_bound(problem, samples, seed=0):
     return best
 
 
+def _called_within(name):
+    """True where the call that the asking function patches was made
+    from within a call of the function ``name``, directly or through
+    further calls."""
+    frame = sys._getframe(2)
+    while frame is not None and frame.f_code.co_name != name:
+        frame = frame.f_back
+    return frame is not None
+
+
 def break_overlap_eigh(monkeypatch, sides=()):
-    """Make ``np.linalg.eigh``, where partystep whitens overlaps, raise
-    LinAlgError on any call that holds the chosen matrix, the second of
-    the first batch of at least two.  With ``sides``, every call on
-    overlaps of those sides raises instead, and so does the SVD route.
-    Returns the count of calls that raised, by routine."""
+    """Make ``np.linalg.eigh``, where partystep whitens overlaps
+    (``_overlap_eigh``), raise LinAlgError on any call that holds the
+    chosen matrix, the second of the first batch of at least two.  With
+    ``sides``, every call on overlaps of those sides raises instead, and
+    so does the SVD route.  Returns the count of calls that raised, by
+    routine."""
     eigh, svd = np.linalg.eigh, np.linalg.svd
     chosen, raised = [], collections.Counter()
 
     def failing(solve, name):
         def call(a, *args, **kwargs):
-            if sys._getframe(1).f_code.co_name == "_overlap_eigh":
+            if _called_within("_overlap_eigh"):
                 if not chosen and np.ndim(a) == 3 and len(a) >= 2:
                     chosen.append(np.array(a[1]))
                 mats = np.reshape(a, (-1,) + np.shape(a)[-2:])
@@ -278,6 +289,24 @@ def break_overlap_eigh(monkeypatch, sides=()):
     monkeypatch.setattr(np.linalg, "eigh", failing(eigh, "eigh"))
     if sides:
         monkeypatch.setattr(np.linalg, "svd", failing(svd, "svd"))
+    return raised
+
+
+def break_span_svd(monkeypatch, stacks_only=False):
+    """Make ``np.linalg.svd`` raise LinAlgError on every call where
+    partystep takes the span of a party step's whitened term vectors
+    (``_span_extremum``), or with ``stacks_only`` on every such call on
+    a stack of matrices.  Returns the shapes of the calls that raised."""
+    svd, raised = np.linalg.svd, []
+
+    def call(a, *args, **kwargs):
+        if _called_within("_span_extremum") and (np.ndim(a) == 3
+                                                 or not stacks_only):
+            raised.append(np.shape(a))
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", call)
     return raised
 
 

@@ -19,7 +19,7 @@ from sepwit.cli import (load_observable_file, load_state_file, main,
                         save_observable_json, save_state_json)
 from sepwit.errors import InputFormatError
 
-from conftest import break_overlap_eigh, random_hermitian
+from conftest import break_overlap_eigh, break_span_svd, random_hermitian
 
 INTERFERENCE_N3 = str(files("sepwit").joinpath("data/interference_N3.json"))
 BELL_BOSON_D3 = str(files("sepwit").joinpath("data/bell_boson_d3.json"))
@@ -329,6 +329,15 @@ def test_sevalue_reports_a_failed_eigensolve_and_goes_on(tmp_path,
     assert solved["partition"] == "2,2" and "G" in solved
     break_overlap_eigh(monkeypatch, sides=(10, 6))
     code = main(argv)
+    assert code == 3 and capsys.readouterr().out == ""
+
+
+def test_sevalue_exits_3_where_a_span_svd_fails(monkeypatch, capsys):
+    # no route takes the SVD of a party step's whitened term vectors: a
+    # numerical failure, not an input error
+    break_span_svd(monkeypatch)
+    code = main(["sevalue", INTERFERENCE_N3, "--k", "2", "--starts", "2",
+                 "--oracle-samples", "20"])
     assert code == 3 and capsys.readouterr().out == ""
 
 

@@ -64,15 +64,19 @@ def test_coupling_map_matches_dense_sector_bases(stats, d, parts):
             assert np.abs(got[b] - dense).max(initial=0.0) <= 1e-12
 
 
-def _embedded_party_matrices(problem, blocks, j):
+def _embedded_party_matrices(problem, coords, j):
     """The party matrices through the full space, start by start: y =
-    S^H q with q = left x S_j x right and dense S and S_j, the overlap
-    y^H y (||left||^2 ||right||^2 where P = 1) and the numerator y^H X
-    for the sector terms (c, X)."""
-    iso = problem.party_isometries[j]
+    S^H q with q = left x S_j x right, the other parties' full-block
+    vectors b_i = S_i c_i in left and right, and dense S and S_i, the
+    overlap y^H y (||left||^2 ||right||^2 where P = 1) and the numerator
+    y^H X for the sector terms (c, X)."""
     coeffs, vectors = problem.sector_terms
-    whole = sector_basis_vectors(problem.stats, problem.space)
-    embed = np.eye(problem.block_dims[j]) if iso is None else iso
+    stats, d = problem.stats, problem.space.d
+    whole = sector_basis_vectors(stats, problem.space)
+    isos = [sector_basis_vectors(stats, SpaceConfig(d, nj))
+            for nj in problem.partition.parts]
+    blocks = [c @ iso.T for c, iso in zip(coords, isos)]
+    embed = isos[j]
     numers, overlaps = [], []
     for b in range(len(blocks[0])):
         left = reduce(np.kron, [x[b] for x in blocks[:j]], np.ones(1))
@@ -131,7 +135,7 @@ def test_party_matrices_touch_no_full_space_array():
     space = SpaceConfig(8, 4)
     problem = SevalueProblem(interference_observable(space, Statistics.BOSON),
                              Statistics.BOSON, Partition((2, 2)), space)
-    problem.party_isometries, problem.sector_terms, problem.coupling
+    problem.party_sectors, problem.sector_terms, problem.coupling
     tracemalloc.start()
     try:
         result = solve_sup_g(problem, starts=4, seed=0)

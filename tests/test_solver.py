@@ -30,8 +30,8 @@ from sepwit.partystep import _generalized_step
 from sepwit.solver import (RESIDUAL_TOL, VALUE_TOL, _crandn, _party_matrices,
                            _solutions, _stationarity, _sweep)
 
-from conftest import (break_overlap_eigh, contracted_operator, crandn,
-                      dense_party_matrices, full_space_stationarity,
+from conftest import (break_overlap_eigh, break_span_svd, contracted_operator,
+                      crandn, dense_party_matrices, full_space_stationarity,
                       random_hermitian, random_unitary,
                       reference_brute_force_bound, reference_generalized_step)
 
@@ -189,8 +189,11 @@ def test_party_matrices_match_contracted_operator(rng, stats, parts):
         g = float(rng.standard_normal())
         batch = [b[None] for b in blocks]
         _, (defects,) = _stationarity(problem, batch, [g])
+        # the party matrices read the others' block-sector coordinates
+        coords = [(iso.conj().T @ b)[None]
+                  for iso, b in zip(isometries, blocks)]
         for j, iso in enumerate(isometries):
-            numer, overlap = _party_matrices(problem, batch, j)
+            numer, overlap = _party_matrices(problem, coords, j)
             # every numerator comes as its contracted terms, dense or
             # low-rank, and the overlap as a scalar per start where P = 1
             assert isinstance(numer, tuple)
@@ -205,9 +208,8 @@ def test_party_matrices_match_contracted_operator(rng, stats, parts):
             # the matrix-free defects are the party equation's residual
             # and overlap norm: A_j and B_j act only on the block-sector
             # part S_j^H b_j of b_j
-            coords = iso.conj().T @ blocks[j]
-            bv = overlap @ coords
-            want_defect = np.linalg.norm(numer @ coords - g * bv)
+            bv = overlap @ coords[j][0]
+            want_defect = np.linalg.norm(numer @ coords[j][0] - g * bv)
             want_scale = np.linalg.norm(bv)
             defect, scale = defects[j]
             assert abs(defect - want_defect) <= 1e-12 * want_defect
@@ -243,12 +245,13 @@ def test_party_step_matches_dense_reference(rng, stats, parts, mode, kind):
     problem = SevalueProblem(_random_observable(rng, kind, space), stats,
                              partition, space)
     blocks = [crandn(rng, 3 ** nk) for nk in parts]
-    blocks = [b / np.linalg.norm(b) for b in blocks]
+    coords = [sector_basis_vectors(stats, SpaceConfig(3, nk)).conj().T
+              @ (b / np.linalg.norm(b)) for nk, b in zip(parts, blocks)]
     for _ in range(3):
-        for j, iso in enumerate(problem.party_isometries):
+        for j in range(len(parts)):
             numer, overlap = _party_matrices(
-                problem, [b[None] for b in blocks], j)
-            previous = blocks[j] if iso is None else iso.conj().T @ blocks[j]
+                problem, [c[None] for c in coords], j)
+            previous = coords[j]
             (value,), (vec,) = _generalized_step(numer, overlap,
                                                  previous[None], mode)
             numer, overlap = dense_party_matrices(
@@ -260,7 +263,7 @@ def test_party_step_matches_dense_reference(rng, stats, parts, mode, kind):
             assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
             quotient = (vec.conj() @ numer @ vec) / (vec.conj() @ overlap @ vec)
             assert abs(quotient - value) <= 1e-12 * scale
-            blocks[j] = vec if iso is None else iso @ vec
+            coords[j] = vec
 
 
 @pytest.mark.parametrize("stats", list(Statistics))
@@ -462,6 +465,33 @@ def test_overlap_eigh_failing_every_route_is_a_convergence_error(
         solve_sup_g(problem, starts=4, seed=0)
     assert isinstance(info.value, ConvergenceError)
     assert raised == {"eigh": 2, "svd": 1}
+
+
+def test_failed_span_svd_is_redone_one_matrix_at_a_time(monkeypatch, rng):
+    # the SVD of a party step's whitened term vectors fails on every
+    # batch: each start's matrix alone reaches the same G
+    space = SpaceConfig(3, 3)
+    problem = SevalueProblem(_random_observable(rng, "low-rank", space),
+                             Statistics.BOSON, Partition((2, 1)), space)
+    want = solve_sup_g(problem, starts=4, seed=0).value
+    raised = break_span_svd(monkeypatch, stacks_only=True)
+    got = solve_sup_g(problem, starts=4, seed=0).value
+    assert raised and all(len(shape) == 3 for shape in raised)
+    assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+
+def test_span_svd_failing_every_route_is_a_convergence_error(monkeypatch,
+                                                             rng):
+    # where the matrix fails alone too, the solve raises EigensolveError,
+    # a ConvergenceError, not numpy's LinAlgError, which is a ValueError
+    space = SpaceConfig(3, 3)
+    problem = SevalueProblem(_random_observable(rng, "low-rank", space),
+                             Statistics.BOSON, Partition((2, 1)), space)
+    raised = break_span_svd(monkeypatch)
+    with pytest.raises(EigensolveError, match="no route") as info:
+        solve_sup_g(problem, starts=4, seed=0)
+    assert isinstance(info.value, ConvergenceError)
+    assert [len(shape) for shape in raised] == [3, 2]
 
 
 def test_solution_projected_vector_nonzero_and_diagnostics(rng):
@@ -694,11 +724,46 @@ def test_single_party_dense_cap_reads_sector_dimension(rng):
         solve_sup_g(wide, starts=1, seed=1)
 
 
-def test_party_isometries_built_once_per_problem(monkeypatch, rng):
+@pytest.mark.parametrize("stats,n,d,parts,dims", [
+    (Statistics.FERMION, 4, 8, (3, 1), (56, 8)),
+    (Statistics.BOSON, 3, 6, (2, 1), (21, 6))])
+def test_sweep_holds_party_sector_coordinates(monkeypatch, stats, n, d, parts,
+                                              dims):
+    # a low-rank K >= 2 solve steps every party in its block's sector
+    # coordinates (56 of fermion (3, 1)'s 512 modes), which it reaches
+    # by the orbit tables alone: no dense S_j or S is ever formed
+    space = SpaceConfig(d, n)
+    problem = SevalueProblem(interference_observable(space, stats), stats,
+                             Partition(parts), space)
+    widths, dense = [], []
+    step, toarray = solver_module._generalized_step, SectorIsometry.toarray
+
+    def recording(numer, overlap, previous, mode):
+        widths.append(previous.shape[1])
+        return step(numer, overlap, previous, mode)
+
+    def counting(self):
+        dense.append(self.shape)
+        return toarray(self)
+
+    monkeypatch.setattr(solver_module, "_generalized_step", recording)
+    monkeypatch.setattr(SectorIsometry, "toarray", counting)
+    result = solve_sup_g(problem, starts=3, seed=0)
+    assert abs(result.value - 0.5) <= 1e-9
+    assert problem.sector_dims == dims
+    assert widths and widths == list(dims) * (len(widths) // 2)
+    assert dense == []
+    assert [len(b) for b in result.best.party_vectors] \
+        == list(problem.block_dims)
+
+
+def test_party_sectors_built_once_per_problem(monkeypatch, rng):
     # every start of a solve, and every later solve, oracle call and
-    # second-form check on the same problem, shares its S_j, the whole
-    # space's S and the observable in S's coordinates; a block whose
-    # sector is the whole block (one slot here) is solved without one
+    # second-form check on the same problem, shares the orbit tables of
+    # its S_j and of the whole space's S, and the observable in S's
+    # coordinates; a block whose sector is the whole block (one slot
+    # here) is solved without one.  The sweep reads S (for its batch
+    # size) before the starts join through their S_j
     import sepwit.operators as operators_module
     import sepwit.solver as solver_module
     calls = []
@@ -733,7 +798,7 @@ def test_party_isometries_built_once_per_problem(monkeypatch, rng):
     monkeypatch.setattr(operators_module, "orth", counting_orth)
     result = solve_sup_g(problem, starts=3, seed=0)
     assert abs(result.value - 0.5) <= 1e-9
-    assert calls == [3, 4]
+    assert calls == [4, 3]
     # a projected low-rank solve builds its sector terms (c, S^H V) once
     assert builds == ["terms"]
     # and later solves, the oracle and the second-form check on the same
@@ -742,15 +807,15 @@ def test_party_isometries_built_once_per_problem(monkeypatch, rng):
     sweep_solve(problem, list(result.best.party_vectors))
     assert brute_force_bound(problem, samples=64, seed=0) <= 0.5 + 1e-9
     verify_second_form(result.best, problem)
-    assert calls == [3, 4]
+    assert calls == [4, 3]
     assert builds == ["terms"]
     assert orth_calls == []
-    assert problem.party_isometries[1] is None
-    assert calls == [3, 4]
+    assert problem.party_sectors[1] is None
+    assert calls == [4, 3]
     wide = SevalueProblem(problem.operator, Statistics.DISTINGUISHABLE,
                           Partition((2, 2)), space)
-    assert all(iso is None for iso in wide.party_isometries)
-    assert calls == [3, 4]
+    assert all(iso is None for iso in wide.party_sectors)
+    assert calls == [4, 3]
     # a dense observable is compressed to S^H L S once per problem
     calls.clear()
     builds.clear()
@@ -758,7 +823,7 @@ def test_party_isometries_built_once_per_problem(monkeypatch, rng):
     dense = SevalueProblem(random_hermitian(rng, 27), Statistics.BOSON,
                            Partition((2, 1)), small)
     solve_sup_g(dense, starts=3, seed=0)
-    assert calls == [2, 3]
+    assert calls == [3, 2]
     assert builds == [(27, 27)]
     # a distinguishable dense solve builds no isometry at all, and takes
     # the eigen-terms of L itself once
@@ -1220,8 +1285,9 @@ def test_batched_step_loses_only_the_vanishing_start(rng):
                              Partition((2, 1)), space)
     blocks = [crandn(rng, 4, 9), crandn(rng, 4, 3)]
     blocks[1][2] = 0.0
-    numer, overlap = _party_matrices(problem, blocks, 0)
-    previous = blocks[0] @ problem.party_isometries[0].conj()
+    previous = blocks[0] @ sector_basis_vectors(Statistics.BOSON,
+                                                SpaceConfig(3, 2)).conj()
+    numer, overlap = _party_matrices(problem, [previous, blocks[1]], 0)
     values, vectors = _generalized_step(numer, overlap, previous, "max")
     assert np.isnan(values[2]) and not np.isnan(values[[0, 1, 3]]).any()
     for b in range(4):
@@ -1245,7 +1311,7 @@ def test_batched_step_mixes_span_ranks(rng):
     blocks = [crandn(rng, 3, 3), crandn(rng, 3, 3)]
     blocks[1][1] = [0.0, 1.0, 0.0]
     (coeffs, vectors), overlap = _party_matrices(problem, blocks, 0)
-    assert problem.party_isometries[0] is None and not np.any(vectors[1])
+    assert problem.party_sectors[0] is None and not np.any(vectors[1])
     for mode in ("max", "min"):
         values, got = _generalized_step((coeffs, vectors), overlap,
                                         blocks[0], mode)

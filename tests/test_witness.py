@@ -10,7 +10,7 @@ from sepwit import (DensityOperator, LowRankObservable, Partition,
                     project, rank_one_observable, schmidt_number_bound,
                     sector_deviation, subspace_dimension, sweep_solve,
                     witness_matrix)
-from sepwit.errors import SectorError
+from sepwit.errors import ConvergenceError, SectorError
 
 from conftest import crandn, random_hermitian, random_mixture
 
@@ -70,6 +70,24 @@ def test_analytic_bound_refused_for_equal_even_fermion_blocks():
                              Partition((2, 2)), space)
     with pytest.raises(ValueError):
         build_witness(problem, bound_source="analytic")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_numeric_fermion_three_two_bound_is_near_one_or_refused(seed):
+    # fermion interference on (3, 2) at N=5, d=10 (party sectors of 120
+    # and 45 dimensions, blocks of 1000 and 100 modes): the supremum seems
+    # not to be attained, so the numeric route either reports a bound of
+    # at least 0.99 or builds no witness, never the balanced family's 1/2
+    space = SpaceConfig(10, 5)
+    problem = SevalueProblem(interference_observable(space,
+                                                     Statistics.FERMION),
+                             Statistics.FERMION, Partition((3, 2)), space)
+    try:
+        witness = build_witness(problem, "numeric", starts=4, seed=seed,
+                                max_sweeps=60)
+    except ConvergenceError:
+        return
+    assert witness.bound >= 0.99
 
 
 def test_analytic_bound_refused_for_two_fermion_blocks_above_one():
