@@ -47,6 +47,7 @@ RESIDUAL_TOL = 1e-9
 INIT_PROJECTION_TOL = 1e-8
 LINE_STEP = 0.5            # first extrapolation factor of a start's sweeps
 LINE_GROWTH = 1.5          # its growth after an accepted extrapolation
+LINE_GAIN_ULPS = 64        # least gain, in ulps of |g|, of a taken step
 PARTY_DENSE_CAP = 512      # largest block-sector dimension solved densely
 _ORACLE_CHUNK = 256
 _RSQRT2 = 1.0 / math.sqrt(2.0)
@@ -259,11 +260,12 @@ def check_count(value, name: str) -> int:
     return count
 
 
-def _crandn(rng: np.random.Generator, size) -> np.ndarray:
-    """Standard complex normals (re + 1j im) / sqrt(2) in a new array of
-    shape ``size``, with ``re`` the stream's next draws and ``im`` the
-    ones after them.  The draws pass through a buffer of at most
-    _DRAW_PIECE doubles: splitting a draw does not change the stream."""
+def _crandn(rng: np.random.Generator, size, scale: float = 1.0) -> np.ndarray:
+    """Complex normals scale (re + 1j im) / sqrt(2) in a new array of
+    shape ``size``, ``re`` the stream's next draws and ``im`` the ones
+    after them, the scale folded into the multiply every draw takes.
+    The draws pass through a buffer of at most _DRAW_PIECE doubles:
+    splitting a draw does not change the stream."""
     out = np.empty(size, dtype=np.complex128)
     flat = out.reshape(-1)
     buf = np.empty(min(_DRAW_PIECE, flat.size))
@@ -271,7 +273,7 @@ def _crandn(rng: np.random.Generator, size) -> np.ndarray:
         for at in range(0, flat.size, _DRAW_PIECE):
             piece = buf[:flat.size - at]
             rng.standard_normal(out=piece)
-            np.multiply(piece, _RSQRT2, out=part[at:at + piece.size])
+            np.multiply(piece, scale * _RSQRT2, out=part[at:at + piece.size])
     return out
 
 
@@ -460,8 +462,9 @@ def _sweep(problem: SevalueProblem, inits, max_sweeps: int, tol: float,
     sweep, not settled within ``value_tol``, not lost) takes one line
     step (``_extrapolated``) to c_j + beta (c_j - c_j'), c_j' its
     coordinates before the sweep, normalised, kept only where its
-    quotient rises ("max") or falls ("min") and its projected norm is at
-    least INIT_PROJECTION_TOL: the quotient stays monotone, and the step
+    quotient rises ("max") or falls ("min") by more than rounding, that
+    is LINE_GAIN_ULPS ulps of |g|, and its projected norm is at least
+    INIT_PROJECTION_TOL: the quotient stays monotone, and the step
     carries cyclic ascent's linear tail along the line of the sweep.
     beta is the start's own, LINE_STEP at first, times LINE_GROWTH
     after a taken trial and back to LINE_STEP after a refused one.  A
@@ -538,8 +541,9 @@ def _sweep(problem: SevalueProblem, inits, max_sweeps: int, tol: float,
             trial, scores = _extrapolated(
                 problem, [c[moving] for c in before],
                 [c[moving] for c in coords], steps[moving])
-            better = scores > values[moving] if mode == "max" \
-                else scores < values[moving]
+            gain = LINE_GAIN_ULPS * np.spacing(np.abs(values[moving]))
+            better = scores > values[moving] + gain if mode == "max" \
+                else scores < values[moving] - gain
             steps[moving] = np.where(better, steps[moving] * LINE_GROWTH,
                                      LINE_STEP)
             taken = moving[better]
@@ -787,19 +791,19 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
 
     Each chunk of up to 256 samples (fewer where d**N exceeds 16384:
     its product vectors fit in BATCH_BYTES) draws one complex block of
-    normals per party, in stream order; numerators come from all terms
-    at once.  No block is normalised: a sample projects to zero where
-    ||S^H v||^2 is at most 1e-14 times the product of its squared party
-    norms, the loop form's test on the unit vector.  A refinement chunk,
-    perturbing party j of the incumbent c = c_1 x ... x c_K (unit
-    parts) by draws d, scores the linear image a S^H(c_1 x ... x d x
-    ... x c_K) + S^H c of its samples, with squared norms a^2 |d|^2 +
-    2a Re<c_j|d> + 1, whatever K.  A chunk's best sample that beats the
-    incumbent is re-scored on its formed unit product vector, so the
-    bound is always the quotient of a real product vector.  The draws
-    and bounds are those of the loop form that the tests keep as a
-    reference, to 1e-12 relative.  ``samples`` must be an integer of
-    at least 1; anything else raises ValueError.
+    normals per party, in stream order, and is scored from its party
+    blocks alone, numerators from all terms at once.  A refinement
+    chunk's block for party j is c_j + a d, d its draws, formed in the
+    draw's own array around the incumbent's unit c_j; the other parties
+    enter as one-column blocks.  No block is normalised: a sample
+    projects to zero where ||S^H v||^2 is at most 1e-14 times the
+    product of its squared party norms, the loop form's test on the unit
+    vector.  A chunk's best sample that beats the incumbent is re-scored
+    on its formed unit product vector, so the bound is always the
+    quotient of a real product vector.  The draws and bounds are those
+    of the loop form that the tests keep as a reference, to 1e-12
+    relative.  ``samples`` must be an integer of at least 1; anything
+    else raises ValueError.
 
     At small budgets the bound can sit far below the supremum: for the
     boson interference observable at N=3, d=6, partition (2, 1), 2000
@@ -815,87 +819,63 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
     dims = problem.block_dims
     rng = np.random.default_rng([seed, 11])
 
-    def image(blocks):
-        """S^H of the column products of (party_dim, count) blocks, where
-        a block of one column is a fixed party shared by every column.
-
-        Keeping the batch on the trailing, contiguous axis makes each
-        gather of the sector compression S^H copy whole rows."""
+    def quotients(blocks):
+        """sum_t c_t |<x_t|S^H v>|^2 / ||S^H v||^2 of every column product
+        v of (party_dim, count) blocks, a block of one column being a
+        party shared by every column; -inf where ||S^H v||^2 is at most
+        1e-14 times the product of v's squared party norms.  The batch
+        stays on the trailing, contiguous axis, so that each gather of
+        S^H copies whole rows."""
         vecs = blocks[0]
         for block in blocks[1:]:
             vecs = vecs[:, None, :] * block[None, :, :]
             vecs = vecs.reshape(-1, vecs.shape[-1])
-        return vecs if sec is None else sec.adjoint(vecs)
-
-    def quotients(overlaps, denom, norms):
-        """sum_t c_t |<x_t|S^H v>|^2 / ||S^H v||^2 of every sample v, from
-        its (terms, count) overlaps and denominators; -inf where
-        ||S^H v||^2 <= 1e-14 ``norms``, the product of its squared party
-        norms."""
+        norms = reduce(np.multiply, map(_column_norms_sq, blocks))
+        if sec is None:     # P = 1: ||v||^2 is the party norms' product
+            coords, denom = vecs, norms
+        else:
+            coords = sec.adjoint(vecs)
+            denom = _column_norms_sq(coords)
+        numer = coeffs @ np.abs(rows @ coords) ** 2
         out = np.full(denom.shape, -math.inf)
         valid = denom > 1e-14 * norms
-        if np.any(valid):
-            numer = coeffs @ np.abs(overlaps) ** 2
-            out[valid] = numer[valid] / denom[valid]
+        out[valid] = numer[valid] / denom[valid]
         return out
 
-    def offer(values, columns):
+    def offer(blocks):
         """Make the chunk's best sample the incumbent where its quotient,
         re-scored on the formed unit product vector, beats the
-        incumbent's; ``columns(top)`` gives sample top's party vectors.
+        incumbent's, its unit party vectors kept as one-column blocks.
         True where it did."""
-        nonlocal best, best_parts, best_coords
+        nonlocal best, best_parts
+        values = quotients(blocks)
         top = int(np.argmax(values))
-        if not values[top] > best:
-            return False
-        parts = [v / np.linalg.norm(v) for v in columns(top)]
-        coords = image([v[:, None] for v in parts])
-        rescored = quotients(rows @ coords, _column_norms_sq(coords), 1.0)
-        if not rescored[0] > best:
-            return False
-        best, best_parts, best_coords = float(rescored[0]), parts, coords
-        return True
+        if values[top] > best:
+            parts = [b[:, [min(top, b.shape[1] - 1)]] for b in blocks]
+            parts = [v / np.linalg.norm(v) for v in parts]
+            rescored, = quotients(parts)
+            if rescored > best:
+                best, best_parts = float(rescored), parts
+                return True
+        return False
 
-    # a chunk's blocks live only in the frames of explored or refined,
-    # so they are freed before the next chunk is drawn
-    def explored(count):
-        blocks = [_crandn(rng, (dim, count)) for dim in dims]
-        norms = reduce(np.multiply, map(_column_norms_sq, blocks))
-        coords = image(blocks)
-        values = quotients(rows @ coords, _column_norms_sq(coords), norms)
-        offer(values, lambda top: [b[:, top] for b in blocks])
-
-    def refined(party, count):
-        # the samples c_1 x ... x (c_j + a d) x ... x c_K around the unit
-        # incumbent, scored from the image of d in party j's place and
-        # the incumbent's own image best_coords
-        scale = steps[party] / math.sqrt(dims[party])
-        noise = _crandn(rng, (dims[party], count))
-        center = best_parts[party]
-        norms = (scale * scale * _column_norms_sq(noise)
-                 + 2 * scale * (center.conj() @ noise).real + 1.0)
-        coords = image([noise if i == party else v[:, None]
-                        for i, v in enumerate(best_parts)])
-        overlaps = scale * (rows @ coords) + rows @ best_coords
-        if sec is None:     # P = 1: a sample's sector norm is its norm
-            denom = norms
-        else:
-            coords *= scale
-            coords += best_coords
-            denom = _column_norms_sq(coords)
-        values = quotients(overlaps, denom, norms)
-        return offer(values, lambda top: [
-            center + scale * noise[:, top] if i == party else v
-            for i, v in enumerate(best_parts)])
+    def perturbed(party, count):
+        """A refinement chunk: party's block c_j + a d formed in the draw,
+        a its step, beside the incumbent's other parties; passed straight
+        to ``offer``, so that the block is freed before the next draw."""
+        block = _crandn(rng, (dims[party], count),
+                        steps[party] / math.sqrt(dims[party]))
+        block += best_parts[party]
+        return [block if i == party else v for i, v in enumerate(best_parts)]
 
     chunk = min(_ORACLE_CHUNK,
                 max(1, BATCH_BYTES // (16 * problem.space.total_dim)))
     explore, refine = ([min(chunk, total - at)
                         for at in range(0, total, chunk)]
                        for total in (samples - samples // 2, samples // 2))
-    best, best_parts, best_coords = -math.inf, None, None
+    best, best_parts = -math.inf, None
     for count in explore:
-        explored(count)
+        offer([_crandn(rng, (dim, count)) for dim in dims])
     if best_parts is None:
         raise ZeroProjectionError("every sample projected to zero")
 
@@ -904,7 +884,7 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
     steps = [0.5] * len(dims)
     for i, count in enumerate(refine):
         party = i % len(dims)
-        if refined(party, count):
+        if offer(perturbed(party, count)):
             steps[party] = min(steps[party] * 1.5, 2.0)
         else:
             steps[party] = max(steps[party] * 0.8, 1e-4)
@@ -914,13 +894,26 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
 # ---------------------------------------------------------------------------
 # covariance and the perturbed single-equation form
 
+def _checked_unitary(unitary, d: int, *lambdas) -> np.ndarray:
+    """``unitary`` as a complex array; ValueError unless the lambdas are
+    finite and it is a finite d x d unitary, U^H U = I within 1e-10."""
+    if not all(map(math.isfinite, lambdas)):
+        raise ValueError("lambda1 and lambda2 must be finite")
+    u = np.asarray(unitary, dtype=np.complex128)
+    if u.shape != (d, d) or not np.isfinite(u).all() \
+            or not np.abs(u.conj().T @ u - np.eye(d)).max() <= 1e-10:
+        raise ValueError("unitary must be a finite d x d unitary matrix")
+    return u
+
+
 def transformed_observable(operator, lambda1: float, lambda2: float,
                            unitary: np.ndarray, stats: Statistics,
                            space: SpaceConfig):
     """The observable U^dagger...U [lambda1 L + lambda2 P] rotated by a
     local unitary applied to every slot.  Low-rank inputs stay low-rank
-    when lambda2 = 0; otherwise a dense matrix is required."""
-    udag = np.asarray(unitary, dtype=np.complex128).conj().T
+    when lambda2 = 0; otherwise a dense matrix is required.  Raises
+    ValueError unless both lambdas are finite and U is unitary."""
+    udag = _checked_unitary(unitary, space.d, lambda1, lambda2).conj().T
     if isinstance(operator, LowRankObservable):
         if lambda2 == 0.0:
             terms = tuple(
@@ -937,22 +930,19 @@ def transformed_observable(operator, lambda1: float, lambda2: float,
             f"{PARTY_DENSE_CAP}")
     shifted = lambda1 * np.asarray(operator, dtype=np.complex128) \
         + lambda2 * projector_matrix(stats, space)
-    full = reduce(np.kron, [np.asarray(unitary, dtype=np.complex128)] * space.n)
-    return full.conj().T @ shifted @ full
+    full = reduce(np.kron, [udag] * space.n)
+    return full @ shifted @ full.conj().T
 
 
 def transform_solution(sol: SevalueSolution, lambda1: float, lambda2: float,
                        unitary: np.ndarray) -> SevalueSolution:
     """Carry a solution over to the rotated and affinely reparameterized
     observable: the quotient becomes lambda1 * g + lambda2 and every
-    party vector is rotated slot-wise by U^dagger."""
+    party vector is rotated slot-wise by U^dagger.  Raises ValueError
+    unless lambda1 is nonzero, both are finite and U is unitary."""
     if lambda1 == 0.0:
         raise ValueError("lambda1 must be nonzero")
-    u = np.asarray(unitary, dtype=np.complex128)
-    d = sol.space.d
-    if u.shape != (d, d) or \
-            np.abs(u.conj().T @ u - np.eye(d)).max() > 1e-10:
-        raise ValueError("unitary must be a d x d unitary matrix")
+    u = _checked_unitary(unitary, sol.space.d, lambda1, lambda2)
     blocks = tuple(_apply_local(u.conj().T, np.asarray(b), nk)
                    for b, nk in zip(sol.party_vectors, sol.partition.parts))
     return replace(sol, value=lambda1 * sol.value + lambda2,

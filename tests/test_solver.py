@@ -30,9 +30,9 @@ from sepwit.partystep import _generalized_step
 from sepwit.solver import (RESIDUAL_TOL, VALUE_TOL, _crandn, _party_matrices,
                            _solutions, _stationarity, _sweep)
 
-from conftest import (break_overlap_eigh, break_span_svd, contracted_operator,
-                      crandn, dense_party_matrices, full_space_stationarity,
-                      random_hermitian, random_unitary,
+from conftest import (_called_within, break_overlap_eigh, break_span_svd,
+                      contracted_operator, crandn, dense_party_matrices,
+                      full_space_stationarity, random_hermitian, random_unitary,
                       reference_brute_force_bound, reference_generalized_step)
 
 
@@ -452,6 +452,40 @@ def test_failed_overlap_eigh_takes_another_route(monkeypatch, rng, stats,
     got = solve_sup_g(problem, starts=6, seed=1).value
     assert raised == {"eigh": 2}
     assert abs(got - want) <= 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), batch=st.integers(1, 4),
+       m=st.integers(1, 6), deficit=st.integers(0, 5), terms=st.integers(1, 4),
+       mode=st.sampled_from(["max", "min"]))
+def test_overlap_svd_route_gives_the_batched_eigh_values(seed, batch, m,
+                                                        deficit, terms, mode):
+    # a party step whose overlaps all go through _overlap_eigh's SVD
+    # route, eigh failing on the stack and on every matrix alone, reaches
+    # the batched eigh route's values on random PSD overlaps of rank
+    # m - deficit (at least 1), rank-deficient ones included
+    rng = np.random.default_rng(seed)
+    rank = max(1, m - deficit)
+    factor = crandn(rng, batch, m, rank)
+    overlap = factor @ factor.conj().swapaxes(1, 2)
+    overlap = (overlap + overlap.conj().swapaxes(1, 2)) / 2.0
+    numer = (rng.standard_normal(terms), crandn(rng, batch, m, terms))
+    previous = crandn(rng, batch, m)
+    want, _ = _generalized_step(numer, overlap, previous, mode)
+    eigh, raised = np.linalg.eigh, []
+
+    def failing(a, *args, **kwargs):
+        if _called_within("_overlap_eigh"):
+            raised.append(np.shape(a))
+            raise np.linalg.LinAlgError("did not converge")
+        return eigh(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", failing)
+        got, _ = _generalized_step(numer, overlap, previous, mode)
+    assert raised[0] == overlap.shape and len(raised) == batch + 1
+    assert np.all(np.abs(got - want)
+                  <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
 
 def test_overlap_eigh_failing_every_route_is_a_convergence_error(
@@ -1381,6 +1415,51 @@ def test_extrapolated_sweeps_cut_the_linear_tail():
     assert sum(sweeps) <= 200 and max(sweeps) <= 20
 
 
+@pytest.mark.parametrize("mode", ["max", "min"])
+def test_line_step_gaining_less_than_the_margin_is_refused(monkeypatch, rng,
+                                                           mode):
+    # a trial that beats the start's quotient by fewer than LINE_GAIN_ULPS
+    # ulps of |g| is refused like one that never wins: every trial keeps
+    # the first factor LINE_STEP, and the solve is the same; one that
+    # beats it by more is taken, and a later trial's factor grows
+    space = SpaceConfig(6, 3)
+    problem = SevalueProblem(interference_observable(space, Statistics.BOSON),
+                             Statistics.BOSON, Partition((2, 1)), space)
+    init = [crandn(rng, dim) for dim in problem.block_dims]
+    step, extrapolated = (solver_module._generalized_step,
+                          solver_module._extrapolated)
+    last, factors = [], []
+
+    def recording(*args):
+        values, coords = step(*args)
+        last[:] = [values.copy()]
+        return values, coords
+
+    def solve(ulps):
+        # the trial's own coordinates, scored as the start's value moved
+        # by ``ulps`` ulps of |g| in the mode's direction
+        def faked(problem, before, after, steps):
+            factors.append(float(steps[0]))
+            trial, _ = extrapolated(problem, before, after, steps)
+            gain = ulps * np.spacing(np.abs(last[0]))
+            return trial, last[0] + (gain if mode == "max" else -gain)
+
+        factors.clear()
+        monkeypatch.setattr(solver_module, "_extrapolated", faked)
+        return sweep_solve(problem, init, mode=mode)
+
+    monkeypatch.setattr(solver_module, "_generalized_step", recording)
+    never = solve(np.nan)
+    assert len(factors) >= 2 and set(factors) == {solver_module.LINE_STEP}
+    below = solve(solver_module.LINE_GAIN_ULPS / 2)
+    assert set(factors) == {solver_module.LINE_STEP}
+    assert (below.value, below.sweeps) == (never.value, never.sweeps)
+    assert all(np.array_equal(a, b) for a, b in zip(below.party_vectors,
+                                                    never.party_vectors))
+    solve(4 * solver_module.LINE_GAIN_ULPS)
+    assert max(factors) > solver_module.LINE_STEP
+
+
 def test_convergence_error_counts_failed_and_unconverged(monkeypatch, rng):
     # starts 3 and 7 project to zero on every initialization; the other
     # 14 stop at the one-sweep limit, so none converges
@@ -1416,6 +1495,13 @@ def test_crandn_is_the_two_draw_formula():
         want = (re + 1j * im) / np.sqrt(2.0)
         got = _crandn(np.random.default_rng(4), size)
         assert got.shape == want.shape and np.array_equal(got, want)
+        # scale 1 is the unscaled draw bit for bit; another scale takes
+        # the same stream, its one multiply rounding within a few ulps
+        assert np.array_equal(_crandn(np.random.default_rng(4), size, 1.0),
+                              got)
+        scaled = _crandn(np.random.default_rng(4), size, 0.03)
+        assert scaled.shape == want.shape
+        assert np.allclose(scaled, 0.03 * want, rtol=1e-15, atol=0.0)
 
 
 # problems whose largest draw holds at least 1 MiB: 625 or 343 modes a
@@ -1434,14 +1520,14 @@ def _oracle_problem(rng, stats, parts, d):
 
 def _recorded_draws(monkeypatch):
     """Record, for every _crandn call, whether it ran on the main thread
-    and a copy of its draw, and every thread started."""
+    and its scale with a copy of its draw, and every thread started."""
     draw, start = solver_module._crandn, threading.Thread.start
     on_main, draws, started = [], [], []
 
-    def recording(*args, **kwargs):
+    def recording(rng, size, scale=1.0):
         on_main.append(threading.current_thread() is threading.main_thread())
-        out = draw(*args, **kwargs)
-        draws.append(out.copy())
+        out = draw(rng, size, scale)
+        draws.append((scale, out.copy()))
         return out
 
     def starting(thread):
@@ -1459,8 +1545,9 @@ def test_prefetched_draws_match_inline_draws(monkeypatch, rng, stats, parts,
     # a call with draws of at least 1 MiB makes every draw on the calling
     # thread and starts no thread; its draws are the stream's consecutive
     # stretches in the loop form's order (a block per party for each
-    # explore chunk, then one party's block for each refinement chunk,
-    # the parties taking turns), so a repeated call gives the same bound
+    # explore chunk, unscaled, then one party's block for each
+    # refinement chunk, the parties taking turns, scaled by its step), so
+    # a repeated call gives the same bound
     problem = _oracle_problem(rng, stats, parts, d)
     on_main, draws, started = _recorded_draws(monkeypatch)
     bound = brute_force_bound(problem, 1300, seed=1)
@@ -1469,10 +1556,13 @@ def test_prefetched_draws_match_inline_draws(monkeypatch, rng, stats, parts,
     shapes = ([(dim, count) for count in counts for dim in dims]
               + [(dims[i % len(dims)], count)
                  for i, count in enumerate(counts)])
-    assert [block.shape for block in draws] == shapes
+    assert [block.shape for _, block in draws] == shapes
+    explore = 3 * len(dims)
+    assert [scale for scale, _ in draws[:explore]] == [1.0] * explore
+    assert all(0.0 < scale < 1.0 for scale, _ in draws[explore:])
     stream = np.random.default_rng([1, 11])
-    for shape, block in zip(shapes, draws):
-        assert np.array_equal(block, _crandn(stream, shape))
+    for shape, (scale, block) in zip(shapes, draws):
+        assert np.array_equal(block, _crandn(stream, shape, scale))
     assert brute_force_bound(problem, 1300, seed=1) == bound
     assert all(on_main) and not started
 
@@ -1629,8 +1719,8 @@ def test_brute_force_matches_reference(rng, stats, parts, kind):
                                    (1, 1, 1, 1)])
 @pytest.mark.parametrize("kind", ["dense", "low-rank"])
 def test_brute_force_matches_reference_on_four_slots(rng, stats, parts, kind):
-    # four slots, one to four parties, every refinement scored from the
-    # linear image of its draws in the perturbed party's place: one
+    # four slots, one to four parties, every refinement scored from its
+    # party blocks, the perturbed party's formed in place: one
     # 81-mode party, 27 and 3 or 9 and 9 modes, 9, 3 and 3, or four of 3;
     # fermions at d=4, as four fermions have no sector in three modes
     partition = Partition(parts)
@@ -1884,6 +1974,47 @@ def test_transform_rejects_zero_scale(rng):
                       [crandn(rng, 3), crandn(rng, 3)])
     with pytest.raises(ValueError):
         transform_solution(sol, 0.0, 1.0, np.eye(3))
+
+
+_BAD_COVARIANCE = {
+    "non-unitary": (1.0, 0.0, 2.0 * np.eye(3)),
+    "wrong shape": (1.0, 0.0, np.eye(2)),
+    "NaN unitary": (1.0, 0.0, np.full((3, 3), np.nan)),
+    "one NaN entry": (1.0, 0.0, np.diag([np.nan, 1.0, 1.0])),
+    "infinite entry": (1.0, 0.0, np.diag([np.inf, 1.0, 1.0])),
+    "NaN lambda1": (np.nan, 0.0, np.eye(3)),
+    "infinite lambda1": (-np.inf, 0.0, np.eye(3)),
+    "NaN lambda2": (1.0, np.nan, np.eye(3)),
+    "infinite lambda2": (1.0, np.inf, np.eye(3)),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_COVARIANCE))
+def test_transform_solution_rejects_bad_input(rng, case):
+    # no NaN or non-unitary input passes: before the shared check, a NaN
+    # unitary returned NaN party vectors and lambda1 = NaN a NaN value
+    lam1, lam2, unitary = _BAD_COVARIANCE[case]
+    psi = _random_sector_state(rng, 3, Statistics.BOSON)
+    sol = sweep_solve(_rank_one_problem(psi, Statistics.BOSON),
+                      [crandn(rng, 3), crandn(rng, 3)])
+    with pytest.raises(ValueError):
+        transform_solution(sol, lam1, lam2, unitary)
+
+
+@pytest.mark.parametrize("dense", [False, True])
+@pytest.mark.parametrize("case", list(_BAD_COVARIANCE))
+def test_transformed_observable_rejects_bad_input(rng, case, dense):
+    # the low-rank and the dense route both refuse what transform_solution
+    # refuses: before, 2 I was taken as a unitary and a NaN unitary gave a
+    # NaN matrix
+    lam1, lam2, unitary = _BAD_COVARIANCE[case]
+    psi = _random_sector_state(rng, 3, Statistics.BOSON)
+    operator = rank_one_observable(psi, Statistics.BOSON)
+    if dense:
+        operator = operator.to_matrix()
+    with pytest.raises(ValueError):
+        transformed_observable(operator, lam1, lam2, unitary,
+                               Statistics.BOSON, psi.space)
 
 
 def test_second_form_on_converged_solutions(rng):

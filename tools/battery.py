@@ -6,17 +6,22 @@ OLD and NEW are checkouts of this repository.  Each tree's ``src`` is
 imported by its own interpreter, which solves every problem of
 ``problems()`` with ``solve_sup_g`` and reports, per problem, G, the
 per-start values, sweeps, residuals and converged flags, or the error
-raised.  The problems are fixed: the interference observable at N=3,
-d=6 and at N=4, d=8 on every statistics and every partition of K >= 2,
-and random dense and low-rank observables at small sizes, in max and
-min mode, each solved from seeds 0, 5 and 55.
+raised, and on every max-mode problem the sampling oracle's
+``brute_force_bound`` at ORACLE_SAMPLES samples and the problem's seed.
+The problems are fixed: the interference observable at N=3, d=6 and
+at N=4, d=8 on every statistics and every partition, and random dense
+and low-rank observables at small sizes, in max and min mode, each
+solved from seeds 0, 5 and 55.
 
 The script prints one line per problem (G, total sweeps, sweep-limit
-hits and time on each side) and the largest differences of G and of
-the residuals.  It exits 1 where, on some problem, G is worse on the
+hits, the oracle bound and time on each side), the largest differences
+of G, of the residuals and of the oracle bounds, and the time the
+oracle took.  It exits 1 where, on some problem, G is worse on the
 change side by more than 1e-9 (lower in max mode, higher in min
-mode), a sweep count or converged count differs, or the raised error
-differs.  It writes no file.
+mode), a sweep count or converged count differs, the raised error
+differs, or an oracle bound moves by more than 1e-9 (relative to
+bounds above 1, the rule of ``sepbench/references.json``).  It writes
+no file.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ import sys
 import time
 
 G_TOL = 1e-9
+ORACLE_TOL = 1e-9
+ORACLE_SAMPLES = 2000
 SEEDS = (0, 5, 55)
 STARTS = 4
 
@@ -67,7 +74,7 @@ def problems():
     for (d, n), modes in (((6, 3), ("max", "min")), ((8, 4), ("max",))):
         space = SpaceConfig(d, n)
         for stats in Statistics:
-            for k in range(2, n + 1):
+            for k in range(1, n + 1):
                 for part in partitions_into(n, k):
                     for mode in modes:
                         out += [(f"interference {stats.name.lower()} "
@@ -94,7 +101,7 @@ def problems():
 
 def solve_all() -> list[dict]:
     """Every problem's record, solved by the ``sepwit`` on sys.path."""
-    from sepwit import solve_sup_g
+    from sepwit import brute_force_bound, solve_sup_g
     from sepwit.errors import SepwitError
     from sepwit.solver import MAX_SWEEPS
 
@@ -117,6 +124,10 @@ def solve_all() -> list[dict]:
                 converged=[s.converged for s in sols],
                 limit_hits=sum(s.sweeps >= MAX_SWEEPS for s in sols))
         record["time_s"] = time.perf_counter() - began
+        if mode == "max":
+            began = time.perf_counter()
+            record["oracle"] = brute_force_bound(problem, ORACLE_SAMPLES, seed)
+            record["oracle_s"] = time.perf_counter() - began
         records.append(record)
     return records
 
@@ -136,7 +147,7 @@ def run_tree(root: str) -> list[dict]:
 def compare(parent: list[dict], change: list[dict]) -> list[str]:
     """Print one line per problem and the largest differences; return
     the faults found."""
-    faults, worst_g, worst_res = [], 0.0, 0.0
+    faults, worst_g, worst_res, worst_oracle = [], 0.0, 0.0, 0.0
     for old, new in zip(parent, change):
         name = old["name"]
         minimise = name.split()[-2] == "min"
@@ -162,11 +173,20 @@ def compare(parent: list[dict], change: list[dict]) -> list[str]:
             if old["n_converged"] != new["n_converged"]:
                 faults.append(f"{name}: converged {old['n_converged']} -> "
                               f"{new['n_converged']}")
+        if "oracle" in old:
+            bound, drift = old["oracle"], new["oracle"] - old["oracle"]
+            worst_oracle = max(worst_oracle, abs(drift))
+            line += f", oracle {bound:.12g} | {new['oracle']:.12g}"
+            if abs(drift) > ORACLE_TOL * max(1.0, abs(bound)):
+                faults.append(f"{name}: oracle bound moved by {drift:.3g}")
         print(f"{line}, time {old['time_s']:.3f} | {new['time_s']:.3f} s")
     print(f"{len(parent)} problems; largest |dG| {worst_g:.3g}, largest "
-          f"|d residual| {worst_res:.3g}; time "
+          f"|d residual| {worst_res:.3g}, largest |d oracle| "
+          f"{worst_oracle:.3g}; solve time "
           f"{sum(r['time_s'] for r in parent):.2f} | "
-          f"{sum(r['time_s'] for r in change):.2f} s")
+          f"{sum(r['time_s'] for r in change):.2f} s, oracle time "
+          f"{sum(r.get('oracle_s', 0.0) for r in parent):.2f} | "
+          f"{sum(r.get('oracle_s', 0.0) for r in change):.2f} s")
     return faults
 
 
