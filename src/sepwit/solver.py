@@ -80,6 +80,8 @@ class Partition:
         return sum(self.parts)
 
     def slots(self, party: int) -> range:
+        if not 0 <= require_int(party, "party") < self.k:
+            raise ValueError(f"party must be in 0..{self.k - 1}, got {party}")
         off = sum(self.parts[:party])
         return range(off, off + self.parts[party])
 
@@ -194,15 +196,14 @@ class SevalueProblem:
         """S^H L S (L itself where S is None) as eigen-terms (c, X),
         sum_t c_t x_t x_t^H: (c, S^H X) for the eigen-form (c, X) of a
         low-rank L, unprojected as S^H P = S^H, and for a dense L the
-        ``eigen_terms`` of S^H L S, through the dense columns of S."""
+        ``eigen_terms`` of S^H (S^H L)^H = S^H L S (L Hermitian, S real)."""
         sec = self.sector
         if isinstance(self.operator, LowRankObservable):
             coeffs, vectors = self.operator.eigen_form
             return coeffs, vectors if sec is None else sec.adjoint(vectors)
         op = self.operator
         if sec is not None:
-            cols = sec.toarray()
-            op = cols.conj().T @ op @ cols
+            op = sec.adjoint(sec.adjoint(op).conj().T)
         return eigen_terms(op)
 
 
@@ -288,12 +289,13 @@ def _column_norms_sq(block: np.ndarray) -> np.ndarray:
 
 def _apply_local(mat: np.ndarray, amplitudes: np.ndarray,
                  n_slots: int) -> np.ndarray:
-    """Apply the same single-mode matrix to every slot of a block."""
+    """Apply the same single-mode matrix to every slot of a block: to a
+    vector, or to each column of a (d^n_slots, count) array."""
     d = mat.shape[0]
-    tens = amplitudes.reshape((d,) * n_slots)
+    tens = amplitudes.reshape((d,) * n_slots + amplitudes.shape[1:])
     for slot in range(n_slots):
         tens = np.moveaxis(np.tensordot(mat, tens, axes=(1, slot)), 0, slot)
-    return tens.reshape(-1)
+    return tens.reshape(amplitudes.shape)
 
 
 def _kron_rows(blocks, count: int) -> np.ndarray:
@@ -911,8 +913,9 @@ def transformed_observable(operator, lambda1: float, lambda2: float,
                            space: SpaceConfig):
     """The observable U^dagger...U [lambda1 L + lambda2 P] rotated by a
     local unitary applied to every slot.  Low-rank inputs stay low-rank
-    when lambda2 = 0; otherwise a dense matrix is required.  Raises
-    ValueError unless both lambdas are finite and U is unitary."""
+    when lambda2 = 0; otherwise the dense matrix, rotated slot by slot.
+    Raises ValueError unless both lambdas are finite and U is unitary,
+    and HermiticityError unless a dense L is Hermitian."""
     udag = _checked_unitary(unitary, space.d, lambda1, lambda2).conj().T
     if isinstance(operator, LowRankObservable):
         if lambda2 == 0.0:
@@ -923,15 +926,10 @@ def transformed_observable(operator, lambda1: float, lambda2: float,
                 for c, k, b in operator.terms)
             return LowRankObservable(space, terms, kind=operator.kind)
         operator = operator.to_matrix()
-    dim = space.total_dim
-    if dim > PARTY_DENSE_CAP:
-        raise DimensionCapError(
-            f"dense transformed observable of side {dim} exceeds "
-            f"{PARTY_DENSE_CAP}")
-    shifted = lambda1 * np.asarray(operator, dtype=np.complex128) \
+    shifted = lambda1 * require_hermitian(operator, "observable") \
         + lambda2 * projector_matrix(stats, space)
-    full = reduce(np.kron, [udag] * space.n)
-    return full @ shifted @ full.conj().T
+    return _apply_local(udag, _apply_local(udag, shifted, space.n).conj().T,
+                        space.n)
 
 
 def transform_solution(sol: SevalueSolution, lambda1: float, lambda2: float,

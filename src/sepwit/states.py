@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ZeroProjectionError
 from .sectors import sector_basis_vectors
 from .tensor import (DensityOperator, SpaceConfig, StateVector, Statistics,
-                     basis_product_vector, project)
+                     basis_product_vector, project, require_int)
 
 
 def sinc(x: float) -> float:
@@ -66,8 +66,8 @@ def fig1_bound(d: int, selector: Statistics | int) -> tuple[float, int]:
     ``selector`` is a Statistics member, or an integer r for the
     distinguishable Schmidt-rank-r bound.
     """
-    if isinstance(selector, int):
-        if not 1 <= selector <= d:
+    if not isinstance(selector, Statistics):
+        if not 1 <= require_int(selector, "selector") <= d:
             raise ValueError(f"Schmidt level {selector} outside 1..{d}")
         return selector / d, d * d
     if selector is Statistics.DISTINGUISHABLE:
@@ -116,7 +116,7 @@ class GhzFamily:
     tail_bound: float = field(init=False)
 
     def __post_init__(self):
-        if abs(self.q) >= 1.0:
+        if not abs(self.q) < 1.0:
             raise ValueError(f"|q| = {abs(self.q)} must be < 1")
         if self.n_max < 0:
             raise ValueError("n_max must be >= 0")

@@ -260,8 +260,10 @@ class StateVector:
 class DensityOperator:
     """A density operator: a dense ``matrix``, or the mixture
     sum_r w_r |v_r><v_r| of one read-only block of ``weights`` (m,) and
-    unit rows ``vectors`` (m, total_dim), which are set together.  The
-    block is checked as one: entries must be finite, a weight below
+    unit rows ``vectors`` (m, total_dim), which are set together.  A
+    matrix must be positive semidefinite: an eigenvalue below -TOL_TRACE
+    times max(1, largest |eigenvalue|) is rejected.  The block is
+    checked as one: entries must be finite, a weight below
     -TOL_TRACE is rejected and a smaller negative one clipped to 0, and
     a row whose norm is off 1 by more than 1e-9 is normalized, a zero
     row rejected.  ``normalized`` asks for trace 1 within TOL_TRACE.
@@ -285,6 +287,10 @@ class DensityOperator:
             require_hermitian(m, "density matrix")
             if self.normalized and abs(np.trace(m).real - 1.0) > TOL_TRACE:
                 raise ValueError(f"trace {np.trace(m):.3e} is not 1")
+            spectrum = np.linalg.eigvalsh(m)
+            if spectrum[0] < -TOL_TRACE * max(1.0, np.abs(spectrum).max()):
+                raise ValueError(f"density matrix has the negative "
+                                 f"eigenvalue {spectrum[0]:.3e}")
             object.__setattr__(self, "matrix", m)
             return
         w = np.array(self.weights, dtype=np.float64)

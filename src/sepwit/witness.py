@@ -22,7 +22,7 @@ from .solver import (DEFAULT_STARTS, Partition, SevalueProblem,
                      partitions_into, solve_sup_g)
 from .tensor import (MATRIX_CAP, DensityOperator, SpaceConfig, StateVector,
                      Statistics, project_amplitudes, project_operator,
-                     projector_matrix)
+                     projector_matrix, require_int)
 from .decompositions import schmidt
 
 DETECTION_MARGIN = 1e-9
@@ -161,6 +161,12 @@ def _analytic_bound(problem: SevalueProblem, mode: str) -> float:
         raise ValueError("no analytic bound known for this observable; "
                          "use the numeric source")
     if op.kind == "interference":
+        # the tag survives lambda1 L: the bound scales by the pair's
+        # common coefficient c where c > 0, and is not known otherwise
+        scale, *others = {c for c, _, _ in op.terms}
+        if others or scale.imag or not scale.real > 0.0:
+            raise ValueError("no analytic bound known for this observable; "
+                             "use the numeric source")
         if problem.stats is Statistics.FERMION and \
                 sum(p >= 2 for p in problem.partition.parts) >= 2:
             # outside the proven domain of analytic_interference; exact
@@ -173,7 +179,8 @@ def _analytic_bound(problem: SevalueProblem, mode: str) -> float:
                 "one block of size >= 2; use the numeric source")
         analysis = analytic_interference(problem.space, problem.stats,
                                          problem.partition)
-        return analysis.bound if mode == "max" else -analysis.bound
+        bound = scale.real * analysis.bound
+        return bound if mode == "max" else -bound
     if op.kind == "rank_one":
         if problem.partition.k != 2 or problem.space.n != 2:
             raise ValueError("rank-one analytic bound covers the bipartite "
@@ -234,7 +241,7 @@ def schmidt_number_bound(psi: StateVector, r: int) -> float:
     certifies Schmidt rank > r."""
     if psi.space.n != 2:
         raise ValueError("Schmidt-rank bounds cover bipartite states only")
-    if not 1 <= r <= psi.space.d:
+    if not 1 <= require_int(r, "r") <= psi.space.d:
         raise ValueError(f"r must be in 1..{psi.space.d}, got {r}")
     dec = schmidt(psi)
     squares = np.sort(dec.coefficients ** 2)[::-1]

@@ -476,6 +476,20 @@ def test_witness_dimension_mismatch(capsys, appendix_files, tmp_path):
     assert code == 2
 
 
+def test_witness_rejects_a_non_psd_state(capsys, tmp_path):
+    # diag(1.5, 0, 0, -0.5) has trace 1 but is no state: against |00><00|
+    # it would read <L> = 1.5 > G = 1, an "entangled" verdict
+    state, obs = tmp_path / "state.json", tmp_path / "obs.json"
+    state.write_text(json.dumps({"d": 2, "N": 2, "entries": [
+        [0, 0, 1.5, 0.0], [3, 3, -0.5, 0.0]]}))
+    obs.write_text(json.dumps({"d": 2, "N": 2,
+                               "statistics": "distinguishable",
+                               "entries": [[0, 0, 1.0, 0.0]]}))
+    code = main(["witness", str(state), str(obs), "--k", "2", "--starts", "2"])
+    assert code == 2
+    assert "negative eigenvalue" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # formats and determinism
 

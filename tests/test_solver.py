@@ -81,6 +81,11 @@ def test_partition_validation():
     numpy_parts = Partition((np.int64(2), np.int32(1)))
     assert numpy_parts == Partition((2, 1))
     assert all(type(p) is int for p in numpy_parts.parts)
+    # a party index does not wrap: -1 is not the last block
+    assert numpy_parts.slots(np.int64(1)) == range(2, 3)
+    for party in (-1, 2, 1.0, True):
+        with pytest.raises(ValueError, match="party must be"):
+            numpy_parts.slots(party)
     with pytest.raises(ValueError):
         SevalueProblem(np.eye(4), Statistics.BOSON, Partition((1, 1, 1)),
                        SpaceConfig(2, 2))
@@ -899,7 +904,7 @@ def test_party_sectors_built_once_per_problem(monkeypatch, rng):
     assert builds == ["terms"]
     assert dense_builds == []
     # the dense oracle on the solved problem reads its S^H L S, and on a
-    # new one compresses once, through one dense S
+    # new one compresses once, through S's orbit tables: no dense S
     calls.clear()
     builds.clear()
     brute_force_bound(dense, samples=64, seed=0)
@@ -907,8 +912,8 @@ def test_party_sectors_built_once_per_problem(monkeypatch, rng):
     brute_force_bound(dataclasses.replace(dense), samples=64, seed=0)
     assert calls == [3]
     assert builds == [(27, 27)]
-    assert dense_builds == [(27, 10)]
-    # a single dense party densifies S once, for S^H L S
+    assert dense_builds == []
+    # a single dense party takes S^H L S through S's orbit tables too
     calls.clear()
     builds.clear()
     dense_builds.clear()
@@ -918,11 +923,25 @@ def test_party_sectors_built_once_per_problem(monkeypatch, rng):
                             space)
     value = solve_sup_g(single, starts=1, seed=0).value
     assert calls == [3]
-    assert dense_builds == [(729, 84)]
+    assert dense_builds == []
     assert builds == [(729, 729)]
     iso = sector_basis_vectors(Statistics.FERMION, space)
     top = np.linalg.eigvalsh(iso.conj().T @ observable @ iso)[-1]
     assert abs(value - top) <= 1e-9
+
+
+@pytest.mark.parametrize("stats", [Statistics.BOSON, Statistics.FERMION])
+@pytest.mark.parametrize("d, n", [(3, 2), (4, 3), (6, 3)])
+def test_dense_sector_terms_are_the_compressed_operator(rng, stats, d, n):
+    # S^H L S, taken by two gathers of S's orbit tables, is the
+    # compression of L by the dense columns of S
+    space = SpaceConfig(d, n)
+    observable = random_hermitian(rng, space.total_dim)
+    coeffs, vectors = SevalueProblem(observable, stats, Partition((n,)),
+                                     space).sector_terms
+    iso = sector_basis_vectors(stats, space)
+    want = iso.conj().T @ observable @ iso
+    assert np.abs((vectors * coeffs) @ vectors.conj().T - want).max() <= 1e-12
 
 
 def test_problem_keeps_its_own_copy_of_a_dense_operator(rng):
@@ -1950,6 +1969,28 @@ def test_transformed_solution_is_stationary(stats, parts, kind, d, seed,
     quotient = (pb.conj() @ new_dense @ pb).real / (pb.conj() @ pb).real
     assert moved.value == lam1 * sol.value + lam2
     assert abs(quotient - moved.value) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("stats, d, n", [
+    *((stats, d, n) for stats in Statistics for d, n in ((3, 2), (4, 3))),
+    (Statistics.BOSON, 9, 3)])
+def test_dense_transformed_observable_is_the_kronecker_form(rng, stats, d, n):
+    # rotating the rows and then the columns slot by slot gives
+    # (U^H)^(x N) [lambda1 L + lambda2 P] U^(x N), formed here through
+    # the Kronecker power as the reference; the route has no cap of its
+    # own, so d=9, N=3 (729 modes) runs too, and it needs a Hermitian L
+    space = SpaceConfig(d, n)
+    observable = random_hermitian(rng, space.total_dim)
+    unitary = random_unitary(rng, d)
+    got = transformed_observable(observable, 1.3, -0.7, unitary, stats,
+                                 space)
+    full = reduce(np.kron, [unitary.conj().T] * n)
+    want = full @ (1.3 * observable - 0.7 * projector_matrix(stats, space)) \
+        @ full.conj().T
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    with pytest.raises(HermiticityError):
+        transformed_observable(crandn(rng, space.total_dim, space.total_dim),
+                               1.0, 0.0, unitary, stats, space)
 
 
 def test_matched_inits_give_unitarily_invariant_values(rng):

@@ -76,6 +76,15 @@ def test_detection_threshold_closed_forms():
     assert abs(detection_threshold(4, Statistics.FERMION) - 0.4) < 1e-12
 
 
+@pytest.mark.parametrize("selector", [2.0, True, "1", None, 0, 4])
+def test_fig1_selector_is_statistics_or_a_schmidt_level(selector):
+    # a float or a bool is neither a Statistics member nor a level
+    for call in (fig1_bound, detection_threshold):
+        with pytest.raises(ValueError):
+            call(3, selector)
+    assert fig1_bound(3, np.int64(2)) == (2.0 / 3.0, 9)
+
+
 def test_fermion_threshold_even_odd_pattern():
     thresholds = {d: detection_threshold(d, Statistics.FERMION)
                   for d in range(4, 9)}
@@ -168,6 +177,10 @@ def test_ghz_family_tail_bound():
     family = GhzFamily(2, 0.5, Statistics.BOSON, 3)
     assert abs(family.tail_bound - 0.5 ** 8) < 1e-15
     assert family.space.d == 2 * 4
+    # NaN compares false against 1, so it is rejected by "not < 1"
+    for q in (1.0, -1.5j, np.nan, complex(np.nan, 0.0), np.inf):
+        with pytest.raises(ValueError, match="must be < 1"):
+            GhzFamily(3, q, Statistics.BOSON, 2)
 
 
 def test_dephased_ghz_limits():

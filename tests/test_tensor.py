@@ -450,3 +450,13 @@ def test_density_operator_validation(rng):
         DensityOperator.from_matrix(space, crandn(rng, 4, 4))
     with pytest.raises(ValueError):
         DensityOperator.from_matrix(space, np.eye(4))   # trace 4, not 1
+    # trace 1 and Hermitian, but not positive semidefinite: rejected as a
+    # mixture weight below -TOL_TRACE is
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        DensityOperator.from_matrix(space, np.diag([1.5, 0.0, 0.0, -0.5]))
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        DensityOperator.from_matrix(space, np.diag([3.0, 0.0, 0.0, -1e-9]),
+                                    normalized=False)
+    edge = DensityOperator.from_matrix(space, np.diag([1.0, 0.0, 0.0, -1e-11]),
+                                       normalized=False)
+    assert edge.trace() == 1.0 - 1e-11

@@ -8,11 +8,11 @@ from sepwit import (DensityOperator, LowRankObservable, Partition,
                     build_witness, detect, expectation, fig1_state_family,
                     interference_observable, noisy_state, partitions_into,
                     project, rank_one_observable, schmidt_number_bound,
-                    sector_deviation, subspace_dimension, sweep_solve,
-                    witness_matrix)
+                    sector_deviation, solve_sup_g, subspace_dimension,
+                    sweep_solve, transformed_observable, witness_matrix)
 from sepwit.errors import ConvergenceError, SectorError
 
-from conftest import crandn, random_hermitian, random_mixture
+from conftest import crandn, random_hermitian, random_mixture, random_unitary
 
 
 def _balanced_boson_d3():
@@ -116,6 +116,41 @@ def test_analytic_bound_refused_for_two_fermion_blocks_above_one():
                          Statistics.FERMION, Partition((2, 1, 1)),
                          SpaceConfig(8, 4))
     assert build_witness(one, bound_source="analytic").bound == 0.25
+
+
+@pytest.mark.parametrize("scale", [2.0, 0.5])
+def test_scaled_interference_bound_scales_with_its_coefficient(scale):
+    # lambda1 L keeps the interference tag, and its separable bound is
+    # lambda1 (1/2)^(K-1) in either mode, as the solver finds, so the
+    # solver's own product state is no "entangled" verdict
+    space, stats = SpaceConfig(6, 3), Statistics.BOSON
+    unitary = random_unitary(np.random.default_rng(0), space.d)
+    observable = transformed_observable(interference_observable(space, stats),
+                                        scale, 0.0, unitary, stats, space)
+    problem = SevalueProblem(observable, stats, Partition((2, 1)), space)
+    for form, mode, sign in ((WitnessForm.UPPER, "max", 1.0),
+                             (WitnessForm.LOWER, "min", -1.0)):
+        witness = build_witness(problem, "analytic", form=form)
+        assert witness.bound == sign * scale * 0.5
+        numeric = solve_sup_g(problem, starts=4, seed=0, mode=mode)
+        assert abs(numeric.value - witness.bound) <= 1e-9
+    best = solve_sup_g(problem, starts=4, seed=0).best
+    rho = DensityOperator.from_pure(best.projected_vector)
+    assert not detect(rho, build_witness(problem, "analytic")).entangled
+
+
+def test_analytic_interference_bound_refused_for_other_coefficients():
+    # a negative or complex pair coefficient has no closed form here
+    space, stats = SpaceConfig(4, 2), Statistics.BOSON
+    base = interference_observable(space, stats)
+    (_, v, w), _ = base.terms
+    for observable in (
+            transformed_observable(base, -1.0, 0.0, np.eye(4), stats, space),
+            LowRankObservable(space, ((1j, v, w), (-1j, w, v)),
+                              kind="interference")):
+        problem = SevalueProblem(observable, stats, Partition((1, 1)), space)
+        with pytest.raises(ValueError, match="no analytic bound known"):
+            build_witness(problem, bound_source="analytic")
 
 
 def test_expectation_pure_and_mixed(rng):
@@ -335,8 +370,9 @@ def test_schmidt_number_bound_values(rng):
         assert abs(schmidt_number_bound(psi, d) - 1.0) < 1e-12
     psi4 = fig1_state_family(4, Statistics.DISTINGUISHABLE)
     assert abs(schmidt_number_bound(psi4, 2) - 0.5) < 1e-12
-    with pytest.raises(ValueError):
-        schmidt_number_bound(psi4, 5)
+    for r in (5, 0, 2.5, True, "2"):
+        with pytest.raises(ValueError):
+            schmidt_number_bound(psi4, r)
 
 
 def test_schmidt_number_bound_monotone(rng):
