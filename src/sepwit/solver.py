@@ -326,20 +326,14 @@ def _check_dense_cap(problem: SevalueProblem) -> None:
 
 
 # -- diagnostics in sector coordinates -------------------------------------
-# (a batch of starts holds one array per party: its full-block vectors
-# b_j as (batch, d_j) rows, or its coordinates c_j as (batch, m_j) rows)
+# (a batch of starts holds one array per party, its coordinates c_j as
+# (batch, m_j) rows; only the solution records hold b_j = S_j c_j)
 
 def _party_coords(problem: SevalueProblem, blocks) -> list:
     """Every party's c_j = S_j^H b_j (b_j where S_j is None), by the
     orbit tables of ``party_sectors``."""
     return [b if sec is None else sec.adjoint(b.T).T
             for b, sec in zip(blocks, problem.party_sectors)]
-
-
-def _party_vectors(problem: SevalueProblem, coords) -> list:
-    """Every party's full-block b_j = S_j c_j (c_j where S_j is None)."""
-    return [c if sec is None else sec.apply(c.T).T
-            for c, sec in zip(coords, problem.party_sectors)]
 
 
 def _sector_product(problem: SevalueProblem, coords) -> np.ndarray:
@@ -349,7 +343,7 @@ def _sector_product(problem: SevalueProblem, coords) -> np.ndarray:
         else problem.coupling.contract(coords, len(coords))[:, :, 0]
 
 
-def _stationarity(problem: SevalueProblem, blocks, values):
+def _stationarity(problem: SevalueProblem, coords, values):
     """chi = X diag(c) X^H y - g y = S^H (P L P|b> - g P|b>), (c, X) the
     ``sector_terms``, and per party j the pair (||A_j b_j - g B_j b_j||,
     ||B_j b_j||), as (batch, m) and (batch, K, 2) arrays.
@@ -360,8 +354,7 @@ def _stationarity(problem: SevalueProblem, blocks, values):
     contracted out by ``_contract_fixed``, as where P = 1.  No
     full-space vector is formed where P is not 1.
     """
-    count = len(blocks[0])
-    coords = _party_coords(problem, blocks)
+    count = len(coords[0])
     y = _sector_product(problem, coords)
     coeffs, vectors = problem.sector_terms
     chi = ((y @ vectors.conj()) * coeffs) @ vectors.T \
@@ -378,13 +371,15 @@ def _stationarity(problem: SevalueProblem, blocks, values):
     return chi, defects
 
 
-def _solutions(problem: SevalueProblem, blocks, values, settled, sweeps,
+def _solutions(problem: SevalueProblem, coords, values, settled, sweeps,
                tol: float = math.inf) -> list:
-    """The solution records of a batch of starts, or None for one whose
-    overlap annihilates a party vector; a residual is the worst
-    per-party defect relative to ||B_j b_j||, and a start converged
-    where it settled with a residual within ``tol``."""
-    chi, defects = _stationarity(problem, blocks, values)
+    """The records, holding b_j = S_j c_j, of a batch of starts at c_j, or
+    None for one whose overlap annihilates a party vector; a residual is
+    the worst per-party defect relative to ||B_j b_j||, and a start
+    converged where it settled with a residual within ``tol``."""
+    chi, defects = _stationarity(problem, coords, values)
+    blocks = [c if sec is None else sec.apply(c.T).T
+              for c, sec in zip(coords, problem.party_sectors)]
     out = []
     for b, (defect, scale) in enumerate(defects.transpose(0, 2, 1)):
         if scale.min() <= 0.0:
@@ -553,9 +548,9 @@ def _sweep(problem: SevalueProblem, inits, max_sweeps: int, tol: float,
             for c, part in zip(coords, trial):
                 c[taken] = part[better]
         check = ((settled | (counts >= max_sweeps)) & ~lost).nonzero()[0]
-        sols = _solutions(problem, _party_vectors(
-            problem, [c[check] for c in coords]), values[check],
-            settled[check], counts[check], tol) if check.size else []
+        sols = _solutions(problem, [c[check] for c in coords], values[check],
+                          settled[check], counts[check], tol) \
+            if check.size else []
         done = lost.copy()
         for pos, sol in zip(check, sols):
             if sol is None or sol.converged or counts[pos] >= max_sweeps:
@@ -598,8 +593,7 @@ def _sector_step(problem: SevalueProblem, init, mode: str, tol: float):
     coeffs, vectors = problem.sector_terms
     values, coords = _generalized_step((coeffs, vectors[None]), np.ones(1),
                                        first, mode)
-    sol, = _solutions(problem, _party_vectors(problem, [coords]), values,
-                      [True], [1], tol)
+    sol, = _solutions(problem, [coords], values, [True], [1], tol)
     return sol
 
 
@@ -679,13 +673,14 @@ def solve_sup_g(problem: SevalueProblem, starts: int = DEFAULT_STARTS,
 def _rank_one_diagnostics(problem: SevalueProblem, value: float,
                           blocks) -> SevalueSolution:
     """The converged solution record of one start at the given party
-    vectors, normalised."""
-    blocks = [(np.asarray(b, complex) / np.linalg.norm(b))[None]
-              for b in blocks]
-    if np.linalg.norm(_sector_product(
-            problem, _party_coords(problem, blocks))) < 1e-12:
+    vectors, held as their block-sector parts, normalised: as P (P_1 x
+    ... x P_K) = P, the value and residual are those of the vectors."""
+    coords = _party_coords(problem, [
+        (np.asarray(b, complex) / np.linalg.norm(b))[None] for b in blocks])
+    if np.linalg.norm(_sector_product(problem, coords)) < 1e-12:
         raise ZeroProjectionError("analytic party vectors project to zero")
-    sol, = _solutions(problem, blocks, [value], [True], [0])
+    sol, = _solutions(problem, [c / np.linalg.norm(c) for c in coords],
+                      [value], [True], [0])
     return sol
 
 
@@ -914,8 +909,8 @@ def transformed_observable(operator, lambda1: float, lambda2: float,
     """The observable U^dagger...U [lambda1 L + lambda2 P] rotated by a
     local unitary applied to every slot.  Low-rank inputs stay low-rank
     when lambda2 = 0; otherwise the dense matrix, rotated slot by slot.
-    Raises ValueError unless both lambdas are finite and U is unitary,
-    and HermiticityError unless a dense L is Hermitian."""
+    Raises ValueError unless both lambdas are finite, U is unitary and a
+    dense L is d^N x d^N, and HermiticityError unless it is Hermitian."""
     udag = _checked_unitary(unitary, space.d, lambda1, lambda2).conj().T
     if isinstance(operator, LowRankObservable):
         if lambda2 == 0.0:
@@ -926,8 +921,11 @@ def transformed_observable(operator, lambda1: float, lambda2: float,
                 for c, k, b in operator.terms)
             return LowRankObservable(space, terms, kind=operator.kind)
         operator = operator.to_matrix()
-    shifted = lambda1 * require_hermitian(operator, "observable") \
-        + lambda2 * projector_matrix(stats, space)
+    operator = require_hermitian(operator, "observable")
+    if operator.shape != (space.total_dim,) * 2:
+        raise ValueError(f"operator shape {operator.shape}, expected "
+                         f"{(space.total_dim,) * 2}")
+    shifted = lambda1 * operator + lambda2 * projector_matrix(stats, space)
     return _apply_local(udag, _apply_local(udag, shifted, space.n).conj().T,
                         space.n)
 
@@ -963,8 +961,9 @@ def verify_second_form(sol: SevalueSolution,
             != (problem.partition, problem.stats, problem.space):
         raise ValueError("solution is of another partition, statistics "
                          "or space than the problem")
-    blocks = [np.asarray(b, complex)[None] for b in sol.party_vectors]
-    (chi,), (defects,) = _stationarity(problem, blocks, [sol.value])
+    coords = _party_coords(problem, [np.asarray(b, complex)[None]
+                                     for b in sol.party_vectors])
+    (chi,), (defects,) = _stationarity(problem, coords, [sol.value])
     sec = problem.sector
     return (StateVector(problem.space, chi if sec is None else sec.apply(chi)),
             max(defect for defect, _ in defects))

@@ -10,6 +10,7 @@ states with  <L> below it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -47,6 +48,15 @@ class Witness:
     form: WitnessForm = WitnessForm.UPPER
     bound_source: str = "analytic"
     margin: float = DETECTION_MARGIN
+
+    def __post_init__(self):
+        # a NaN bound makes every verdict "inconclusive", and a negative
+        # margin calls states below the bound "entangled"
+        if not math.isfinite(self.bound):
+            raise ValueError(f"bound must be finite, got {self.bound}")
+        if not 0.0 <= self.margin < math.inf:
+            raise ValueError(f"margin must be finite and >= 0, got "
+                             f"{self.margin}")
 
 
 @dataclass(frozen=True)
@@ -185,7 +195,12 @@ def _analytic_bound(problem: SevalueProblem, mode: str) -> float:
         if problem.partition.k != 2 or problem.space.n != 2:
             raise ValueError("rank-one analytic bound covers the bipartite "
                              "partition (1,1) only")
-        coeff, ket, _ = op.terms[0]
+        (coeff, ket, bra), *others = op.terms
+        if others or not np.array_equal(ket, bra):
+            # the closed forms are those of c|psi><psi| alone: another
+            # term can raise the separable bound above them
+            raise ValueError("no analytic bound known for this observable; "
+                             "use the numeric source")
         psi = StateVector(problem.space, ket)
         solutions = analytic_rank_one(psi, problem.stats)
         values = [s.value * coeff.real for s in solutions]

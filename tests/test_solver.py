@@ -27,8 +27,8 @@ from sepwit.errors import (ConvergenceError, DimensionCapError,
 from sepwit.sectors import (SectorIsometry, sector_basis_vectors,
                             sector_isometry)
 from sepwit.partystep import _generalized_step
-from sepwit.solver import (RESIDUAL_TOL, VALUE_TOL, _crandn, _party_matrices,
-                           _solutions, _stationarity, _sweep)
+from sepwit.solver import (RESIDUAL_TOL, VALUE_TOL, _crandn, _party_coords,
+                           _party_matrices, _solutions, _stationarity, _sweep)
 
 from conftest import (_called_within, break_overlap_eigh, break_span_svd,
                       contracted_operator, crandn, dense_party_matrices,
@@ -193,7 +193,8 @@ def test_party_matrices_match_contracted_operator(rng, stats, parts):
         blocks = [crandn(rng, d ** nk) for nk in parts]
         g = float(rng.standard_normal())
         batch = [b[None] for b in blocks]
-        _, (defects,) = _stationarity(problem, batch, [g])
+        _, (defects,) = _stationarity(problem, _party_coords(problem, batch),
+                                      [g])
         # the party matrices read the others' block-sector coordinates
         coords = [(iso.conj().T @ b)[None]
                   for iso, b in zip(isometries, blocks)]
@@ -657,7 +658,8 @@ def test_single_party_residual_matches_projector_reference(rng, stats):
             pb = proj @ b
             defect = np.linalg.norm(sandwich @ b - g * pb)
             expected = defect / np.linalg.norm(pb)
-            sol, = _solutions(problem, [b[None]], [g], [False], [0])
+            sol, = _solutions(problem, _party_coords(problem, [b[None]]),
+                              [g], [False], [0])
             assert abs(sol.residual - expected) <= 1e-12 * max(1.0, expected)
             moved = dataclasses.replace(solved, party_vectors=(b,), value=g)
             _, overlap = verify_second_form(moved, problem)
@@ -691,7 +693,8 @@ def test_sector_residuals_match_the_full_space_reference(stats, parts, kind,
     values = rng.standard_normal(3)
     projected, chi, defects = full_space_stationarity(problem, blocks,
                                                       values)
-    sols = _solutions(problem, blocks, values, [False] * 3, [0] * 3)
+    sols = _solutions(problem, _party_coords(problem, blocks), values,
+                      [False] * 3, [0] * 3)
     for b, sol in enumerate(sols):
         defect, scale = defects[b].T
         assert _within(sol.residual, np.max(defect / scale))
@@ -723,6 +726,35 @@ def test_solutions_hold_no_full_space_array():
             space, reduce(np.kron, sol.party_vectors)))
         assert np.abs(sol.projected_vector.amplitudes
                       - pb.amplitudes).max() <= 1e-15
+
+
+@settings(max_examples=24, deadline=None)
+@given(stats=st.sampled_from(list(Statistics)),
+       parts=st.sampled_from([(3,), (2, 1), (1, 2), (1, 1, 1)]),
+       seed=st.integers(0, 2 ** 16))
+def test_records_hold_unit_party_vectors_in_their_block_sectors(stats, parts,
+                                                                seed):
+    # every record, from the sweep (K = 1, 2, 3) or a closed form, holds
+    # each party as a unit vector in its block's exchange sector, as the
+    # sweep holds it: P_j b_j = b_j.  The interference representatives
+    # are basis products, which stick out of a sector of 2 or more slots
+    rng = np.random.default_rng(seed)
+    space, partition = SpaceConfig(6, 3), Partition(parts)
+    problem = SevalueProblem(interference_observable(space, stats), stats,
+                             partition, space)
+    records = [*solve_sup_g(problem, starts=4, seed=seed).solutions,
+               sweep_solve(problem, [crandn(rng, dim)
+                                     for dim in problem.block_dims],
+                           max_sweeps=40),
+               *analytic_interference(space, stats, partition).solutions,
+               *analytic_rank_one(_random_sector_state(rng, 3, stats),
+                                  stats)]
+    for sol in records:
+        for b, nj in zip(sol.party_vectors, sol.partition.parts):
+            block = StateVector(SpaceConfig(sol.space.d, nj), b)
+            assert abs(np.linalg.norm(b) - 1.0) <= 1e-12
+            assert np.linalg.norm(project(stats, block).amplitudes - b) \
+                <= 1e-12
 
 
 def test_analytic_interference_diagnostics_above_dense_cap():
@@ -1991,6 +2023,17 @@ def test_dense_transformed_observable_is_the_kronecker_form(rng, stats, d, n):
     with pytest.raises(HermiticityError):
         transformed_observable(crandn(rng, space.total_dim, space.total_dim),
                                1.0, 0.0, unitary, stats, space)
+
+
+def test_transformed_observable_refuses_a_dense_operator_of_another_shape(
+        rng):
+    # a 1 x 1 or a 5 x 5 matrix on a 4-mode space would broadcast or
+    # mis-reshape; only a (d^N, d^N) matrix is the operator
+    space = SpaceConfig(2, 2)
+    for operator in (np.eye(1), random_hermitian(rng, 5)):
+        with pytest.raises(ValueError, match="operator shape"):
+            transformed_observable(operator, 1.0, 0.5, np.eye(2),
+                                   Statistics.BOSON, space)
 
 
 def test_matched_inits_give_unitarily_invariant_values(rng):

@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from sepwit import (DensityOperator, LowRankObservable, Partition,
                     SevalueProblem, SpaceConfig, StateVector, Statistics,
-                    WitnessForm, brute_force_bound, build_k_witness,
+                    Witness, WitnessForm, brute_force_bound, build_k_witness,
                     build_witness, detect, expectation, fig1_state_family,
                     interference_observable, noisy_state, partitions_into,
                     project, rank_one_observable, schmidt_number_bound,
@@ -151,6 +151,48 @@ def test_analytic_interference_bound_refused_for_other_coefficients():
         problem = SevalueProblem(observable, stats, Partition((1, 1)), space)
         with pytest.raises(ValueError, match="no analytic bound known"):
             build_witness(problem, bound_source="analytic")
+
+
+def test_rank_one_bound_refused_beyond_one_term_c_psi_psi():
+    # |h><h| + |00><00| tagged "rank_one" is no c|psi><psi|: the first
+    # term's closed form 0.5 lies below the supremum 1.5, which |00>
+    # reaches, so the tag would call that product state entangled; nor
+    # is |h><ih| times i, which equals |h><h| but has ket != bra
+    space, stats = SpaceConfig(3, 2), Statistics.DISTINGUISHABLE
+    h = np.zeros(9, dtype=complex)
+    h[0] = h[4] = 1 / np.sqrt(2)
+    zero = np.eye(9, dtype=complex)[0]
+    two_terms = LowRankObservable(space, ((1.0, h, h), (1.0, zero, zero)),
+                                  kind="rank_one")
+    for observable in (two_terms, LowRankObservable(
+            space, ((1j, h, 1j * h),), kind="rank_one")):
+        problem = SevalueProblem(observable, stats, Partition((1, 1)), space)
+        with pytest.raises(ValueError, match="no analytic bound known"):
+            build_witness(problem, bound_source="analytic")
+    problem = SevalueProblem(two_terms, stats, Partition((1, 1)), space)
+    numeric = build_witness(problem, bound_source="numeric", starts=8)
+    assert abs(numeric.bound - 1.5) <= 1e-9
+    rho = DensityOperator.from_pure(StateVector(space, zero))
+    assert abs(expectation(rho, two_terms) - 1.5) <= 1e-12
+    assert not detect(rho, numeric).entangled
+
+
+def test_witness_refuses_a_bound_or_margin_that_breaks_the_verdict():
+    # with bound NaN no state is detected (the d=3 boson Bell state has
+    # <L> = 1 against G = 2/3), and a negative margin detects states
+    # below G
+    psi = _balanced_boson_d3()
+    stats = Statistics.BOSON
+    fields = dict(observable=rank_one_observable(psi, stats), stats=stats,
+                  space=psi.space, k=2, partition=Partition((1, 1)))
+    rho = DensityOperator.from_pure(psi)
+    assert detect(rho, Witness(bound=2.0 / 3.0, **fields)).entangled
+    for bound in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="bound must be finite"):
+            Witness(bound=bound, **fields)
+    for margin in (-1e-3, np.nan, np.inf):
+        with pytest.raises(ValueError, match="margin must be finite"):
+            Witness(bound=2.0 / 3.0, margin=margin, **fields)
 
 
 def test_expectation_pure_and_mixed(rng):

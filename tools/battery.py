@@ -19,9 +19,9 @@ of G, of the residuals and of the oracle bounds, and the time the
 oracle took.  It exits 1 where, on some problem, G is worse on the
 change side by more than 1e-9 (lower in max mode, higher in min
 mode), a sweep count or converged count differs, the raised error
-differs, or an oracle bound moves by more than 1e-9 (relative to
-bounds above 1, the rule of ``sepbench/references.json``).  It writes
-no file.
+differs, a start's residual r moves by more than max(1e-6 |r|, 1e-12),
+or an oracle bound moves by more than 1e-9 (relative to bounds above
+1, the rule of ``sepbench/references.json``).  It writes no file.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import sys
 import time
 
 G_TOL = 1e-9
+RESIDUAL_RTOL, RESIDUAL_ATOL = 1e-6, 1e-12
 ORACLE_TOL = 1e-9
 ORACLE_SAMPLES = 2000
 SEEDS = (0, 5, 55)
@@ -159,9 +160,12 @@ def compare(parent: list[dict], change: list[dict]) -> list[str]:
         else:
             gap = new["G"] - old["G"]
             worst_g = max(worst_g, abs(gap))
-            worst_res = max([worst_res] + [
-                abs(a - b) for a, b in zip(old["residuals"],
-                                           new["residuals"])])
+            for start, (a, b) in enumerate(zip(old["residuals"],
+                                               new["residuals"])):
+                worst_res = max(worst_res, abs(a - b))
+                if abs(a - b) > max(RESIDUAL_RTOL * abs(a), RESIDUAL_ATOL):
+                    faults.append(f"{name}: start {start} residual {a:.3g} "
+                                  f"-> {b:.3g}")
             line = (f"{name}: G {old['G']:.15g} | {new['G']:.15g}, sweeps "
                     f"{sum(old['sweeps'])} | {sum(new['sweeps'])}, limit "
                     f"hits {old['limit_hits']} | {new['limit_hits']}")
