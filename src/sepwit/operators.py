@@ -8,7 +8,7 @@ either representation; the solver reads both as eigen-terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -21,18 +21,20 @@ from .tensor import (MATRIX_CAP, SpaceConfig, StateVector, Statistics,
 
 @dataclass(frozen=True)
 class LowRankObservable:
-    """Hermitian operator sum_r coeff_r |ket_r><bra_r| on the composite space.
+    """Hermitian sum_r coeff_r |ket_r><bra_r| + offset 1 on the whole space.
 
     The term list as a whole must be Hermitian; ``eigen_form`` checks it
     on a compressed copy at construction time and is kept.  Each distinct
     input vector is stored once, as a read-only copy shared by every term
-    that names it.  ``kind`` tags operators with known analytic
-    separability bounds ("rank_one", "interference").
+    that names it.  The real ``offset``, lambda2 of lambda1 L + lambda2 P,
+    equals offset P on every exchange sector.  ``kind`` tags the
+    interference observable, whose analytic bound is known.
     """
 
     space: SpaceConfig
     terms: tuple[tuple[complex, np.ndarray, np.ndarray], ...]
     kind: str | None = None
+    offset: float = 0.0
 
     def __post_init__(self):
         if not self.terms:
@@ -54,15 +56,18 @@ class LowRankObservable:
                 raise ValueError("low-rank term list must be finite")
             frozen.append((coeff, k, b))
         object.__setattr__(self, "terms", tuple(frozen))
+        if not (np.isreal(self.offset) and np.isfinite(self.offset)):
+            raise ValueError("offset must be a finite real number")
+        object.__setattr__(self, "offset", float(np.real(self.offset)))
         self.eigen_form     # checks the term list, and keeps its form
 
     @cached_property
     def eigen_form(self) -> tuple[np.ndarray, np.ndarray]:
-        """The operator as sum_t c_t |x_t><x_t|, (c, X) with real c and
+        """The term list as sum_t c_t |x_t><x_t|, (c, X) with real c and
         orthonormal columns X: the ``eigen_terms`` of its compression onto
         an orthonormal basis of its term vectors' span, taken back to the
-        whole space; HermiticityError where that compression is not
-        Hermitian."""
+        whole space, without the offset; HermiticityError where that
+        compression is not Hermitian."""
         coeffs, kets, bras = (np.array(part).T for part in zip(*self.terms))
         stacked = np.hstack([kets, bras])
         # L = 0 keeps one zero term, like a zero matrix in ``eigen_terms``
@@ -79,23 +84,23 @@ class LowRankObservable:
 
     def expectation_pure(self, vec: np.ndarray) -> complex:
         """<v|L|v> for a raw amplitude vector."""
-        return sum(c * (vec.conj() @ k) * (b.conj() @ vec)
-                   for c, k, b in self.terms)
+        return self.offset * (vec.conj() @ vec) + sum(
+            c * (vec.conj() @ k) * (b.conj() @ vec) for c, k, b in self.terms)
 
     def projected(self, stats: Statistics) -> "LowRankObservable":
-        """The sandwich projector L projector, term by term."""
+        """The sandwich projector L projector, term by term; offset kept."""
         new_terms = []
         for c, k, b in self.terms:
             kp = project(stats, StateVector(self.space, k)).amplitudes
             bp = project(stats, StateVector(self.space, b)).amplitudes
             new_terms.append((c, kp, bp))
-        return LowRankObservable(self.space, tuple(new_terms), kind=self.kind)
+        return replace(self, terms=tuple(new_terms))
 
     def to_matrix(self) -> np.ndarray:
         if self.dim > MATRIX_CAP:
             raise DimensionCapError(
                 f"densifying side {self.dim} exceeds cap {MATRIX_CAP}")
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        out = self.offset * np.eye(self.dim, dtype=np.complex128)
         for c, k, b in self.terms:
             out += c * np.outer(k, b.conj())
         return out
@@ -110,7 +115,7 @@ def rank_one_observable(psi: StateVector, stats: Statistics) -> LowRankObservabl
     f = project(stats, psi).amplitudes
     if np.linalg.norm(f) < 1e-14:
         raise ValueError("state projects to zero in the requested sector")
-    return LowRankObservable(psi.space, ((1.0 + 0.0j, f, f),), kind="rank_one")
+    return LowRankObservable(psi.space, ((1.0 + 0.0j, f, f),))
 
 
 def interference_observable(space: SpaceConfig,

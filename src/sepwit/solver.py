@@ -373,10 +373,10 @@ def _stationarity(problem: SevalueProblem, coords, values):
 
 def _solutions(problem: SevalueProblem, coords, values, settled, sweeps,
                tol: float = math.inf) -> list:
-    """The records, holding b_j = S_j c_j, of a batch of starts at c_j, or
-    None for one whose overlap annihilates a party vector; a residual is
-    the worst per-party defect relative to ||B_j b_j||, and a start
-    converged where it settled with a residual within ``tol``."""
+    """The records, b_j = S_j c_j and g + offset (0 for a dense operator),
+    of starts at c_j of ``sector_terms`` quotients g, or None where the
+    overlap annihilates a party vector; a residual is the worst per-party
+    defect over ||B_j b_j||, converged: settled, residual within ``tol``."""
     chi, defects = _stationarity(problem, coords, values)
     blocks = [c if sec is None else sec.apply(c.T).T
               for c, sec in zip(coords, problem.party_sectors)]
@@ -387,7 +387,7 @@ def _solutions(problem: SevalueProblem, coords, values, settled, sweeps,
             continue
         residual = float(np.max(defect / scale))
         out.append(SevalueSolution(
-            value=float(values[b]),
+            value=float(values[b]) + getattr(problem.operator, "offset", 0.0),
             party_vectors=tuple(block[b].copy() for block in blocks),
             space=problem.space,
             residual=residual, chi_norm=float(np.linalg.norm(chi[b])),
@@ -885,7 +885,7 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
             steps[party] = min(steps[party] * 1.5, 2.0)
         else:
             steps[party] = max(steps[party] * 0.8, 1e-4)
-    return best
+    return best + getattr(problem.operator, "offset", 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -907,20 +907,19 @@ def transformed_observable(operator, lambda1: float, lambda2: float,
                            unitary: np.ndarray, stats: Statistics,
                            space: SpaceConfig):
     """The observable U^dagger...U [lambda1 L + lambda2 P] rotated by a
-    local unitary applied to every slot.  Low-rank inputs stay low-rank
-    when lambda2 = 0; otherwise the dense matrix, rotated slot by slot.
-    Raises ValueError unless both lambdas are finite, U is unitary and a
-    dense L is d^N x d^N, and HermiticityError unless it is Hermitian."""
+    local unitary applied to every slot: a low-rank L's terms, with its
+    tag and offset lambda1 offset + lambda2, or a dense L slot by slot.
+    Raises ValueError unless both lambdas are finite, U is unitary and L
+    is of ``space``, and HermiticityError unless a dense L is Hermitian."""
     udag = _checked_unitary(unitary, space.d, lambda1, lambda2).conj().T
     if isinstance(operator, LowRankObservable):
-        if lambda2 == 0.0:
-            terms = tuple(
-                (lambda1 * c,
-                 _apply_local(udag, k, space.n),
-                 _apply_local(udag, b, space.n))
-                for c, k, b in operator.terms)
-            return LowRankObservable(space, terms, kind=operator.kind)
-        operator = operator.to_matrix()
+        if operator.space != space:
+            raise ValueError("operator space mismatch")
+        terms = tuple((lambda1 * c, _apply_local(udag, k, space.n),
+                       _apply_local(udag, b, space.n))
+                      for c, k, b in operator.terms)
+        return LowRankObservable(space, terms, kind=operator.kind,
+                                 offset=lambda1 * operator.offset + lambda2)
     operator = require_hermitian(operator, "observable")
     if operator.shape != (space.total_dim,) * 2:
         raise ValueError(f"operator shape {operator.shape}, expected "
@@ -963,7 +962,8 @@ def verify_second_form(sol: SevalueSolution,
                          "or space than the problem")
     coords = _party_coords(problem, [np.asarray(b, complex)[None]
                                      for b in sol.party_vectors])
-    (chi,), (defects,) = _stationarity(problem, coords, [sol.value])
+    (chi,), (defects,) = _stationarity(problem, coords, [
+        sol.value - getattr(problem.operator, "offset", 0.0)])
     sec = problem.sector
     return (StateVector(problem.space, chi if sec is None else sec.apply(chi)),
             max(defect for defect, _ in defects))

@@ -77,7 +77,7 @@ def expectation(rho: DensityOperator, observable) -> float:
     """tr(rho X) for a Hermitian observable, real up to float noise.
 
     A mixture is evaluated on all its rows at once, without densifying;
-    a low-rank observable through its kets and bras."""
+    a low-rank observable through its kets and bras, plus offset tr rho."""
     if isinstance(observable, LowRankObservable):
         if observable.space != rho.space:
             raise ValueError("dimension mismatch")
@@ -89,6 +89,7 @@ def expectation(rho: DensityOperator, observable) -> float:
         else:
             total = coeffs @ np.einsum("tj,tj->t",
                                        bras.conj() @ rho.matrix, kets)
+        total += observable.offset * rho.trace()
     else:
         x = np.asarray(observable, dtype=np.complex128)
         if x.shape != (rho.space.total_dim,) * 2:
@@ -126,10 +127,11 @@ def build_witness(problem: SevalueProblem, bound_source: str = "analytic", *,
     """Witness for one specific partition.
 
     ``bound_source`` picks how the separable bound is obtained:
-    "analytic" (closed forms for the tagged observables) or "numeric"
-    (multistart sweep solver).  The sampling oracle is no source: its
-    lower bound would let ``detect`` report false "entangled" verdicts,
-    so it stays ``brute_force_bound``, for comparisons.
+    "analytic" (closed forms of the tagged interference observable and of
+    one term c|psi><psi| on (1, 1)) or "numeric" (multistart sweeps).
+    The sampling oracle is no source: its lower bound would let
+    ``detect`` report false "entangled" verdicts, so it stays
+    ``brute_force_bound``, for comparisons.
     """
     mode = "max" if form is WitnessForm.UPPER else "min"
     if bound_source == "analytic":
@@ -167,16 +169,16 @@ def build_k_witness(operator, stats: Statistics, space: SpaceConfig, k: int,
 
 def _analytic_bound(problem: SevalueProblem, mode: str) -> float:
     op = problem.operator
-    if not isinstance(op, LowRankObservable) or op.kind is None:
-        raise ValueError("no analytic bound known for this observable; "
+    unknown = ValueError("no analytic bound known for this observable; "
                          "use the numeric source")
+    if not isinstance(op, LowRankObservable):
+        raise unknown
     if op.kind == "interference":
-        # the tag survives lambda1 L: the bound scales by the pair's
-        # common coefficient c where c > 0, and is not known otherwise
+        # the tag survives lambda1 L + lambda2 P: the bound scales by the
+        # pair's common coefficient c where c > 0, and adds the offset
         scale, *others = {c for c, _, _ in op.terms}
         if others or scale.imag or not scale.real > 0.0:
-            raise ValueError("no analytic bound known for this observable; "
-                             "use the numeric source")
+            raise unknown
         if problem.stats is Statistics.FERMION and \
                 sum(p >= 2 for p in problem.partition.parts) >= 2:
             # outside the proven domain of analytic_interference; exact
@@ -190,24 +192,19 @@ def _analytic_bound(problem: SevalueProblem, mode: str) -> float:
         analysis = analytic_interference(problem.space, problem.stats,
                                          problem.partition)
         bound = scale.real * analysis.bound
-        return bound if mode == "max" else -bound
-    if op.kind == "rank_one":
-        if problem.partition.k != 2 or problem.space.n != 2:
-            raise ValueError("rank-one analytic bound covers the bipartite "
-                             "partition (1,1) only")
-        (coeff, ket, bra), *others = op.terms
-        if others or not np.array_equal(ket, bra):
-            # the closed forms are those of c|psi><psi| alone: another
-            # term can raise the separable bound above them
-            raise ValueError("no analytic bound known for this observable; "
-                             "use the numeric source")
-        psi = StateVector(problem.space, ket)
-        solutions = analytic_rank_one(psi, problem.stats)
-        values = [s.value * coeff.real for s in solutions]
-        # g = 0 is always attained (analytic lists omit trivial zeros)
-        values.append(0.0)
-        return max(values) if mode == "max" else min(values)
-    raise ValueError(f"no analytic bound for kind {op.kind!r}")
+        return op.offset + (bound if mode == "max" else -bound)
+    (coeff, ket, bra), *others = op.terms
+    if others or not np.array_equal(ket, bra) \
+            or problem.partition.parts != (1, 1):
+        # the closed forms are those of c|psi><psi| alone: another
+        # term can raise the separable bound above them
+        raise unknown
+    solutions = analytic_rank_one(StateVector(problem.space, ket),
+                                  problem.stats)
+    values = [s.value * coeff.real for s in solutions]
+    # g = 0 is always attained (analytic lists omit trivial zeros)
+    values.append(0.0)
+    return op.offset + (max(values) if mode == "max" else min(values))
 
 
 def witness_matrix(witness: Witness) -> np.ndarray:

@@ -20,7 +20,8 @@ from sepwit import (DensityOperator, LowRankObservable, Partition, SevalueProble
                     solve_sup_g, subspace_dimension, sweep_solve,
                     transform_solution, transformed_observable,
                     verify_second_form)
-from sepwit.witness import _analytic_bound, build_k_witness
+from sepwit.witness import (Witness, WitnessForm, _analytic_bound,
+                            build_k_witness, expectation, witness_matrix)
 from sepwit.errors import (ConvergenceError, DimensionCapError,
                            EigensolveError, HermiticityError,
                            ZeroProjectionError)
@@ -32,7 +33,8 @@ from sepwit.solver import (RESIDUAL_TOL, VALUE_TOL, _crandn, _party_coords,
 
 from conftest import (_called_within, break_overlap_eigh, break_span_svd,
                       contracted_operator, crandn, dense_party_matrices,
-                      full_space_stationarity, random_hermitian, random_unitary,
+                      full_space_stationarity, random_hermitian,
+                      random_mixture, random_unitary,
                       reference_brute_force_bound, reference_generalized_step)
 
 
@@ -106,6 +108,16 @@ def test_observables_reject_non_finite(rng, bad):
         with pytest.raises(ValueError,
                            match="low-rank term list must be finite"):
             LowRankObservable(space, terms)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                 np.complex128(0.5 + 1j)])
+def test_low_rank_observable_offset_must_be_finite_and_real(rng, bad):
+    # a complex offset is no Hermitian shift; float() of a numpy complex
+    # would keep its real part with a warning only
+    ket = crandn(rng, 4)
+    with pytest.raises(ValueError, match="offset must be a finite real"):
+        LowRankObservable(SpaceConfig(2, 2), ((1.0, ket, ket),), offset=bad)
 
 
 def test_low_rank_observable_needs_a_term():
@@ -1986,7 +1998,7 @@ def test_transformed_solution_is_stationary(stats, parts, kind, d, seed,
     moved = transform_solution(sol, lam1, lam2, unitary)
     new_op = transformed_observable(observable, lam1, lam2, unitary, stats,
                                     space)
-    assert isinstance(new_op, np.ndarray) == (shift or kind == "dense")
+    assert isinstance(new_op, np.ndarray) == (kind == "dense")
     dense = observable if isinstance(observable, np.ndarray) \
         else observable.to_matrix()
     scale = max(1.0, abs(lam1)) * max(1.0, np.linalg.norm(dense, 2)) \
@@ -2034,6 +2046,70 @@ def test_transformed_observable_refuses_a_dense_operator_of_another_shape(
         with pytest.raises(ValueError, match="operator shape"):
             transformed_observable(operator, 1.0, 0.5, np.eye(2),
                                    Statistics.BOSON, space)
+
+
+def test_transformed_observable_refuses_a_low_rank_operator_of_another_space(
+        rng):
+    # a two-particle observable on 9 amplitudes was re-read as a
+    # one-particle one of 9 modes, and kept its tag
+    psi = StateVector(SpaceConfig(3, 2), crandn(rng, 9))
+    observable = rank_one_observable(psi, Statistics.DISTINGUISHABLE)
+    with pytest.raises(ValueError, match="operator space mismatch"):
+        transformed_observable(observable, 1.0, 0.0, np.eye(9),
+                               Statistics.DISTINGUISHABLE, SpaceConfig(9, 1))
+
+
+_OFFSET_GRID = [(stats, d, parts)
+                for n, d_max in ((2, 4), (3, 3)) for d in range(2, d_max + 1)
+                for stats in Statistics
+                if subspace_dimension(stats, SpaceConfig(d, n))
+                for parts in (p.parts for p in all_partitions(n))]
+
+
+@pytest.mark.parametrize("stats, d, parts", _OFFSET_GRID)
+def test_offset_route_equals_the_dense_route(stats, d, parts):
+    # lambda1 L + lambda2 P of a low-rank L is L's rotated terms plus the
+    # offset lambda2 1; the dense route forms the d^N x d^N matrix.  Both
+    # give the same G in either mode, the same oracle bound and the same
+    # witness matrix, lambda1 of either sign
+    space, partition = SpaceConfig(d, sum(parts)), Partition(parts)
+    rng = np.random.default_rng([d, *parts, list(Statistics).index(stats)])
+    observable = _random_observable(rng, "low-rank", space)
+    unitary = random_unitary(rng, d)
+    for sign in (1.0, -1.0):
+        lam1 = sign * float(rng.uniform(0.5, 2.0))
+        lam2 = float(rng.uniform(0.2, 1.0) * rng.choice([-1.0, 1.0]))
+        low, dense = (SevalueProblem(transformed_observable(
+            op, lam1, lam2, unitary, stats, space), stats, partition, space)
+            for op in (observable, observable.to_matrix()))
+        assert isinstance(low.operator, LowRankObservable)
+        assert low.operator.offset == lam2
+        for form, mode in ((WitnessForm.UPPER, "max"),
+                           (WitnessForm.LOWER, "min")):
+            values = [solve_sup_g(p, starts=8, seed=3, mode=mode).value
+                      for p in (low, dense)]
+            assert abs(values[0] - values[1]) <= 1e-10
+            matrices = [witness_matrix(Witness(
+                observable=p.operator, stats=stats, space=space,
+                k=partition.k, bound=values[0], partition=partition,
+                form=form)) for p in (low, dense)]
+            # G P - P L P vanishes on a one-dimensional sector, so the
+            # scale is that of its parts
+            scale = max(abs(values[0]), np.abs(dense.operator).max())
+            assert np.abs(matrices[0] - matrices[1]).max() <= 1e-12 * scale
+        oracle = [brute_force_bound(p, 400, seed=5) for p in (low, dense)]
+        assert abs(oracle[0] - oracle[1]) <= 1e-10
+        # on sector states offset 1 reads as lambda2 P: a mixture, its
+        # matrix and a pure state give the dense route's expectation
+        weights, rows = random_mixture(rng, space, 3, stats)
+        mixture = DensityOperator(space, weights=weights, vectors=rows)
+        for rho in (mixture, DensityOperator.from_matrix(
+                space, mixture.to_matrix())):
+            pair = [expectation(rho, p.operator) for p in (low, dense)]
+            assert abs(pair[0] - pair[1]) <= 1e-12 * max(1.0, abs(pair[1]))
+        pure = rows[0].conj() @ dense.operator @ rows[0]
+        assert abs(low.operator.expectation_pure(rows[0]) - pure) \
+            <= 1e-12 * max(1.0, abs(pure))
 
 
 def test_matched_inits_give_unitarily_invariant_values(rng):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -175,6 +177,48 @@ def test_rank_one_bound_refused_beyond_one_term_c_psi_psi():
     rho = DensityOperator.from_pure(StateVector(space, zero))
     assert abs(expectation(rho, two_terms) - 1.5) <= 1e-12
     assert not detect(rho, numeric).entangled
+
+
+@pytest.mark.parametrize("stats", list(Statistics))
+@pytest.mark.parametrize("d", [3, 4])
+def test_one_term_observable_gets_the_rank_one_closed_form_untagged(stats, d):
+    # one term c|k><k| on (1, 1) needs no tag: with k neither projected
+    # nor normalised and c of either sign, the closed form is no lower
+    # than an 8-start solve in "max" mode and no higher in "min" mode
+    space = SpaceConfig(d, 2)
+    rng = np.random.default_rng([d, list(Statistics).index(stats)])
+    ket = crandn(rng, d * d)
+    for coeff in (float(rng.uniform(0.5, 2.0)), -float(rng.uniform(0.5, 2.0))):
+        observable = LowRankObservable(space, ((coeff, ket, ket),))
+        problem = SevalueProblem(observable, stats, Partition((1, 1)), space)
+        for form, mode, sign in ((WitnessForm.UPPER, "max", 1.0),
+                                 (WitnessForm.LOWER, "min", -1.0)):
+            bound = build_witness(problem, "analytic", form=form).bound
+            numeric = solve_sup_g(problem, starts=8, seed=0, mode=mode)
+            assert sign * (bound - numeric.value) >= -1e-9
+
+
+def test_affine_interference_observable_stays_low_rank():
+    # lambda1 L + lambda2 P at N=4, d=8 is L's rotated terms plus the
+    # offset lambda2: no 4096 x 4096 matrix (256 MiB) is formed, the tag
+    # is kept, and the analytic bound lambda1 (1/2) + lambda2 = 1 is the
+    # solver's and calls the solver's own product state inconclusive
+    space, stats = SpaceConfig(8, 4), Statistics.BOSON
+    unitary, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((8, 8)))
+    base = interference_observable(space, stats)
+    tracemalloc.start()
+    observable = transformed_observable(base, 1.0, 0.5, unitary, stats, space)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert isinstance(observable, LowRankObservable)
+    assert peak < 16 * 2 ** 20
+    problem = SevalueProblem(observable, stats, Partition((2, 2)), space)
+    witness = build_witness(problem, "analytic")
+    assert witness.bound == 1.0
+    numeric = solve_sup_g(problem, starts=4, seed=0)
+    assert abs(numeric.value - witness.bound) <= 1e-9
+    rho = DensityOperator.from_pure(numeric.best.projected_vector)
+    assert detect(rho, witness).verdict == "inconclusive"
 
 
 def test_witness_refuses_a_bound_or_margin_that_breaks_the_verdict():
