@@ -37,8 +37,8 @@ from .sectors import (SectorCoupling, SectorIsometry, sector_coupling,
                       sector_isometry)
 from .tensor import (BATCH_BYTES, SpaceConfig, StateVector, Statistics,
                      basis_product_vector, frozen_copy, project,
-                     project_amplitudes, projector_matrix, require_hermitian,
-                     require_int, subspace_dimension)
+                     project_amplitudes, require_hermitian, require_int,
+                     subspace_dimension)
 
 DEFAULT_STARTS = 64
 MAX_SWEEPS = 500
@@ -287,13 +287,11 @@ def _column_norms_sq(block: np.ndarray) -> np.ndarray:
     return sums[0::2] + sums[1::2]
 
 
-def _apply_local(mat: np.ndarray, amplitudes: np.ndarray,
-                 n_slots: int) -> np.ndarray:
-    """Apply the same single-mode matrix to every slot of a block: to a
-    vector, or to each column of a (d^n_slots, count) array."""
-    d = mat.shape[0]
-    tens = amplitudes.reshape((d,) * n_slots + amplitudes.shape[1:])
-    for slot in range(n_slots):
+def _apply_local(mats, amplitudes: np.ndarray) -> np.ndarray:
+    """Apply mats[s] to slot s of an array of prod_s dim(mats[s]) entries:
+    a vector, or a matrix whose column index holds the last slots."""
+    tens = amplitudes.reshape([len(mat) for mat in mats])
+    for slot, mat in enumerate(mats):
         tens = np.moveaxis(np.tensordot(mat, tens, axes=(1, slot)), 0, slot)
     return tens.reshape(amplitudes.shape)
 
@@ -904,29 +902,31 @@ def _checked_unitary(unitary, d: int, *lambdas) -> np.ndarray:
 
 
 def transformed_observable(operator, lambda1: float, lambda2: float,
-                           unitary: np.ndarray, stats: Statistics,
-                           space: SpaceConfig):
-    """The observable U^dagger...U [lambda1 L + lambda2 P] rotated by a
-    local unitary applied to every slot: a low-rank L's terms, with its
-    tag and offset lambda1 offset + lambda2, or a dense L slot by slot.
-    Raises ValueError unless both lambdas are finite, U is unitary and L
-    is of ``space``, and HermiticityError unless a dense L is Hermitian."""
+                           unitary: np.ndarray, space: SpaceConfig):
+    """U^dagger...U [lambda1 L + lambda2 1], U a local unitary on every
+    slot, equal to U^dagger...U [lambda1 L + lambda2 P] on every sector:
+    a low-rank L's distinct vectors rotated once each, with its tag and
+    offset lambda1 offset + lambda2, or a dense L slot by slot plus
+    lambda2 on the diagonal.  ValueError unless the lambdas are finite,
+    U unitary and L of ``space``; HermiticityError for a non-Hermitian L."""
     udag = _checked_unitary(unitary, space.d, lambda1, lambda2).conj().T
+    mats = [udag] * space.n
     if isinstance(operator, LowRankObservable):
         if operator.space != space:
             raise ValueError("operator space mismatch")
-        terms = tuple((lambda1 * c, _apply_local(udag, k, space.n),
-                       _apply_local(udag, b, space.n))
-                      for c, k, b in operator.terms)
-        return LowRankObservable(space, terms, kind=operator.kind,
-                                 offset=lambda1 * operator.offset + lambda2)
+        vectors = {id(v): v for _, k, b in operator.terms for v in (k, b)}
+        rotated = {i: _apply_local(mats, v) for i, v in vectors.items()}
+        return LowRankObservable(space, tuple(
+            (lambda1 * c, rotated[id(k)], rotated[id(b)])
+            for c, k, b in operator.terms), kind=operator.kind,
+            offset=lambda1 * operator.offset + lambda2)
     operator = require_hermitian(operator, "observable")
     if operator.shape != (space.total_dim,) * 2:
         raise ValueError(f"operator shape {operator.shape}, expected "
                          f"{(space.total_dim,) * 2}")
-    shifted = lambda1 * operator + lambda2 * projector_matrix(stats, space)
-    return _apply_local(udag, _apply_local(udag, shifted, space.n).conj().T,
-                        space.n)
+    out = lambda1 * _apply_local(mats + [udag.conj()] * space.n, operator)
+    out[np.diag_indices(space.total_dim)] += lambda2
+    return out
 
 
 def transform_solution(sol: SevalueSolution, lambda1: float, lambda2: float,
@@ -938,7 +938,7 @@ def transform_solution(sol: SevalueSolution, lambda1: float, lambda2: float,
     if lambda1 == 0.0:
         raise ValueError("lambda1 must be nonzero")
     u = _checked_unitary(unitary, sol.space.d, lambda1, lambda2)
-    blocks = tuple(_apply_local(u.conj().T, np.asarray(b), nk)
+    blocks = tuple(_apply_local([u.conj().T] * nk, np.asarray(b))
                    for b, nk in zip(sol.party_vectors, sol.partition.parts))
     return replace(sol, value=lambda1 * sol.value + lambda2,
                    party_vectors=blocks, residual=abs(lambda1) * sol.residual,

@@ -302,10 +302,12 @@ class DensityOperator:
             raise ValueError("mixture must be finite")
         if (w < -TOL_TRACE).any():
             raise ValueError(f"negative mixture weight {w.min()}")
-        norms = np.linalg.norm(rows, axis=1, keepdims=True)
-        if not norms.all():
-            raise ValueError("cannot normalize the zero vector")
-        rows = np.where(np.abs(norms - 1.0) > 1e-9, rows / norms, rows)
+        # a slab at a time, in place: whole-block temporaries take 2 blocks
+        for slab in np.array_split(rows, max(1, rows.nbytes // _SLAB_BYTES)):
+            norms = np.linalg.norm(slab, axis=1, keepdims=True)
+            if not norms.all():
+                raise ValueError("cannot normalize the zero vector")
+            np.divide(slab, norms, out=slab, where=np.abs(norms - 1.0) > 1e-9)
         w = np.maximum(w, 0.0)
         if self.normalized and abs(w.sum() - 1.0) > TOL_TRACE:
             raise ValueError("mixture weights do not sum to 1")
@@ -431,15 +433,12 @@ def project_amplitudes(stats: Statistics, amplitudes: np.ndarray,
     shape = space.dims + ((arr.shape[1],) if batched else ())
     tens = arr.reshape(shape).copy()
     n = space.n
-    sign = stats.exchange_sign
+    combine = np.subtract if stats.exchange_sign < 0 else np.add
     for first in range(n - 2, -1, -1):
         acc = tens.copy()
         for other in range(first + 1, n):
-            swapped = np.swapaxes(tens, first, other)
-            if sign < 0:
-                acc -= swapped
-            else:
-                acc += swapped
+            # in place, and no name keeps the last tens alive by its view
+            combine(acc, np.swapaxes(tens, first, other), out=acc)
         acc /= (n - first)
         tens = acc
     return tens.reshape(arr.shape)
@@ -468,13 +467,13 @@ def projector_matrix(stats: Statistics, space: SpaceConfig) -> np.ndarray:
 
 def project_operator(stats: Statistics, operator: np.ndarray,
                      space: SpaceConfig) -> np.ndarray:
-    """Sandwich a dense operator between exchange projectors."""
-    op = np.asarray(operator, dtype=np.complex128)
+    """Sandwich a dense operator between exchange projectors, holding a
+    temporary ``operator`` no longer than its first pass needs it."""
+    operator = np.asarray(operator, dtype=np.complex128)
     if not stats.is_projected:
-        return op.copy()
-    cols = project_amplitudes(stats, op, space)
-    rows = project_amplitudes(stats, cols.conj().T, space)
-    return rows.conj().T
+        return operator.copy()
+    operator = project_amplitudes(stats, operator, space).conj().T
+    return project_amplitudes(stats, operator, space).conj().T
 
 
 def symmetrize_operator(factors: Sequence[np.ndarray]) -> np.ndarray:

@@ -23,7 +23,7 @@ from .solver import (DEFAULT_STARTS, Partition, SevalueProblem,
                      partitions_into, solve_sup_g)
 from .tensor import (MATRIX_CAP, DensityOperator, SpaceConfig, StateVector,
                      Statistics, project_amplitudes, project_operator,
-                     projector_matrix, require_int)
+                     require_int)
 from .decompositions import schmidt
 
 DETECTION_MARGIN = 1e-9
@@ -199,6 +199,9 @@ def _analytic_bound(problem: SevalueProblem, mode: str) -> float:
         # the closed forms are those of c|psi><psi| alone: another
         # term can raise the separable bound above them
         raise unknown
+    if np.linalg.norm(project_amplitudes(problem.stats, ket,
+                                         problem.space)) < 1e-14:
+        return op.offset    # c|psi><psi| is 0 on the sector: g = offset
     solutions = analytic_rank_one(StateVector(problem.space, ket),
                                   problem.stats)
     values = [s.value * coeff.real for s in solutions]
@@ -208,18 +211,19 @@ def _analytic_bound(problem: SevalueProblem, mode: str) -> float:
 
 
 def witness_matrix(witness: Witness) -> np.ndarray:
-    """Dense matrix of the witness operator, for small spaces."""
+    """Dense matrix of the witness operator, for small spaces: P(G 1 - L)P
+    = G P - P L P, or P(L - G 1)P in the lower form."""
     dim = witness.space.total_dim
     if dim > MATRIX_CAP:
         raise DimensionCapError(f"witness matrix side {dim} exceeds cap")
     observable = witness.observable
     if isinstance(observable, LowRankObservable):
         observable = observable.to_matrix()
-    sandwiched = project_operator(witness.stats, observable, witness.space)
-    proj = projector_matrix(witness.stats, witness.space)
-    if witness.form is WitnessForm.UPPER:
-        return witness.bound * proj - sandwiched
-    return sandwiched - witness.bound * proj
+    # the shifted matrix is a temporary, freed after the first pass
+    return project_operator(
+        witness.stats, witness.bound * np.eye(dim) - observable
+        if witness.form is WitnessForm.UPPER
+        else observable - witness.bound * np.eye(dim), witness.space)
 
 
 def detect(rho: DensityOperator, witness: Witness) -> WitnessVerdict:

@@ -16,7 +16,8 @@ from sepwit import (DensityOperator, LowRankObservable, Partition, SevalueProble
                     analytic_interference, analytic_rank_one,
                     basis_product_vector, brute_force_bound,
                     interference_observable, partitions_into, product_vector,
-                    project, projector_matrix, rank_one_observable,
+                    project, project_operator, projector_matrix,
+                    rank_one_observable,
                     solve_sup_g, subspace_dimension, sweep_solve,
                     transform_solution, transformed_observable,
                     verify_second_form)
@@ -1959,7 +1960,7 @@ def test_transform_solution_solves_transformed_problem(rng):
     lam1, lam2 = 1.7, -0.3
     moved = transform_solution(sol, lam1, lam2, unitary)
     new_op = transformed_observable(problem.operator, lam1, lam2, unitary,
-                                    Statistics.BOSON, psi.space)
+                                    psi.space)
     new_problem = SevalueProblem(new_op, Statistics.BOSON, Partition((1, 1)),
                                  psi.space)
     _, overlap = verify_second_form(moved, new_problem)
@@ -1996,8 +1997,7 @@ def test_transformed_solution_is_stationary(stats, parts, kind, d, seed,
     lam2 = float(rng.standard_normal()) if shift else 0.0
     unitary = random_unitary(rng, d)
     moved = transform_solution(sol, lam1, lam2, unitary)
-    new_op = transformed_observable(observable, lam1, lam2, unitary, stats,
-                                    space)
+    new_op = transformed_observable(observable, lam1, lam2, unitary, space)
     assert isinstance(new_op, np.ndarray) == (kind == "dense")
     dense = observable if isinstance(observable, np.ndarray) \
         else observable.to_matrix()
@@ -2015,26 +2015,23 @@ def test_transformed_solution_is_stationary(stats, parts, kind, d, seed,
     assert abs(quotient - moved.value) <= 1e-9 * scale
 
 
-@pytest.mark.parametrize("stats, d, n", [
-    *((stats, d, n) for stats in Statistics for d, n in ((3, 2), (4, 3))),
-    (Statistics.BOSON, 9, 3)])
-def test_dense_transformed_observable_is_the_kronecker_form(rng, stats, d, n):
+@pytest.mark.parametrize("d, n", [(3, 2), (4, 3), (9, 3)])
+def test_dense_transformed_observable_is_the_kronecker_form(rng, d, n):
     # rotating the rows and then the columns slot by slot gives
-    # (U^H)^(x N) [lambda1 L + lambda2 P] U^(x N), formed here through
+    # (U^H)^(x N) [lambda1 L + lambda2 1] U^(x N), formed here through
     # the Kronecker power as the reference; the route has no cap of its
     # own, so d=9, N=3 (729 modes) runs too, and it needs a Hermitian L
     space = SpaceConfig(d, n)
     observable = random_hermitian(rng, space.total_dim)
     unitary = random_unitary(rng, d)
-    got = transformed_observable(observable, 1.3, -0.7, unitary, stats,
-                                 space)
+    got = transformed_observable(observable, 1.3, -0.7, unitary, space)
     full = reduce(np.kron, [unitary.conj().T] * n)
-    want = full @ (1.3 * observable - 0.7 * projector_matrix(stats, space)) \
+    want = full @ (1.3 * observable - 0.7 * np.eye(space.total_dim)) \
         @ full.conj().T
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     with pytest.raises(HermiticityError):
         transformed_observable(crandn(rng, space.total_dim, space.total_dim),
-                               1.0, 0.0, unitary, stats, space)
+                               1.0, 0.0, unitary, space)
 
 
 def test_transformed_observable_refuses_a_dense_operator_of_another_shape(
@@ -2044,8 +2041,7 @@ def test_transformed_observable_refuses_a_dense_operator_of_another_shape(
     space = SpaceConfig(2, 2)
     for operator in (np.eye(1), random_hermitian(rng, 5)):
         with pytest.raises(ValueError, match="operator shape"):
-            transformed_observable(operator, 1.0, 0.5, np.eye(2),
-                                   Statistics.BOSON, space)
+            transformed_observable(operator, 1.0, 0.5, np.eye(2), space)
 
 
 def test_transformed_observable_refuses_a_low_rank_operator_of_another_space(
@@ -2056,7 +2052,7 @@ def test_transformed_observable_refuses_a_low_rank_operator_of_another_space(
     observable = rank_one_observable(psi, Statistics.DISTINGUISHABLE)
     with pytest.raises(ValueError, match="operator space mismatch"):
         transformed_observable(observable, 1.0, 0.0, np.eye(9),
-                               Statistics.DISTINGUISHABLE, SpaceConfig(9, 1))
+                               SpaceConfig(9, 1))
 
 
 _OFFSET_GRID = [(stats, d, parts)
@@ -2080,10 +2076,14 @@ def test_offset_route_equals_the_dense_route(stats, d, parts):
         lam1 = sign * float(rng.uniform(0.5, 2.0))
         lam2 = float(rng.uniform(0.2, 1.0) * rng.choice([-1.0, 1.0]))
         low, dense = (SevalueProblem(transformed_observable(
-            op, lam1, lam2, unitary, stats, space), stats, partition, space)
+            op, lam1, lam2, unitary, space), stats, partition, space)
             for op in (observable, observable.to_matrix()))
         assert isinstance(low.operator, LowRankObservable)
         assert low.operator.offset == lam2
+        # both routes add lambda2 1, so they are one operator everywhere
+        scale = max(1.0, np.abs(dense.operator).max())
+        assert np.abs(low.operator.to_matrix() - dense.operator).max() \
+            <= 1e-12 * scale
         for form, mode in ((WitnessForm.UPPER, "max"),
                            (WitnessForm.LOWER, "min")):
             values = [solve_sup_g(p, starts=8, seed=3, mode=mode).value
@@ -2112,12 +2112,49 @@ def test_offset_route_equals_the_dense_route(stats, d, parts):
             <= 1e-12 * max(1.0, abs(pure))
 
 
+def test_transformed_observable_rotates_each_shared_vector_once():
+    # the interference observable names its two vectors twice each; the
+    # rotated one keeps one copy per vector, as the constructor does
+    space = SpaceConfig(6, 3)
+    unitary = random_unitary(np.random.default_rng(0), space.d)
+    rotated = transformed_observable(
+        interference_observable(space, Statistics.BOSON), 1.0, 0.5, unitary,
+        space)
+    (_, v, w), (_, w_again, v_again) = rotated.terms
+    assert v is v_again and w is w_again and v is not w
+
+
+@pytest.mark.parametrize("stats, d, n", [
+    (stats, d, n) for stats in Statistics
+    for d, n in ((3, 1), (2, 2), (3, 2), (2, 3), (3, 3))
+    if subspace_dimension(stats, SpaceConfig(d, n))])
+@pytest.mark.parametrize("kind", ["dense", "low-rank"])
+def test_witness_matrix_is_the_projector_formula(stats, d, n, kind):
+    # P(G 1 - L)P, formed without a projector matrix, is G P - P L P with
+    # the explicit projector as the reference; P(L - G 1)P in the lower
+    # form is its negative
+    space = SpaceConfig(d, n)
+    rng = np.random.default_rng([d, n, list(Statistics).index(stats)])
+    observable = _random_observable(rng, kind, space)
+    dense = observable if isinstance(observable, np.ndarray) \
+        else observable.to_matrix()
+    bound = float(rng.uniform(-1.0, 1.0))
+    upper = bound * projector_matrix(stats, space) \
+        - project_operator(stats, dense, space)
+    for form, want in ((WitnessForm.UPPER, upper),
+                       (WitnessForm.LOWER, -upper)):
+        got = witness_matrix(Witness(observable=observable, stats=stats,
+                                     space=space, k=2, bound=bound,
+                                     form=form))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_matched_inits_give_unitarily_invariant_values(rng):
     psi = _random_sector_state(rng, 4, Statistics.FERMION)
     problem = _rank_one_problem(psi, Statistics.FERMION)
     unitary = random_unitary(rng, 4)
     rotated_op = transformed_observable(problem.operator, 1.0, 0.0, unitary,
-                                        Statistics.FERMION, psi.space)
+                                        psi.space)
     rotated = SevalueProblem(rotated_op, Statistics.FERMION, Partition((1, 1)),
                              psi.space)
     for _ in range(4):
@@ -2173,8 +2210,7 @@ def test_transformed_observable_rejects_bad_input(rng, case, dense):
     if dense:
         operator = operator.to_matrix()
     with pytest.raises(ValueError):
-        transformed_observable(operator, lam1, lam2, unitary,
-                               Statistics.BOSON, psi.space)
+        transformed_observable(operator, lam1, lam2, unitary, psi.space)
 
 
 def test_second_form_on_converged_solutions(rng):

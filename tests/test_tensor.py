@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,6 +260,29 @@ def test_partial_trace_mixture_form_matches_dense(d, n, m, seed):
     out_mix = partial_trace_first(mix)
     out_dense = partial_trace_first(dense)
     assert np.abs(out_mix.matrix - out_dense.matrix).max() < 1e-12
+
+
+def test_mixture_normalizes_in_place_on_its_own_copy(rng):
+    # building a mixture of unit rows allocates little beyond the block's
+    # own copy (a whole-block norm and quotient made three blocks; a
+    # 64 MiB block keeps the slabs' few MiB small beside it), and a row
+    # off unit norm is divided by its norm as a whole-block quotient
+    # divides it, to the bit
+    dim = 2 ** 16
+    rows = np.eye(64, dim, dtype=np.complex128)
+    tracemalloc.start()
+    DensityOperator(SpaceConfig(dim, 1), weights=np.full(64, 1 / 64),
+                    vectors=rows)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 1.2 * rows.nbytes
+    rows = crandn(rng, 5, 7)
+    rows[1] /= np.linalg.norm(rows[1])
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    want = np.where(np.abs(norms - 1.0) > 1e-9, rows / norms, rows)
+    got = DensityOperator(SpaceConfig(7, 1), weights=np.full(5, 0.2),
+                          vectors=rows).vectors
+    assert np.array_equal(got, want)
 
 
 def test_mixture_block_rules(rng):

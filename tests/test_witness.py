@@ -6,7 +6,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from sepwit import (DensityOperator, LowRankObservable, Partition,
                     SevalueProblem, SpaceConfig, StateVector, Statistics,
-                    Witness, WitnessForm, brute_force_bound, build_k_witness,
+                    Witness, WitnessForm, basis_product_vector,
+                    brute_force_bound, build_k_witness,
                     build_witness, detect, expectation, fig1_state_family,
                     interference_observable, noisy_state, partitions_into,
                     project, rank_one_observable, schmidt_number_bound,
@@ -128,7 +129,7 @@ def test_scaled_interference_bound_scales_with_its_coefficient(scale):
     space, stats = SpaceConfig(6, 3), Statistics.BOSON
     unitary = random_unitary(np.random.default_rng(0), space.d)
     observable = transformed_observable(interference_observable(space, stats),
-                                        scale, 0.0, unitary, stats, space)
+                                        scale, 0.0, unitary, space)
     problem = SevalueProblem(observable, stats, Partition((2, 1)), space)
     for form, mode, sign in ((WitnessForm.UPPER, "max", 1.0),
                              (WitnessForm.LOWER, "min", -1.0)):
@@ -147,7 +148,7 @@ def test_analytic_interference_bound_refused_for_other_coefficients():
     base = interference_observable(space, stats)
     (_, v, w), _ = base.terms
     for observable in (
-            transformed_observable(base, -1.0, 0.0, np.eye(4), stats, space),
+            transformed_observable(base, -1.0, 0.0, np.eye(4), space),
             LowRankObservable(space, ((1j, v, w), (-1j, w, v)),
                               kind="interference")):
         problem = SevalueProblem(observable, stats, Partition((1, 1)), space)
@@ -198,6 +199,29 @@ def test_one_term_observable_gets_the_rank_one_closed_form_untagged(stats, d):
             assert sign * (bound - numeric.value) >= -1e-9
 
 
+def test_rank_one_bound_of_a_ket_with_no_sector_part_is_the_offset():
+    # c|k><k| with P k = 0 is zero on the sector, so every quotient is the
+    # offset in either mode: |00> under fermions, and |01> - |10> under
+    # bosons, used to raise "state projects to zero in the requested
+    # sector"
+    space = SpaceConfig(3, 2)
+    zero_zero = basis_product_vector(space, (0, 0)).amplitudes
+    singlet = basis_product_vector(space, (0, 1)).amplitudes \
+        - basis_product_vector(space, (1, 0)).amplitudes
+    for stats, coeff, ket, offset in (
+            (Statistics.FERMION, 1.0, zero_zero, 0.25),
+            (Statistics.BOSON, 2.0, singlet, 0.0)):
+        observable = LowRankObservable(space, ((coeff, ket, ket),),
+                                       offset=offset)
+        problem = SevalueProblem(observable, stats, Partition((1, 1)), space)
+        for form, mode in ((WitnessForm.UPPER, "max"),
+                           (WitnessForm.LOWER, "min")):
+            assert build_witness(problem, "analytic", form=form).bound \
+                == offset
+            numeric = solve_sup_g(problem, starts=4, seed=0, mode=mode)
+            assert abs(numeric.value - offset) <= 1e-12
+
+
 def test_affine_interference_observable_stays_low_rank():
     # lambda1 L + lambda2 P at N=4, d=8 is L's rotated terms plus the
     # offset lambda2: no 4096 x 4096 matrix (256 MiB) is formed, the tag
@@ -207,7 +231,7 @@ def test_affine_interference_observable_stays_low_rank():
     unitary, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((8, 8)))
     base = interference_observable(space, stats)
     tracemalloc.start()
-    observable = transformed_observable(base, 1.0, 0.5, unitary, stats, space)
+    observable = transformed_observable(base, 1.0, 0.5, unitary, space)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert isinstance(observable, LowRankObservable)
