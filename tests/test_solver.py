@@ -2015,12 +2015,16 @@ def test_transformed_solution_is_stationary(stats, parts, kind, d, seed,
     assert abs(quotient - moved.value) <= 1e-9 * scale
 
 
-@pytest.mark.parametrize("d, n", [(3, 2), (4, 3), (9, 3)])
-def test_dense_transformed_observable_is_the_kronecker_form(rng, d, n):
+@pytest.mark.parametrize("stats, d, n", [
+    *((stats, d, n) for stats in Statistics for d, n in ((3, 2), (4, 3))),
+    (Statistics.BOSON, 9, 3)])
+def test_dense_transformed_observable_is_the_kronecker_form(rng, stats, d, n):
     # rotating the rows and then the columns slot by slot gives
     # (U^H)^(x N) [lambda1 L + lambda2 1] U^(x N), formed here through
-    # the Kronecker power as the reference; the route has no cap of its
-    # own, so d=9, N=3 (729 modes) runs too, and it needs a Hermitian L
+    # the Kronecker power as the reference; on each exchange sector that
+    # is (U^H)^(x N) [lambda1 L + lambda2 P] U^(x N), as U^(x N) commutes
+    # with P; the route has no cap of its own, so d=9, N=3 (729 modes)
+    # runs too, and it needs a Hermitian L
     space = SpaceConfig(d, n)
     observable = random_hermitian(rng, space.total_dim)
     unitary = random_unitary(rng, d)
@@ -2029,6 +2033,11 @@ def test_dense_transformed_observable_is_the_kronecker_form(rng, d, n):
     want = full @ (1.3 * observable - 0.7 * np.eye(space.total_dim)) \
         @ full.conj().T
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    proj = projector_matrix(stats, space)
+    sector = proj @ full @ (1.3 * observable - 0.7 * proj) \
+        @ full.conj().T @ proj
+    assert np.abs(proj @ got @ proj - sector).max() \
+        <= 1e-12 * np.abs(want).max()
     with pytest.raises(HermiticityError):
         transformed_observable(crandn(rng, space.total_dim, space.total_dim),
                                1.0, 0.0, unitary, space)
