@@ -8,7 +8,7 @@ either representation; the solver reads both as eigen-terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -16,7 +16,8 @@ import numpy as np
 from .decompositions import eigen_terms, orth
 from .errors import DimensionCapError
 from .tensor import (MATRIX_CAP, SpaceConfig, StateVector, Statistics,
-                     basis_product_vector, project, require_hermitian)
+                     basis_product_vector, project, project_amplitudes,
+                     require_hermitian)
 
 
 @dataclass(frozen=True)
@@ -28,13 +29,16 @@ class LowRankObservable:
     input vector is stored once, as a read-only copy shared by every term
     that names it.  The real ``offset``, lambda2 of lambda1 L + lambda2 P,
     equals offset P on every exchange sector.  ``kind`` tags the
-    interference observable, whose analytic bound is known.
+    interference observable, whose analytic bound is known: no
+    constructor argument sets it, only ``interference_observable``, and
+    ``transformed_observable`` carries it (``dataclasses.replace``, so
+    ``projected``, drops it).
     """
 
     space: SpaceConfig
     terms: tuple[tuple[complex, np.ndarray, np.ndarray], ...]
-    kind: str | None = None
     offset: float = 0.0
+    kind: str | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
         if not self.terms:
@@ -78,6 +82,12 @@ class LowRankObservable:
             require_hermitian(compressed, "low-rank term list"))
         return values, basis @ vectors
 
+    def _tagged(self, kind: str | None) -> "LowRankObservable":
+        """This new observable, tagged ``kind``: the one way the tag is
+        set, by ``interference_observable`` and ``transformed_observable``."""
+        object.__setattr__(self, "kind", kind)
+        return self
+
     @property
     def dim(self) -> int:
         return self.space.total_dim
@@ -88,13 +98,12 @@ class LowRankObservable:
             c * (vec.conj() @ k) * (b.conj() @ vec) for c, k, b in self.terms)
 
     def projected(self, stats: Statistics) -> "LowRankObservable":
-        """The sandwich projector L projector, term by term; offset kept."""
-        new_terms = []
-        for c, k, b in self.terms:
-            kp = project(stats, StateVector(self.space, k)).amplitudes
-            bp = project(stats, StateVector(self.space, b)).amplitudes
-            new_terms.append((c, kp, bp))
-        return replace(self, terms=tuple(new_terms))
+        """The sandwich projector L projector, term by term; offset kept,
+        tag dropped."""
+        return replace(self, terms=tuple(
+            (c, project_amplitudes(stats, k, self.space),
+             project_amplitudes(stats, b, self.space))
+            for c, k, b in self.terms))
 
     def to_matrix(self) -> np.ndarray:
         if self.dim > MATRIX_CAP:
@@ -140,4 +149,4 @@ def interference_observable(space: SpaceConfig,
     v = np.sqrt(nu) * project(stats, low).amplitudes
     w = np.sqrt(nu) * project(stats, high).amplitudes
     terms = ((1.0 + 0.0j, v, w), (1.0 + 0.0j, w, v))
-    return LowRankObservable(space, terms, kind="interference")
+    return LowRankObservable(space, terms)._tagged("interference")

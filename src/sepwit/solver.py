@@ -918,8 +918,8 @@ def transformed_observable(operator, lambda1: float, lambda2: float,
         rotated = {i: _apply_local(mats, v) for i, v in vectors.items()}
         return LowRankObservable(space, tuple(
             (lambda1 * c, rotated[id(k)], rotated[id(b)])
-            for c, k, b in operator.terms), kind=operator.kind,
-            offset=lambda1 * operator.offset + lambda2)
+            for c, k, b in operator.terms),
+            offset=lambda1 * operator.offset + lambda2)._tagged(operator.kind)
     operator = require_hermitian(operator, "observable")
     if operator.shape != (space.total_dim,) * 2:
         raise ValueError(f"operator shape {operator.shape}, expected "

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ZeroProjectionError
-from .sectors import sector_basis_vectors
 from .tensor import (DensityOperator, SpaceConfig, StateVector, Statistics,
-                     basis_product_vector, project, require_int)
+                     basis_product_vector, project, require_int,
+                     sector_isometry)
 
 
 def sinc(x: float) -> float:
@@ -27,16 +27,19 @@ def noisy_state(psi: StateVector, stats: Statistics, p: float) -> DensityOperato
     """Mixture of the projected, normalized pure part (weight p) with the
     maximally mixed state of the sector (weight 1 - p):
     rho = p |psi~><psi~| + (1 - p) P / tr(P), whose noise rows are the
-    sector basis.  A part of weight 0 is left out."""
+    columns of the sector isometry S, written with the pure row into one
+    block.  A part of weight 0 is left out."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"noise parameter p={p} outside [0, 1]")
     projected = project(stats, psi)
     if projected.norm() < 1e-12:
         raise ZeroProjectionError("pure part projects to zero")
-    noise = sector_basis_vectors(stats, psi.space).T
-    weights = np.r_[p, np.full(len(noise), (1.0 - p) / len(noise))]
-    rows = np.vstack([projected.normalized().amplitudes, noise])
-    keep = weights > 0.0
+    sector = sector_isometry(stats, psi.space)
+    rows = np.zeros((1 + sector.shape[1], sector.shape[0]), dtype=complex)
+    rows[0] = projected.normalized().amplitudes
+    sector.toarray(out=rows[1:].T)
+    weights = np.r_[p, np.full(sector.shape[1], (1.0 - p) / sector.shape[1])]
+    keep = slice(int(p == 0.0), None if p < 1.0 else 1)    # a view, no copy
     return DensityOperator(psi.space, weights=weights[keep], vectors=rows[keep])
 
 

@@ -7,9 +7,17 @@ Conventions used by every module in this package:
   numpy's C-order flattening of an N-axis tensor whose axes all have
   size d, so reshaping a state of length d**N to shape (d,)*N gives
   one axis per particle slot, slot 0 first.
-* Exchange projectors are applied matrix-free, as signed sums over all
-  N! slot permutations acting on reshaped amplitude arrays.  Explicit
-  projector matrices are only built for small spaces (side <= MATRIX_CAP).
+* Exchange projectors are applied matrix-free, as P = S S^H through the
+  orbit tables of the sector isometry S (``sector_isometry``): column c
+  of S is the orbit of the c-th sorted mode label under slot
+  permutations, one entry per distinct arrangement of modulus
+  1/sqrt(orbit size), signed by the permutation's parity for fermions.
+  No full-space index lies in two orbits, so S is stored as one table
+  per orbit size and applied by gathers and scatters.  S is built from
+  the labels, not from the signed sum over all N! slot permutations,
+  which the tests keep as the independent reference
+  (``conftest.project_full_sum``).  Explicit projector matrices are
+  only built for small spaces (side <= MATRIX_CAP).
 * Mode labels are 0-based everywhere.
 """
 
@@ -20,7 +28,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -112,11 +120,6 @@ class Statistics(Enum):
     DISTINGUISHABLE = "distinguishable"
     BOSON = "boson"
     FERMION = "fermion"
-
-    @property
-    def exchange_sign(self) -> int:
-        """+1 for bosons, -1 for fermions, +1 (unused) for distinguishable."""
-        return -1 if self is Statistics.FERMION else 1
 
     @property
     def is_projected(self) -> bool:
@@ -413,35 +416,120 @@ def apply_permutation(sigma: Permutation, v: StateVector) -> StateVector:
     return StateVector(v.space, out)
 
 
+def sector_basis_labels(stats: Statistics, space: SpaceConfig) -> list[tuple[int, ...]]:
+    """Canonical label tuples indexing the sector basis, sorted."""
+    modes = range(space.d)
+    if stats is Statistics.BOSON:
+        return list(itertools.combinations_with_replacement(modes, space.n))
+    if stats is Statistics.FERMION:
+        return list(itertools.combinations(modes, space.n))
+    return list(itertools.product(modes, repeat=space.n))
+
+
+class SectorIsometry:
+    """The real isometry S of a sector, as read-only orbit tables.
+
+    Each group of ``groups`` holds the columns whose orbits have one
+    size s: their positions ``cols``, an (s, len(cols)) array ``index``
+    of full-space indices, one sign per slot of the orbit and the
+    coefficient 1/sqrt(s) shared by the group's entries.
+    """
+
+    def __init__(self, shape: tuple[int, int], groups):
+        self.shape = shape
+        self.groups = tuple(groups)
+        for table in (t for group in self.groups for t in group[:3]):
+            table.setflags(write=False)
+
+    def adjoint(self, x: np.ndarray) -> np.ndarray:
+        """S^H x for a full-space vector or a (dim, batch) array."""
+        x = np.asarray(x)
+        if x.ndim not in (1, 2) or x.shape[0] != self.shape[0]:
+            raise ValueError(f"S^H of shape {self.shape[::-1]} cannot "
+                             f"apply to shape {x.shape}")
+        out = np.empty((self.shape[1],) + x.shape[1:], dtype=np.complex128)
+        for cols, index, signs, coeff in self.groups:
+            acc = x[index[0]]
+            for slot, sign in zip(index[1:], signs[1:]):
+                if sign > 0:
+                    acc += x[slot]
+                else:
+                    acc -= x[slot]
+            acc *= coeff
+            out[cols] = acc
+        return out
+
+    def toarray(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The dense (dim, sector dimension) complex array of S, written
+        into ``out`` where given: zeros of that shape, a view allowed."""
+        if out is None:
+            out = np.zeros(self.shape, dtype=np.complex128)
+        for cols, index, signs, coeff in self.groups:
+            out[index, cols] = (coeff * signs)[:, None]
+        return out
+
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        """S y for a sector vector or a (sector dimension, batch) array."""
+        y = np.asarray(y)
+        if y.ndim not in (1, 2) or y.shape[0] != self.shape[1]:
+            raise ValueError(f"S of shape {self.shape} cannot apply to "
+                             f"shape {y.shape}")
+        out = np.zeros((self.shape[0],) + y.shape[1:], dtype=np.complex128)
+        for cols, index, signs, coeff in self.groups:
+            part = coeff * y[cols]
+            for slot, sign in zip(index, signs):
+                out[slot] = part if sign > 0 else -part
+        return out
+
+
+@lru_cache(maxsize=64)
+def sector_isometry(stats: Statistics, space: SpaceConfig) -> SectorIsometry:
+    """Isometry from sector coordinates into the full product space,
+    built once per (statistics, space) and shared: its tables are
+    read-only."""
+    n, d, dim = space.n, space.d, space.total_dim
+    if not stats.is_projected:
+        every = np.arange(dim)
+        return SectorIsometry((dim, dim), [(every, every[None], np.ones(1),
+                                            1.0)])
+    labels = np.array(sector_basis_labels(stats, space),
+                      dtype=np.intp).reshape(-1, n)
+    perms = list(itertools.permutations(range(n)))
+    # flat[c, p]: big-endian index of label c rearranged by perm p
+    flat = labels[:, perms] @ (d ** np.arange(n - 1, -1, -1, dtype=np.intp))
+    groups = []
+    if stats is Statistics.FERMION:
+        # labels strictly increasing: all n! arrangements are distinct,
+        # the first being the identity
+        signs = np.array([-1.0 if _cycle_parity(p) else 1.0 for p in perms])
+        groups.append((np.arange(labels.shape[0]), flat.T.copy(), signs,
+                       1.0 / math.sqrt(len(perms))))
+    else:
+        # a sorted row lists each distinct arrangement len(perms)/s times
+        flat.sort(axis=1)
+        sizes = 1 + np.count_nonzero(np.diff(flat, axis=1), axis=1)
+        for size in np.unique(sizes):
+            cols = np.nonzero(sizes == size)[0]
+            index = flat[cols, ::len(perms) // size].T.copy()
+            groups.append((cols, index, np.ones(size),
+                           1.0 / math.sqrt(size)))
+    return SectorIsometry((dim, labels.shape[0]), groups)
+
+
 def project_amplitudes(stats: Statistics, amplitudes: np.ndarray,
                        space: SpaceConfig) -> np.ndarray:
-    """Apply the exchange projector to raw amplitudes.
+    """Apply the exchange projector P = S S^H to raw amplitudes, S the
+    sector isometry's orbit tables: one gather and one scatter.
 
     Accepts a vector of length total_dim or a 2-D array whose columns
-    are vectors (batched).  Returns a new array of the same shape.
-
-    Uses the coset recursion: symmetrizing slots (m, ..., n-1) and then
-    averaging the n-m+1 signed swaps of slot m-1 into that window
-    symmetrizes slots (m-1, ..., n-1).  This needs n(n-1)/2 axis swaps
-    instead of n! transpositions and agrees with the full signed
-    permutation sum exactly.
+    are vectors (batched).  Returns a new array of the same shape, a
+    copy for distinguishable parties.
     """
     arr = np.asarray(amplitudes, dtype=np.complex128)
     if not stats.is_projected:
         return arr.copy()
-    batched = arr.ndim == 2
-    shape = space.dims + ((arr.shape[1],) if batched else ())
-    tens = arr.reshape(shape).copy()
-    n = space.n
-    combine = np.subtract if stats.exchange_sign < 0 else np.add
-    for first in range(n - 2, -1, -1):
-        acc = tens.copy()
-        for other in range(first + 1, n):
-            # in place, and no name keeps the last tens alive by its view
-            combine(acc, np.swapaxes(tens, first, other), out=acc)
-        acc /= (n - first)
-        tens = acc
-    return tens.reshape(arr.shape)
+    sector = sector_isometry(stats, space)
+    return sector.apply(sector.adjoint(arr))
 
 
 def project(stats: Statistics, v: StateVector) -> StateVector:
@@ -467,13 +555,15 @@ def projector_matrix(stats: Statistics, space: SpaceConfig) -> np.ndarray:
 
 def project_operator(stats: Statistics, operator: np.ndarray,
                      space: SpaceConfig) -> np.ndarray:
-    """Sandwich a dense operator between exchange projectors, holding a
-    temporary ``operator`` no longer than its first pass needs it."""
+    """Sandwich a dense operator between exchange projectors: P O P =
+    S (S^H O S) S^H, through an m x m middle only (S real, so S^H = S^T
+    and both sides are gathers and scatters of the orbit tables)."""
     operator = np.asarray(operator, dtype=np.complex128)
     if not stats.is_projected:
         return operator.copy()
-    operator = project_amplitudes(stats, operator, space).conj().T
-    return project_amplitudes(stats, operator, space).conj().T
+    sector = sector_isometry(stats, space)
+    middle = sector.adjoint(sector.adjoint(operator).T).T
+    return sector.apply(sector.apply(middle.T).T)
 
 
 def symmetrize_operator(factors: Sequence[np.ndarray]) -> np.ndarray:

@@ -19,8 +19,8 @@ import numpy as np
 from .errors import DimensionCapError, SectorError
 from .operators import LowRankObservable
 from .solver import (DEFAULT_STARTS, Partition, SevalueProblem,
-                     analytic_interference, analytic_rank_one,
-                     partitions_into, solve_sup_g)
+                     _column_norms_sq, analytic_interference,
+                     analytic_rank_one, partitions_into, solve_sup_g)
 from .tensor import (MATRIX_CAP, DensityOperator, SpaceConfig, StateVector,
                      Statistics, project_amplitudes, project_operator,
                      require_int)
@@ -108,14 +108,17 @@ def expectation(rho: DensityOperator, observable) -> float:
 
 def sector_deviation(rho: DensityOperator, stats: Statistics) -> float:
     """How far the state sticks out of the exchange sector: for a
-    mixture the largest 2-norm of a unit row's component off the sector,
-    (P - 1) v_r, and for a matrix the largest entry of rho - P rho P."""
+    mixture the largest 2-norm ||S S^H v_r - v_r|| of a unit row's
+    component off the sector, and for a matrix the largest entry of
+    rho - P rho P."""
     if not stats.is_projected:
         return 0.0
     if rho.matrix is None:
-        rows = rho.vectors.T
-        delta = project_amplitudes(stats, rows, rho.space) - rows
-        return float(np.linalg.norm(delta, axis=0).max(initial=0.0))
+        # taken directly: by rounding alone, the root of ||v||^2 -
+        # ||S^H v||^2 is about 1.5e-8 on an in-sector row, above SECTOR_TOL
+        delta = project_amplitudes(stats, rho.vectors.T, rho.space)
+        delta -= rho.vectors.T
+        return float(np.sqrt(_column_norms_sq(delta).max(initial=0.0)))
     sandwiched = project_operator(stats, rho.matrix, rho.space)
     return float(np.abs(rho.matrix - sandwiched).max(initial=0.0))
 
@@ -212,18 +215,23 @@ def _analytic_bound(problem: SevalueProblem, mode: str) -> float:
 
 def witness_matrix(witness: Witness) -> np.ndarray:
     """Dense matrix of the witness operator, for small spaces: P(G 1 - L)P
-    = G P - P L P, or P(L - G 1)P in the lower form."""
+    = G P - P L P, or P(L - G 1)P in the lower form.  A low-rank L is
+    formed from its eigen-form and offset as the one shifted matrix, a
+    temporary that ``project_operator`` reads once."""
     dim = witness.space.total_dim
     if dim > MATRIX_CAP:
         raise DimensionCapError(f"witness matrix side {dim} exceeds cap")
     observable = witness.observable
     if isinstance(observable, LowRankObservable):
-        observable = observable.to_matrix()
-    # the shifted matrix is a temporary, freed after the first pass
-    return project_operator(
-        witness.stats, witness.bound * np.eye(dim) - observable
-        if witness.form is WitnessForm.UPPER
-        else observable - witness.bound * np.eye(dim), witness.space)
+        coeffs, vectors = observable.eigen_form
+        shifted = (vectors * coeffs) @ vectors.conj().T
+    else:
+        shifted = np.array(observable, dtype=np.complex128)
+    shifted[np.diag_indices(dim)] += getattr(observable, "offset", 0.0) \
+        - witness.bound
+    if witness.form is WitnessForm.UPPER:
+        np.negative(shifted, out=shifted)
+    return project_operator(witness.stats, shifted, witness.space)
 
 
 def detect(rho: DensityOperator, witness: Witness) -> WitnessVerdict:

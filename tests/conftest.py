@@ -7,12 +7,11 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from sepwit import LowRankObservable, Permutation
+from sepwit import LowRankObservable, Permutation, Statistics
 from sepwit.errors import ZeroProjectionError
 from sepwit.partystep import B_RANGE_CUTOFF
 from sepwit.sectors import sector_isometry
 from sepwit.solver import _ORACLE_CHUNK
-from sepwit.tensor import project_amplitudes
 
 
 def crandn(rng, *shape):
@@ -26,7 +25,7 @@ def random_mixture(rng, space, m, stats=None):
     the sector of ``stats`` first where it is given."""
     rows = crandn(rng, m, space.total_dim)
     if stats is not None:
-        rows = project_amplitudes(stats, rows.T, space).T
+        rows = project_full_sum(stats, rows.T, space).T
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     weights = rng.random(m) + 0.01
     return weights / weights.sum(), rows
@@ -42,11 +41,18 @@ def random_unitary(rng, n):
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
+def sector_basis_vectors(stats, space):
+    """Dense (total_dim, sector_dim) array of the orthonormal sector
+    vectors: the columns of ``sector_isometry``, written out by scatter."""
+    return sector_isometry(stats, space).toarray()
+
+
 def project_full_sum(stats, amplitudes, space):
     """Reference projector: the explicit signed sum over all n! slot
-    permutations, an independent cross-check of the coset recursion in
-    ``project_amplitudes``.  Accepts a vector or a 2-D array of column
-    vectors."""
+    permutations, an independent cross-check of the sector isometry's
+    orbit tables, through which ``project_amplitudes`` and every other
+    projection of the library runs.  Accepts a vector or a 2-D array of
+    column vectors."""
     arr = np.asarray(amplitudes, dtype=np.complex128)
     if not stats.is_projected:
         return arr.copy()
@@ -56,7 +62,7 @@ def project_full_sum(stats, amplitudes, space):
     acc = np.zeros_like(tens)
     for axes in itertools.permutations(range(n)):
         sign = Permutation(tuple(a + 1 for a in axes)).sign \
-            if stats.exchange_sign < 0 else 1
+            if stats is Statistics.FERMION else 1
         acc += sign * tens.transpose(axes + extra)
     return (acc / math.factorial(n)).reshape(arr.shape)
 
@@ -130,23 +136,23 @@ def reference_generalized_step(numer, overlap, previous, mode):
 
 def full_space_stationarity(problem, blocks, values):
     """Reference for ``solver._stationarity`` through the full space:
-    P|b>, chi = P L P|b> - g P|b> from the projector's coset recursion
-    and L's own eigen-form or matrix, and per party j the pair
-    (||A_j b_j - g B_j b_j||, ||B_j b_j||), A_j b_j and B_j b_j being
-    chi and P|b> with every other party contracted out by one einsum,
-    start by start.  Returns (batch, dim), (batch, dim) and (batch, K,
-    2) arrays; no sector basis or coupling map is read."""
+    P|b>, chi = P L P|b> - g P|b> from the explicit permutation sum
+    ``project_full_sum`` and L's own eigen-form or matrix, and per party
+    j the pair (||A_j b_j - g B_j b_j||, ||B_j b_j||), A_j b_j and B_j
+    b_j being chi and P|b> with every other party contracted out by one
+    einsum, start by start.  Returns (batch, dim), (batch, dim) and
+    (batch, K, 2) arrays; no sector basis or coupling map is read."""
     space, stats, dims = problem.space, problem.stats, problem.block_dims
     count = len(blocks[0])
     flat = np.array([reduce(np.kron, [b[i] for b in blocks])
                      for i in range(count)])
-    projected = project_amplitudes(stats, flat.T, space).T
+    projected = project_full_sum(stats, flat.T, space).T
     if isinstance(problem.operator, LowRankObservable):
         coeffs, vectors = problem.operator.eigen_form
         applied = (vectors * coeffs) @ (vectors.conj().T @ projected.T)
     else:
         applied = problem.operator @ projected.T
-    chi = project_amplitudes(stats, applied, space).T \
+    chi = project_full_sum(stats, applied, space).T \
         - np.asarray(values, dtype=float)[:, None] * projected
     defects = np.empty((count, len(dims), 2))
     for i in range(count):

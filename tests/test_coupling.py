@@ -11,9 +11,9 @@ import pytest
 import sepwit.solver as solver_module
 from sepwit import (LowRankObservable, Partition, SevalueProblem, SpaceConfig,
                     Statistics, interference_observable, solve_sup_g)
-from sepwit.sectors import SectorIsometry, sector_basis_vectors, sector_coupling
+from sepwit.sectors import SectorIsometry, sector_coupling
 
-from conftest import crandn, random_hermitian
+from conftest import crandn, random_hermitian, sector_basis_vectors
 
 _PARTS = [(1,), (2,), (3,), (4,), (1, 1), (2, 1), (1, 2), (2, 2), (3, 1),
           (1, 3), (1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 1, 1)]

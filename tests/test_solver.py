@@ -16,7 +16,7 @@ from sepwit import (DensityOperator, LowRankObservable, Partition, SevalueProble
                     analytic_interference, analytic_rank_one,
                     basis_product_vector, brute_force_bound,
                     interference_observable, partitions_into, product_vector,
-                    project, project_operator, projector_matrix,
+                    project, projector_matrix,
                     rank_one_observable,
                     solve_sup_g, subspace_dimension, sweep_solve,
                     transform_solution, transformed_observable,
@@ -26,17 +26,17 @@ from sepwit.witness import (Witness, WitnessForm, _analytic_bound,
 from sepwit.errors import (ConvergenceError, DimensionCapError,
                            EigensolveError, HermiticityError,
                            ZeroProjectionError)
-from sepwit.sectors import (SectorIsometry, sector_basis_vectors,
-                            sector_isometry)
+from sepwit.sectors import SectorIsometry, sector_isometry
 from sepwit.partystep import _generalized_step
 from sepwit.solver import (RESIDUAL_TOL, VALUE_TOL, _crandn, _party_coords,
                            _party_matrices, _solutions, _stationarity, _sweep)
 
 from conftest import (_called_within, break_overlap_eigh, break_span_svd,
                       contracted_operator, crandn, dense_party_matrices,
-                      full_space_stationarity, random_hermitian,
-                      random_mixture, random_unitary,
-                      reference_brute_force_bound, reference_generalized_step)
+                      full_space_stationarity, project_full_sum,
+                      random_hermitian, random_mixture, random_unitary,
+                      reference_brute_force_bound, reference_generalized_step,
+                      sector_basis_vectors)
 
 
 def _random_sector_state(rng, d, stats):
@@ -195,7 +195,7 @@ def test_party_matrices_match_contracted_operator(rng, stats, parts):
     c2 = complex(crandn(rng))
     low_rank = LowRankObservable(space, ((0.7, k1, k1), (c2, k2, b2),
                                          (c2.conjugate(), b2, k2)))
-    proj = projector_matrix(stats, space)
+    proj = project_full_sum(stats, np.eye(dim), space)
     isometries = [sector_basis_vectors(stats, SpaceConfig(d, nk))
                   for nk in parts]
     for observable in (random_hermitian(rng, dim), low_rank):
@@ -377,9 +377,9 @@ def test_projector_sees_only_block_sectors(stats, parts, d, seed):
     for b, nk in zip(blocks, parts):
         iso = sector_basis_vectors(stats, SpaceConfig(d, nk))
         in_sector.append(iso @ (iso.conj().T @ b))
-    want = project(stats, StateVector(space, reduce(np.kron, blocks)))
-    got = project(stats, StateVector(space, reduce(np.kron, in_sector)))
-    assert np.abs(got.amplitudes - want.amplitudes).max() <= 1e-12
+    want = project_full_sum(stats, reduce(np.kron, blocks), space)
+    got = project_full_sum(stats, reduce(np.kron, in_sector), space)
+    assert np.abs(got - want).max() <= 1e-12
 
 
 @pytest.mark.parametrize("stats", list(Statistics))
@@ -653,12 +653,12 @@ def test_analytic_interference_values_and_independence():
 @pytest.mark.parametrize("stats", list(Statistics))
 def test_single_party_residual_matches_projector_reference(rng, stats):
     # below the dense cap the matrix-free K=1 residual must agree with
-    # ||PLPb - gPb|| / ||Pb|| built from the projector matrix
+    # ||PLPb - gPb|| / ||Pb|| built from the permutation-sum projector
     space = SpaceConfig(3, 2)
     psi = _random_sector_state(rng, 3, stats)
     observables = (random_hermitian(rng, 9),
                    rank_one_observable(psi, stats))
-    proj = projector_matrix(stats, space)
+    proj = project_full_sum(stats, np.eye(9), space)
     for observable in observables:
         problem = SevalueProblem(observable, stats, Partition((2,)), space)
         dense = observable if isinstance(observable, np.ndarray) \
@@ -735,10 +735,9 @@ def test_solutions_hold_no_full_space_array():
                 if isinstance(v, np.ndarray)]
         assert sorted(held) == [8, 512]
         assert "projected_vector" not in vars(sol)
-        pb = project(Statistics.BOSON, StateVector(
-            space, reduce(np.kron, sol.party_vectors)))
-        assert np.abs(sol.projected_vector.amplitudes
-                      - pb.amplitudes).max() <= 1e-15
+        pb = project_full_sum(Statistics.BOSON,
+                              reduce(np.kron, sol.party_vectors), space)
+        assert np.abs(sol.projected_vector.amplitudes - pb).max() <= 1e-15
 
 
 @settings(max_examples=24, deadline=None)
@@ -764,9 +763,9 @@ def test_records_hold_unit_party_vectors_in_their_block_sectors(stats, parts,
                                   stats)]
     for sol in records:
         for b, nj in zip(sol.party_vectors, sol.partition.parts):
-            block = StateVector(SpaceConfig(sol.space.d, nj), b)
+            block = SpaceConfig(sol.space.d, nj)
             assert abs(np.linalg.norm(b) - 1.0) <= 1e-12
-            assert np.linalg.norm(project(stats, block).amplitudes - b) \
+            assert np.linalg.norm(project_full_sum(stats, b, block) - b) \
                 <= 1e-12
 
 
@@ -2008,8 +2007,7 @@ def test_transformed_solution_is_stationary(stats, parts, kind, d, seed,
     assert overlap <= 1e-9 * scale
     new_dense = new_op if isinstance(new_op, np.ndarray) \
         else new_op.to_matrix()
-    pb = project(stats, StateVector(
-        space, reduce(np.kron, moved.party_vectors))).amplitudes
+    pb = project_full_sum(stats, reduce(np.kron, moved.party_vectors), space)
     quotient = (pb.conj() @ new_dense @ pb).real / (pb.conj() @ pb).real
     assert moved.value == lam1 * sol.value + lam2
     assert abs(quotient - moved.value) <= 1e-9 * scale
@@ -2033,7 +2031,7 @@ def test_dense_transformed_observable_is_the_kronecker_form(rng, stats, d, n):
     want = full @ (1.3 * observable - 0.7 * np.eye(space.total_dim)) \
         @ full.conj().T
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    proj = projector_matrix(stats, space)
+    proj = project_full_sum(stats, np.eye(space.total_dim), space)
     sector = proj @ full @ (1.3 * observable - 0.7 * proj) \
         @ full.conj().T @ proj
     assert np.abs(proj @ got @ proj - sector).max() \
@@ -2140,16 +2138,16 @@ def test_transformed_observable_rotates_each_shared_vector_once():
 @pytest.mark.parametrize("kind", ["dense", "low-rank"])
 def test_witness_matrix_is_the_projector_formula(stats, d, n, kind):
     # P(G 1 - L)P, formed without a projector matrix, is G P - P L P with
-    # the explicit projector as the reference; P(L - G 1)P in the lower
-    # form is its negative
+    # the explicit permutation-sum projector as the reference; P(L - G 1)P
+    # in the lower form is its negative
     space = SpaceConfig(d, n)
     rng = np.random.default_rng([d, n, list(Statistics).index(stats)])
     observable = _random_observable(rng, kind, space)
     dense = observable if isinstance(observable, np.ndarray) \
         else observable.to_matrix()
     bound = float(rng.uniform(-1.0, 1.0))
-    upper = bound * projector_matrix(stats, space) \
-        - project_operator(stats, dense, space)
+    proj = project_full_sum(stats, np.eye(space.total_dim), space)
+    upper = bound * proj - proj @ dense @ proj
     for form, want in ((WitnessForm.UPPER, upper),
                        (WitnessForm.LOWER, -upper)):
         got = witness_matrix(Witness(observable=observable, stats=stats,
@@ -2229,8 +2227,8 @@ def test_second_form_on_converged_solutions(rng):
         sol = sweep_solve(problem, [crandn(rng, 4), crandn(rng, 4)])
         chi, overlap = verify_second_form(sol, problem)
         assert overlap <= 1e-8
-        stays = project(stats, chi)
-        assert np.linalg.norm(stays.amplitudes - chi.amplitudes) < 1e-10
+        stays = project_full_sum(stats, chi.amplitudes, chi.space)
+        assert np.linalg.norm(stays - chi.amplitudes) < 1e-10
 
 
 def test_second_form_analytic_fermion_chi():

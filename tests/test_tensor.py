@@ -11,13 +11,12 @@ from sepwit import (DensityOperator, Permutation, SpaceConfig, StateVector,
                     project, projector_matrix, subspace_dimension,
                     symmetrize_operator, unflatten_index)
 from sepwit.errors import DimensionCapError, HermiticityError
-from sepwit.sectors import (sector_basis_labels, sector_basis_vectors,
-                            sector_isometry)
+from sepwit.sectors import sector_basis_labels, sector_isometry
 from sepwit.tensor import (hermiticity_defect, project_amplitudes,
                            require_hermitian)
 
 from conftest import (crandn, project_full_sum, random_hermitian,
-                      random_mixture)
+                      random_mixture, sector_basis_vectors)
 
 
 def test_flatten_index_examples():
@@ -166,6 +165,8 @@ def test_sector_orthogonality(rng, d, n):
 
 @pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (2, 3), (3, 3), (2, 5)])
 def test_coset_recursion_matches_full_sum(rng, d, n):
+    # project_amplitudes, now S S^H through the orbit tables, against the
+    # explicit n! sum (the name is that of the recursion it replaced)
     space = SpaceConfig(d, n)
     arr = crandn(rng, space.total_dim, 2)
     for stats in (Statistics.BOSON, Statistics.FERMION):

@@ -15,7 +15,8 @@ from sepwit import (DensityOperator, LowRankObservable, Partition,
                     sweep_solve, transformed_observable, witness_matrix)
 from sepwit.errors import ConvergenceError, SectorError
 
-from conftest import crandn, random_hermitian, random_mixture, random_unitary
+from conftest import (crandn, project_full_sum, random_hermitian,
+                      random_mixture, random_unitary)
 
 
 def _balanced_boson_d3():
@@ -143,32 +144,58 @@ def test_scaled_interference_bound_scales_with_its_coefficient(scale):
 
 
 def test_analytic_interference_bound_refused_for_other_coefficients():
-    # a negative or complex pair coefficient has no closed form here
+    # a negative or complex pair coefficient has no closed form here; no
+    # constructor sets the tag, so the complex pair gets it white-box
     space, stats = SpaceConfig(4, 2), Statistics.BOSON
     base = interference_observable(space, stats)
     (_, v, w), _ = base.terms
+    complex_pair = LowRankObservable(space, ((1j, v, w), (-1j, w, v)))
+    object.__setattr__(complex_pair, "kind", "interference")
     for observable in (
             transformed_observable(base, -1.0, 0.0, np.eye(4), space),
-            LowRankObservable(space, ((1j, v, w), (-1j, w, v)),
-                              kind="interference")):
+            complex_pair):
         problem = SevalueProblem(observable, stats, Partition((1, 1)), space)
         with pytest.raises(ValueError, match="no analytic bound known"):
             build_witness(problem, bound_source="analytic")
 
 
+def test_interference_tag_is_no_constructor_argument():
+    # L = |00><01| + |01><00| on (1, 1) has the separable supremum 1,
+    # which the product |0> x (|0> + |1>)/sqrt 2 reaches: a forged
+    # "interference" tag used to give it the closed form 0.5, and detect
+    # called that product state entangled.  No constructor takes the
+    # tag, and the untagged L gets no analytic bound
+    space, stats = SpaceConfig(4, 2), Statistics.DISTINGUISHABLE
+    ket, bra = np.eye(16, dtype=complex)[:2]
+    terms = ((1.0, ket, bra), (1.0, bra, ket))
+    with pytest.raises(TypeError):
+        LowRankObservable(space, terms, kind="interference")
+    observable = LowRankObservable(space, terms)
+    assert observable.kind is None
+    problem = SevalueProblem(observable, stats, Partition((1, 1)), space)
+    with pytest.raises(ValueError, match="no analytic bound known"):
+        build_witness(problem, bound_source="analytic")
+    numeric = build_witness(problem, bound_source="numeric", starts=8)
+    assert abs(numeric.bound - 1.0) <= 1e-9
+    plus = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2)
+    rho = DensityOperator.from_pure(StateVector(
+        space, np.kron(np.eye(4)[0], plus)))
+    assert abs(expectation(rho, observable) - 1.0) <= 1e-12
+    assert not detect(rho, numeric).entangled
+
+
 def test_rank_one_bound_refused_beyond_one_term_c_psi_psi():
-    # |h><h| + |00><00| tagged "rank_one" is no c|psi><psi|: the first
-    # term's closed form 0.5 lies below the supremum 1.5, which |00>
-    # reaches, so the tag would call that product state entangled; nor
-    # is |h><ih| times i, which equals |h><h| but has ket != bra
+    # |h><h| + |00><00| is no c|psi><psi|: the first term's closed form
+    # 0.5 lies below the supremum 1.5, which |00> reaches, so that form
+    # would call that product state entangled; nor is |h><ih| times i,
+    # which equals |h><h| but has ket != bra
     space, stats = SpaceConfig(3, 2), Statistics.DISTINGUISHABLE
     h = np.zeros(9, dtype=complex)
     h[0] = h[4] = 1 / np.sqrt(2)
     zero = np.eye(9, dtype=complex)[0]
-    two_terms = LowRankObservable(space, ((1.0, h, h), (1.0, zero, zero)),
-                                  kind="rank_one")
-    for observable in (two_terms, LowRankObservable(
-            space, ((1j, h, 1j * h),), kind="rank_one")):
+    two_terms = LowRankObservable(space, ((1.0, h, h), (1.0, zero, zero)))
+    for observable in (two_terms,
+                       LowRankObservable(space, ((1j, h, 1j * h),))):
         problem = SevalueProblem(observable, stats, Partition((1, 1)), space)
         with pytest.raises(ValueError, match="no analytic bound known"):
             build_witness(problem, bound_source="analytic")
@@ -317,8 +344,8 @@ def test_mixture_form_matches_dense(stats, d, n, m, terms, seed):
         assert abs(value - loop.real) < 1e-12
     assert sector_deviation(rho, stats) <= 1e-12
     weights, rows = random_mixture(rng, space, m)
-    loop = max(np.linalg.norm(project(stats, StateVector(space, v))
-                              .amplitudes - v) for v in rows)
+    loop = max(np.linalg.norm(project_full_sum(stats, v, space) - v)
+               for v in rows)
     raw = DensityOperator(space, weights=weights, vectors=rows)
     assert abs(sector_deviation(raw, stats) - loop) < 1e-12
 
@@ -503,3 +530,28 @@ def test_sector_deviation(rng):
     rho = DensityOperator.from_pure(sym)
     assert sector_deviation(rho, Statistics.BOSON) < 1e-12
     assert sector_deviation(rho, Statistics.FERMION) > 0.1
+
+
+@pytest.mark.parametrize("stats", list(Statistics))
+@pytest.mark.parametrize("n", [3, 4])
+def test_sector_deviation_reads_each_rows_leak(stats, n):
+    # rows projected by the explicit n! sum deviate by at most 1e-12, and
+    # the unit row sqrt(1 - eps^2) u + eps w, u in the sector and w a unit
+    # vector off it, deviates by eps, also below SECTOR_TOL (1e-8), where
+    # the root of ||v||^2 - ||S^H v||^2 would read rounding as a leak
+    space = SpaceConfig(4, n)
+    rng = np.random.default_rng([n, list(Statistics).index(stats)])
+    raw = crandn(rng, 3, space.total_dim)
+    inside = project_full_sum(stats, raw.T, space).T
+    inside /= np.linalg.norm(inside, axis=1, keepdims=True)
+    rho = DensityOperator(space, weights=np.full(3, 1.0 / 3.0),
+                          vectors=inside)
+    assert sector_deviation(rho, stats) <= 1e-12
+    if not stats.is_projected:
+        return
+    off = raw[0] - project_full_sum(stats, raw[0], space)
+    off /= np.linalg.norm(off)
+    for leak in (1e-9, 3e-8, 1e-3, 0.5):
+        row = np.sqrt(1.0 - leak ** 2) * inside[0] + leak * off
+        state = DensityOperator.from_pure(StateVector(space, row))
+        assert abs(sector_deviation(state, stats) - leak) <= 1e-12
