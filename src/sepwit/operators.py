@@ -3,7 +3,9 @@
 Large composite spaces make dense operator matrices impractical, so the
 two observables with known closed-form bounds are carried around as
 short lists of |ket><bra| terms.  The solver and witness code accept
-either representation; the solver reads both as eigen-terms.
+either representation, a low-rank one through its ``eigen_form``;
+``to_matrix`` and ``expectation_pure`` evaluate the term list itself,
+the tests' independent reference for every eigen-form reader.
 """
 
 from __future__ import annotations

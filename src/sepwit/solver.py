@@ -251,13 +251,13 @@ class SupremumResult:
 # ---------------------------------------------------------------------------
 # internal machinery
 
-def check_count(value, name: str) -> int:
-    """A count (the starts, the sweep limit, the oracle's samples) as an
-    int; raises ValueError, naming ``name``, unless it is an integer
-    (not a bool) of at least 1."""
+def check_count(value, name: str, least: int = 1) -> int:
+    """A count (the starts, the sweep limit, the oracle's samples; a
+    seed, of least 0) as an int; raises ValueError, naming ``name``,
+    unless it is an integer (not a bool) of at least ``least``."""
     count = require_int(value, name)
-    if count < 1:
-        raise ValueError(f"{name} must be >= 1")
+    if count < least:
+        raise ValueError(f"{name} must be >= {least}")
     return count
 
 
@@ -640,9 +640,11 @@ def solve_sup_g(problem: SevalueProblem, starts: int = DEFAULT_STARTS,
     bound that simply fails to detect), its subclass EigensolveError
     where no route diagonalises a party's overlap (``partystep``), and
     ValueError unless ``starts`` and ``max_sweeps`` are integers of at
-    least 1, ``tol`` a number of at least 0 and ``value_tol`` a number.
+    least 1, ``seed`` one of at least 0, ``tol`` a number of at least 0
+    and ``value_tol`` a number.
     """
     starts = check_count(starts, "starts")
+    seed = check_count(seed, "seed", 0)
     # start i tries up to 8 initializations drawn from its own generator
     inits = [([_crandn(rng, dim) for dim in problem.block_dims]
               for rng in [np.random.default_rng([seed, i])] * 8)
@@ -793,12 +795,12 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
     enter as one-column blocks.  No block is normalised: a sample
     projects to zero where ||S^H v||^2 is at most 1e-14 times the
     product of its squared party norms, the loop form's test on the unit
-    vector.  A chunk's best sample that beats the incumbent is re-scored
-    on its formed unit product vector, so the bound is always the
-    quotient of a real product vector.  The draws and bounds are those
-    of the loop form that the tests keep as a reference, to 1e-12
-    relative.  ``samples`` must be an integer of at least 1; anything
-    else raises ValueError.
+    vector.  A chunk's best sample that beats the incumbent becomes it,
+    with the quotient the chunk computed: every block is formed, so the
+    bound is always the quotient of a real product vector.  The draws
+    and bounds are those of the loop form that the tests keep as a
+    reference, to 1e-12 relative.  ``samples`` must be an integer of at
+    least 1 and ``seed`` one of at least 0, or ValueError is raised.
 
     At small budgets the bound can sit far below the supremum: for the
     boson interference observable at N=3, d=6, partition (2, 1), 2000
@@ -807,6 +809,7 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
     a solver value that is too low; nothing here bounds G from above.
     """
     samples = check_count(samples, "samples")
+    seed = check_count(seed, "seed", 0)
     sec, (coeffs, vectors) = problem.sector, problem.sector_terms
     # C-ordered rows <x_t| in sector coordinates: rows @ x gives every
     # term's overlaps with a batch of vectors x at once
@@ -814,13 +817,15 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
     dims = problem.block_dims
     rng = np.random.default_rng([seed, 11])
 
-    def quotients(blocks):
-        """sum_t c_t |<x_t|S^H v>|^2 / ||S^H v||^2 of every column product
-        v of (party_dim, count) blocks, a block of one column being a
-        party shared by every column; -inf where ||S^H v||^2 is at most
-        1e-14 times the product of v's squared party norms.  The batch
-        stays on the trailing, contiguous axis, so that each gather of
-        S^H copies whole rows."""
+    def offer(blocks):
+        """Score every column product v of (party_dim, count) blocks (one
+        column: a party shared by every column) as sum_t c_t |<x_t|S^H
+        v>|^2 / ||S^H v||^2, -inf where ||S^H v||^2 is at most 1e-14
+        times the product of v's squared party norms; the best beating
+        the incumbent becomes it, its unit party vectors kept as
+        one-column blocks.  True where it did.  The batch stays on the
+        trailing axis, so that each gather of S^H copies whole rows."""
+        nonlocal best, best_parts
         vecs = blocks[0]
         for block in blocks[1:]:
             vecs = vecs[:, None, :] * block[None, :, :]
@@ -832,27 +837,16 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
             coords = sec.adjoint(vecs)
             denom = _column_norms_sq(coords)
         numer = coeffs @ np.abs(rows @ coords) ** 2
-        out = np.full(denom.shape, -math.inf)
+        values = np.full(denom.shape, -math.inf)
         valid = denom > 1e-14 * norms
-        out[valid] = numer[valid] / denom[valid]
-        return out
-
-    def offer(blocks):
-        """Make the chunk's best sample the incumbent where its quotient,
-        re-scored on the formed unit product vector, beats the
-        incumbent's, its unit party vectors kept as one-column blocks.
-        True where it did."""
-        nonlocal best, best_parts
-        values = quotients(blocks)
+        values[valid] = numer[valid] / denom[valid]
         top = int(np.argmax(values))
-        if values[top] > best:
-            parts = [b[:, [min(top, b.shape[1] - 1)]] for b in blocks]
-            parts = [v / np.linalg.norm(v) for v in parts]
-            rescored, = quotients(parts)
-            if rescored > best:
-                best, best_parts = float(rescored), parts
-                return True
-        return False
+        if not values[top] > best:
+            return False
+        parts = [b[:, [min(top, b.shape[1] - 1)]] for b in blocks]
+        best, best_parts = float(values[top]), [v / np.linalg.norm(v)
+                                                 for v in parts]
+        return True
 
     def perturbed(party, count):
         """A refinement chunk: party's block c_j + a d formed in the draw,

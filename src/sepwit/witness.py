@@ -77,18 +77,19 @@ def expectation(rho: DensityOperator, observable) -> float:
     """tr(rho X) for a Hermitian observable, real up to float noise.
 
     A mixture is evaluated on all its rows at once, without densifying;
-    a low-rank observable through its kets and bras, plus offset tr rho."""
+    a low-rank observable through its ``eigen_form`` (c, X), as sum_t c_t
+    <x_t|rho|x_t> from one product of X with the rows or the matrix,
+    plus offset tr rho."""
     if isinstance(observable, LowRankObservable):
         if observable.space != rho.space:
             raise ValueError("dimension mismatch")
-        coeffs, kets, bras = (np.array(part) for part in zip(*observable.terms))
+        coeffs, vectors = observable.eigen_form
         if rho.matrix is None:
-            rows = rho.vectors
-            total = rho.weights @ (rows.conj() @ kets.T
-                                   * (rows @ bras.conj().T)) @ coeffs
+            total = rho.weights @ (np.abs(rho.vectors @ vectors.conj()) ** 2
+                                   @ coeffs)
         else:
-            total = coeffs @ np.einsum("tj,tj->t",
-                                       bras.conj() @ rho.matrix, kets)
+            total = coeffs @ np.einsum("jt,jt->t", vectors.conj(),
+                                       rho.matrix @ vectors)
         total += observable.offset * rho.trace()
     else:
         x = np.asarray(observable, dtype=np.complex128)

@@ -22,7 +22,8 @@ from sepwit import (DensityOperator, LowRankObservable, Partition, SevalueProble
                     transform_solution, transformed_observable,
                     verify_second_form)
 from sepwit.witness import (Witness, WitnessForm, _analytic_bound,
-                            build_k_witness, expectation, witness_matrix)
+                            build_k_witness, build_witness, expectation,
+                            witness_matrix)
 from sepwit.errors import (ConvergenceError, DimensionCapError,
                            EigensolveError, HermiticityError,
                            ZeroProjectionError)
@@ -1688,6 +1689,26 @@ def test_oracle_holds_one_block(rng, stats):
     assert peak <= 1.3 * block
 
 
+@pytest.mark.parametrize("stats,parts,d", [(Statistics.BOSON, (4,), 5),
+                                           (Statistics.FERMION, (2, 1), 6)])
+def test_oracle_scores_each_chunk_once(monkeypatch, rng, stats, parts, d):
+    # 1300 samples are six chunks (256, 256 and 138 samples to explore
+    # and to refine), and each is scored by one S^H gather: a chunk's
+    # best sample that beats the incumbent keeps the quotient the chunk
+    # computed, with no second scoring of its unit product vector
+    problem = _oracle_problem(rng, stats, parts, d)
+    problem.sector_terms    # its S^H X gather is made before counting
+    adjoint, calls = SectorIsometry.adjoint, []
+
+    def counting(self, x):
+        calls.append(x.shape)
+        return adjoint(self, x)
+
+    monkeypatch.setattr(SectorIsometry, "adjoint", counting)
+    brute_force_bound(problem, 1300, seed=1)
+    assert [shape[1] for shape in calls] == [256, 256, 138] * 2
+
+
 def test_draws_match_inline_draws_at_every_block_size():
     # consecutive draws of blocks above and below the buffer's piece,
     # and of single entries, read the stream in order: each is the
@@ -1847,6 +1868,34 @@ def test_solve_rejects_bad_starts_and_max_sweeps(bad):
             solve_sup_g(target, starts=2, max_sweeps=bad)
     with pytest.raises(ValueError, match="max_sweeps"):
         sweep_solve(problem, [np.ones(3), np.ones(3)], max_sweeps=bad)
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, -1, "3", None])
+def test_seed_is_checked_like_the_counts(rng, bad):
+    # a seed is an integer (not a bool) of at least 0 for the solver, the
+    # oracle and the numeric witness builders, which raise ValueError
+    # naming it; a numpy integer is the int it holds
+    space = SpaceConfig(3, 2)
+    problem = SevalueProblem(random_hermitian(rng, 9), Statistics.BOSON,
+                             Partition((1, 1)), space)
+    with pytest.raises(ValueError, match="seed"):
+        solve_sup_g(problem, starts=2, seed=bad)
+    with pytest.raises(ValueError, match="seed"):
+        brute_force_bound(problem, 10, seed=bad)
+    with pytest.raises(ValueError, match="seed"):
+        build_witness(problem, "numeric", starts=2, seed=bad)
+    with pytest.raises(ValueError, match="seed"):
+        build_k_witness(problem.operator, problem.stats, space, 2,
+                        starts=2, seed=bad)
+    result = solve_sup_g(problem, starts=2, seed=np.int64(3))
+    assert type(result.seed) is int and result.seed == 3
+    same = solve_sup_g(problem, starts=2, seed=3)
+    assert [s.value for s in result.solutions] \
+        == [s.value for s in same.solutions]
+    assert all(np.array_equal(a, b) for a, b in zip(
+        result.best.party_vectors, same.best.party_vectors))
+    assert brute_force_bound(problem, 10, seed=np.int64(3)) \
+        == brute_force_bound(problem, 10, seed=3)
 
 
 @pytest.mark.parametrize("name, bad", [("tol", np.nan), ("tol", -1.0),

@@ -304,6 +304,29 @@ def test_expectation_pure_and_mixed(rng):
     assert abs(expectation(rho_mixed, obs_b) - 1.0 / dim) < 1e-10
 
 
+def test_expectation_of_a_mixture_makes_no_row_block_temporary():
+    # the boson N=4, d=8 noisy state of (v + w)/sqrt 2, v and w the
+    # interference observable's pair, holds 331 rows of 4096 amplitudes;
+    # its expectation reads them through one product with the eigen-form
+    # vectors, so the traced peak stays far below the row block, and the
+    # value is the per-row sum of the term list's expectation_pure
+    space, stats = SpaceConfig(8, 4), Statistics.BOSON
+    observable = interference_observable(space, stats)
+    (_, v, w), _ = observable.terms
+    rho = noisy_state(StateVector(space, (v + w) / np.sqrt(2.0)), stats, 0.7)
+    assert rho.vectors.shape == (331, 4096)
+    tracemalloc.start()
+    try:
+        value = expectation(rho, observable)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.1 * rho.vectors.nbytes
+    loop = sum(weight * observable.expectation_pure(row)
+               for weight, row in zip(rho.weights, rho.vectors))
+    assert abs(value - loop.real) <= 1e-12
+
+
 def test_expectation_dense_matches_mixture(rng):
     space = SpaceConfig(2, 2)
     vecs = [StateVector(space, crandn(rng, 4)).normalized() for _ in range(3)]

@@ -8,6 +8,9 @@ imported by its own interpreter, which solves every problem of
 per-start values, sweeps, residuals and converged flags, or the error
 raised, and on every max-mode problem the sampling oracle's
 ``brute_force_bound`` at ORACLE_SAMPLES samples and the problem's seed.
+Every solved problem also reports ``expectation`` of the best
+solution's state, ``DensityOperator.from_pure(best.projected_vector)``,
+against its observable, which ties the witness layer to the solver's G.
 The problems are fixed: the interference observable at N=3, d=6 and
 at N=4, d=8 on every statistics and every partition, and random dense
 and low-rank observables at small sizes, in max and min mode, each
@@ -20,8 +23,10 @@ oracle took.  It exits 1 where, on some problem, G is worse on the
 change side by more than 1e-9 (lower in max mode, higher in min
 mode), a sweep count or converged count differs, the raised error
 differs, a start's residual r moves by more than max(1e-6 |r|, 1e-12),
-or an oracle bound moves by more than 1e-9 (relative to bounds above
-1, the rule of ``sepbench/references.json``).  It writes no file.
+an oracle bound moves by more than 1e-9 (relative to bounds above 1,
+the rule of ``sepbench/references.json``), or, on either side, the
+expectation of the best solution's state differs from that side's G
+by more than 1e-9 (the same rule).  It writes no file.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import time
 G_TOL = 1e-9
 RESIDUAL_RTOL, RESIDUAL_ATOL = 1e-6, 1e-12
 ORACLE_TOL = 1e-9
+EXPECTATION_TOL = 1e-9
 ORACLE_SAMPLES = 2000
 SEEDS = (0, 5, 55)
 STARTS = 4
@@ -102,7 +108,8 @@ def problems():
 
 def solve_all() -> list[dict]:
     """Every problem's record, solved by the ``sepwit`` on sys.path."""
-    from sepwit import brute_force_bound, solve_sup_g
+    from sepwit import (DensityOperator, brute_force_bound, expectation,
+                        solve_sup_g)
     from sepwit.errors import SepwitError
     from sepwit.solver import MAX_SWEEPS
 
@@ -123,7 +130,9 @@ def solve_all() -> list[dict]:
                 sweeps=[s.sweeps for s in sols],
                 residuals=[s.residual for s in sols],
                 converged=[s.converged for s in sols],
-                limit_hits=sum(s.sweeps >= MAX_SWEEPS for s in sols))
+                limit_hits=sum(s.sweeps >= MAX_SWEEPS for s in sols),
+                expectation=expectation(DensityOperator.from_pure(
+                    result.best.projected_vector), problem.operator))
         record["time_s"] = time.perf_counter() - began
         if mode == "max":
             began = time.perf_counter()
@@ -149,6 +158,7 @@ def compare(parent: list[dict], change: list[dict]) -> list[str]:
     """Print one line per problem and the largest differences; return
     the faults found."""
     faults, worst_g, worst_res, worst_oracle = [], 0.0, 0.0, 0.0
+    worst_exp = 0.0
     for old, new in zip(parent, change):
         name = old["name"]
         minimise = name.split()[-2] == "min"
@@ -177,6 +187,12 @@ def compare(parent: list[dict], change: list[dict]) -> list[str]:
             if old["n_converged"] != new["n_converged"]:
                 faults.append(f"{name}: converged {old['n_converged']} -> "
                               f"{new['n_converged']}")
+            for side, record in (("parent", old), ("change", new)):
+                miss = record["expectation"] - record["G"]
+                worst_exp = max(worst_exp, abs(miss))
+                if abs(miss) > EXPECTATION_TOL * max(1.0, abs(record["G"])):
+                    faults.append(f"{name}: {side} expectation of the best "
+                                  f"state is off G by {miss:.3g}")
         if "oracle" in old:
             bound, drift = old["oracle"], new["oracle"] - old["oracle"]
             worst_oracle = max(worst_oracle, abs(drift))
@@ -186,8 +202,8 @@ def compare(parent: list[dict], change: list[dict]) -> list[str]:
         print(f"{line}, time {old['time_s']:.3f} | {new['time_s']:.3f} s")
     print(f"{len(parent)} problems; largest |dG| {worst_g:.3g}, largest "
           f"|d residual| {worst_res:.3g}, largest |d oracle| "
-          f"{worst_oracle:.3g}; solve time "
-          f"{sum(r['time_s'] for r in parent):.2f} | "
+          f"{worst_oracle:.3g}, largest |<L> - G| {worst_exp:.3g}; solve "
+          f"time {sum(r['time_s'] for r in parent):.2f} | "
           f"{sum(r['time_s'] for r in change):.2f} s, oracle time "
           f"{sum(r.get('oracle_s', 0.0) for r in parent):.2f} | "
           f"{sum(r.get('oracle_s', 0.0) for r in change):.2f} s")
