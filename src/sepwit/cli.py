@@ -36,6 +36,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import collections
+import contextlib
 import json
 import math
 import sys
@@ -43,7 +44,7 @@ import sys
 import numpy as np
 
 from .errors import (ConvergenceError, HermiticityError, InputFormatError,
-                     SectorError, SepwitError)
+                     SepwitError)
 from .operators import interference_observable, rank_one_observable
 from .solver import (DEFAULT_STARTS, MAX_SWEEPS, RESIDUAL_TOL, Partition,
                      SevalueProblem, brute_force_bound, check_count,
@@ -72,19 +73,13 @@ def _fmt(value) -> str:
     return text
 
 
-def _round12(value):
-    if isinstance(value, float):
-        return float(format(value, ".12g"))
-    return value
-
-
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {key: _jsonable(val) for key, val in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(val) for val in obj]
     if isinstance(obj, (np.floating, float)):
-        return _round12(float(obj))
+        return float(format(float(obj), ".12g"))
     if isinstance(obj, np.integer):
         return int(obj)
     return obj
@@ -102,8 +97,12 @@ def _emit(payload: dict, columns: list[str], rows: list[dict], args) -> None:
         for row in rows:
             lines.append(",".join(_fmt(row.get(col)) for col in columns))
         text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
+    _write(text, args.out)
+
+
+def _write(text: str, path: str | None) -> None:
+    if path:
+        with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -138,31 +137,38 @@ def _entries_matrix(entries, dim: int) -> np.ndarray:
     return matrix
 
 
-def load_observable_file(path: str) -> tuple[SpaceConfig, Statistics | None, np.ndarray]:
+_MALFORMED = (HermiticityError, InputFormatError, KeyError, TypeError,
+              ValueError)
+
+
+@contextlib.contextmanager
+def _reading(path: str, kind: str):
+    """The parsed JSON of a ``kind`` file; InputFormatError where it
+    cannot be read, or where the block reading it raises a _MALFORMED."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             blob = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
-        raise InputFormatError(f"cannot read observable file {path}: {exc}")
+        raise InputFormatError(f"cannot read {kind} file {path}: {exc}")
     try:
+        yield blob
+    except _MALFORMED as exc:
+        raise InputFormatError(f"malformed {kind} file {path}: {exc}")
+
+
+def load_observable_file(path: str) -> tuple[SpaceConfig, Statistics | None, np.ndarray]:
+    with _reading(path, "observable") as blob:
         space = SpaceConfig(blob["d"], blob["N"])
         stats = Statistics.parse(blob["statistics"]) \
             if "statistics" in blob else None
         matrix = require_hermitian(
             _entries_matrix(blob["entries"], space.total_dim), "observable")
-    except (HermiticityError, InputFormatError, KeyError, TypeError,
-            ValueError) as exc:
-        raise InputFormatError(f"malformed observable file {path}: {exc}")
+    matrix.setflags(write=False)    # so frozen_copy adopts it: no copies
     return space, stats, matrix
 
 
 def load_state_file(path: str) -> tuple[SpaceConfig, DensityOperator]:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            blob = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputFormatError(f"cannot read state file {path}: {exc}")
-    try:
+    with _reading(path, "state") as blob:
         space = SpaceConfig(blob["d"], blob["N"])
         if "amplitudes" in blob:
             amps = np.array([_finite_complex(re, im, f"amplitude {idx}")
@@ -172,32 +178,23 @@ def load_state_file(path: str) -> tuple[SpaceConfig, DensityOperator]:
             return space, DensityOperator.from_pure(state)
         matrix = _entries_matrix(blob["entries"], space.total_dim)
         return space, DensityOperator.from_matrix(space, matrix)
-    except (InputFormatError, KeyError, TypeError, ValueError) as exc:
-        raise InputFormatError(f"malformed state file {path}: {exc}")
 
 
 def save_observable_json(path: str, space: SpaceConfig, stats: Statistics,
-                         matrix: np.ndarray, tol: float = 1e-15) -> None:
-    entries = []
-    for row in range(matrix.shape[0]):
-        for col in range(matrix.shape[1]):
-            val = matrix[row, col]
-            if abs(val) > tol:
-                entries.append([row, col, float(val.real), float(val.imag)])
+                         matrix: np.ndarray) -> None:
+    rows, cols = np.nonzero(np.abs(matrix) > 1e-15)
+    values = matrix[rows, cols].astype(np.complex128).tolist()
     blob = {"d": space.d, "N": space.n, "statistics": stats.value,
-            "entries": entries}
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(blob, handle, indent=1)
-        handle.write("\n")
+            "entries": [[row, col, val.real, val.imag] for row, col, val
+                        in zip(rows.tolist(), cols.tolist(), values)]}
+    _write(json.dumps(blob, indent=1) + "\n", path)
 
 
 def save_state_json(path: str, state: StateVector) -> None:
     blob = {"d": state.space.d, "N": state.space.n,
             "amplitudes": [[float(a.real), float(a.imag)]
                            for a in state.amplitudes]}
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(blob, handle, indent=1)
-        handle.write("\n")
+    _write(json.dumps(blob, indent=1) + "\n", path)
 
 
 def _parse_partition(args, n: int) -> tuple[int, Partition | None]:
@@ -403,7 +400,7 @@ def _cmd_sevalue(args) -> int:
             per_partition.append({"partition": str(part), "error": str(exc)})
             continue
         finally:
-            del problem     # with its copy of L, before the next is built
+            del problem     # with its sector data, before the next is built
         any_converged = True
         groups = {}
         for sol in result.solutions:
@@ -467,22 +464,15 @@ def _cmd_witness(args) -> int:
     if stats is None:
         raise InputFormatError("no statistics in file; pass --stats")
     k, partition = _parse_partition(args, state_space.n)
-    try:
-        if partition is not None:
-            witness = build_witness(
-                SevalueProblem(matrix, stats, partition, state_space),
-                "numeric", starts=args.starts, seed=args.seed, tol=args.tol)
-        else:
-            witness = build_k_witness(matrix, stats, state_space, k,
-                                      "numeric", starts=args.starts,
-                                      seed=args.seed, tol=args.tol)
-    except ConvergenceError as exc:
-        sys.stderr.write(f"witness: {exc}\n")
-        return _EXIT_NUMERICAL
-    try:
-        verdict = detect(rho, witness)
-    except SectorError as exc:
-        raise InputFormatError(str(exc))
+    if partition is not None:
+        witness = build_witness(
+            SevalueProblem(matrix, stats, partition, state_space),
+            "numeric", starts=args.starts, seed=args.seed, tol=args.tol)
+    else:
+        witness = build_k_witness(matrix, stats, state_space, k, "numeric",
+                                  starts=args.starts, seed=args.seed,
+                                  tol=args.tol)
+    verdict = detect(rho, witness)
     payload = {"command": "witness", "state": args.state,
                "observable": args.observable, "statistics": stats.value,
                "K": k, "partition": str(partition) if partition else None,
@@ -569,13 +559,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputFormatError, ValueError) as exc:
-        sys.stderr.write(f"sepwit: {exc}\n")
-        return _EXIT_INPUT
     except ConvergenceError as exc:
         sys.stderr.write(f"sepwit: {exc}\n")
         return _EXIT_NUMERICAL
-    except SepwitError as exc:
+    except (SepwitError, ValueError) as exc:
         sys.stderr.write(f"sepwit: {exc}\n")
         return _EXIT_INPUT
 

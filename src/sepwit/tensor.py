@@ -131,6 +131,8 @@ class Statistics(Enum):
 
     @classmethod
     def parse(cls, text: str) -> "Statistics":
+        if not isinstance(text, str):
+            raise ValueError(f"statistics must be a string, got {text!r}")
         key = text.strip().lower()
         aliases = {"d": cls.DISTINGUISHABLE, "b": cls.BOSON, "f": cls.FERMION}
         if key in aliases:

@@ -20,7 +20,8 @@ from .errors import DimensionCapError, SectorError
 from .operators import LowRankObservable
 from .solver import (DEFAULT_STARTS, Partition, SevalueProblem,
                      _column_norms_sq, analytic_interference,
-                     analytic_rank_one, partitions_into, solve_sup_g)
+                     analytic_rank_one, check_count, partitions_into,
+                     solve_sup_g)
 from .tensor import (MATRIX_CAP, DensityOperator, SpaceConfig, StateVector,
                      Statistics, project_amplitudes, project_operator,
                      require_int)
@@ -137,6 +138,8 @@ def build_witness(problem: SevalueProblem, bound_source: str = "analytic", *,
     ``detect`` report false "entangled" verdicts, so it stays
     ``brute_force_bound``, for comparisons.
     """
+    check_count(starts, "starts")
+    check_count(seed, "seed", 0)
     mode = "max" if form is WitnessForm.UPPER else "min"
     if bound_source == "analytic":
         bound = _analytic_bound(problem, mode)

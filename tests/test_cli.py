@@ -15,9 +15,10 @@ from sepwit import (Partition, SpaceConfig, Statistics, Witness,
                     WitnessForm, appendix_b_states, detect, fig1_bound,
                     fig1_state_family, noisy_state, rank_one_observable)
 from sepwit import cli
+from sepwit import witness as witness_module
 from sepwit.cli import (load_observable_file, load_state_file, main,
                         save_observable_json, save_state_json)
-from sepwit.errors import InputFormatError
+from sepwit.errors import ConvergenceError, InputFormatError
 
 from conftest import break_overlap_eigh, break_span_svd, random_hermitian
 
@@ -281,8 +282,8 @@ def test_sevalue_diagonalises_the_sector_observable_once(monkeypatch,
 
 def test_sevalue_holds_one_problem_at_a_time(tmp_path, monkeypatch,
                                             capsys):
-    # each partition's problem, with its private copy of the dense
-    # observable, dies before the next partition's is built
+    # each partition's problem, with its sector data, dies before the
+    # next partition's is built
     rng = np.random.default_rng(5)
     space = SpaceConfig(3, 4)
     path = tmp_path / "dense.json"
@@ -397,6 +398,32 @@ def test_loaders_reject_repeated_entry(tmp_path, capsys):
         assert "entry [0, 0, 2.0, 0.0]: repeats (0, 0)" in message
 
 
+def test_loaders_reject_non_hermitian_matrix(tmp_path, capsys):
+    # both loaders report a non-Hermitian matrix as a malformed file
+    code, err, state_err = _bad_input(tmp_path, capsys, [[0, 1, 1.0, 0.0]])
+    assert code == 2
+    assert err.startswith("sepwit: malformed observable file ")
+    assert state_err.startswith("malformed state file ")
+    for message in (err, state_err):
+        assert "is not Hermitian" in message
+
+
+@pytest.mark.parametrize("value", [5, None])
+def test_loaders_reject_non_string_statistics(tmp_path, capsys, value):
+    obs = tmp_path / "obs.json"
+    obs.write_text(json.dumps({"d": 2, "N": 2, "statistics": value,
+                               "entries": [[0, 0, 1.0, 0.0]]}))
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"d": 2, "N": 2, "amplitudes": [
+        [1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}))
+    for argv in (["sevalue", str(obs)], ["witness", str(state), str(obs)]):
+        code = main(argv + ["--k", "2", "--starts", "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("sepwit: malformed observable file ")
+        assert "statistics must be a string" in captured.err
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_loaders_reject_non_finite_value(tmp_path, capsys, value):
     code, err, state_err = _bad_input(
@@ -490,6 +517,35 @@ def test_witness_rejects_a_non_psd_state(capsys, tmp_path):
     assert "negative eigenvalue" in capsys.readouterr().err
 
 
+def test_witness_rejects_a_state_off_the_sector(capsys, tmp_path):
+    # |0>|1> lives in the space of two d=3 particles but not on its boson
+    # sector: an input error, not a verdict
+    state = tmp_path / "state.json"
+    amplitudes = [[0.0, 0.0]] * 9
+    amplitudes[1] = [1.0, 0.0]
+    state.write_text(json.dumps({"d": 3, "N": 2, "amplitudes": amplitudes}))
+    code = main(["witness", str(state), BELL_BOSON_D3, "--k", "2",
+                 "--starts", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(
+        "sepwit: state leaks out of the boson sector")
+
+
+def test_witness_exits_3_where_no_start_converges(monkeypatch, capsys,
+                                                  appendix_files):
+    def unconverged(*_args, **_kwargs):
+        raise ConvergenceError("no start converged (stub)")
+
+    monkeypatch.setattr(witness_module, "solve_sup_g", unconverged)
+    state_path, obs_path = appendix_files
+    for choice in (["--k", "3"], ["--partition", "1,2"]):
+        code = main(["witness", state_path, obs_path, *choice])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "sepwit: no start converged (stub)\n"
+
+
 # ---------------------------------------------------------------------------
 # formats and determinism
 
@@ -547,3 +603,13 @@ def test_roundtrip_loaders(tmp_path, rng):
     sspace, rho = load_state_file(str(spath))
     assert sspace == space
     assert abs(rho.trace() - 1.0) < 1e-12
+
+
+def test_loaded_observable_is_shared_read_only():
+    # every problem built from the loaded matrix adopts it as its frozen
+    # copy: one d^N x d^N observable however many partitions are solved
+    space, stats, matrix = load_observable_file(INTERFERENCE_N3)
+    assert not matrix.flags.writeable
+    for parts in ((2, 1), (1, 1, 1)):
+        problem = cli.SevalueProblem(matrix, stats, Partition(parts), space)
+        assert problem.operator is matrix

@@ -435,6 +435,12 @@ def test_statistics_parse():
         Statistics.parse("anyon")
 
 
+@pytest.mark.parametrize("value", [5, None])
+def test_statistics_parse_rejects_a_non_string(value):
+    with pytest.raises(ValueError, match="statistics must be a string"):
+        Statistics.parse(value)
+
+
 def test_state_vector_validation():
     with pytest.raises(ValueError):
         StateVector(SpaceConfig(2, 2), np.zeros(3))

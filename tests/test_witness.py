@@ -76,6 +76,61 @@ def test_analytic_bound_refused_for_equal_even_fermion_blocks():
         build_witness(problem, bound_source="analytic")
 
 
+@pytest.mark.parametrize("bad", [True, 1.5, -1, "3", None])
+def test_analytic_source_checks_counts(bad):
+    # the analytic source runs no solver, yet its starts and seed are
+    # checked as the numeric source's are
+    space = SpaceConfig(6, 3)
+    observable = interference_observable(space, Statistics.BOSON)
+    problem = SevalueProblem(observable, Statistics.BOSON, Partition((2, 1)),
+                             space)
+    for name in ("starts", "seed"):
+        with pytest.raises(ValueError, match=name):
+            build_witness(problem, "analytic", **{name: bad})
+        with pytest.raises(ValueError, match=name):
+            build_k_witness(observable, Statistics.BOSON, space, 2,
+                            "analytic", **{name: bad})
+
+
+@pytest.mark.parametrize("stats", list(Statistics))
+def test_lower_form_analytic_witness_verdicts(stats):
+    # the interference observable |v><w| + |w><v| has separable minimum
+    # -1/2 on (1, 1); (v - w)/sqrt 2 reads -1 below it, (v + w)/sqrt 2
+    # reads +1
+    space = SpaceConfig(4, 2)
+    observable = interference_observable(space, stats)
+    problem = SevalueProblem(observable, stats, Partition((1, 1)), space)
+    witness = build_witness(problem, "analytic", form=WitnessForm.LOWER)
+    assert abs(witness.bound + 0.5) < 1e-12
+    (_, v, w), _ = observable.terms
+    for sign, value, verdict in ((-1.0, -1.0, "entangled"),
+                                 (1.0, 1.0, "inconclusive")):
+        psi = StateVector(space, (v + sign * w) / np.sqrt(2.0))
+        result = detect(DensityOperator.from_pure(psi), witness)
+        assert abs(result.expectation - value) < 1e-12
+        assert result.verdict == verdict
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_numeric_boson_corner_projector_bound_is_one_or_refused(d, seed):
+    # |00><00| for bosons on (1, 1) reaches its supremum 1 at b1 = b2 =
+    # |0>, where the maximum is quartic: with delta the amplitude off
+    # |0>, 1 - g ~ delta^4 while the residual ~ 2 delta^3, so starts may
+    # settle in value but stay above the residual tolerance.  The route
+    # either reports a bound within 1e-6 of 1 or builds no witness
+    space = SpaceConfig(d, 2)
+    matrix = np.zeros((space.total_dim,) * 2, dtype=complex)
+    matrix[0, 0] = 1.0
+    problem = SevalueProblem(matrix, Statistics.BOSON, Partition((1, 1)),
+                             space)
+    try:
+        witness = build_witness(problem, "numeric", starts=4, seed=seed)
+    except ConvergenceError:
+        return
+    assert abs(witness.bound - 1.0) <= 1e-6
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_numeric_fermion_three_two_bound_is_near_one_or_refused(seed):
     # fermion interference on (3, 2) at N=5, d=10 (party sectors of 120
