@@ -12,8 +12,9 @@ from .decompositions import (BosonProductDecomposition, BosonSlater,
                              boson_product_decompose, numerical_rank, schmidt,
                              slater_boson, slater_fermion, takagi_skew,
                              takagi_symmetric)
-from .operators import (LowRankObservable, interference_observable,
-                        rank_one_observable)
+from .operators import (LowRankObservable, SectorObservable,
+                        interference_observable, rank_one_observable,
+                        sector_observable)
 from .solver import (InterferenceAnalysis, Partition, SevalueProblem,
                      SevalueSolution, SupremumResult, all_partitions,
                      analytic_interference, analytic_rank_one,

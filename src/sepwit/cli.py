@@ -12,7 +12,7 @@ party step's eigensolve failed by every route).
 
 File formats (JSON):
   observable  {"d": int, "N": int, "statistics": str,
-               "entries": [[row, col, re, im], ...]}     dense triplets
+               "entries": [[row, col, re, im], ...]}     unlisted are 0
   state       {"d": int, "N": int, "amplitudes": [[re, im], ...]}
               or an observable-shaped density matrix with "entries"
 
@@ -43,17 +43,18 @@ import sys
 
 import numpy as np
 
-from .errors import (ConvergenceError, HermiticityError, InputFormatError,
-                     SepwitError)
-from .operators import interference_observable, rank_one_observable
+from .errors import (ConvergenceError, DimensionCapError, HermiticityError,
+                     InputFormatError, SepwitError)
+from .operators import (interference_observable, rank_one_observable,
+                        sector_observable)
 from .solver import (DEFAULT_STARTS, MAX_SWEEPS, RESIDUAL_TOL, Partition,
                      SevalueProblem, brute_force_bound, check_count,
                      partitions_into, solve_sup_g)
 from .states import (detection_threshold, dephased_ghz, fig1_bound,
                      fig1_state_family, ghz_expectation, noisy_state,
                      GhzFamily)
-from .tensor import (DensityOperator, SpaceConfig, StateVector, Statistics,
-                     require_hermitian)
+from .tensor import (MATRIX_CAP, TOL_HERM, DensityOperator, SpaceConfig,
+                     StateVector, Statistics)
 from .witness import (Witness, WitnessForm, build_k_witness, build_witness,
                       detect, expectation)
 
@@ -118,12 +119,11 @@ def _finite_complex(re, im, where: str) -> complex:
     return value
 
 
-def _entries_matrix(entries, dim: int) -> np.ndarray:
-    """Dense matrix from [row, col, re, im] triplets.  Rejects an index
-    that is not an integer in 0..dim-1, a repeated (row, col) and a
-    non-finite value."""
-    matrix = np.zeros((dim, dim), dtype=np.complex128)
-    seen = set()
+def _entries(entries, dim: int) -> np.ndarray:
+    """[row, col, re, im] triplets as a structured array of (row, col,
+    value) records.  Rejects an index that is not an integer in
+    0..dim-1, a repeated (row, col) and a non-finite value."""
+    checked, seen = [], set()
     for entry in entries:
         row, col, re, im = entry
         where = f"entry {entry}"
@@ -133,8 +133,25 @@ def _entries_matrix(entries, dim: int) -> np.ndarray:
         if (row, col) in seen:
             raise InputFormatError(f"{where}: repeats ({row}, {col})")
         seen.add((row, col))
-        matrix[row, col] = _finite_complex(re, im, where)
-    return matrix
+        checked.append((row, col, _finite_complex(re, im, where)))
+    return np.array(checked, dtype=[("row", np.intp), ("col", np.intp),
+                                    ("value", np.complex128)])
+
+
+def _require_hermitian(entries, dim: int) -> None:
+    """HermiticityError where the entries fail ``require_hermitian``'s
+    rule: their largest |L[r, s] - conj(L[s, r])| exceeds TOL_HERM times
+    max(1, largest |entry|), each entry's mirror found by one search."""
+    keys = entries["row"] * dim + entries["col"]
+    mirrors = entries["col"] * dim + entries["row"]
+    order = np.argsort(keys)
+    at = order[np.searchsorted(keys, mirrors, sorter=order).clip(
+        max=max(len(keys) - 1, 0))]
+    partners = np.where(keys[at] == mirrors, entries["value"][at], 0)
+    defect = np.abs(entries["value"] - partners.conj()).max(initial=0.0)
+    if defect > TOL_HERM * max(1.0, np.abs(entries["value"]).max(initial=0)):
+        raise HermiticityError(f"observable is not Hermitian "
+                               f"(max asymmetry {defect:.3e})")
 
 
 _MALFORMED = (HermiticityError, InputFormatError, KeyError, TypeError,
@@ -156,15 +173,18 @@ def _reading(path: str, kind: str):
         raise InputFormatError(f"malformed {kind} file {path}: {exc}")
 
 
-def load_observable_file(path: str) -> tuple[SpaceConfig, Statistics | None, np.ndarray]:
+def load_observable_file(path: str) -> tuple[SpaceConfig, Statistics | None,
+                                             np.ndarray]:
+    """The space, the statistics (None where the file has none) and the
+    checked (row, col, value) entries of a Hermitian observable, which
+    ``sector_observable`` reads."""
     with _reading(path, "observable") as blob:
         space = SpaceConfig(blob["d"], blob["N"])
         stats = Statistics.parse(blob["statistics"]) \
             if "statistics" in blob else None
-        matrix = require_hermitian(
-            _entries_matrix(blob["entries"], space.total_dim), "observable")
-    matrix.setflags(write=False)    # so frozen_copy adopts it: no copies
-    return space, stats, matrix
+        entries = _entries(blob["entries"], space.total_dim)
+        _require_hermitian(entries, space.total_dim)
+    return space, stats, entries
 
 
 def load_state_file(path: str) -> tuple[SpaceConfig, DensityOperator]:
@@ -176,7 +196,14 @@ def load_state_file(path: str) -> tuple[SpaceConfig, DensityOperator]:
                              in enumerate(blob["amplitudes"])])
             state = StateVector(space, amps)
             return space, DensityOperator.from_pure(state)
-        matrix = _entries_matrix(blob["entries"], space.total_dim)
+        dim = space.total_dim
+        if dim > MATRIX_CAP:
+            raise DimensionCapError(f"density matrix side {dim} exceeds "
+                                    f"cap {MATRIX_CAP}")
+        entries = _entries(blob["entries"], dim)
+        matrix = np.zeros((dim, dim), dtype=np.complex128)
+        matrix[entries["row"], entries["col"]] = entries["value"]
+        matrix.setflags(write=False)    # so from_matrix adopts it: no copy
         return space, DensityOperator.from_matrix(space, matrix)
 
 
@@ -377,7 +404,7 @@ def _cmd_fig2(args) -> int:
 # sevalue: bound of an observable file
 
 def _cmd_sevalue(args) -> int:
-    space, file_stats, matrix = load_observable_file(args.observable)
+    space, file_stats, entries = load_observable_file(args.observable)
     stats = Statistics.parse(args.stats) if args.stats else file_stats
     if stats is None:
         raise InputFormatError("no statistics in file; pass --stats")
@@ -386,11 +413,12 @@ def _cmd_sevalue(args) -> int:
         else partitions_into(space.n, k)
     # the oracle's budget is checked before any solve is spent
     check_count(args.oracle_samples, "samples")
+    form = sector_observable(entries, stats, space)
     per_partition = []
     best = None
     any_converged = False
     for part in partitions:
-        problem = SevalueProblem(matrix, stats, part, space)
+        problem = SevalueProblem(form, stats, part, space)
         try:
             result = solve_sup_g(problem, starts=args.starts, seed=args.seed,
                                  tol=args.tol)
@@ -456,7 +484,7 @@ def _cmd_sevalue(args) -> int:
 
 def _cmd_witness(args) -> int:
     state_space, rho = load_state_file(args.state)
-    obs_space, file_stats, matrix = load_observable_file(args.observable)
+    obs_space, file_stats, entries = load_observable_file(args.observable)
     if state_space != obs_space:
         raise InputFormatError(
             f"dimension mismatch: state {state_space}, observable {obs_space}")
@@ -464,12 +492,13 @@ def _cmd_witness(args) -> int:
     if stats is None:
         raise InputFormatError("no statistics in file; pass --stats")
     k, partition = _parse_partition(args, state_space.n)
+    form = sector_observable(entries, stats, state_space)
     if partition is not None:
         witness = build_witness(
-            SevalueProblem(matrix, stats, partition, state_space),
+            SevalueProblem(form, stats, partition, state_space),
             "numeric", starts=args.starts, seed=args.seed, tol=args.tol)
     else:
-        witness = build_k_witness(matrix, stats, state_space, k, "numeric",
+        witness = build_k_witness(form, stats, state_space, k, "numeric",
                                   starts=args.starts, seed=args.seed,
                                   tol=args.tol)
     verdict = detect(rho, witness)

@@ -1,11 +1,14 @@
-"""Hermitian observables in dense and low-rank form.
+"""Hermitian observables: low-rank term lists, and the sector form that
+the solver, the oracle and the witnesses read.
 
-Large composite spaces make dense operator matrices impractical, so the
-two observables with known closed-form bounds are carried around as
-short lists of |ket><bra| terms.  The solver and witness code accept
-either representation, a low-rank one through its ``eigen_form``;
-``to_matrix`` and ``expectation_pure`` evaluate the term list itself,
-the tests' independent reference for every eigen-form reader.
+They see an observable L only through P L P, that is S^H L S on the
+exchange sector: ``SectorObservable`` holds that as eigen terms plus an
+offset, built by ``sector_observable``, the one place that tells a
+``LowRankObservable``, a dense matrix and a file's entries apart.  The
+two observables with known closed-form bounds are short lists of
+|ket><bra| terms; ``to_matrix`` and ``expectation_pure`` evaluate the
+term list itself, the tests' independent reference for every reader of
+the form.
 """
 
 from __future__ import annotations
@@ -17,9 +20,10 @@ import numpy as np
 
 from .decompositions import eigen_terms, orth
 from .errors import DimensionCapError
-from .tensor import (MATRIX_CAP, SpaceConfig, StateVector, Statistics,
-                     basis_product_vector, project, project_amplitudes,
-                     require_hermitian)
+from .tensor import (MATRIX_CAP, SectorIsometry, SpaceConfig, StateVector,
+                     Statistics, basis_product_vector, project,
+                     project_amplitudes, proper_sector, require_hermitian,
+                     subspace_dimension)
 
 
 @dataclass(frozen=True)
@@ -32,9 +36,8 @@ class LowRankObservable:
     that names it.  The real ``offset``, lambda2 of lambda1 L + lambda2 P,
     equals offset P on every exchange sector.  ``kind`` tags the
     interference observable, whose analytic bound is known: no
-    constructor argument sets it, only ``interference_observable``, and
-    ``transformed_observable`` carries it (``dataclasses.replace``, so
-    ``projected``, drops it).
+    constructor argument sets it, only ``interference_observable``; its
+    form keeps it, and ``projected`` (``dataclasses.replace``) drops it.
     """
 
     space: SpaceConfig
@@ -83,12 +86,6 @@ class LowRankObservable:
         values, vectors = eigen_terms(
             require_hermitian(compressed, "low-rank term list"))
         return values, basis @ vectors
-
-    def _tagged(self, kind: str | None) -> "LowRankObservable":
-        """This new observable, tagged ``kind``: the one way the tag is
-        set, by ``interference_observable`` and ``transformed_observable``."""
-        object.__setattr__(self, "kind", kind)
-        return self
 
     @property
     def dim(self) -> int:
@@ -150,5 +147,117 @@ def interference_observable(space: SpaceConfig,
     high = basis_product_vector(space, tuple(range(space.n, 2 * space.n)))
     v = np.sqrt(nu) * project(stats, low).amplitudes
     w = np.sqrt(nu) * project(stats, high).amplitudes
-    terms = ((1.0 + 0.0j, v, w), (1.0 + 0.0j, w, v))
-    return LowRankObservable(space, terms)._tagged("interference")
+    observable = LowRankObservable(space, ((1.0 + 0.0j, v, w),
+                                           (1.0 + 0.0j, w, v)))
+    object.__setattr__(observable, "kind", "interference")
+    return observable
+
+
+@dataclass(frozen=True, eq=False)
+class SectorObservable:
+    """An observable L on the exchange sector of ``stats`` in ``space``:
+    S^H L S = X diag(c) X^H + offset 1, ``terms`` (c, X) with real c and
+    orthonormal columns X of m rows, S the sector isometry (``sector``,
+    None for the identity).  The analytic record is what the closed
+    forms read of L: ``interference``, the tagged interference pair's
+    common coefficient, and ``rank_one``, (c, psi) where L is one term
+    c|psi><psi| with ket equal to bra.  The arrays are read-only, so
+    every problem may share the form; forms compare by identity."""
+
+    stats: Statistics
+    space: SpaceConfig
+    terms: tuple[np.ndarray, np.ndarray]
+    offset: float = 0.0
+    interference: complex | None = None
+    rank_one: tuple[complex, np.ndarray] | None = None
+
+    def __post_init__(self):
+        psi = () if self.rank_one is None else self.rank_one[1:]
+        for array in self.terms + psi:
+            array.setflags(write=False)
+
+    @property
+    def sector(self) -> SectorIsometry | None:
+        return proper_sector(self.stats, self.space)
+
+
+def sector_observable(operator, stats: Statistics | None,
+                      space: SpaceConfig) -> SectorObservable:
+    """The form of ``operator`` on the sector of ``stats`` in ``space``
+    (with ``stats`` None: a form of any statistics, another operator on
+    the whole space).  A form is taken as it is; a ``LowRankObservable``
+    gives (c, S^H X) of its eigen form (c, X), as S^H P = S^H, with its
+    offset and analytic record; a dense Hermitian L the ``eigen_terms``
+    of S^H (S^H L)^H = S^H L S (S real).  A structured array of (row,
+    col, value) entries of a Hermitian L, no (row, col) twice, every
+    other entry 0, gives the terms of its dense route, S^H L S summed
+    entry by entry (``_entries_adjoint``) with no array of the whole
+    space's side.  ValueError for a form of other statistics or space,
+    or an operator of another space or shape; HermiticityError for a
+    matrix that is not Hermitian; DimensionCapError for entries of a
+    sector of side above MATRIX_CAP."""
+    if isinstance(operator, SectorObservable):
+        if operator.space != space or stats not in (None, operator.stats):
+            raise ValueError("observable form is of another statistics or "
+                             "space")
+        return operator
+    stats = stats or Statistics.DISTINGUISHABLE
+    sec = proper_sector(stats, space)
+    if isinstance(operator, LowRankObservable):
+        if operator.space != space:
+            raise ValueError("operator space mismatch")
+        coeffs, vectors = operator.eigen_form
+        scale, *mixed = {c for c, _, _ in operator.terms}
+        (coeff, ket, bra), *others = operator.terms
+        return SectorObservable(
+            stats, space,
+            (coeffs, vectors if sec is None else sec.adjoint(vectors)),
+            operator.offset,
+            scale if operator.kind == "interference" and not mixed else None,
+            None if others or not np.array_equal(ket, bra) else (coeff, ket))
+    if isinstance(operator, np.ndarray) and operator.dtype.names:
+        side = subspace_dimension(stats, space)
+        if side > MATRIX_CAP:
+            raise DimensionCapError(f"sector side {side} exceeds cap "
+                                    f"{MATRIX_CAP}")
+        rows, cols, values = (operator[f] for f in ("row", "col", "value"))
+        if sec is not None:     # S^H L, then S^H (S^H L)^H
+            rows, cols, values = _entries_adjoint(sec, rows, cols, values,
+                                                  space.total_dim)
+            rows, cols, values = _entries_adjoint(sec, cols, rows,
+                                                  values.conj(), side)
+        op = np.zeros((side, side), dtype=np.complex128)
+        op[rows, cols] = values
+        return SectorObservable(stats, space, eigen_terms(op))
+    op = require_hermitian(operator, "observable")
+    if op.shape != (space.total_dim,) * 2:
+        raise ValueError(f"operator shape {op.shape}, expected "
+                         f"{(space.total_dim,) * 2}")
+    if sec is not None:
+        op = sec.adjoint(sec.adjoint(op).conj().T)
+    return SectorObservable(stats, space, eigen_terms(op))
+
+
+def _entries_adjoint(sec: SectorIsometry, rows, cols, values,
+                     width: int) -> tuple:
+    """S^H of the matrix of ``width`` columns whose entries are (rows,
+    cols, values), as the same three arrays.  No index lies in two
+    orbits, so row r of S holds one coefficient at most, at slot
+    ``slot[r]`` of orbit ``orbit[r]``: each entry of S^H is summed one
+    slot at a time, in the order of ``SectorIsometry.adjoint``'s
+    gathers, and then scaled, so it is theirs bit for bit, the zero
+    addends left out."""
+    orbit, slot = np.full(sec.shape[0], -1), np.zeros(sec.shape[0], int)
+    sign, coeff = np.ones(sec.shape[0]), np.zeros(sec.shape[1])
+    for group_cols, index, signs, group_coeff in sec.groups:
+        orbit[index], coeff[group_cols] = group_cols, group_coeff
+        slot[index] = np.arange(len(index))[:, None]
+        sign[index] = signs[:, None]
+    keep = orbit[rows] >= 0
+    rows, cols, values = rows[keep], cols[keep], values[keep]
+    keys, target = np.unique(orbit[rows] * width + cols, return_inverse=True)
+    sums = np.zeros(len(keys), dtype=np.complex128)
+    addends, slots = np.where(sign[rows] > 0, values, -values), slot[rows]
+    for at in np.unique(slots):
+        sums[target[slots == at]] += addends[slots == at]
+    return keys // width, keys % width, sums * coeff[keys // width]

@@ -6,7 +6,7 @@ overlap B and returns its extremal value and vector.  The forms of A
 and B are those that ``solver._party_matrices`` builds from a problem's
 sector terms: B a scalar per start or a stack of matrices, A the
 contracted eigen-terms (c, X), A = sum_t c_t x_t x_t^H with real c_t,
-of a dense or low-rank observable.
+of the observable's sector form.
 Starts whose branches differ are solved as sub-batches of the same
 routines.
 """

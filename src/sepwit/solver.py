@@ -28,17 +28,15 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .decompositions import eigen_terms, schmidt, slater_boson, slater_fermion
+from .decompositions import schmidt, slater_boson, slater_fermion
 from .errors import (ConvergenceError, DimensionCapError, ZeroProjectionError)
-from .operators import (LowRankObservable, interference_observable,
-                        rank_one_observable)
+from .operators import (SectorObservable, interference_observable,
+                        rank_one_observable, sector_observable)
 from .partystep import _dag, _generalized_step, _hermitian_part
-from .sectors import (SectorCoupling, SectorIsometry, sector_coupling,
-                      sector_isometry)
+from .sectors import SectorCoupling, SectorIsometry, sector_coupling
 from .tensor import (BATCH_BYTES, SpaceConfig, StateVector, Statistics,
-                     basis_product_vector, frozen_copy, project,
-                     project_amplitudes, require_hermitian, require_int,
-                     subspace_dimension)
+                     basis_product_vector, project, project_amplitudes,
+                     proper_sector, require_int, subspace_dimension)
 
 DEFAULT_STARTS = 64
 MAX_SWEEPS = 500
@@ -137,12 +135,12 @@ class SevalueProblem:
     isometry S, through the ``coupling`` T = S^H (S_1 x ... x S_K), built
     from labels alone; the oracle stays on S's orbit tables.
 
-    The cache relies on its inputs staying fixed: a low-rank operator's
-    term vectors are read-only copies, and a dense operator is a
-    ``frozen_copy``.  Problems compare and hash by identity.
+    The operator is held as its ``SectorObservable``, converted once
+    (``sector_observable``), whose read-only arrays the cache relies on.
+    Problems compare and hash by identity.
     """
 
-    operator: LowRankObservable | np.ndarray
+    operator: SectorObservable
     stats: Statistics
     partition: Partition
     space: SpaceConfig
@@ -151,15 +149,8 @@ class SevalueProblem:
         if self.partition.n != self.space.n:
             raise ValueError(
                 f"partition {self.partition} does not sum to n={self.space.n}")
-        if isinstance(self.operator, LowRankObservable):
-            if self.operator.space != self.space:
-                raise ValueError("operator space mismatch")
-        else:
-            dim = self.space.total_dim
-            op = require_hermitian(frozen_copy(self.operator), "observable")
-            if op.shape != (dim, dim):
-                raise ValueError(f"operator shape {op.shape}, expected {(dim, dim)}")
-            object.__setattr__(self, "operator", op)
+        object.__setattr__(self, "operator", sector_observable(
+            self.operator, self.stats, self.space))
 
     @cached_property
     def block_dims(self) -> tuple[int, ...]:
@@ -175,14 +166,14 @@ class SevalueProblem:
     def sector(self) -> SectorIsometry | None:
         """The whole space's sector isometry S as orbit tables; None
         where the sector is the whole space."""
-        return _sector_basis(self.stats, self.space)
+        return self.operator.sector
 
     @cached_property
     def party_sectors(self) -> tuple[SectorIsometry | None, ...]:
         """Every party's block-sector isometry S_j as orbit tables (the
         ``sector`` where the block is the whole space); None where the
         sector is the whole block, whose own coordinates serve."""
-        return tuple(self.sector if nj == self.space.n else _sector_basis(
+        return tuple(self.sector if nj == self.space.n else proper_sector(
             self.stats, SpaceConfig(self.space.d, nj))
             for nj in self.partition.parts)
 
@@ -190,21 +181,6 @@ class SevalueProblem:
     def coupling(self) -> SectorCoupling:
         """T = S^H (S_1 x ... x S_K), from labels (``sector_coupling``)."""
         return sector_coupling(self.stats, self.space.d, self.partition.parts)
-
-    @cached_property
-    def sector_terms(self) -> tuple:
-        """S^H L S (L itself where S is None) as eigen-terms (c, X),
-        sum_t c_t x_t x_t^H: (c, S^H X) for the eigen-form (c, X) of a
-        low-rank L, unprojected as S^H P = S^H, and for a dense L the
-        ``eigen_terms`` of S^H (S^H L)^H = S^H L S (L Hermitian, S real)."""
-        sec = self.sector
-        if isinstance(self.operator, LowRankObservable):
-            coeffs, vectors = self.operator.eigen_form
-            return coeffs, vectors if sec is None else sec.adjoint(vectors)
-        op = self.operator
-        if sec is not None:
-            op = sec.adjoint(sec.adjoint(op).conj().T)
-        return eigen_terms(op)
 
 
 @dataclass(frozen=True)
@@ -288,9 +264,10 @@ def _column_norms_sq(block: np.ndarray) -> np.ndarray:
 
 
 def _apply_local(mats, amplitudes: np.ndarray) -> np.ndarray:
-    """Apply mats[s] to slot s of an array of prod_s dim(mats[s]) entries:
-    a vector, or a matrix whose column index holds the last slots."""
-    tens = amplitudes.reshape([len(mat) for mat in mats])
+    """Apply mats[s] to slot s of a vector of prod_s dim(mats[s])
+    entries, or of every column of a matrix of that many rows."""
+    tens = amplitudes.reshape([len(mat) for mat in mats]
+                              + list(amplitudes.shape[1:]))
     for slot, mat in enumerate(mats):
         tens = np.moveaxis(np.tensordot(mat, tens, axes=(1, slot)), 0, slot)
     return tens.reshape(amplitudes.shape)
@@ -305,21 +282,14 @@ def _kron_rows(blocks, count: int) -> np.ndarray:
     return out
 
 
-def _sector_basis(stats: Statistics, space: SpaceConfig) \
-        -> SectorIsometry | None:
-    """The exchange-sector isometry S of ``space`` as orbit tables; None
-    where the sector is the whole space, so that no identity products
-    are done."""
-    return None if subspace_dimension(stats, space) == space.total_dim \
-        else sector_isometry(stats, space)
-
-
 def _check_dense_cap(problem: SevalueProblem) -> None:
-    """DimensionCapError where a party's sector is too large to be
-    solved through m_j x m_j matrices."""
-    mj = max(problem.sector_dims)
-    if mj > PARTY_DENSE_CAP:
-        raise DimensionCapError(f"party sector dimension {mj} exceeds the "
+    """DimensionCapError where a party step would diagonalise a matrix
+    of a side above PARTY_DENSE_CAP: a party's sector, m_j x m_j, or for
+    a single party the span of the operator's terms."""
+    side = problem.operator.terms[1].shape[1] if problem.partition.k == 1 \
+        else max(problem.sector_dims)
+    if side > PARTY_DENSE_CAP:
+        raise DimensionCapError(f"party step of side {side} exceeds the "
                                 f"dense cap {PARTY_DENSE_CAP}")
 
 
@@ -343,7 +313,7 @@ def _sector_product(problem: SevalueProblem, coords) -> np.ndarray:
 
 def _stationarity(problem: SevalueProblem, coords, values):
     """chi = X diag(c) X^H y - g y = S^H (P L P|b> - g P|b>), (c, X) the
-    ``sector_terms``, and per party j the pair (||A_j b_j - g B_j b_j||,
+    operator's terms, and per party j the pair (||A_j b_j - g B_j b_j||,
     ||B_j b_j||), as (batch, m) and (batch, K, 2) arrays.
 
     A_j b_j and B_j b_j are S chi and S y with the other parties
@@ -354,7 +324,7 @@ def _stationarity(problem: SevalueProblem, coords, values):
     """
     count = len(coords[0])
     y = _sector_product(problem, coords)
-    coeffs, vectors = problem.sector_terms
+    coeffs, vectors = problem.operator.terms
     chi = ((y @ vectors.conj()) * coeffs) @ vectors.T \
         - np.asarray(values, dtype=float)[:, None] * y
     defects = np.empty((count, len(coords), 2))
@@ -371,10 +341,10 @@ def _stationarity(problem: SevalueProblem, coords, values):
 
 def _solutions(problem: SevalueProblem, coords, values, settled, sweeps,
                tol: float = math.inf) -> list:
-    """The records, b_j = S_j c_j and g + offset (0 for a dense operator),
-    of starts at c_j of ``sector_terms`` quotients g, or None where the
-    overlap annihilates a party vector; a residual is the worst per-party
-    defect over ||B_j b_j||, converged: settled, residual within ``tol``."""
+    """The records, b_j = S_j c_j and g + the operator's offset, of
+    starts at c_j of quotients g of its terms, or None where the overlap
+    annihilates a party vector; a residual is the worst per-party defect
+    over ||B_j b_j||, converged: settled, residual within ``tol``."""
     chi, defects = _stationarity(problem, coords, values)
     blocks = [c if sec is None else sec.apply(c.T).T
               for c, sec in zip(coords, problem.party_sectors)]
@@ -385,7 +355,7 @@ def _solutions(problem: SevalueProblem, coords, values, settled, sweeps,
             continue
         residual = float(np.max(defect / scale))
         out.append(SevalueSolution(
-            value=float(values[b]) + getattr(problem.operator, "offset", 0.0),
+            value=float(values[b]) + problem.operator.offset,
             party_vectors=tuple(block[b].copy() for block in blocks),
             space=problem.space,
             residual=residual, chi_norm=float(np.linalg.norm(chi[b])),
@@ -402,7 +372,7 @@ def _party_matrices(problem: SevalueProblem, coords, j: int) -> tuple:
     coordinates c_i held fixed, in its block's sector coordinates, as
     (numerator, overlap) with a leading batch axis.
 
-    The numerator is the ``sector_terms`` (c, X) contracted onto the
+    The numerator is the operator's terms (c, X) contracted onto the
     party: A_j = sum_t c_t a_t a_t^H as (c, V), V holding S_j^H a_t as
     columns.  Where P = 1 the overlap is the scalar ||left||^2
     ||right||^2 times the identity.  Else, as P (P_1 x ... x P_K) = P,
@@ -411,7 +381,7 @@ def _party_matrices(problem: SevalueProblem, coords, j: int) -> tuple:
     y^H X.
     """
     count = len(coords[0])
-    coeffs, vectors = problem.sector_terms
+    coeffs, vectors = problem.operator.terms
     if problem.sector is None:
         left = _kron_rows(coords[:j], count)
         right = _kron_rows(coords[j + 1:], count)
@@ -482,12 +452,10 @@ def _sweep(problem: SevalueProblem, inits, max_sweeps: int, tol: float,
         raise ValueError(f"tol must be a number >= 0, got {tol}")
     if math.isnan(value_tol):
         raise ValueError("value_tol must not be NaN")
-    if problem.partition.k == 1:
-        if not isinstance(problem.operator, LowRankObservable):
-            _check_dense_cap(problem)
-        return [_sector_step(problem, inits[0], mode, tol)]
     _check_dense_cap(problem)
-    terms = problem.sector_terms[1].shape[1]
+    if problem.partition.k == 1:
+        return [_sector_step(problem, inits[0], mode, tol)]
+    terms = problem.operator.terms[1].shape[1]
     width = max(2, terms) * problem.space.total_dim if problem.sector is None \
         else max(1, problem.coupling.width)
     size = max(1, BATCH_BYTES // (16 * width))
@@ -565,13 +533,13 @@ def _extrapolated(problem: SevalueProblem, before, after, steps) -> tuple:
     after_j + beta (after_j - before_j), beta the start's ``steps``
     entry, and normalised, with the quotient sum_t c_t |x_t^H y|^2 /
     ||y||^2 of that product, y its ``_sector_product`` and (c, X) the
-    ``sector_terms``.  Returns the trial coordinates and their
+    operator's terms.  Returns the trial coordinates and their
     quotients, NaN (never taken) where the trial's projected norm is
     below INIT_PROJECTION_TOL."""
     trial = [a + steps[:, None] * (a - b) for a, b in zip(after, before)]
     trial = [t / np.linalg.norm(t, axis=1, keepdims=True) for t in trial]
     y = _sector_product(problem, trial)
-    coeffs, vectors = problem.sector_terms
+    coeffs, vectors = problem.operator.terms
     denom = np.einsum("bm,bm->b", y.conj(), y).real
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = np.abs(y @ vectors.conj()) ** 2 @ coeffs / denom
@@ -581,14 +549,14 @@ def _extrapolated(problem: SevalueProblem, before, after, steps) -> tuple:
 def _sector_step(problem: SevalueProblem, init, mode: str, tol: float):
     """A single party: its block is the whole space, so its equation is
     the extremal eigenproblem of P L P on the sector, with the
-    ``sector_terms`` as numerator and the overlap 1.  One
+    operator's terms as numerator and the overlap 1.  One
     ``_generalized_step`` solves it exactly, from the sector part
     y = S^H b of ``init``'s first initialization; the party vector is
     S y.  Returns that solution, or None where the sector is empty."""
     if not problem.sector_dims[0]:
         return None
     first, = _party_coords(problem, [np.asarray(next(init)[0], complex)[None]])
-    coeffs, vectors = problem.sector_terms
+    coeffs, vectors = problem.operator.terms
     values, coords = _generalized_step((coeffs, vectors[None]), np.ones(1),
                                        first, mode)
     sol, = _solutions(problem, [coords], values, [True], [1], tol)
@@ -810,7 +778,7 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
     """
     samples = check_count(samples, "samples")
     seed = check_count(seed, "seed", 0)
-    sec, (coeffs, vectors) = problem.sector, problem.sector_terms
+    sec, (coeffs, vectors) = problem.sector, problem.operator.terms
     # C-ordered rows <x_t| in sector coordinates: rows @ x gives every
     # term's overlaps with a batch of vectors x at once
     rows = np.ascontiguousarray(vectors.T.conj())
@@ -877,7 +845,7 @@ def brute_force_bound(problem: SevalueProblem, samples: int,
             steps[party] = min(steps[party] * 1.5, 2.0)
         else:
             steps[party] = max(steps[party] * 0.8, 1e-4)
-    return best + getattr(problem.operator, "offset", 0.0)
+    return best + problem.operator.offset
 
 
 # ---------------------------------------------------------------------------
@@ -895,32 +863,29 @@ def _checked_unitary(unitary, d: int, *lambdas) -> np.ndarray:
     return u
 
 
-def transformed_observable(operator, lambda1: float, lambda2: float,
-                           unitary: np.ndarray, space: SpaceConfig):
-    """U^dagger...U [lambda1 L + lambda2 1], U a local unitary on every
-    slot, equal to U^dagger...U [lambda1 L + lambda2 P] on every sector:
-    a low-rank L's distinct vectors rotated once each, with its tag and
-    offset lambda1 offset + lambda2, or a dense L slot by slot plus
-    lambda2 on the diagonal.  ValueError unless the lambdas are finite,
-    U unitary and L of ``space``; HermiticityError for a non-Hermitian L."""
-    udag = _checked_unitary(unitary, space.d, lambda1, lambda2).conj().T
-    mats = [udag] * space.n
-    if isinstance(operator, LowRankObservable):
-        if operator.space != space:
-            raise ValueError("operator space mismatch")
-        vectors = {id(v): v for _, k, b in operator.terms for v in (k, b)}
-        rotated = {i: _apply_local(mats, v) for i, v in vectors.items()}
-        return LowRankObservable(space, tuple(
-            (lambda1 * c, rotated[id(k)], rotated[id(b)])
-            for c, k, b in operator.terms),
-            offset=lambda1 * operator.offset + lambda2)._tagged(operator.kind)
-    operator = require_hermitian(operator, "observable")
-    if operator.shape != (space.total_dim,) * 2:
-        raise ValueError(f"operator shape {operator.shape}, expected "
-                         f"{(space.total_dim,) * 2}")
-    out = lambda1 * _apply_local(mats + [udag.conj()] * space.n, operator)
-    out[np.diag_indices(space.total_dim)] += lambda2
-    return out
+def transformed_observable(form: SectorObservable, lambda1: float,
+                           lambda2: float,
+                           unitary: np.ndarray) -> SectorObservable:
+    """The form of U^dagger...U [lambda1 L + lambda2 P], U a local
+    unitary on every slot, from the form of L: U^(x N) commutes with P,
+    so its terms are (lambda1 c, S^H (U^dagger)^(x N) S X), its offset
+    lambda1 offset + lambda2, and the analytic record is carried, the
+    coefficients scaled by lambda1 and the rank-one vector rotated.
+    ValueError unless the lambdas are finite and U is unitary."""
+    udag = _checked_unitary(unitary, form.space.d, lambda1, lambda2).conj().T
+    mats, sec = [udag] * form.space.n, form.sector
+    coeffs, vectors = form.terms
+    if sec is None:
+        rotated = _apply_local(mats, vectors)
+    else:
+        rotated = sec.adjoint(_apply_local(mats, sec.apply(vectors)))
+    rank_one = None if form.rank_one is None else (
+        lambda1 * form.rank_one[0], _apply_local(mats, form.rank_one[1]))
+    return replace(
+        form, terms=(lambda1 * coeffs, rotated),
+        offset=lambda1 * form.offset + lambda2, rank_one=rank_one,
+        interference=None if form.interference is None
+        else lambda1 * form.interference)
 
 
 def transform_solution(sol: SevalueSolution, lambda1: float, lambda2: float,
@@ -957,7 +922,7 @@ def verify_second_form(sol: SevalueSolution,
     coords = _party_coords(problem, [np.asarray(b, complex)[None]
                                      for b in sol.party_vectors])
     (chi,), (defects,) = _stationarity(problem, coords, [
-        sol.value - getattr(problem.operator, "offset", 0.0)])
+        sol.value - problem.operator.offset])
     sec = problem.sector
     return (StateVector(problem.space, chi if sec is None else sec.apply(chi)),
             max(defect for defect, _ in defects))

@@ -28,19 +28,22 @@ def noisy_state(psi: StateVector, stats: Statistics, p: float) -> DensityOperato
     maximally mixed state of the sector (weight 1 - p):
     rho = p |psi~><psi~| + (1 - p) P / tr(P), whose noise rows are the
     columns of the sector isometry S, written with the pure row into one
-    block.  A part of weight 0 is left out."""
+    block, which the operator adopts.  A part of weight 0 is left out."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"noise parameter p={p} outside [0, 1]")
     projected = project(stats, psi)
     if projected.norm() < 1e-12:
         raise ZeroProjectionError("pure part projects to zero")
     sector = sector_isometry(stats, psi.space)
-    rows = np.zeros((1 + sector.shape[1], sector.shape[0]), dtype=complex)
-    rows[0] = projected.normalized().amplitudes
-    sector.toarray(out=rows[1:].T)
-    weights = np.r_[p, np.full(sector.shape[1], (1.0 - p) / sector.shape[1])]
-    keep = slice(int(p == 0.0), None if p < 1.0 else 1)    # a view, no copy
-    return DensityOperator(psi.space, weights=weights[keep], vectors=rows[keep])
+    dim, m = sector.shape
+    pure, noise = int(p > 0.0), int(p < 1.0)
+    rows = np.zeros((pure + noise * m, dim), dtype=complex)
+    rows[:pure] = projected.normalized().amplitudes
+    if noise:
+        sector.toarray(out=rows[pure:].T)
+    rows.setflags(write=False)
+    weights = np.r_[np.full(pure, p), np.full(noise * m, (1.0 - p) / m)]
+    return DensityOperator(psi.space, weights=weights, vectors=rows)
 
 
 def fig1_state_family(d: int, stats: Statistics) -> StateVector:

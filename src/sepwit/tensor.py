@@ -71,17 +71,11 @@ def _row_slabs(m: np.ndarray, label: str) -> list[slice]:
     return [slice(at, at + step) for at in range(0, len(m), step)]
 
 
-def frozen_copy(matrix) -> np.ndarray:
-    """A read-only complex128 copy of ``matrix``, or ``matrix`` itself
-    where it is such a copy already: a read-only complex128 array that
-    owns its data, as another object's frozen copy does.  A writable
-    array, or a view, is always copied."""
-    if isinstance(matrix, np.ndarray) and matrix.dtype == np.complex128 \
-            and matrix.flags.owndata and not matrix.flags.writeable:
-        return matrix
-    out = np.array(matrix, dtype=np.complex128)
-    out.setflags(write=False)
-    return out
+def _frozen(array) -> bool:
+    """True for a read-only complex128 array that owns its data, as
+    another object's frozen copy does."""
+    return isinstance(array, np.ndarray) and array.dtype == np.complex128 \
+        and array.flags.owndata and not array.flags.writeable
 
 
 def hermiticity_defect(matrix: np.ndarray) -> float:
@@ -272,6 +266,8 @@ class DensityOperator:
     -TOL_TRACE is rejected and a smaller negative one clipped to 0, and
     a row whose norm is off 1 by more than 1e-9 is normalized, a zero
     row rejected.  ``normalized`` asks for trace 1 within TOL_TRACE.
+    A matrix, or a block of unit rows, that is a read-only complex128
+    array owning its data is kept as it is, any other copied.
     """
 
     space: SpaceConfig
@@ -286,7 +282,8 @@ class DensityOperator:
             raise ValueError("give either matrix, or weights and vectors")
         dim = self.space.total_dim
         if self.matrix is not None:
-            m = frozen_copy(self.matrix)
+            m = self.matrix if _frozen(self.matrix) \
+                else np.array(self.matrix, dtype=np.complex128)
             if m.shape != (dim, dim):
                 raise ValueError(f"matrix shape {m.shape}, expected {(dim, dim)}")
             require_hermitian(m, "density matrix")
@@ -296,10 +293,12 @@ class DensityOperator:
             if spectrum[0] < -TOL_TRACE * max(1.0, np.abs(spectrum).max()):
                 raise ValueError(f"density matrix has the negative "
                                  f"eigenvalue {spectrum[0]:.3e}")
+            m.setflags(write=False)
             object.__setattr__(self, "matrix", m)
             return
         w = np.array(self.weights, dtype=np.float64)
-        rows = np.array(self.vectors, dtype=np.complex128)
+        rows = self.vectors if _frozen(self.vectors) \
+            else np.array(self.vectors, dtype=np.complex128)
         if w.ndim != 1 or rows.shape != (w.size, dim):
             raise ValueError(f"weights {w.shape} and vectors {rows.shape} "
                              f"are not (m,) and (m, {dim})")
@@ -307,12 +306,18 @@ class DensityOperator:
             raise ValueError("mixture must be finite")
         if (w < -TOL_TRACE).any():
             raise ValueError(f"negative mixture weight {w.min()}")
-        # a slab at a time, in place: whole-block temporaries take 2 blocks
-        for slab in np.array_split(rows, max(1, rows.nbytes // _SLAB_BYTES)):
-            norms = np.linalg.norm(slab, axis=1, keepdims=True)
+        # a slab at a time, in place: whole-block temporaries take 2
+        # blocks; a frozen block is copied only where a row is off 1
+        step = max(1, _SLAB_BYTES // max(1, rows[:1].nbytes))
+        for at in range(0, len(rows), step):
+            norms = np.linalg.norm(rows[at:at + step], axis=1, keepdims=True)
             if not norms.all():
                 raise ValueError("cannot normalize the zero vector")
-            np.divide(slab, norms, out=slab, where=np.abs(norms - 1.0) > 1e-9)
+            off = np.abs(norms - 1.0) > 1e-9
+            if off.any():
+                rows = rows if rows.flags.writeable else rows.copy()
+                np.divide(rows[at:at + step], norms, out=rows[at:at + step],
+                          where=off)
         w = np.maximum(w, 0.0)
         if self.normalized and abs(w.sum() - 1.0) > TOL_TRACE:
             raise ValueError("mixture weights do not sum to 1")
@@ -516,6 +521,15 @@ def sector_isometry(stats: Statistics, space: SpaceConfig) -> SectorIsometry:
             groups.append((cols, index, np.ones(size),
                            1.0 / math.sqrt(size)))
     return SectorIsometry((dim, labels.shape[0]), groups)
+
+
+def proper_sector(stats: Statistics, space: SpaceConfig) \
+        -> SectorIsometry | None:
+    """The exchange-sector isometry S of ``space`` as orbit tables; None
+    where the sector is the whole space, so that no identity products
+    are done."""
+    return None if subspace_dimension(stats, space) == space.total_dim \
+        else sector_isometry(stats, space)
 
 
 def project_amplitudes(stats: Statistics, amplitudes: np.ndarray,

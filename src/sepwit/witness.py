@@ -6,6 +6,9 @@ statistics, negative somewhere exactly when the observable detects.
 The equivalent scalar test used throughout is  <L> > G.  A lower-form
 witness uses the smallest stationary quotient instead and detects
 states with  <L> below it.
+
+A witness holds its observable as its ``SectorObservable`` and reads
+nothing else.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionCapError, SectorError
-from .operators import LowRankObservable
+from .operators import SectorObservable, sector_observable
 from .solver import (DEFAULT_STARTS, Partition, SevalueProblem,
                      _column_norms_sq, analytic_interference,
                      analytic_rank_one, check_count, partitions_into,
@@ -38,9 +41,10 @@ class WitnessForm(Enum):
 
 @dataclass(frozen=True)
 class Witness:
-    """A separability bound packaged with its observable and provenance."""
+    """A separability bound packaged with its observable, held as its
+    form (``sector_observable``), and provenance."""
 
-    observable: LowRankObservable | np.ndarray
+    observable: SectorObservable
     stats: Statistics
     space: SpaceConfig
     k: int
@@ -58,6 +62,8 @@ class Witness:
         if not 0.0 <= self.margin < math.inf:
             raise ValueError(f"margin must be finite and >= 0, got "
                              f"{self.margin}")
+        object.__setattr__(self, "observable", sector_observable(
+            self.observable, self.stats, self.space))
 
 
 @dataclass(frozen=True)
@@ -75,37 +81,22 @@ class WitnessVerdict:
 
 
 def expectation(rho: DensityOperator, observable) -> float:
-    """tr(rho X) for a Hermitian observable, real up to float noise.
-
-    A mixture is evaluated on all its rows at once, without densifying;
-    a low-rank observable through its ``eigen_form`` (c, X), as sum_t c_t
-    <x_t|rho|x_t> from one product of X with the rows or the matrix,
-    plus offset tr rho."""
-    if isinstance(observable, LowRankObservable):
-        if observable.space != rho.space:
-            raise ValueError("dimension mismatch")
-        coeffs, vectors = observable.eigen_form
-        if rho.matrix is None:
-            total = rho.weights @ (np.abs(rho.vectors @ vectors.conj()) ** 2
-                                   @ coeffs)
-        else:
-            total = coeffs @ np.einsum("jt,jt->t", vectors.conj(),
-                                       rho.matrix @ vectors)
-        total += observable.offset * rho.trace()
+    """tr(rho L) for a state in the sector of L's form (c, X), as sum_t
+    c_t <S x_t|rho|S x_t> + offset tr rho from one product of S X with
+    the rows (all at once) or the matrix, real as L and rho are
+    Hermitian.  An observable that is no form is read on the whole space
+    (``sector_observable`` with no statistics)."""
+    form = sector_observable(observable, None, rho.space)
+    (coeffs, vectors), sec = form.terms, form.sector
+    if sec is not None:
+        vectors = sec.apply(vectors)
+    if rho.matrix is None:
+        total = rho.weights @ (np.abs(rho.vectors @ vectors.conj()) ** 2
+                               @ coeffs)
     else:
-        x = np.asarray(observable, dtype=np.complex128)
-        if x.shape != (rho.space.total_dim,) * 2:
-            raise ValueError("dimension mismatch")
-        if rho.matrix is None:
-            rows = rho.vectors
-            total = rho.weights @ np.einsum("rj,rj->r", rows.conj() @ x, rows)
-        else:
-            total = np.einsum("ij,ji->", rho.matrix, x)
-    total = complex(total)
-    if abs(total.imag) > 1e-9 * max(1.0, abs(total)):
-        raise ValueError(f"expectation has a large imaginary part "
-                         f"({total.imag:.2e}); observable not Hermitian?")
-    return float(total.real)
+        total = coeffs @ np.einsum("jt,jt->t", vectors.conj(),
+                                   rho.matrix @ vectors)
+    return float(total.real + form.offset * rho.trace())
 
 
 def sector_deviation(rho: DensityOperator, stats: Statistics) -> float:
@@ -160,16 +151,14 @@ def build_k_witness(operator, stats: Statistics, space: SpaceConfig, k: int,
                     starts: int = DEFAULT_STARTS, seed: int = 0,
                     **solver_kwargs) -> Witness:
     """Witness against K-separability: the bound is maximized over every
-    multiset-distinct partition into k parts."""
-    bounds = []
-    for p in partitions_into(space.n, k):
-        # one problem at a time; keeps its frozen copy, not the caller's
-        part = build_witness(SevalueProblem(operator, stats, p, space),
-                             bound_source, starts=starts, seed=seed,
-                             **solver_kwargs)
-        operator = part.observable
-        bounds.append(part.bound)
-    return Witness(observable=operator, stats=stats, space=space, k=k,
+    multiset-distinct partition into k parts, whose problems share the
+    operator's one form."""
+    form = sector_observable(operator, stats, space)
+    bounds = [build_witness(SevalueProblem(form, stats, p, space),
+                            bound_source, starts=starts, seed=seed,
+                            **solver_kwargs).bound
+              for p in partitions_into(space.n, k)]
+    return Witness(observable=form, stats=stats, space=space, k=k,
                    partition=None, bound=max(bounds), form=WitnessForm.UPPER,
                    bound_source=bound_source)
 
@@ -178,13 +167,11 @@ def _analytic_bound(problem: SevalueProblem, mode: str) -> float:
     op = problem.operator
     unknown = ValueError("no analytic bound known for this observable; "
                          "use the numeric source")
-    if not isinstance(op, LowRankObservable):
-        raise unknown
-    if op.kind == "interference":
+    if op.interference is not None:
         # the tag survives lambda1 L + lambda2 P: the bound scales by the
         # pair's common coefficient c where c > 0, and adds the offset
-        scale, *others = {c for c, _, _ in op.terms}
-        if others or scale.imag or not scale.real > 0.0:
+        scale = op.interference
+        if scale.imag or not scale.real > 0.0:
             raise unknown
         if problem.stats is Statistics.FERMION and \
                 sum(p >= 2 for p in problem.partition.parts) >= 2:
@@ -200,12 +187,11 @@ def _analytic_bound(problem: SevalueProblem, mode: str) -> float:
                                          problem.partition)
         bound = scale.real * analysis.bound
         return op.offset + (bound if mode == "max" else -bound)
-    (coeff, ket, bra), *others = op.terms
-    if others or not np.array_equal(ket, bra) \
-            or problem.partition.parts != (1, 1):
+    if op.rank_one is None or problem.partition.parts != (1, 1):
         # the closed forms are those of c|psi><psi| alone: another
         # term can raise the separable bound above them
         raise unknown
+    coeff, ket = op.rank_one
     if np.linalg.norm(project_amplitudes(problem.stats, ket,
                                          problem.space)) < 1e-14:
         return op.offset    # c|psi><psi| is 0 on the sector: g = offset
@@ -219,23 +205,18 @@ def _analytic_bound(problem: SevalueProblem, mode: str) -> float:
 
 def witness_matrix(witness: Witness) -> np.ndarray:
     """Dense matrix of the witness operator, for small spaces: P(G 1 - L)P
-    = G P - P L P, or P(L - G 1)P in the lower form.  A low-rank L is
-    formed from its eigen-form and offset as the one shifted matrix, a
-    temporary that ``project_operator`` reads once."""
+    = G P - P L P, or P(L - G 1)P in the lower form, as S M S^H, M =
+    -+(X diag(c) X^H + (offset - G) 1) from the form."""
     dim = witness.space.total_dim
     if dim > MATRIX_CAP:
         raise DimensionCapError(f"witness matrix side {dim} exceeds cap")
-    observable = witness.observable
-    if isinstance(observable, LowRankObservable):
-        coeffs, vectors = observable.eigen_form
-        shifted = (vectors * coeffs) @ vectors.conj().T
-    else:
-        shifted = np.array(observable, dtype=np.complex128)
-    shifted[np.diag_indices(dim)] += getattr(observable, "offset", 0.0) \
-        - witness.bound
+    form = witness.observable
+    (coeffs, vectors), sec = form.terms, form.sector
+    middle = (vectors * coeffs) @ vectors.conj().T
+    middle[np.diag_indices(len(middle))] += form.offset - witness.bound
     if witness.form is WitnessForm.UPPER:
-        np.negative(shifted, out=shifted)
-    return project_operator(witness.stats, shifted, witness.space)
+        np.negative(middle, out=middle)
+    return middle if sec is None else sec.apply(sec.apply(middle.T).T)
 
 
 def detect(rho: DensityOperator, witness: Witness) -> WitnessVerdict:

@@ -47,6 +47,14 @@ def sector_basis_vectors(stats, space):
     return sector_isometry(stats, space).toarray()
 
 
+def sector_matrix(form):
+    """S^H L S of a ``SectorObservable``: X diag(c) X^H plus its offset
+    times the identity."""
+    coeffs, vectors = form.terms
+    return (vectors * coeffs) @ vectors.conj().T \
+        + form.offset * np.eye(len(vectors))
+
+
 def project_full_sum(stats, amplitudes, space):
     """Reference projector: the explicit signed sum over all n! slot
     permutations, an independent cross-check of the sector isometry's
@@ -134,10 +142,11 @@ def reference_generalized_step(numer, overlap, previous, mode):
     return float(target), best_vec
 
 
-def full_space_stationarity(problem, blocks, values):
+def full_space_stationarity(problem, operator, blocks, values):
     """Reference for ``solver._stationarity`` through the full space:
     P|b>, chi = P L P|b> - g P|b> from the explicit permutation sum
-    ``project_full_sum`` and L's own eigen-form or matrix, and per party
+    ``project_full_sum`` and the eigen-form or matrix of ``operator``,
+    the problem's L on the whole space, and per party
     j the pair (||A_j b_j - g B_j b_j||, ||B_j b_j||), A_j b_j and B_j
     b_j being chi and P|b> with every other party contracted out by one
     einsum, start by start.  Returns (batch, dim), (batch, dim) and
@@ -147,11 +156,11 @@ def full_space_stationarity(problem, blocks, values):
     flat = np.array([reduce(np.kron, [b[i] for b in blocks])
                      for i in range(count)])
     projected = project_full_sum(stats, flat.T, space).T
-    if isinstance(problem.operator, LowRankObservable):
-        coeffs, vectors = problem.operator.eigen_form
+    if isinstance(operator, LowRankObservable):
+        coeffs, vectors = operator.eigen_form
         applied = (vectors * coeffs) @ (vectors.conj().T @ projected.T)
     else:
-        applied = problem.operator @ projected.T
+        applied = operator @ projected.T
     chi = project_full_sum(stats, applied, space).T \
         - np.asarray(values, dtype=float)[:, None] * projected
     defects = np.empty((count, len(dims), 2))
@@ -167,25 +176,26 @@ def full_space_stationarity(problem, blocks, values):
     return projected, chi, defects
 
 
-def reference_brute_force_bound(problem, samples, seed=0):
+def reference_brute_force_bound(problem, operator, samples, seed=0):
     """Reference sampling oracle: the loop form that
     ``solver.brute_force_bound`` replaced, with per-term numerators,
     ``np.linalg.norm`` normalisation and out-of-place perturbations.
     It draws the same stream, so both give the same bound up to the
-    rounding of the summation order.  Its sector coordinates come from
-    the dense columns of ``sector_isometry`` (the identity for
-    distinguishable parties), not from the problem's cached ones."""
+    rounding of the summation order.  It reads ``operator``, the
+    problem's L on the whole space, not the problem's form, and its
+    sector coordinates come from the dense columns of
+    ``sector_isometry`` (the identity for distinguishable parties)."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     space, stats = problem.space, problem.stats
     isometry = sector_isometry(stats, space).toarray()
     adjoint = isometry.conj().T
-    if isinstance(problem.operator, LowRankObservable):
+    if isinstance(operator, LowRankObservable):
         term_kets = [(c, (adjoint @ k).conj(), adjoint @ b)
-                     for c, k, b in problem.operator.projected(stats).terms]
+                     for c, k, b in operator.projected(stats).terms]
         dense_sec = None
     else:
-        dense_sec = adjoint @ problem.operator @ isometry
+        dense_sec = adjoint @ operator @ isometry
         term_kets = None
     dims = problem.partition.block_dims(space.d)
 

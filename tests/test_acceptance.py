@@ -367,7 +367,7 @@ def test_criterion_8_covariance_round_trip():
         lam2 = float(rng.uniform(-1.0, 1.0))
         moved = transform_solution(base.best, lam1, lam2, unitary)
         new_op = transformed_observable(problem.operator, lam1, lam2,
-                                        unitary, psi.space)
+                                        unitary)
         new_problem = SevalueProblem(new_op, stats, Partition((1, 1)),
                                      psi.space)
         resolved = sweep_solve(new_problem, list(moved.party_vectors))

@@ -11,9 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sepwit import (Partition, SpaceConfig, Statistics, Witness,
-                    WitnessForm, appendix_b_states, detect, fig1_bound,
-                    fig1_state_family, noisy_state, rank_one_observable)
+from sepwit import (DensityOperator, Partition, SpaceConfig, Statistics,
+                    Witness, WitnessForm, appendix_b_states, detect,
+                    fig1_bound, fig1_state_family, noisy_state,
+                    rank_one_observable)
 from sepwit import cli
 from sepwit import witness as witness_module
 from sepwit.cli import (load_observable_file, load_state_file, main,
@@ -434,6 +435,50 @@ def test_loaders_reject_non_finite_value(tmp_path, capsys, value):
     assert "amplitude 2: non-finite" in state_err
 
 
+def test_state_loader_refuses_a_matrix_side_above_the_cap(tmp_path, capsys):
+    # a density-matrix file at d=10, N=4 names a side of 10,000, whose
+    # matrix would take 1.5 GiB before any check; it is refused first,
+    # as an input error
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"d": 10, "N": 4,
+                                 "entries": [[0, 0, 1.0, 0.0]]}))
+    code = main(["witness", str(state), BELL_BOSON_D3, "--k", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "side 10000 exceeds cap 4096" in captured.err
+
+
+def test_observable_of_a_sector_above_the_cap_is_refused(tmp_path, capsys):
+    # bosons at d=20, N=4: 160,000 modes and an 8855-dimensional sector,
+    # whose S^H L S would take 1.2 GB; the file's one entry is read, and
+    # its form refused as an input error
+    path = tmp_path / "observable.json"
+    path.write_text(json.dumps({"d": 20, "N": 4, "statistics": "boson",
+                                "entries": [[0, 0, 1.0, 0.0]]}))
+    code = main(["sevalue", str(path), "--k", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "sector side 8855 exceeds cap 4096" in captured.err
+
+
+def test_state_loader_hands_its_matrix_over(tmp_path, monkeypatch):
+    # the loaded density matrix is adopted by the operator, not copied
+    received = []
+    from_matrix = DensityOperator.from_matrix
+
+    def recording(space, matrix, normalized=True):
+        received.append(matrix)
+        return from_matrix(space, matrix, normalized)
+
+    monkeypatch.setattr(DensityOperator, "from_matrix", recording)
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"d": 2, "N": 2, "entries": [
+        [0, 0, 0.5, 0.0], [3, 3, 0.5, 0.0], [0, 3, 0.5, 0.0],
+        [3, 0, 0.5, 0.0]]}))
+    _space, rho = load_state_file(str(state))
+    assert len(received) == 1 and rho.matrix is received[0]
+
+
 # ---------------------------------------------------------------------------
 # witness
 
@@ -591,9 +636,11 @@ def test_roundtrip_loaders(tmp_path, rng):
     matrix = random_hermitian(rng, 9)
     path = tmp_path / "obs.json"
     save_observable_json(str(path), space, Statistics.DISTINGUISHABLE, matrix)
-    loaded_space, stats, loaded = load_observable_file(str(path))
+    loaded_space, stats, entries = load_observable_file(str(path))
     assert loaded_space == space
     assert stats is Statistics.DISTINGUISHABLE
+    loaded = np.zeros((9, 9), dtype=complex)
+    loaded[entries["row"], entries["col"]] = entries["value"]
     assert np.abs(loaded - matrix).max() < 1e-15
 
     from sepwit import StateVector
@@ -605,11 +652,31 @@ def test_roundtrip_loaders(tmp_path, rng):
     assert abs(rho.trace() - 1.0) < 1e-12
 
 
-def test_loaded_observable_is_shared_read_only():
-    # every problem built from the loaded matrix adopts it as its frozen
-    # copy: one d^N x d^N observable however many partitions are solved
-    space, stats, matrix = load_observable_file(INTERFERENCE_N3)
-    assert not matrix.flags.writeable
+def test_loaded_observable_is_shared_read_only(monkeypatch, capsys):
+    # the loader returns the file's entries, no d^N x d^N matrix, and
+    # every problem built from their one read-only form shares it: one
+    # form however many partitions are solved
+    space, stats, entries = load_observable_file(INTERFERENCE_N3)
+    assert entries.dtype.names == ("row", "col", "value")
+    form = cli.sector_observable(entries, stats, space)
+    assert not any(a.flags.writeable for a in form.terms)
     for parts in ((2, 1), (1, 1, 1)):
-        problem = cli.SevalueProblem(matrix, stats, Partition(parts), space)
-        assert problem.operator is matrix
+        problem = cli.SevalueProblem(form, stats, Partition(parts), space)
+        assert problem.operator is form
+    forms, operators = [], []
+
+    def building(*args):
+        forms.append(form_of(*args))
+        return forms[-1]
+
+    def recording(operator, *args):
+        operators.append(operator)
+        return problem_of(operator, *args)
+
+    form_of, problem_of = cli.sector_observable, cli.SevalueProblem
+    monkeypatch.setattr(cli, "sector_observable", building)
+    monkeypatch.setattr(cli, "SevalueProblem", recording)
+    code, _ = _run(capsys, ["sevalue", INTERFERENCE_N3, "--k", "3",
+                            "--starts", "2", "--oracle-samples", "20"])
+    assert code == 0 and len(forms) == 1
+    assert operators and all(op is forms[0] for op in operators)

@@ -70,7 +70,7 @@ def _embedded_party_matrices(problem, coords, j):
     vectors b_i = S_i c_i in left and right, and dense S and S_i, the
     overlap y^H y (||left||^2 ||right||^2 where P = 1) and the numerator
     y^H X for the sector terms (c, X)."""
-    coeffs, vectors = problem.sector_terms
+    coeffs, vectors = problem.operator.terms
     stats, d = problem.stats, problem.space.d
     whole = sector_basis_vectors(stats, problem.space)
     isos = [sector_basis_vectors(stats, SpaceConfig(d, nj))
@@ -135,7 +135,7 @@ def test_party_matrices_touch_no_full_space_array():
     space = SpaceConfig(8, 4)
     problem = SevalueProblem(interference_observable(space, Statistics.BOSON),
                              Statistics.BOSON, Partition((2, 2)), space)
-    problem.party_sectors, problem.sector_terms, problem.coupling
+    problem.party_sectors, problem.coupling
     tracemalloc.start()
     try:
         result = solve_sup_g(problem, starts=4, seed=0)
@@ -148,8 +148,8 @@ def test_party_matrices_touch_no_full_space_array():
 
 def test_party_steps_do_not_apply_the_sector_adjoint(monkeypatch, rng):
     # a projected K >= 2 sweep reaches the whole sector through the
-    # coupling map only: S^H is applied to the observable's terms, never
-    # from _party_matrices
+    # coupling map only: S^H is applied to the observable's terms when
+    # its form is built, never from _party_matrices
     callers, steps = [], []
     adjoint = SectorIsometry.adjoint
     party_matrices = solver_module._party_matrices
@@ -171,5 +171,5 @@ def test_party_steps_do_not_apply_the_sector_adjoint(monkeypatch, rng):
                                  Partition(parts), space)
         solve_sup_g(problem, starts=3, seed=0)
     assert set(steps) == {0, 1, 2}
-    assert "sector_terms" in callers
+    assert "sector_observable" in callers
     assert "_party_matrices" not in callers

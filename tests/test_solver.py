@@ -1,6 +1,5 @@
 import collections
 import dataclasses
-import functools
 import threading
 import tracemalloc
 import weakref
@@ -11,13 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sepwit.solver as solver_module
-from sepwit import (DensityOperator, LowRankObservable, Partition, SevalueProblem, SpaceConfig,
+from sepwit import (DensityOperator, LowRankObservable, Partition,
+                    SectorObservable, SevalueProblem, SpaceConfig,
                     StateVector, Statistics, all_partitions,
                     analytic_interference, analytic_rank_one,
                     basis_product_vector, brute_force_bound,
                     interference_observable, partitions_into, product_vector,
                     project, projector_matrix,
-                    rank_one_observable,
+                    rank_one_observable, sector_observable,
                     solve_sup_g, subspace_dimension, sweep_solve,
                     transform_solution, transformed_observable,
                     verify_second_form)
@@ -37,7 +37,7 @@ from conftest import (_called_within, break_overlap_eigh, break_span_svd,
                       full_space_stationarity, project_full_sum,
                       random_hermitian, random_mixture, random_unitary,
                       reference_brute_force_bound, reference_generalized_step,
-                      sector_basis_vectors)
+                      sector_basis_vectors, sector_matrix)
 
 
 def _random_sector_state(rng, d, stats):
@@ -49,6 +49,14 @@ def _random_sector_state(rng, d, stats):
 def _rank_one_problem(psi, stats):
     return SevalueProblem(rank_one_observable(psi, stats), stats,
                           Partition((1, 1)), psi.space)
+
+
+def _kronecker_transformed(dense, lambda1, lambda2, unitary, space):
+    """The reference (U^H)^(x N) [lambda1 L + lambda2 1] U^(x N) of a
+    dense L, through the Kronecker power."""
+    full = reduce(np.kron, [unitary.conj().T] * space.n)
+    return full @ (lambda1 * dense + lambda2 * np.eye(space.total_dim)) \
+        @ full.conj().T
 
 
 def _one_start(numer, overlap, b=0):
@@ -513,7 +521,6 @@ def test_overlap_eigh_failing_every_route_is_a_convergence_error(
     space = SpaceConfig(3, 3)
     problem = SevalueProblem(_random_observable(rng, "low-rank", space),
                              Statistics.BOSON, Partition((2, 1)), space)
-    problem.sector_terms
     raised = break_overlap_eigh(monkeypatch, sides=(3, 6))
     with pytest.raises(EigensolveError, match="no route") as info:
         solve_sup_g(problem, starts=4, seed=0)
@@ -701,12 +708,12 @@ def test_sector_residuals_match_the_full_space_reference(stats, parts, kind,
     space = SpaceConfig(d, sum(parts))
     if not subspace_dimension(stats, space):
         return      # fermions in fewer modes than particles: no sector
-    problem = SevalueProblem(_random_observable(rng, kind, space), stats,
-                             Partition(parts), space)
+    observable = _random_observable(rng, kind, space)
+    problem = SevalueProblem(observable, stats, Partition(parts), space)
     blocks = [crandn(rng, 3, dim) for dim in problem.block_dims]
     values = rng.standard_normal(3)
-    projected, chi, defects = full_space_stationarity(problem, blocks,
-                                                      values)
+    projected, chi, defects = full_space_stationarity(problem, observable,
+                                                      blocks, values)
     sols = _solutions(problem, _party_coords(problem, blocks), values,
                       [False] * 3, [0] * 3)
     for b, sol in enumerate(sols):
@@ -844,12 +851,12 @@ def test_sweep_holds_party_sector_coordinates(monkeypatch, stats, n, d, parts,
 def test_party_sectors_built_once_per_problem(monkeypatch, rng):
     # every start of a solve, and every later solve, oracle call and
     # second-form check on the same problem, shares the orbit tables of
-    # its S_j and of the whole space's S, and the observable in S's
-    # coordinates; a block whose sector is the whole block (one slot
-    # here) is solved without one.  The sweep reads S (for its batch
-    # size) before the starts join through their S_j
+    # its S_j and of the whole space's S, and the observable's one form,
+    # built with the problem; a block whose sector is the whole block
+    # (one slot here) is solved without one.  The sweep reads S (for its
+    # batch size) before the starts join through their S_j
     import sepwit.operators as operators_module
-    import sepwit.solver as solver_module
+    import sepwit.tensor as tensor_module
     calls = []
     builds = []
     orth_calls = []
@@ -858,33 +865,30 @@ def test_party_sectors_built_once_per_problem(monkeypatch, rng):
         calls.append(space.n)
         return sector_isometry(stats, space)
 
-    def counting_terms(problem):
-        # the property runs only where its cache is empty: a dense
-        # observable's S^H L S records the observable's shape, the terms
-        # (c, S^H V) record "terms"
-        dense = isinstance(problem.operator, np.ndarray)
-        builds.append(problem.operator.shape if dense else "terms")
-        return sector_terms(problem)
+    def counting_form(operator, stats, space):
+        # a dense observable records its shape, a term list "terms" and
+        # a form, which is taken as it is, "form"
+        builds.append(operator.shape if isinstance(operator, np.ndarray)
+                      else "form" if isinstance(operator, SectorObservable)
+                      else "terms")
+        return sector_observable(operator, stats, space)
 
     def counting_orth(mat):
         orth_calls.append(mat.shape)
         return orth(mat)
 
-    sector_terms = SevalueProblem.sector_terms.func
-    counting_property = functools.cached_property(counting_terms)
-    counting_property.__set_name__(SevalueProblem, "sector_terms")
     orth = operators_module.orth
-    monkeypatch.setattr(solver_module, "sector_isometry", counting)
-    monkeypatch.setattr(SevalueProblem, "sector_terms", counting_property)
+    monkeypatch.setattr(solver_module, "sector_observable", counting_form)
     space = SpaceConfig(8, 4)
     problem = SevalueProblem(interference_observable(space, Statistics.FERMION),
                              Statistics.FERMION, Partition((3, 1)), space)
+    # a projected low-rank problem builds its form (c, S^H V) once
+    assert builds == ["terms"]
+    monkeypatch.setattr(tensor_module, "sector_isometry", counting)
     monkeypatch.setattr(operators_module, "orth", counting_orth)
     result = solve_sup_g(problem, starts=3, seed=0)
     assert abs(result.value - 0.5) <= 1e-9
     assert calls == [4, 3]
-    # a projected low-rank solve builds its sector terms (c, S^H V) once
-    assert builds == ["terms"]
     # and later solves, the oracle and the second-form check on the same
     # problem build nothing again, nor the observable's eigen-form
     solve_sup_g(problem, starts=2, seed=1)
@@ -896,16 +900,18 @@ def test_party_sectors_built_once_per_problem(monkeypatch, rng):
     assert orth_calls == []
     assert problem.party_sectors[1] is None
     assert calls == [4, 3]
-    wide = SevalueProblem(problem.operator, Statistics.DISTINGUISHABLE,
-                          Partition((2, 2)), space)
+    wide = SevalueProblem(interference_observable(
+        space, Statistics.DISTINGUISHABLE), Statistics.DISTINGUISHABLE,
+        Partition((2, 2)), space)
     assert all(iso is None for iso in wide.party_sectors)
     assert calls == [4, 3]
     # a dense observable is compressed to S^H L S once per problem
-    calls.clear()
-    builds.clear()
     small = SpaceConfig(3, 3)
-    dense = SevalueProblem(random_hermitian(rng, 27), Statistics.BOSON,
-                           Partition((2, 1)), small)
+    matrix = random_hermitian(rng, 27)
+    builds.clear()
+    dense = SevalueProblem(matrix, Statistics.BOSON, Partition((2, 1)), small)
+    assert builds == [(27, 27)]
+    calls.clear()
     solve_sup_g(dense, starts=3, seed=0)
     assert calls == [3, 2]
     assert builds == [(27, 27)]
@@ -913,12 +919,12 @@ def test_party_sectors_built_once_per_problem(monkeypatch, rng):
     # the eigen-terms of L itself once
     calls.clear()
     builds.clear()
-    solve_sup_g(dataclasses.replace(dense, stats=Statistics.DISTINGUISHABLE),
-                starts=3, seed=0)
+    solve_sup_g(SevalueProblem(matrix, Statistics.DISTINGUISHABLE,
+                               Partition((2, 1)), small), starts=3, seed=0)
     assert calls == []
     assert builds == [(27, 27)]
-    # a single party is one step on the whole sector: the low-rank
-    # route builds S's orbit tables once and its terms (c, S^H V), but
+    # a single party is one step on the whole sector: a problem given the
+    # form shares it, the low-rank route reads S's orbit tables once, but
     # neither a dense S nor S^H L S, and no route builds party matrices
     dense_builds = []
 
@@ -932,40 +938,42 @@ def test_party_sectors_built_once_per_problem(monkeypatch, rng):
     toarray = SectorIsometry.toarray
     monkeypatch.setattr(SectorIsometry, "toarray", counting_toarray)
     monkeypatch.setattr(solver_module, "_party_matrices", forbidden)
+    calls.clear()
     builds.clear()
     single = SevalueProblem(problem.operator, Statistics.FERMION,
                             Partition((4,)), space)
+    assert single.operator is problem.operator
     assert abs(solve_sup_g(single, starts=1, seed=0).value - 1.0) <= 1e-12
     assert calls == [4]
-    assert builds == ["terms"]
+    assert builds == ["form"]
     assert dense_builds == []
-    # the low-rank oracle at N=4, d=8 builds S's orbit tables once and
-    # its terms once, never a dense S, and no party's S_j
+    # the low-rank oracle at N=4, d=8 reads S's orbit tables once and
+    # shares the form, never a dense S, and no party's S_j
     calls.clear()
     builds.clear()
     oracle = dataclasses.replace(problem, partition=Partition((2, 2)))
     assert brute_force_bound(oracle, samples=64, seed=0) <= 1.0 + 1e-12
     assert calls == [4]
-    assert builds == ["terms"]
+    assert builds == ["form"]
     assert dense_builds == []
-    # the dense oracle on the solved problem reads its S^H L S, and on a
-    # new one compresses once, through S's orbit tables: no dense S
+    # the dense oracle on the solved problem reads its S^H L S, and a new
+    # problem shares it: no dense S
     calls.clear()
     builds.clear()
     brute_force_bound(dense, samples=64, seed=0)
     assert calls == builds == dense_builds == []
     brute_force_bound(dataclasses.replace(dense), samples=64, seed=0)
     assert calls == [3]
-    assert builds == [(27, 27)]
+    assert builds == ["form"]
     assert dense_builds == []
     # a single dense party takes S^H L S through S's orbit tables too
-    calls.clear()
     builds.clear()
     dense_builds.clear()
     space = SpaceConfig(9, 3)
     observable = random_hermitian(rng, space.total_dim)
     single = SevalueProblem(observable, Statistics.FERMION, Partition((3,)),
                             space)
+    calls.clear()
     value = solve_sup_g(single, starts=1, seed=0).value
     assert calls == [3]
     assert dense_builds == []
@@ -983,15 +991,15 @@ def test_dense_sector_terms_are_the_compressed_operator(rng, stats, d, n):
     space = SpaceConfig(d, n)
     observable = random_hermitian(rng, space.total_dim)
     coeffs, vectors = SevalueProblem(observable, stats, Partition((n,)),
-                                     space).sector_terms
+                                     space).operator.terms
     iso = sector_basis_vectors(stats, space)
     want = iso.conj().T @ observable @ iso
     assert np.abs((vectors * coeffs) @ vectors.conj().T - want).max() <= 1e-12
 
 
 def test_problem_keeps_its_own_copy_of_a_dense_operator(rng):
-    # a write through the base of a view passed in reaches neither the
-    # problem's operator nor its cached sector terms
+    # a write through the base of a view passed in does not reach the
+    # problem's form, whose read-only terms are its own
     space = SpaceConfig(3, 2)
     base = random_hermitian(rng, 9)
     problem = SevalueProblem(base[:], Statistics.BOSON, Partition((1, 1)),
@@ -999,24 +1007,28 @@ def test_problem_keeps_its_own_copy_of_a_dense_operator(rng):
     before = solve_sup_g(problem, starts=8, seed=0).value
     base *= 2.0
     assert solve_sup_g(problem, starts=8, seed=0).value == before
-    assert not problem.operator.flags.writeable
-    assert np.array_equal(problem.operator, base / 2.0)
+    assert not any(a.flags.writeable or np.shares_memory(a, base)
+                   for a in problem.operator.terms)
+    iso = sector_basis_vectors(Statistics.BOSON, space)
+    assert np.abs(sector_matrix(problem.operator)
+                  - iso.conj().T @ (base / 2.0) @ iso).max() <= 1e-12
 
 
 def test_problem_shares_a_frozen_copy_and_copies_anything_else(rng):
-    # another problem's read-only private copy is taken as it is; the
-    # caller's writable array and a read-only view are copied
+    # another problem's form is taken as it is; the caller's array, or a
+    # view of it, is read into a new form that shares none of its memory
     space = SpaceConfig(3, 2)
     dense = random_hermitian(rng, 9)
     args = (Statistics.BOSON, Partition((1, 1)), space)
     first = SevalueProblem(dense, *args)
-    assert not np.shares_memory(first.operator, dense)
-    second = SevalueProblem(first.operator, Statistics.FERMION,
+    assert not any(np.shares_memory(a, dense) for a in first.operator.terms)
+    second = SevalueProblem(first.operator, Statistics.BOSON,
                             Partition((2,)), space)
-    assert np.shares_memory(second.operator, first.operator)
-    view = SevalueProblem(first.operator[:], *args)
-    assert not np.shares_memory(view.operator, first.operator)
-    assert np.array_equal(view.operator, dense)
+    assert second.operator is first.operator
+    view = SevalueProblem(dense[:], *args)
+    assert view.operator is not first.operator
+    assert all(np.array_equal(a, b) for a, b in zip(view.operator.terms,
+                                                    first.operator.terms))
 
 
 def test_problems_and_density_operators_compare_by_identity(rng):
@@ -1176,17 +1188,17 @@ def test_single_party_lowrank_negative_term_reaches_zero(monkeypatch, rng,
     # -|psi><psi| has its maximum 0 off the span of psi: the solution
     # lies in the sector and is orthogonal to psi, and the solve builds
     # no S beyond its own (none for distinguishable)
-    import sepwit.solver as solver_module
+    import sepwit.tensor as tensor_module
     calls = []
 
     def counting(stats, space):
         calls.append(space.n)
         return sector_isometry(stats, space)
 
-    monkeypatch.setattr(solver_module, "sector_isometry", counting)
     space = SpaceConfig(4, 3)
     psi = project(stats, StateVector(space, crandn(rng, space.total_dim)))
     psi = psi.normalized().amplitudes
+    monkeypatch.setattr(tensor_module, "sector_isometry", counting)
     observable = LowRankObservable(space, ((-1.0, psi, psi),))
     problem = SevalueProblem(observable, stats, Partition((3,)), space)
     sol = solve_sup_g(problem, starts=1, seed=0).best
@@ -1195,7 +1207,7 @@ def test_single_party_lowrank_negative_term_reaches_zero(monkeypatch, rng,
     assert abs(np.linalg.norm(vector) - 1.0) <= 1e-12
     assert abs(psi.conj() @ vector) <= 1e-12
     assert sol.residual <= 1e-12
-    assert len(calls) <= (1 if stats.is_projected else 0)
+    assert set(calls) <= ({3} if stats.is_projected else set())
 
 
 def test_single_party_lowrank_shortcut_above_dense_cap(monkeypatch):
@@ -1632,9 +1644,13 @@ def test_prefetched_draws_match_inline_draws(monkeypatch, rng, stats, parts,
 
 
 def test_prefetched_oracle_matches_reference(rng):
-    problem = _oracle_problem(rng, Statistics.BOSON, (3, 1), 7)
+    space = SpaceConfig(7, 4)
+    observable = _random_observable(rng, "low-rank", space)
+    problem = SevalueProblem(observable, Statistics.BOSON, Partition((3, 1)),
+                             space)
     for samples in (1, 3, 700):
-        want = reference_brute_force_bound(problem, samples, seed=2)
+        want = reference_brute_force_bound(problem, observable, samples,
+                                           seed=2)
         got = brute_force_bound(problem, samples, seed=2)
         assert abs(got - want) <= 1e-12 * abs(want)
 
@@ -1678,7 +1694,7 @@ def test_oracle_holds_one_block(rng, stats):
     # samples a chunk; one block is alive at a time, so the traced peak
     # stays under one block and the quotient's arrays
     problem = _oracle_problem(rng, stats, (4,), 6)
-    problem.sector, problem.sector_terms    # built before tracing starts
+    problem.sector    # built before tracing starts
     block = 16 * 6 ** 4 * solver_module._ORACLE_CHUNK
     tracemalloc.start()
     try:
@@ -1697,7 +1713,6 @@ def test_oracle_scores_each_chunk_once(monkeypatch, rng, stats, parts, d):
     # best sample that beats the incumbent keeps the quotient the chunk
     # computed, with no second scoring of its unit product vector
     problem = _oracle_problem(rng, stats, parts, d)
-    problem.sector_terms    # its S^H X gather is made before counting
     adjoint, calls = SectorIsometry.adjoint, []
 
     def counting(self, x):
@@ -1757,7 +1772,7 @@ def test_oracle_chunk_fits_the_batch_budget(monkeypatch, rng, stats, parts):
     # samples, and the traced peak stays within 1.5 budgets: one product
     # block and the quotient's arrays
     problem = _oracle_problem(rng, stats, parts, 8)
-    problem.sector, problem.sector_terms
+    problem.sector
     budget = 16 * 8 ** 4 * 64
     monkeypatch.setattr(solver_module, "BATCH_BYTES", budget)
     draw = solver_module._crandn
@@ -1789,11 +1804,12 @@ def test_brute_force_matches_reference(rng, stats, parts, kind):
     # halves (1, 3, 257) included
     partition = Partition(parts)
     space = SpaceConfig(3, partition.n)
-    problem = SevalueProblem(_random_observable(rng, kind, space), stats,
-                             partition, space)
+    observable = _random_observable(rng, kind, space)
+    problem = SevalueProblem(observable, stats, partition, space)
     for samples in (1, 2, 3, 255, 257, 700):
         for seed in (0, 1, 2):
-            want = reference_brute_force_bound(problem, samples, seed)
+            want = reference_brute_force_bound(problem, observable, samples,
+                                               seed)
             got = brute_force_bound(problem, samples, seed)
             assert abs(got - want) <= 1e-12 * abs(want)
 
@@ -1809,11 +1825,12 @@ def test_brute_force_matches_reference_on_four_slots(rng, stats, parts, kind):
     # fermions at d=4, as four fermions have no sector in three modes
     partition = Partition(parts)
     space = SpaceConfig(4 if stats is Statistics.FERMION else 3, 4)
-    problem = SevalueProblem(_random_observable(rng, kind, space), stats,
-                             partition, space)
+    observable = _random_observable(rng, kind, space)
+    problem = SevalueProblem(observable, stats, partition, space)
     for samples in (1, 3, 257, 700):
         for seed in (0, 1):
-            want = reference_brute_force_bound(problem, samples, seed)
+            want = reference_brute_force_bound(problem, observable, samples,
+                                               seed)
             got = brute_force_bound(problem, samples, seed)
             assert abs(got - want) <= 1e-12 * abs(want)
 
@@ -1834,7 +1851,7 @@ def test_brute_force_never_exceeds_the_sector_maximum(stats, parts, kind, d,
         return      # fermions in fewer modes than particles: no sector
     problem = SevalueProblem(_random_observable(rng, kind, space), stats,
                              Partition(parts), space)
-    coeffs, vectors = problem.sector_terms
+    coeffs, vectors = problem.operator.terms
     eigs = np.linalg.eigvalsh((vectors * coeffs) @ vectors.conj().T)
     bound = brute_force_bound(problem, samples, seed % 1000)
     assert bound <= eigs[-1] + 1e-12 * np.abs(eigs).max()
@@ -2007,8 +2024,7 @@ def test_transform_solution_solves_transformed_problem(rng):
     unitary = random_unitary(rng, 3)
     lam1, lam2 = 1.7, -0.3
     moved = transform_solution(sol, lam1, lam2, unitary)
-    new_op = transformed_observable(problem.operator, lam1, lam2, unitary,
-                                    psi.space)
+    new_op = transformed_observable(problem.operator, lam1, lam2, unitary)
     new_problem = SevalueProblem(new_op, Statistics.BOSON, Partition((1, 1)),
                                  psi.space)
     _, overlap = verify_second_form(moved, new_problem)
@@ -2029,7 +2045,8 @@ def test_transformed_solution_is_stationary(stats, parts, kind, d, seed,
     # G is covariant under lambda1 L + lambda2 P and local unitaries
     # U^(x N): a converged solution, carried over by transform_solution,
     # is stationary on the transformed observable with the quotient
-    # lambda1 g + lambda2 (a low-rank observable stays low-rank unshifted)
+    # lambda1 g + lambda2, the transformed form read against the
+    # Kronecker form of the transformed L
     rng = np.random.default_rng(seed)
     space = SpaceConfig(d, sum(parts))
     if not subspace_dimension(stats, space):
@@ -2045,8 +2062,10 @@ def test_transformed_solution_is_stationary(stats, parts, kind, d, seed,
     lam2 = float(rng.standard_normal()) if shift else 0.0
     unitary = random_unitary(rng, d)
     moved = transform_solution(sol, lam1, lam2, unitary)
-    new_op = transformed_observable(observable, lam1, lam2, unitary, space)
-    assert isinstance(new_op, np.ndarray) == (kind == "dense")
+    new_op = transformed_observable(sector_observable(observable, stats,
+                                                      space),
+                                    lam1, lam2, unitary)
+    assert isinstance(new_op, SectorObservable)
     dense = observable if isinstance(observable, np.ndarray) \
         else observable.to_matrix()
     scale = max(1.0, abs(lam1)) * max(1.0, np.linalg.norm(dense, 2)) \
@@ -2054,8 +2073,7 @@ def test_transformed_solution_is_stationary(stats, parts, kind, d, seed,
     _, overlap = verify_second_form(
         moved, SevalueProblem(new_op, stats, partition, space))
     assert overlap <= 1e-9 * scale
-    new_dense = new_op if isinstance(new_op, np.ndarray) \
-        else new_op.to_matrix()
+    new_dense = _kronecker_transformed(dense, lam1, lam2, unitary, space)
     pb = project_full_sum(stats, reduce(np.kron, moved.party_vectors), space)
     quotient = (pb.conj() @ new_dense @ pb).real / (pb.conj() @ pb).real
     assert moved.value == lam1 * sol.value + lam2
@@ -2066,49 +2084,61 @@ def test_transformed_solution_is_stationary(stats, parts, kind, d, seed,
     *((stats, d, n) for stats in Statistics for d, n in ((3, 2), (4, 3))),
     (Statistics.BOSON, 9, 3)])
 def test_dense_transformed_observable_is_the_kronecker_form(rng, stats, d, n):
-    # rotating the rows and then the columns slot by slot gives
-    # (U^H)^(x N) [lambda1 L + lambda2 1] U^(x N), formed here through
-    # the Kronecker power as the reference; on each exchange sector that
-    # is (U^H)^(x N) [lambda1 L + lambda2 P] U^(x N), as U^(x N) commutes
-    # with P; the route has no cap of its own, so d=9, N=3 (729 modes)
-    # runs too, and it needs a Hermitian L
+    # the transformed form of a dense L, rotated as S^H (U^H)^(x N) S X,
+    # is (U^H)^(x N) [lambda1 L + lambda2 P] U^(x N) on the exchange
+    # sector, formed here through the Kronecker power and the
+    # permutation-sum projector as the reference (U^(x N) commutes with
+    # P); the route has no cap of its own, so d=9, N=3 (729 modes) runs
+    # too, and the form needs a Hermitian L
     space = SpaceConfig(d, n)
     observable = random_hermitian(rng, space.total_dim)
     unitary = random_unitary(rng, d)
-    got = transformed_observable(observable, 1.3, -0.7, unitary, space)
-    full = reduce(np.kron, [unitary.conj().T] * n)
-    want = full @ (1.3 * observable - 0.7 * np.eye(space.total_dim)) \
-        @ full.conj().T
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    got = transformed_observable(sector_observable(observable, stats, space),
+                                 1.3, -0.7, unitary)
+    want = _kronecker_transformed(observable, 1.3, -0.7, unitary, space)
     proj = project_full_sum(stats, np.eye(space.total_dim), space)
-    sector = proj @ full @ (1.3 * observable - 0.7 * proj) \
-        @ full.conj().T @ proj
-    assert np.abs(proj @ got @ proj - sector).max() \
+    iso = sector_basis_vectors(stats, space)
+    sector = proj @ (want + 0.7 * np.eye(space.total_dim) - 0.7 * proj) \
+        @ proj
+    assert np.abs(iso @ sector_matrix(got) @ iso.conj().T - sector).max() \
         <= 1e-12 * np.abs(want).max()
     with pytest.raises(HermiticityError):
-        transformed_observable(crandn(rng, space.total_dim, space.total_dim),
-                               1.0, 0.0, unitary, space)
+        sector_observable(crandn(rng, space.total_dim, space.total_dim),
+                          stats, space)
 
 
 def test_transformed_observable_refuses_a_dense_operator_of_another_shape(
         rng):
     # a 1 x 1 or a 5 x 5 matrix on a 4-mode space would broadcast or
     # mis-reshape; only a (d^N, d^N) matrix is the operator
+    # transformed_observable reads a form, which refuses it
     space = SpaceConfig(2, 2)
     for operator in (np.eye(1), random_hermitian(rng, 5)):
         with pytest.raises(ValueError, match="operator shape"):
-            transformed_observable(operator, 1.0, 0.5, np.eye(2), space)
+            transformed_observable(sector_observable(
+                operator, Statistics.DISTINGUISHABLE, space), 1.0, 0.5,
+                np.eye(2))
 
 
 def test_transformed_observable_refuses_a_low_rank_operator_of_another_space(
         rng):
     # a two-particle observable on 9 amplitudes was re-read as a
-    # one-particle one of 9 modes, and kept its tag
+    # one-particle one of 9 modes, and kept its tag; its form refuses
+    # that space, and a form of the two-particle space goes to no problem
+    # of the one-particle space
     psi = StateVector(SpaceConfig(3, 2), crandn(rng, 9))
     observable = rank_one_observable(psi, Statistics.DISTINGUISHABLE)
+    other = SpaceConfig(9, 1)
     with pytest.raises(ValueError, match="operator space mismatch"):
-        transformed_observable(observable, 1.0, 0.0, np.eye(9),
-                               SpaceConfig(9, 1))
+        transformed_observable(sector_observable(
+            observable, Statistics.DISTINGUISHABLE, other), 1.0, 0.0,
+            np.eye(9))
+    form = transformed_observable(sector_observable(
+        observable, Statistics.DISTINGUISHABLE, psi.space), 1.0, 0.0,
+        np.eye(3))
+    with pytest.raises(ValueError, match="another statistics or space"):
+        SevalueProblem(form, Statistics.DISTINGUISHABLE, Partition((1,)),
+                       other)
 
 
 _OFFSET_GRID = [(stats, d, parts)
@@ -2120,8 +2150,8 @@ _OFFSET_GRID = [(stats, d, parts)
 
 @pytest.mark.parametrize("stats, d, parts", _OFFSET_GRID)
 def test_offset_route_equals_the_dense_route(stats, d, parts):
-    # lambda1 L + lambda2 P of a low-rank L is L's rotated terms plus the
-    # offset lambda2 1; the dense route forms the d^N x d^N matrix.  Both
+    # lambda1 L + lambda2 P, from the forms of a low-rank L and of its
+    # d^N x d^N matrix, is one S^H L S with the offset lambda2.  Both
     # give the same G in either mode, the same oracle bound and the same
     # witness matrix, lambda1 of either sign
     space, partition = SpaceConfig(d, sum(parts)), Partition(parts)
@@ -2132,13 +2162,14 @@ def test_offset_route_equals_the_dense_route(stats, d, parts):
         lam1 = sign * float(rng.uniform(0.5, 2.0))
         lam2 = float(rng.uniform(0.2, 1.0) * rng.choice([-1.0, 1.0]))
         low, dense = (SevalueProblem(transformed_observable(
-            op, lam1, lam2, unitary, space), stats, partition, space)
+            sector_observable(op, stats, space), lam1, lam2, unitary),
+            stats, partition, space)
             for op in (observable, observable.to_matrix()))
-        assert isinstance(low.operator, LowRankObservable)
-        assert low.operator.offset == lam2
-        # both routes add lambda2 1, so they are one operator everywhere
-        scale = max(1.0, np.abs(dense.operator).max())
-        assert np.abs(low.operator.to_matrix() - dense.operator).max() \
+        assert low.operator.offset == dense.operator.offset == lam2
+        # both routes add lambda2 1, so they are one operator on the sector
+        middle = sector_matrix(dense.operator)
+        scale = max(1.0, np.abs(middle).max())
+        assert np.abs(sector_matrix(low.operator) - middle).max() \
             <= 1e-12 * scale
         for form, mode in ((WitnessForm.UPPER, "max"),
                            (WitnessForm.LOWER, "min")):
@@ -2151,7 +2182,7 @@ def test_offset_route_equals_the_dense_route(stats, d, parts):
                 form=form)) for p in (low, dense)]
             # G P - P L P vanishes on a one-dimensional sector, so the
             # scale is that of its parts
-            scale = max(abs(values[0]), np.abs(dense.operator).max())
+            scale = max(abs(values[0]), np.abs(middle).max())
             assert np.abs(matrices[0] - matrices[1]).max() <= 1e-12 * scale
         oracle = [brute_force_bound(p, 400, seed=5) for p in (low, dense)]
         assert abs(oracle[0] - oracle[1]) <= 1e-10
@@ -2163,21 +2194,26 @@ def test_offset_route_equals_the_dense_route(stats, d, parts):
                 space, mixture.to_matrix())):
             pair = [expectation(rho, p.operator) for p in (low, dense)]
             assert abs(pair[0] - pair[1]) <= 1e-12 * max(1.0, abs(pair[1]))
-        pure = rows[0].conj() @ dense.operator @ rows[0]
-        assert abs(low.operator.expectation_pure(rows[0]) - pure) \
-            <= 1e-12 * max(1.0, abs(pure))
+        pure = rows[0].conj() @ _kronecker_transformed(
+            observable.to_matrix(), lam1, lam2, unitary, space) @ rows[0]
+        got = expectation(DensityOperator(space, weights=[1.0],
+                                          vectors=rows[:1]), low.operator)
+        assert abs(got - pure) <= 1e-12 * max(1.0, abs(pure))
 
 
 def test_transformed_observable_rotates_each_shared_vector_once():
-    # the interference observable names its two vectors twice each; the
-    # rotated one keeps one copy per vector, as the constructor does
+    # the interference observable names its two vectors twice each; its
+    # form holds them once, as two eigen terms of m rows, and the rotated
+    # form keeps those two terms, orthonormal, with the tag's coefficient
     space = SpaceConfig(6, 3)
     unitary = random_unitary(np.random.default_rng(0), space.d)
-    rotated = transformed_observable(
-        interference_observable(space, Statistics.BOSON), 1.0, 0.5, unitary,
-        space)
-    (_, v, w), (_, w_again, v_again) = rotated.terms
-    assert v is v_again and w is w_again and v is not w
+    base = sector_observable(interference_observable(space, Statistics.BOSON),
+                             Statistics.BOSON, space)
+    rotated = transformed_observable(base, 1.0, 0.5, unitary)
+    vectors = rotated.terms[1]
+    assert vectors.shape == base.terms[1].shape == (56, 2)
+    assert np.abs(vectors.conj().T @ vectors - np.eye(2)).max() <= 1e-12
+    assert rotated.interference == 1.0 and rotated.offset == 0.5
 
 
 @pytest.mark.parametrize("stats, d, n", [
@@ -2209,8 +2245,7 @@ def test_matched_inits_give_unitarily_invariant_values(rng):
     psi = _random_sector_state(rng, 4, Statistics.FERMION)
     problem = _rank_one_problem(psi, Statistics.FERMION)
     unitary = random_unitary(rng, 4)
-    rotated_op = transformed_observable(problem.operator, 1.0, 0.0, unitary,
-                                        psi.space)
+    rotated_op = transformed_observable(problem.operator, 1.0, 0.0, unitary)
     rotated = SevalueProblem(rotated_op, Statistics.FERMION, Partition((1, 1)),
                              psi.space)
     for _ in range(4):
@@ -2265,8 +2300,9 @@ def test_transformed_observable_rejects_bad_input(rng, case, dense):
     operator = rank_one_observable(psi, Statistics.BOSON)
     if dense:
         operator = operator.to_matrix()
+    form = sector_observable(operator, Statistics.BOSON, psi.space)
     with pytest.raises(ValueError):
-        transformed_observable(operator, lam1, lam2, unitary, psi.space)
+        transformed_observable(form, lam1, lam2, unitary)
 
 
 def test_second_form_on_converged_solutions(rng):

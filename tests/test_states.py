@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,48 @@ def test_noisy_state_rejects_bad_noise_and_zero_projection(rng):
     doubled = product_vector(space, [a, a])
     with pytest.raises(ZeroProjectionError):
         noisy_state(doubled, Statistics.FERMION, 0.5)
+
+
+def test_noisy_state_hands_its_block_over():
+    # the boson N=4, d=8 noisy state of (v + w)/sqrt 2, v and w the
+    # interference pair, holds 331 rows of 4096 amplitudes; the operator
+    # adopts the block noisy_state builds, so the traced peak stays near
+    # one block (2.1 blocks where the operator copied it)
+    from sepwit import StateVector
+    from sepwit.sectors import sector_isometry
+    space, stats = SpaceConfig(8, 4), Statistics.BOSON
+    (_, v, w), _ = interference_observable(space, stats).terms
+    psi = StateVector(space, (v + w) / np.sqrt(2.0))
+    sector_isometry(stats, space)    # built before tracing
+    tracemalloc.start()
+    try:
+        rho = noisy_state(psi, stats, 0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rho.vectors.shape == (331, 4096)
+    assert peak <= 1.3 * rho.vectors.nbytes
+
+
+def test_density_operator_adopts_only_a_frozen_block_of_unit_rows(rng):
+    # a read-only complex128 block that owns its data and has unit rows
+    # is kept as it is; a writable block, a view or a block with a row
+    # off unit norm is copied (and normalised), the caller's untouched
+    space = SpaceConfig(3, 2)
+    rows = crandn(rng, 2, 9)
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    frozen = rows.copy()
+    frozen.setflags(write=False)
+    rho = DensityOperator(space, weights=[0.5, 0.5], vectors=frozen)
+    assert rho.vectors is frozen
+    long = 2.0 * rows
+    long.setflags(write=False)
+    for block in (rows, frozen[:], long):
+        rho = DensityOperator(space, weights=[0.5, 0.5], vectors=block)
+        assert rho.vectors is not block
+        assert not np.shares_memory(rho.vectors, block)
+        assert np.abs(rho.vectors - rows).max() <= 1e-15
+    assert np.array_equal(long, 2.0 * rows)
 
 
 def test_noisy_state_boundary_expectation():

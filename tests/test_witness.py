@@ -5,13 +5,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from sepwit import (DensityOperator, LowRankObservable, Partition,
-                    SevalueProblem, SpaceConfig, StateVector, Statistics,
+                    SectorObservable, SevalueProblem, SpaceConfig,
+                    StateVector, Statistics,
                     Witness, WitnessForm, basis_product_vector,
                     brute_force_bound, build_k_witness,
                     build_witness, detect, expectation, fig1_state_family,
                     interference_observable, noisy_state, partitions_into,
                     project, rank_one_observable, schmidt_number_bound,
-                    sector_deviation, solve_sup_g, subspace_dimension,
+                    sector_deviation, sector_observable, solve_sup_g,
+                    subspace_dimension,
                     sweep_solve, transformed_observable, witness_matrix)
 from sepwit.errors import ConvergenceError, SectorError
 
@@ -184,8 +186,9 @@ def test_scaled_interference_bound_scales_with_its_coefficient(scale):
     # solver's own product state is no "entangled" verdict
     space, stats = SpaceConfig(6, 3), Statistics.BOSON
     unitary = random_unitary(np.random.default_rng(0), space.d)
-    observable = transformed_observable(interference_observable(space, stats),
-                                        scale, 0.0, unitary, space)
+    observable = transformed_observable(sector_observable(
+        interference_observable(space, stats), stats, space), scale, 0.0,
+        unitary)
     problem = SevalueProblem(observable, stats, Partition((2, 1)), space)
     for form, mode, sign in ((WitnessForm.UPPER, "max", 1.0),
                              (WitnessForm.LOWER, "min", -1.0)):
@@ -207,7 +210,8 @@ def test_analytic_interference_bound_refused_for_other_coefficients():
     complex_pair = LowRankObservable(space, ((1j, v, w), (-1j, w, v)))
     object.__setattr__(complex_pair, "kind", "interference")
     for observable in (
-            transformed_observable(base, -1.0, 0.0, np.eye(4), space),
+            transformed_observable(sector_observable(base, stats, space),
+                                   -1.0, 0.0, np.eye(4)),
             complex_pair):
         problem = SevalueProblem(observable, stats, Partition((1, 1)), space)
         with pytest.raises(ValueError, match="no analytic bound known"):
@@ -305,18 +309,22 @@ def test_rank_one_bound_of_a_ket_with_no_sector_part_is_the_offset():
 
 
 def test_affine_interference_observable_stays_low_rank():
-    # lambda1 L + lambda2 P at N=4, d=8 is L's rotated terms plus the
-    # offset lambda2: no 4096 x 4096 matrix (256 MiB) is formed, the tag
-    # is kept, and the analytic bound lambda1 (1/2) + lambda2 = 1 is the
-    # solver's and calls the solver's own product state inconclusive
+    # lambda1 L + lambda2 P at N=4, d=8 is the form's rotated terms, of
+    # 330 rows, plus the offset lambda2: no 4096 x 4096 matrix (256 MiB)
+    # is formed, the tag is kept, and the analytic bound lambda1 (1/2) +
+    # lambda2 = 1 is the solver's and calls the solver's own product
+    # state inconclusive
     space, stats = SpaceConfig(8, 4), Statistics.BOSON
     unitary, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((8, 8)))
-    base = interference_observable(space, stats)
+    base = sector_observable(interference_observable(space, stats), stats,
+                             space)
     tracemalloc.start()
-    observable = transformed_observable(base, 1.0, 0.5, unitary, space)
+    observable = transformed_observable(base, 1.0, 0.5, unitary)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert isinstance(observable, LowRankObservable)
+    assert isinstance(observable, SectorObservable)
+    assert observable.terms[1].shape == (330, 2)
+    assert observable.interference == 1.0 and observable.offset == 0.5
     assert peak < 16 * 2 ** 20
     problem = SevalueProblem(observable, stats, Partition((2, 2)), space)
     witness = build_witness(problem, "analytic")
@@ -524,7 +532,7 @@ def test_build_k_witness_keeps_no_caller_array():
     witness = build_k_witness(x, Statistics.BOSON, psi.space, 2,
                               starts=4, seed=1)
     assert witness.observable is not x
-    assert not witness.observable.flags.writeable
+    assert not any(a.flags.writeable for a in witness.observable.terms)
     rho = DensityOperator.from_pure(psi)
     before = detect(rho, witness)
     x *= 100.0
@@ -536,8 +544,8 @@ def test_build_k_witness_keeps_no_caller_array():
 
 def test_build_k_witness_holds_one_copy_of_a_dense_operator(monkeypatch,
                                                              rng):
-    # the problems of every partition share the first one's frozen copy,
-    # and that copy shares no memory with the caller's array
+    # the problems of every partition share the witness's one form, and
+    # that form shares no memory with the caller's array
     import sepwit.witness as witness_module
     problems = []
 
@@ -551,8 +559,8 @@ def test_build_k_witness_holds_one_copy_of_a_dense_operator(monkeypatch,
     witness = build_k_witness(x, Statistics.BOSON, space, 2, starts=2)
     assert [p.partition.parts for p in problems] == [(3, 1), (2, 2)]
     for problem in problems:
-        assert np.shares_memory(problem.operator, witness.observable)
-    assert not np.shares_memory(witness.observable, x)
+        assert problem.operator is witness.observable
+    assert not any(np.shares_memory(a, x) for a in witness.observable.terms)
 
 
 def test_build_k_witness_over_partitions():
