@@ -43,18 +43,18 @@ import sys
 
 import numpy as np
 
-from .errors import (ConvergenceError, DimensionCapError, HermiticityError,
-                     InputFormatError, SepwitError)
-from .operators import (interference_observable, rank_one_observable,
-                        sector_observable)
+from .errors import (ConvergenceError, HermiticityError, InputFormatError,
+                     SepwitError)
+from .operators import (entries_matrix, interference_observable,
+                        rank_one_observable, sector_observable)
 from .solver import (DEFAULT_STARTS, MAX_SWEEPS, RESIDUAL_TOL, Partition,
                      SevalueProblem, brute_force_bound, check_count,
                      partitions_into, solve_sup_g)
 from .states import (detection_threshold, dephased_ghz, fig1_bound,
                      fig1_state_family, ghz_expectation, noisy_state,
                      GhzFamily)
-from .tensor import (MATRIX_CAP, TOL_HERM, DensityOperator, SpaceConfig,
-                     StateVector, Statistics)
+from .tensor import (TOL_HERM, DensityOperator, SpaceConfig, StateVector,
+                     Statistics)
 from .witness import (Witness, WitnessForm, build_k_witness, build_witness,
                       detect, expectation)
 
@@ -119,39 +119,29 @@ def _finite_complex(re, im, where: str) -> complex:
     return value
 
 
-def _entries(entries, dim: int) -> np.ndarray:
-    """[row, col, re, im] triplets as a structured array of (row, col,
+def _entries(entries, dim: int, label: str) -> np.ndarray:
+    """[row, col, re, im] triplets, every other entry 0, as (row, col,
     value) records.  Rejects an index that is not an integer in
-    0..dim-1, a repeated (row, col) and a non-finite value."""
-    checked, seen = [], set()
+    0..dim-1, a repeated (row, col), a non-finite value, and, naming
+    ``label``, a matrix failing ``require_hermitian``'s rule."""
+    checked = {}
     for entry in entries:
         row, col, re, im = entry
         where = f"entry {entry}"
         if not all(type(i) is int and 0 <= i < dim for i in (row, col)):
             raise InputFormatError(
                 f"{where}: index not an integer in 0..{dim - 1}")
-        if (row, col) in seen:
+        if (row, col) in checked:
             raise InputFormatError(f"{where}: repeats ({row}, {col})")
-        seen.add((row, col))
-        checked.append((row, col, _finite_complex(re, im, where)))
-    return np.array(checked, dtype=[("row", np.intp), ("col", np.intp),
-                                    ("value", np.complex128)])
-
-
-def _require_hermitian(entries, dim: int) -> None:
-    """HermiticityError where the entries fail ``require_hermitian``'s
-    rule: their largest |L[r, s] - conj(L[s, r])| exceeds TOL_HERM times
-    max(1, largest |entry|), each entry's mirror found by one search."""
-    keys = entries["row"] * dim + entries["col"]
-    mirrors = entries["col"] * dim + entries["row"]
-    order = np.argsort(keys)
-    at = order[np.searchsorted(keys, mirrors, sorter=order).clip(
-        max=max(len(keys) - 1, 0))]
-    partners = np.where(keys[at] == mirrors, entries["value"][at], 0)
-    defect = np.abs(entries["value"] - partners.conj()).max(initial=0.0)
-    if defect > TOL_HERM * max(1.0, np.abs(entries["value"]).max(initial=0)):
-        raise HermiticityError(f"observable is not Hermitian "
+        checked[row, col] = _finite_complex(re, im, where)
+    defect = max((abs(value - checked.get((col, row), 0).conjugate())
+                  for (row, col), value in checked.items()), default=0.0)
+    if defect > TOL_HERM * max([1.0, *map(abs, checked.values())]):
+        raise HermiticityError(f"{label} is not Hermitian "
                                f"(max asymmetry {defect:.3e})")
+    return np.array([(*key, value) for key, value in checked.items()],
+                    dtype=[("row", np.intp), ("col", np.intp),
+                           ("value", np.complex128)])
 
 
 _MALFORMED = (HermiticityError, InputFormatError, KeyError, TypeError,
@@ -175,15 +165,13 @@ def _reading(path: str, kind: str):
 
 def load_observable_file(path: str) -> tuple[SpaceConfig, Statistics | None,
                                              np.ndarray]:
-    """The space, the statistics (None where the file has none) and the
-    checked (row, col, value) entries of a Hermitian observable, which
-    ``sector_observable`` reads."""
+    """The space, statistics (or None) and checked entries of a file's
+    Hermitian observable, as ``sector_observable`` reads them."""
     with _reading(path, "observable") as blob:
         space = SpaceConfig(blob["d"], blob["N"])
         stats = Statistics.parse(blob["statistics"]) \
             if "statistics" in blob else None
-        entries = _entries(blob["entries"], space.total_dim)
-        _require_hermitian(entries, space.total_dim)
+        entries = _entries(blob["entries"], space.total_dim, "observable")
     return space, stats, entries
 
 
@@ -196,13 +184,8 @@ def load_state_file(path: str) -> tuple[SpaceConfig, DensityOperator]:
                              in enumerate(blob["amplitudes"])])
             state = StateVector(space, amps)
             return space, DensityOperator.from_pure(state)
-        dim = space.total_dim
-        if dim > MATRIX_CAP:
-            raise DimensionCapError(f"density matrix side {dim} exceeds "
-                                    f"cap {MATRIX_CAP}")
-        entries = _entries(blob["entries"], dim)
-        matrix = np.zeros((dim, dim), dtype=np.complex128)
-        matrix[entries["row"], entries["col"]] = entries["value"]
+        entries = _entries(blob["entries"], space.total_dim, "density matrix")
+        matrix = entries_matrix(entries, None, space.total_dim)
         matrix.setflags(write=False)    # so from_matrix adopts it: no copy
         return space, DensityOperator.from_matrix(space, matrix)
 
@@ -373,8 +356,9 @@ def _cmd_fig2(args) -> int:
             raise InputFormatError("numeric verification needs N <= 3")
         family = GhzFamily(args.n, args.r, Statistics.BOSON, n_max=8)
         tail = family.tail_bound
-        observable = interference_observable(family.space, Statistics.BOSON)
-        numeric = [expectation(dephased_ghz(family, delta), observable)
+        form = sector_observable(interference_observable(
+            family.space, Statistics.BOSON), Statistics.BOSON, family.space)
+        numeric = [expectation(dephased_ghz(family, delta), form)
                    for delta in deltas]
     crossing_k2 = _delta_star(args.r, 2)
     rows = []

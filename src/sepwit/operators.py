@@ -1,14 +1,11 @@
-"""Hermitian observables: low-rank term lists, and the sector form that
-the solver, the oracle and the witnesses read.
+"""Hermitian observables, and the sector form that every layer reads.
 
-They see an observable L only through P L P, that is S^H L S on the
-exchange sector: ``SectorObservable`` holds that as eigen terms plus an
-offset, built by ``sector_observable``, the one place that tells a
-``LowRankObservable``, a dense matrix and a file's entries apart.  The
-two observables with known closed-form bounds are short lists of
-|ket><bra| terms; ``to_matrix`` and ``expectation_pure`` evaluate the
-term list itself, the tests' independent reference for every reader of
-the form.
+The solver, the oracle and the witnesses see L only through S^H L S on
+the exchange sector: ``sector_observable`` converts a low-rank term
+list, a dense matrix or a file's entries to that ``SectorObservable``.
+The two observables with closed-form bounds are short lists of
+|ket><bra| terms, whose ``to_matrix`` and ``expectation_pure`` are the
+tests' independent reference.
 """
 
 from __future__ import annotations
@@ -35,9 +32,8 @@ class LowRankObservable:
     input vector is stored once, as a read-only copy shared by every term
     that names it.  The real ``offset``, lambda2 of lambda1 L + lambda2 P,
     equals offset P on every exchange sector.  ``kind`` tags the
-    interference observable, whose analytic bound is known: no
-    constructor argument sets it, only ``interference_observable``; its
-    form keeps it, and ``projected`` (``dataclasses.replace``) drops it.
+    interference observable, whose analytic bound is known: only
+    ``interference_observable`` sets it, and ``projected`` drops it.
     """
 
     space: SpaceConfig
@@ -155,109 +151,102 @@ def interference_observable(space: SpaceConfig,
 
 @dataclass(frozen=True, eq=False)
 class SectorObservable:
-    """An observable L on the exchange sector of ``stats`` in ``space``:
-    S^H L S = X diag(c) X^H + offset 1, ``terms`` (c, X) with real c and
-    orthonormal columns X of m rows, S the sector isometry (``sector``,
-    None for the identity).  The analytic record is what the closed
-    forms read of L: ``interference``, the tagged interference pair's
-    common coefficient, and ``rank_one``, (c, psi) where L is one term
-    c|psi><psi| with ket equal to bra.  The arrays are read-only, so
-    every problem may share the form; forms compare by identity."""
+    """L on the sector of ``stats`` in ``space``: S^H L S = X diag(c) X^H +
+    offset 1, ``terms`` (c, X) read-only with orthonormal X, S the
+    ``sector`` isometry (None for the identity).  The record that the
+    closed forms read, ``interference`` (the tagged pair's common
+    coefficient) and ``rank_one`` ((c, psi) for L = c|psi><psi|), is set
+    by ``sector_observable`` and ``transformed_observable`` alone."""
 
     stats: Statistics
     space: SpaceConfig
     terms: tuple[np.ndarray, np.ndarray]
     offset: float = 0.0
-    interference: complex | None = None
-    rank_one: tuple[complex, np.ndarray] | None = None
+    interference: complex | None = field(default=None, init=False)
+    rank_one: tuple[complex, StateVector] | None = field(default=None,
+                                                         init=False)
 
     def __post_init__(self):
-        psi = () if self.rank_one is None else self.rank_one[1:]
-        for array in self.terms + psi:
+        for array in self.terms:
             array.setflags(write=False)
 
-    @property
+    @cached_property
     def sector(self) -> SectorIsometry | None:
         return proper_sector(self.stats, self.space)
 
+    def _recorded(self, interference, rank_one) -> "SectorObservable":
+        """The form with its analytic record set."""
+        object.__setattr__(self, "interference", interference)
+        object.__setattr__(self, "rank_one", rank_one)
+        return self
 
-def sector_observable(operator, stats: Statistics | None,
+
+def sector_observable(operator, stats: Statistics,
                       space: SpaceConfig) -> SectorObservable:
-    """The form of ``operator`` on the sector of ``stats`` in ``space``
-    (with ``stats`` None: a form of any statistics, another operator on
-    the whole space).  A form is taken as it is; a ``LowRankObservable``
-    gives (c, S^H X) of its eigen form (c, X), as S^H P = S^H, with its
-    offset and analytic record; a dense Hermitian L the ``eigen_terms``
-    of S^H (S^H L)^H = S^H L S (S real).  A structured array of (row,
-    col, value) entries of a Hermitian L, no (row, col) twice, every
-    other entry 0, gives the terms of its dense route, S^H L S summed
-    entry by entry (``_entries_adjoint``) with no array of the whole
-    space's side.  ValueError for a form of other statistics or space,
-    or an operator of another space or shape; HermiticityError for a
-    matrix that is not Hermitian; DimensionCapError for entries of a
-    sector of side above MATRIX_CAP."""
+    """The form of ``operator`` on the sector of ``stats`` in ``space``: a
+    form as it is (ValueError for another statistics or space); for a
+    ``LowRankObservable`` (c, S^H X) of its eigen form, with its offset
+    and record; for a dense Hermitian L or a structured array of its
+    (row, col, value) entries the ``eigen_terms`` of S^H L S."""
     if isinstance(operator, SectorObservable):
-        if operator.space != space or stats not in (None, operator.stats):
-            raise ValueError("observable form is of another statistics or "
-                             "space")
+        if (operator.stats, operator.space) != (stats, space):
+            raise ValueError("form of another statistics or space")
         return operator
-    stats = stats or Statistics.DISTINGUISHABLE
     sec = proper_sector(stats, space)
     if isinstance(operator, LowRankObservable):
         if operator.space != space:
             raise ValueError("operator space mismatch")
         coeffs, vectors = operator.eigen_form
+        form = SectorObservable(stats, space, (coeffs, vectors if sec is None
+                                               else sec.adjoint(vectors)),
+                                operator.offset)
         scale, *mixed = {c for c, _, _ in operator.terms}
         (coeff, ket, bra), *others = operator.terms
-        return SectorObservable(
-            stats, space,
-            (coeffs, vectors if sec is None else sec.adjoint(vectors)),
-            operator.offset,
+        return form._recorded(
             scale if operator.kind == "interference" and not mixed else None,
-            None if others or not np.array_equal(ket, bra) else (coeff, ket))
+            None if others or not np.array_equal(ket, bra)
+            else (coeff, StateVector(space, ket)))
     if isinstance(operator, np.ndarray) and operator.dtype.names:
-        side = subspace_dimension(stats, space)
-        if side > MATRIX_CAP:
-            raise DimensionCapError(f"sector side {side} exceeds cap "
-                                    f"{MATRIX_CAP}")
-        rows, cols, values = (operator[f] for f in ("row", "col", "value"))
-        if sec is not None:     # S^H L, then S^H (S^H L)^H
-            rows, cols, values = _entries_adjoint(sec, rows, cols, values,
-                                                  space.total_dim)
-            rows, cols, values = _entries_adjoint(sec, cols, rows,
-                                                  values.conj(), side)
-        op = np.zeros((side, side), dtype=np.complex128)
-        op[rows, cols] = values
-        return SectorObservable(stats, space, eigen_terms(op))
-    op = require_hermitian(operator, "observable")
-    if op.shape != (space.total_dim,) * 2:
-        raise ValueError(f"operator shape {op.shape}, expected "
-                         f"{(space.total_dim,) * 2}")
-    if sec is not None:
-        op = sec.adjoint(sec.adjoint(op).conj().T)
+        op = entries_matrix(operator, sec, subspace_dimension(stats, space))
+    else:
+        op = require_hermitian(operator, "observable")
+        if op.shape != (space.total_dim,) * 2:
+            raise ValueError(f"operator shape {op.shape}, expected "
+                             f"{(space.total_dim,) * 2}")
+        if sec is not None:
+            op = sec.adjoint(sec.adjoint(op).conj().T)
     return SectorObservable(stats, space, eigen_terms(op))
 
 
-def _entries_adjoint(sec: SectorIsometry, rows, cols, values,
-                     width: int) -> tuple:
-    """S^H of the matrix of ``width`` columns whose entries are (rows,
-    cols, values), as the same three arrays.  No index lies in two
-    orbits, so row r of S holds one coefficient at most, at slot
-    ``slot[r]`` of orbit ``orbit[r]``: each entry of S^H is summed one
-    slot at a time, in the order of ``SectorIsometry.adjoint``'s
-    gathers, and then scaled, so it is theirs bit for bit, the zero
-    addends left out."""
-    orbit, slot = np.full(sec.shape[0], -1), np.zeros(sec.shape[0], int)
-    sign, coeff = np.ones(sec.shape[0]), np.zeros(sec.shape[1])
-    for group_cols, index, signs, group_coeff in sec.groups:
-        orbit[index], coeff[group_cols] = group_cols, group_coeff
-        slot[index] = np.arange(len(index))[:, None]
-        sign[index] = signs[:, None]
-    keep = orbit[rows] >= 0
-    rows, cols, values = rows[keep], cols[keep], values[keep]
-    keys, target = np.unique(orbit[rows] * width + cols, return_inverse=True)
-    sums = np.zeros(len(keys), dtype=np.complex128)
-    addends, slots = np.where(sign[rows] > 0, values, -values), slot[rows]
-    for at in np.unique(slots):
-        sums[target[slots == at]] += addends[slots == at]
-    return keys // width, keys % width, sums * coeff[keys // width]
+def entries_matrix(entries, sec, side: int) -> np.ndarray:
+    """S^H L S from L's (row, col, value) ``entries`` (L where ``sec`` is
+    None), bit for bit the dense route's S^H (S^H L)^H, with no array of
+    the whole space's side; DimensionCapError for a side above
+    MATRIX_CAP.  Row r of S holds one entry at most, slot ``slot[r]`` of
+    orbit ``orbit[r]``: each sum runs in ``SectorIsometry.adjoint``'s
+    slot order, then is scaled."""
+    if side > MATRIX_CAP:
+        raise DimensionCapError(f"matrix side {side} exceeds cap {MATRIX_CAP}")
+    rows, cols, values = (entries[f] for f in ("row", "col", "value"))
+    if sec is not None:
+        orbit, slot = np.full((2, sec.shape[0]), -1)
+        negative, coeff = np.zeros(sec.shape[0], bool), np.zeros(side)
+        for group_cols, index, signs, group_coeff in sec.groups:
+            orbit[index], coeff[group_cols] = group_cols, group_coeff
+            slot[index] = np.arange(len(index))[:, None]
+            negative[index] = signs[:, None] < 0
+        for width in (sec.shape[0], side):     # each pass transposes
+            keep = orbit[rows] >= 0
+            rows, cols, values = rows[keep], cols[keep], values[keep]
+            keys, at = np.unique(orbit[rows] * width + cols,
+                                 return_inverse=True)
+            sums = np.zeros(len(keys), dtype=np.complex128)
+            order = np.argsort(slot[rows], kind="stable")
+            np.add.at(sums, at[order],
+                      np.where(negative[rows], -values, values)[order])
+            rows, cols = keys % width, keys // width
+            values = (sums * coeff[cols]).conj()
+        rows, cols, values = cols, rows, values.conj()
+    op = np.zeros((side, side), dtype=np.complex128)
+    op[rows, cols] = values
+    return op

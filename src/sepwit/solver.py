@@ -121,10 +121,11 @@ def all_partitions(n: int) -> tuple[Partition, ...]:
 
 @dataclass(frozen=True, eq=False)
 class SevalueProblem:
-    """An observable together with the statistics and partition against
-    which its separable bound is sought, and the data derived from them,
-    each built on first use and kept, so that every solve, oracle call
-    and diagnostic on one problem reads the same copies.
+    """An observable, held as its read-only ``SectorObservable``, together
+    with the statistics and partition against which its separable bound
+    is sought, and the data derived from them, each built on first use
+    and kept, so that every solve, oracle call and diagnostic on one
+    problem reads the same copies.  Problems compare and hash by identity.
 
     With the same statistics on every block, P (P_1 x ... x P_K) = P, so
     party j's equation only sees the part of b_j in its block's exchange
@@ -134,10 +135,6 @@ class SevalueProblem:
     The party matrices and the residuals reach the whole sector, of
     isometry S, through the ``coupling`` T = S^H (S_1 x ... x S_K), built
     from labels alone; the oracle stays on S's orbit tables.
-
-    The operator is held as its ``SectorObservable``, converted once
-    (``sector_observable``), whose read-only arrays the cache relies on.
-    Problems compare and hash by identity.
     """
 
     operator: SectorObservable
@@ -164,8 +161,7 @@ class SevalueProblem:
 
     @cached_property
     def sector(self) -> SectorIsometry | None:
-        """The whole space's sector isometry S as orbit tables; None
-        where the sector is the whole space."""
+        """The operator form's S (``SectorObservable.sector``)."""
         return self.operator.sector
 
     @cached_property
@@ -867,10 +863,8 @@ def transformed_observable(form: SectorObservable, lambda1: float,
                            lambda2: float,
                            unitary: np.ndarray) -> SectorObservable:
     """The form of U^dagger...U [lambda1 L + lambda2 P], U a local
-    unitary on every slot, from the form of L: U^(x N) commutes with P,
-    so its terms are (lambda1 c, S^H (U^dagger)^(x N) S X), its offset
-    lambda1 offset + lambda2, and the analytic record is carried, the
-    coefficients scaled by lambda1 and the rank-one vector rotated.
+    unitary: (lambda1 c, S^H (U^dagger)^(x N) S X), offset lambda1
+    offset + lambda2, and the record scaled and rotated alike.
     ValueError unless the lambdas are finite and U is unitary."""
     udag = _checked_unitary(unitary, form.space.d, lambda1, lambda2).conj().T
     mats, sec = [udag] * form.space.n, form.sector
@@ -880,12 +874,12 @@ def transformed_observable(form: SectorObservable, lambda1: float,
     else:
         rotated = sec.adjoint(_apply_local(mats, sec.apply(vectors)))
     rank_one = None if form.rank_one is None else (
-        lambda1 * form.rank_one[0], _apply_local(mats, form.rank_one[1]))
-    return replace(
-        form, terms=(lambda1 * coeffs, rotated),
-        offset=lambda1 * form.offset + lambda2, rank_one=rank_one,
-        interference=None if form.interference is None
-        else lambda1 * form.interference)
+        lambda1 * form.rank_one[0], StateVector(
+            form.space, _apply_local(mats, form.rank_one[1].amplitudes)))
+    return replace(form, terms=(lambda1 * coeffs, rotated),
+                   offset=lambda1 * form.offset + lambda2)._recorded(
+        None if form.interference is None else lambda1 * form.interference,
+        rank_one)
 
 
 def transform_solution(sol: SevalueSolution, lambda1: float, lambda2: float,

@@ -71,11 +71,12 @@ def _row_slabs(m: np.ndarray, label: str) -> list[slice]:
     return [slice(at, at + step) for at in range(0, len(m), step)]
 
 
-def _frozen(array) -> bool:
-    """True for a read-only complex128 array that owns its data, as
-    another object's frozen copy does."""
-    return isinstance(array, np.ndarray) and array.dtype == np.complex128 \
-        and array.flags.owndata and not array.flags.writeable
+def _adopted(array) -> np.ndarray:
+    """``array`` if a read-only complex128 array owning its data, or a copy."""
+    if isinstance(array, np.ndarray) and array.dtype == np.complex128 \
+            and array.flags.owndata and not array.flags.writeable:
+        return array
+    return np.array(array, dtype=np.complex128)
 
 
 def hermiticity_defect(matrix: np.ndarray) -> float:
@@ -266,8 +267,7 @@ class DensityOperator:
     -TOL_TRACE is rejected and a smaller negative one clipped to 0, and
     a row whose norm is off 1 by more than 1e-9 is normalized, a zero
     row rejected.  ``normalized`` asks for trace 1 within TOL_TRACE.
-    A matrix, or a block of unit rows, that is a read-only complex128
-    array owning its data is kept as it is, any other copied.
+    A read-only complex128 matrix or block owning its data is not copied.
     """
 
     space: SpaceConfig
@@ -282,8 +282,7 @@ class DensityOperator:
             raise ValueError("give either matrix, or weights and vectors")
         dim = self.space.total_dim
         if self.matrix is not None:
-            m = self.matrix if _frozen(self.matrix) \
-                else np.array(self.matrix, dtype=np.complex128)
+            m = _adopted(self.matrix)
             if m.shape != (dim, dim):
                 raise ValueError(f"matrix shape {m.shape}, expected {(dim, dim)}")
             require_hermitian(m, "density matrix")
@@ -297,8 +296,7 @@ class DensityOperator:
             object.__setattr__(self, "matrix", m)
             return
         w = np.array(self.weights, dtype=np.float64)
-        rows = self.vectors if _frozen(self.vectors) \
-            else np.array(self.vectors, dtype=np.complex128)
+        rows = _adopted(self.vectors)
         if w.ndim != 1 or rows.shape != (w.size, dim):
             raise ValueError(f"weights {w.shape} and vectors {rows.shape} "
                              f"are not (m,) and (m, {dim})")
@@ -306,18 +304,16 @@ class DensityOperator:
             raise ValueError("mixture must be finite")
         if (w < -TOL_TRACE).any():
             raise ValueError(f"negative mixture weight {w.min()}")
-        # a slab at a time, in place: whole-block temporaries take 2
-        # blocks; a frozen block is copied only where a row is off 1
-        step = max(1, _SLAB_BYTES // max(1, rows[:1].nbytes))
-        for at in range(0, len(rows), step):
-            norms = np.linalg.norm(rows[at:at + step], axis=1, keepdims=True)
-            if not norms.all():
-                raise ValueError("cannot normalize the zero vector")
-            off = np.abs(norms - 1.0) > 1e-9
-            if off.any():
-                rows = rows if rows.flags.writeable else rows.copy()
-                np.divide(rows[at:at + step], norms, out=rows[at:at + step],
-                          where=off)
+        # norms a slab at a time, rows divided in place, and a frozen
+        # block copied only where a row is off 1: no whole-block temporary
+        slabs = np.array_split(rows, max(1, rows.nbytes // _SLAB_BYTES))
+        norms = np.concatenate([np.linalg.norm(s, axis=1) for s in slabs])
+        if not norms.all():
+            raise ValueError("cannot normalize the zero vector")
+        off = np.abs(norms - 1.0) > 1e-9
+        if off.any():
+            rows = rows if rows.flags.writeable else rows.copy()
+            np.divide(rows, norms[:, None], out=rows, where=off[:, None])
         w = np.maximum(w, 0.0)
         if self.normalized and abs(w.sum() - 1.0) > TOL_TRACE:
             raise ValueError("mixture weights do not sum to 1")
@@ -525,9 +521,8 @@ def sector_isometry(stats: Statistics, space: SpaceConfig) -> SectorIsometry:
 
 def proper_sector(stats: Statistics, space: SpaceConfig) \
         -> SectorIsometry | None:
-    """The exchange-sector isometry S of ``space`` as orbit tables; None
-    where the sector is the whole space, so that no identity products
-    are done."""
+    """The sector isometry S of ``space`` as orbit tables; None where the
+    sector is the whole space, so that no identity products are done."""
     return None if subspace_dimension(stats, space) == space.total_dim \
         else sector_isometry(stats, space)
 

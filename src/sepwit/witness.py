@@ -5,10 +5,7 @@ bound: nonnegative on every K-separable state of the matching
 statistics, negative somewhere exactly when the observable detects.
 The equivalent scalar test used throughout is  <L> > G.  A lower-form
 witness uses the smallest stationary quotient instead and detects
-states with  <L> below it.
-
-A witness holds its observable as its ``SectorObservable`` and reads
-nothing else.
+states with  <L> below it.  A witness reads L as its ``SectorObservable``.
 """
 
 from __future__ import annotations
@@ -41,8 +38,8 @@ class WitnessForm(Enum):
 
 @dataclass(frozen=True)
 class Witness:
-    """A separability bound packaged with its observable, held as its
-    form (``sector_observable``), and provenance."""
+    """A separability bound packaged with its observable's form and
+    provenance."""
 
     observable: SectorObservable
     stats: Statistics
@@ -80,16 +77,15 @@ class WitnessVerdict:
         return self.verdict == "entangled"
 
 
-def expectation(rho: DensityOperator, observable) -> float:
-    """tr(rho L) for a state in the sector of L's form (c, X), as sum_t
-    c_t <S x_t|rho|S x_t> + offset tr rho from one product of S X with
-    the rows (all at once) or the matrix, real as L and rho are
-    Hermitian.  An observable that is no form is read on the whole space
-    (``sector_observable`` with no statistics)."""
-    form = sector_observable(observable, None, rho.space)
-    (coeffs, vectors), sec = form.terms, form.sector
-    if sec is not None:
-        vectors = sec.apply(vectors)
+def expectation(rho: DensityOperator, form: SectorObservable) -> float:
+    """tr(rho L) of a state in the sector of L's form (c, X): sum_t c_t
+    <S x_t|rho|S x_t> + offset tr rho, from one product of S X with the
+    rows or the matrix."""
+    if form.space != rho.space:
+        raise ValueError("dimension mismatch")
+    coeffs, vectors = form.terms
+    if form.sector is not None:
+        vectors = form.sector.apply(vectors)
     if rho.matrix is None:
         total = rho.weights @ (np.abs(rho.vectors @ vectors.conj()) ** 2
                                @ coeffs)
@@ -151,8 +147,7 @@ def build_k_witness(operator, stats: Statistics, space: SpaceConfig, k: int,
                     starts: int = DEFAULT_STARTS, seed: int = 0,
                     **solver_kwargs) -> Witness:
     """Witness against K-separability: the bound is maximized over every
-    multiset-distinct partition into k parts, whose problems share the
-    operator's one form."""
+    multiset-distinct partition into k parts, sharing one form."""
     form = sector_observable(operator, stats, space)
     bounds = [build_witness(SevalueProblem(form, stats, p, space),
                             bound_source, starts=starts, seed=seed,
@@ -191,12 +186,11 @@ def _analytic_bound(problem: SevalueProblem, mode: str) -> float:
         # the closed forms are those of c|psi><psi| alone: another
         # term can raise the separable bound above them
         raise unknown
-    coeff, ket = op.rank_one
-    if np.linalg.norm(project_amplitudes(problem.stats, ket,
+    coeff, psi = op.rank_one
+    if np.linalg.norm(project_amplitudes(problem.stats, psi.amplitudes,
                                          problem.space)) < 1e-14:
         return op.offset    # c|psi><psi| is 0 on the sector: g = offset
-    solutions = analytic_rank_one(StateVector(problem.space, ket),
-                                  problem.stats)
+    solutions = analytic_rank_one(psi, problem.stats)
     values = [s.value * coeff.real for s in solutions]
     # g = 0 is always attained (analytic lists omit trivial zeros)
     values.append(0.0)
@@ -204,9 +198,8 @@ def _analytic_bound(problem: SevalueProblem, mode: str) -> float:
 
 
 def witness_matrix(witness: Witness) -> np.ndarray:
-    """Dense matrix of the witness operator, for small spaces: P(G 1 - L)P
-    = G P - P L P, or P(L - G 1)P in the lower form, as S M S^H, M =
-    -+(X diag(c) X^H + (offset - G) 1) from the form."""
+    """Dense matrix of the witness operator, for small spaces: G P - P L P,
+    or P L P - G P in the lower form, as S M S^H from the form."""
     dim = witness.space.total_dim
     if dim > MATRIX_CAP:
         raise DimensionCapError(f"witness matrix side {dim} exceeds cap")

@@ -20,7 +20,8 @@ from sepwit import (DensityOperator, GhzFamily, Partition, SevalueProblem,
                     dephased_ghz, expectation, fig1_bound, fig1_state_family,
                     ghz_expectation, interference_observable, numerical_rank,
                     partial_trace_first, project, projector_matrix,
-                    rank_one_observable, schmidt_number_bound, solve_sup_g,
+                    rank_one_observable, schmidt_number_bound,
+                    sector_observable, solve_sup_g,
                     sweep_solve, symmetrize_operator, transform_solution,
                     transformed_observable)
 from sepwit.cli import _fig1_rows, main as cli_main
@@ -188,7 +189,8 @@ def test_criterion_4_dephasing_sweep(tmp_path):
     r = 1.0 / math.sqrt(3.0)
     for stats in Statistics:
         family = GhzFamily(3, r, stats, 8)
-        observable = interference_observable(family.space, stats)
+        observable = sector_observable(interference_observable(
+            family.space, stats), stats, family.space)
         for delta in (0.0, math.pi / 3, math.pi):
             numeric = expectation(dephased_ghz(family, delta), observable)
             if abs(numeric - ghz_expectation(r, delta)) > 2 * family.tail_bound:

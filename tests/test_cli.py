@@ -458,7 +458,7 @@ def test_observable_of_a_sector_above_the_cap_is_refused(tmp_path, capsys):
     code = main(["sevalue", str(path), "--k", "2"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert "sector side 8855 exceeds cap 4096" in captured.err
+    assert "matrix side 8855 exceeds cap 4096" in captured.err
 
 
 def test_state_loader_hands_its_matrix_over(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sepwit import (DensityOperator, LowRankObservable, Partition,
-                    SevalueProblem, SpaceConfig, StateVector, Statistics,
-                    Witness, WitnessForm, expectation,
+                    SectorObservable, SevalueProblem, SpaceConfig,
+                    StateVector, Statistics, Witness, WitnessForm,
+                    build_witness, expectation,
                     interference_observable, rank_one_observable,
                     sector_observable, solve_sup_g, subspace_dimension,
                     transformed_observable, witness_matrix)
@@ -116,6 +118,33 @@ def test_a_form_of_other_statistics_or_space_is_refused():
     witness = Witness(observable=form, stats=Statistics.BOSON, space=space,
                       k=2, bound=0.5)
     assert problem.operator is form and witness.observable is form
+
+
+def test_form_record_is_no_constructor_argument():
+    # the closed forms read the record that only the conversion and the
+    # transform set: the form of L = |00><01| + h.c., whose separable
+    # supremum on (1, 1) is 1, takes no interference tag or rank-one
+    # vector from its constructor, which would get it the bound 1/2 or
+    # that of another vector, and dataclasses.replace drops the record
+    space, stats = SpaceConfig(2, 2), Statistics.DISTINGUISHABLE
+    matrix = np.zeros((4, 4))
+    matrix[0, 1] = matrix[1, 0] = 1.0
+    terms = sector_observable(matrix, stats, space).terms
+    for record in ({"interference": 1.0},
+                   {"rank_one": (1.0, np.eye(4, dtype=complex)[0])}):
+        with pytest.raises(TypeError):
+            SectorObservable(stats, space, terms, **record)
+    plain = SectorObservable(stats, space, terms)
+    assert plain.interference is None and plain.rank_one is None
+    wide = SpaceConfig(4, 2)
+    tagged = sector_observable(interference_observable(wide, stats), stats,
+                               wide)
+    assert tagged.interference == 1.0
+    for form in (plain, replace(tagged, offset=0.0)):
+        assert form.interference is None and form.rank_one is None
+        problem = SevalueProblem(form, stats, Partition((1, 1)), form.space)
+        with pytest.raises(ValueError, match="no analytic bound known"):
+            build_witness(problem, bound_source="analytic")
 
 
 def _write_interference_file(path, space, stats):

@@ -10,7 +10,8 @@ from sepwit import (DensityOperator, GhzFamily, Partition, SevalueProblem,
                     fig1_bound, fig1_state_family, ghz_expectation, ghz_state,
                     interference_observable, noisy_state, numerical_rank,
                     partial_trace_first, project, rank_one_observable,
-                    schmidt, sinc, slater_fermion, subspace_dimension)
+                    schmidt, sector_observable, sinc, slater_fermion,
+                    subspace_dimension)
 from sepwit.errors import ZeroProjectionError
 
 from conftest import crandn
@@ -87,7 +88,8 @@ def test_density_operator_adopts_only_a_frozen_block_of_unit_rows(rng):
 def test_noisy_state_boundary_expectation():
     # distinguishable balanced pair at noise 1/3 sits exactly on the bound
     psi = fig1_state_family(2, Statistics.DISTINGUISHABLE)
-    observable = rank_one_observable(psi, Statistics.DISTINGUISHABLE)
+    observable = sector_observable(rank_one_observable(
+        psi, Statistics.DISTINGUISHABLE), Statistics.DISTINGUISHABLE, psi.space)
     rho = noisy_state(psi, Statistics.DISTINGUISHABLE, 1.0 / 3.0)
     assert abs(expectation(rho, observable) - 0.5) < 1e-12
 
@@ -257,7 +259,8 @@ def test_ghz_expectation_closed_form():
 def test_dephased_expectation_matches_closed_form(stats, n):
     for r in (0.3, 1 / math.sqrt(3), 0.8):
         family = GhzFamily(n, r, stats, 8)
-        observable = interference_observable(family.space, stats)
+        observable = sector_observable(interference_observable(
+            family.space, stats), stats, family.space)
         for delta in (0.0, math.pi / 4, math.pi / 2, math.pi):
             rho = dephased_ghz(family, delta)
             numeric = expectation(rho, observable)
@@ -275,7 +278,8 @@ def test_fig2_detection_logic():
     assert signal < 1.0
     # numeric cross-check at three particles
     family = GhzFamily(3, r, Statistics.BOSON, 8)
-    observable = interference_observable(family.space, Statistics.BOSON)
+    observable = sector_observable(interference_observable(
+        family.space, Statistics.BOSON), Statistics.BOSON, family.space)
     numeric = expectation(dephased_ghz(family, 0.0), observable)
     assert abs(numeric - signal) <= 2 * family.tail_bound
     # full dephasing is never detected

@@ -236,6 +236,7 @@ def test_interference_tag_is_no_constructor_argument():
         build_witness(problem, bound_source="analytic")
     numeric = build_witness(problem, bound_source="numeric", starts=8)
     assert abs(numeric.bound - 1.0) <= 1e-9
+    observable = numeric.observable     # its form, which expectation reads
     plus = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2)
     rho = DensityOperator.from_pure(StateVector(
         space, np.kron(np.eye(4)[0], plus)))
@@ -261,6 +262,7 @@ def test_rank_one_bound_refused_beyond_one_term_c_psi_psi():
     problem = SevalueProblem(two_terms, stats, Partition((1, 1)), space)
     numeric = build_witness(problem, bound_source="numeric", starts=8)
     assert abs(numeric.bound - 1.5) <= 1e-9
+    two_terms = numeric.observable      # its form, which expectation reads
     rho = DensityOperator.from_pure(StateVector(space, zero))
     assert abs(expectation(rho, two_terms) - 1.5) <= 1e-12
     assert not detect(rho, numeric).entangled
@@ -356,14 +358,16 @@ def test_witness_refuses_a_bound_or_margin_that_breaks_the_verdict():
 def test_expectation_pure_and_mixed(rng):
     space = SpaceConfig(3, 2)
     psi = StateVector(space, crandn(rng, 9)).normalized()
-    observable = rank_one_observable(psi, Statistics.DISTINGUISHABLE)
+    observable = sector_observable(rank_one_observable(
+        psi, Statistics.DISTINGUISHABLE), Statistics.DISTINGUISHABLE, space)
     rho = DensityOperator.from_pure(psi)
     assert abs(expectation(rho, observable) - 1.0) < 1e-10
 
     dim = subspace_dimension(Statistics.BOSON, space)
     b = project(Statistics.BOSON, psi).normalized()
     rho_mixed = noisy_state(b, Statistics.BOSON, 0.0)
-    obs_b = rank_one_observable(b, Statistics.BOSON)
+    obs_b = sector_observable(rank_one_observable(b, Statistics.BOSON),
+                              Statistics.BOSON, space)
     assert abs(expectation(rho_mixed, obs_b) - 1.0 / dim) < 1e-10
 
 
@@ -378,9 +382,10 @@ def test_expectation_of_a_mixture_makes_no_row_block_temporary():
     (_, v, w), _ = observable.terms
     rho = noisy_state(StateVector(space, (v + w) / np.sqrt(2.0)), stats, 0.7)
     assert rho.vectors.shape == (331, 4096)
+    form = sector_observable(observable, stats, space)
     tracemalloc.start()
     try:
-        value = expectation(rho, observable)
+        value = expectation(rho, form)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -396,7 +401,7 @@ def test_expectation_dense_matches_mixture(rng):
     rho = DensityOperator.from_mixture([(0.2, vecs[0]), (0.5, vecs[1]),
                                         (0.3, vecs[2])])
     x = crandn(rng, 4, 4)
-    x = x + x.conj().T
+    x = sector_observable(x + x.conj().T, Statistics.DISTINGUISHABLE, space)
     dense = DensityOperator.from_matrix(space, rho.to_matrix())
     assert abs(expectation(rho, x) - expectation(dense, x)) < 1e-12
 
@@ -425,6 +430,8 @@ def test_mixture_form_matches_dense(stats, d, n, m, terms, seed):
              sum(w * low_rank.expectation_pure(v)
                  for w, v in zip(weights, rows)))
     for observable, loop in zip((x, low_rank), loops):
+        observable = sector_observable(observable, Statistics.DISTINGUISHABLE,
+                                       space)
         value = expectation(rho, observable)
         assert abs(value - expectation(dense, observable)) < 1e-12
         assert abs(value - loop.real) < 1e-12
@@ -441,7 +448,8 @@ def test_expectation_dimension_mismatch(rng):
     rho = DensityOperator.from_pure(
         StateVector(space, crandn(rng, 4)).normalized())
     with pytest.raises(ValueError):
-        expectation(rho, np.eye(9))
+        expectation(rho, sector_observable(
+            np.eye(9), Statistics.DISTINGUISHABLE, SpaceConfig(3, 2)))
 
 
 def test_detect_balanced_boson_state_against_own_witness():
@@ -488,7 +496,8 @@ def test_detect_equivalence_with_witness_matrix(rng):
     problem = SevalueProblem(rank_one_observable(psi, Statistics.BOSON),
                              Statistics.BOSON, Partition((1, 1)), psi.space)
     witness = build_witness(problem, bound_source="analytic")
-    wmat = witness_matrix(witness)
+    wmat = sector_observable(witness_matrix(witness),
+                             Statistics.DISTINGUISHABLE, psi.space)
     for p in (0.0, 0.3, 0.6, 0.9, 1.0):
         rho = noisy_state(psi, Statistics.BOSON, p)
         verdict = detect(rho, witness)
