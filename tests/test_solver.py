@@ -924,8 +924,8 @@ def test_party_sectors_built_once_per_problem(monkeypatch, rng):
     assert calls == []
     assert builds == [(27, 27)]
     # a single party is one step on the whole sector: a problem given the
-    # form shares it, with the orbit tables of S the form holds, and
-    # builds neither a dense S nor S^H L S, and no route party matrices
+    # form shares it and the orbit tables of S that it holds, builds
+    # neither a dense S nor S^H L S, and no route builds party matrices
     dense_builds = []
 
     def counting_toarray(self):
